@@ -79,14 +79,15 @@ class IdealGenerator:
     the tail per choice of a cell in each row it mentions.  `origin`
     records provenance: ("excluded", alpha) for a minimal excluded
     partition, or ("slice", mu, g) for a capped shape mu and a
-    vanishing-ideal element g.
+    vanishing-ideal element g.  `base`, when given, is h_tableau of the
+    rows, so that generators sharing a tableau compute it once.
     """
 
     __slots__ = ("product", "rows", "tail", "origin")
 
-    def __init__(self, rows, tail, origin):
+    def __init__(self, rows, tail, origin, base=None):
         T = Tableau(rows)
-        product = h_tableau(T)
+        product = h_tableau(T) if base is None else base
         if tail is not None:
             rows_used = _tail_rows(T.rows, tail)
             for combo in itertools.product(*(T.rows[i] for i in rows_used)):
@@ -211,11 +212,12 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         slice_pts = _gamma_points(
             lam_comp, closed.points, GenComposition.from_partition(saturated)
         )
+        base = h_tableau(T)
         if not slice_pts:
-            gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1))))
+            gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1)), base))
             continue
         for g in vanishing_ideal(slice_pts):
-            gens.append(IdealGenerator(T.rows, g, ("slice", mu, g)))
+            gens.append(IdealGenerator(T.rows, g, ("slice", mu, g), base))
     return TypeIdeal(lam, gens)
 
 

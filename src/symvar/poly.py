@@ -9,9 +9,13 @@ x1 > x2 > ... > t1 > t2 > ...
 The module also provides discriminants, the coset skew-symmetrization
 identity, constructive discriminant extraction with replayable witnesses,
 orbit evaluation at points with finitely many values, and vanishing ideals
-of finite point sets computed by evaluation-matrix kernels degree by degree.
+of finite point sets.  Those are computed by Buchberger-Moeller elimination
+degree by degree, run over the integers after the points are scaled to
+integer coordinates; only the output coefficients are rationals, and the
+generators are exactly those of elimination over Q.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -591,6 +595,8 @@ def _monomials_of_degree(nvars, degree):
     """Exponent tuples of the given total degree, ascending graded-lex."""
     if degree == 0:
         return [(0,) * nvars]
+    if nvars == 0:
+        return []
     out = []
 
     def rec(pos, remaining, acc):
@@ -601,16 +607,7 @@ def _monomials_of_degree(nvars, degree):
             rec(pos + 1, remaining - e, acc + [e])
 
     rec(0, degree, [])
-
-    def sort_key(exps):
-        return tuple(exps)  # larger exponent on an earlier (bigger) variable = bigger
-
-    return sorted(out, key=sort_key)
-
-
-def _exps_to_poly(exps, coeff=1):
-    m = tuple(((T_FAMILY, i + 1), e) for i, e in enumerate(exps) if e)
-    return Poly({m: Fraction(coeff)})
+    return sorted(out)  # larger exponent on an earlier (bigger) variable = bigger
 
 
 def _divides(a, b):
@@ -621,9 +618,19 @@ def vanishing_ideal(points, nvars=None) -> list:
     """Reduced graded-lex generating set of the ideal of polynomials in
     t1..tr vanishing on a finite set of rational points.
 
-    Evaluation-matrix kernel computation degree by degree, terminating when
-    every monomial of the current degree is a multiple of a found leading
-    term; the quotient dimension then equals the number of points.
+    Buchberger-Moeller elimination degree by degree: a monomial that is no
+    multiple of a found leading term is standard if its evaluation vector is
+    independent of those of the earlier standard monomials, and otherwise
+    gives the generator "monomial minus that combination".  The loop ends at
+    the first degree with no such monomial; the quotient dimension then
+    equals the number of points.
+
+    The arithmetic is over the integers: the points are scaled by the lcm D
+    of their denominators, so a degree-k row is D^k times the evaluation
+    vector, a factor its combination records.  vec(m) is built as
+    vec(m / t_i) times coordinate column i.  Rows are reduced by
+    cross-multiplication and divided by their gcd, and only the emitted
+    coefficients become rationals.  The output is that of elimination over Q.
     """
     pts = sorted({tuple(Fraction(c) for c in p) for p in points})
     if not pts:
@@ -634,16 +641,13 @@ def vanishing_ideal(points, nvars=None) -> list:
     if nvars is not None and nvars != r:
         raise ValueError("nvars disagrees with point length")
     npts = len(pts)
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    cols = [[p[i].numerator * (scale // p[i].denominator) for p in pts] for i in range(r)]
 
-    def eval_mono(exps, pt):
-        val = Fraction(1)
-        for e, c in zip(exps, pt):
-            if e:
-                val *= c ** e
-        return val
-
-    # echelon rows: (vector, combination dict exps -> coeff), pivot per row
-    rows = []  # (pivot index, vector list, combo dict)
+    # a row is its evaluation vector (npts entries) followed by its
+    # combination: one coefficient per standard monomial, then its own
+    rows = []  # (pivot index, row)
+    raw = {}  # scaled evaluation vector of each standard monomial
     standard = []
     gens = []
     leads = []
@@ -657,24 +661,36 @@ def vanishing_ideal(points, nvars=None) -> list:
         if not candidates and degree > 0:
             break
         for m in candidates:
-            vec = [eval_mono(m, p) for p in pts]
-            combo = {m: Fraction(1)}
-            for piv, rvec, rcombo in rows:
-                if vec[piv]:
-                    factor = vec[piv] / rvec[piv]
-                    vec = [a - factor * b for a, b in zip(vec, rvec)]
-                    for mm, cc in rcombo.items():
-                        combo[mm] = combo.get(mm, Fraction(0)) - factor * cc
-            if any(vec):
-                piv = next(i for i, a in enumerate(vec) if a)
-                rows.append((piv, vec, combo))
+            if degree:
+                # m / t_i is standard: otherwise m would be a multiple of a lead
+                i = next(i for i, e in enumerate(m) if e)
+                vec = [a * b for a, b in zip(raw[m[:i] + (m[i] - 1,) + m[i + 1:]], cols[i])]
+            else:
+                vec = [1] * npts
+            row = vec + [0] * len(standard) + [scale ** degree]
+            for piv, prow in rows:
+                a = row[piv]
+                if a:
+                    b = prow[piv]
+                    g = math.gcd(a, b)
+                    a, b = a // g, b // g
+                    n = len(prow)
+                    row = [b * x - a * y for x, y in zip(row, prow)] + [b * x for x in row[n:]]
+                    g = math.gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+            piv = next((j for j in range(npts) if row[j]), None)
+            if piv is not None:
+                rows.append((piv, row))
+                raw[m] = vec
                 standard.append(m)
             else:
-                lead_coeff = combo[m]
-                poly = Poly.zero()
-                for mm, cc in combo.items():
-                    poly = poly + _exps_to_poly(mm, cc / lead_coeff)
-                gens.append(poly)
+                lead = row[-1]
+                gens.append(Poly({
+                    tuple(((T_FAMILY, j + 1), e) for j, e in enumerate(mm) if e): Fraction(c, lead)
+                    for mm, c in zip(standard + [m], row[npts:])
+                    if c
+                }))
                 leads.append(m)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"

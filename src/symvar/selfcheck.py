@@ -30,6 +30,7 @@ from .poly import (
     apply_perm,
     discriminant,
     extract_discriminant,
+    perm_sign,
     skew_sum,
     vanishing_ideal,
     verify_witness,
@@ -167,26 +168,11 @@ def suite_discriminant_signs(rng):
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             sigma = {i + 1: perm[i] for i in range(n)}
-            sign = _sign(sigma)
+            sign = perm_sign(sigma)
             checks += 1
             if apply_perm(sigma, d) != d * sign:
                 fails.append(f"sgn behavior at n={n}, sigma={sigma}")
     return "discriminant sign action", checks, fails
-
-
-def _sign(sigma):
-    sign, seen = 1, set()
-    for s in sigma:
-        if s in seen:
-            continue
-        length, cur = 0, s
-        while cur not in seen:
-            seen.add(cur)
-            cur = sigma.get(cur, cur)
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def suite_pullback(rng, squares=40):

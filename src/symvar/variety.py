@@ -33,8 +33,10 @@ class DistinctnessError(ValueError):
 def _parse_rational(text):
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(s) for s in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 
@@ -169,14 +171,22 @@ def variety_from_json(text: str) -> PointSetVariety:
     "inf") and ``points`` (list of coordinate lists; rationals as "p/q").
     Weights are sorted non-increasing, permuting coordinates along."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a variety file must hold a JSON object")
     raw = data["lambda"]
+    if not isinstance(raw, list):
+        raise ValueError("lambda must be a list")
     weights = [parse_weight(str(w)) for w in raw]
     order = sorted(range(len(weights)), key=lambda i: (0 if is_inf(weights[i]) else 1,
                                                        0 if is_inf(weights[i]) else -weights[i],
                                                        i))
     lam = GenComposition.from_weights([weights[i] for i in order])
+    if not isinstance(data["points"], list):
+        raise ValueError("points must be a list")
     pts = []
     for p in data["points"]:
+        if not isinstance(p, list):
+            raise ValueError("each point must be a list of coordinates")
         if len(p) != len(weights):
             raise ValueError("point length does not match lambda")
         coords = [_parse_rational(str(c)) for c in p]

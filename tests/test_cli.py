@@ -142,6 +142,36 @@ class TestDeterminism:
         assert run(capsys, "type", "--bogus", "0^inf")[0] == 2
 
 
+class TestMalformedInput:
+    """Inputs that once crashed with a traceback: each is a data error."""
+
+    def assert_data_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_zero_denominator_in_point_literal(self, capsys):
+        self.assert_data_error(capsys, "type", "1/0^inf")
+
+    def test_points_not_a_list(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": 5}')
+        self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)
+
+    def test_top_level_array(self, capsys, tmp_path):
+        path = self.write(tmp_path, "[1, 2]")
+        self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)
+
+    def test_zero_denominator_in_variety_file(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": [[0, "1/0"]]}')
+        self.assert_data_error(capsys, "member", "inf,inf", "0^inf", "--variety", path)
+
+
 class TestRoundTrips:
     def test_partition_round_trip_through_cli(self, capsys):
         code, out, _ = run(capsys, "type", "6^inf,7^inf,3^3,5^2")

@@ -191,6 +191,10 @@ class TestVanishingIdeal:
         gens = vanishing_ideal([(Fraction(1, 2), 3)])
         assert {str(g) for g in gens} == {"t1 - 1/2", "t2 - 3"}
 
+    def test_point_of_zero_length(self):
+        # the ring of polynomials in no variables is Q: the ideal is zero
+        assert vanishing_ideal([()]) == []
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vanishing_ideal([])
