@@ -149,7 +149,7 @@ def pullback_square(f1: CompMap, f2: CompMap):
 class Correspondence:
     """Pair (f1, f2): f1 a principal surjection rho ->> target, f2: rho -> source."""
 
-    __slots__ = ("rho", "f1", "f2")
+    __slots__ = ("rho", "f1", "f2", "_action")
 
     def __init__(self, rho: GenComposition, f1: CompMap, f2: CompMap):
         if f1.domain != rho or f2.domain != rho:
@@ -159,6 +159,7 @@ class Correspondence:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "_action", None)
 
     @classmethod
     def identity(cls, lam: GenComposition) -> "Correspondence":
@@ -186,6 +187,28 @@ class Correspondence:
             if self.target.weight(i) > e and len(fib) != 1:
                 return False
         return True
+
+    @property
+    def action(self):
+        """The point action as source positions: ``(checks, reads)``.
+
+        A tuple s over the source has an image exactly when s[a] == s[b] for
+        every pair (a, b) in `checks`, and the image is
+        ``tuple(s[r] for r in reads)``.  For each target label, the source
+        positions that f2 sends its f1-fiber to must agree; `checks` ties
+        them to the smallest one, which the target coordinate reads.
+        Relabelings of rho give the same action.  Derived once from the
+        fibers and kept on the object.
+        """
+        if self._action is None:
+            src_pos = {k: i for i, k in enumerate(self.source.labels)}
+            checks, reads = set(), []
+            for i in self.target.labels:
+                srcs = sorted({src_pos[self.f2.table[j]] for j in self.f1.fiber(i)})
+                checks.update((srcs[0], b) for b in srcs[1:])
+                reads.append(srcs[0])
+            object.__setattr__(self, "_action", (tuple(sorted(checks)), tuple(reads)))
+        return self._action
 
     def canonical_key(self):
         """Per-target-label multiset of (fiber-part weight, f2 target) pairs;

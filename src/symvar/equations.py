@@ -28,7 +28,9 @@ infeasible for even modest shapes, while evaluation, printing and
 comparison never need them expanded.
 """
 
+import functools
 import itertools
+import math
 
 from .partitions import (
     GenComposition,
@@ -79,24 +81,34 @@ class IdealGenerator:
     the tail per choice of a cell in each row it mentions.  `origin`
     records provenance: ("excluded", alpha) for a minimal excluded
     partition, or ("slice", mu, g) for a capped shape mu and a
-    vanishing-ideal element g.  `base`, when given, is h_tableau of the
-    rows, so that generators sharing a tableau compute it once.
+    vanishing-ideal element g.
     """
 
-    __slots__ = ("product", "rows", "tail", "origin")
+    __slots__ = ("_product", "rows", "tail", "origin")
 
-    def __init__(self, rows, tail, origin, base=None):
-        T = Tableau(rows)
-        product = h_tableau(T) if base is None else base
+    def __init__(self, rows, tail, origin):
+        rows = Tableau(rows).rows
         if tail is not None:
-            rows_used = _tail_rows(T.rows, tail)
-            for combo in itertools.product(*(T.rows[i] for i in rows_used)):
-                sub = {tvar(i + 1): xvar(cell) for i, cell in zip(rows_used, combo)}
-                product = product * tail.subs_vars(sub)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "rows", T.rows)
+            _tail_rows(rows, tail)  # reject a t-variable with no row up front
+        object.__setattr__(self, "_product", None)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "origin", origin)
+
+    @property
+    def product(self) -> PolyProduct:
+        """h_tableau of the rows times the distributed tail copies, built on
+        first use and kept: membership reads only `rows` and `tail`, so only
+        printing and comparison pay for the product."""
+        if self._product is None:
+            product = h_tableau(Tableau(self.rows))
+            if self.tail is not None:
+                rows_used = _tail_rows(self.rows, self.tail)
+                for combo in itertools.product(*(self.rows[i] for i in rows_used)):
+                    sub = {tvar(i + 1): xvar(cell) for i, cell in zip(rows_used, combo)}
+                    product = product * self.tail.subs_vars(sub)
+            object.__setattr__(self, "_product", product)
+        return self._product
 
     def provenance(self) -> str:
         if self.origin[0] == "excluded":
@@ -212,21 +224,46 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         slice_pts = _gamma_points(
             lam_comp, closed.points, GenComposition.from_partition(saturated)
         )
-        base = h_tableau(T)
         if not slice_pts:
-            gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1)), base))
+            gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1))))
             continue
         for g in vanishing_ideal(slice_pts):
-            gens.append(IdealGenerator(T.rows, g, ("slice", mu, g), base))
+            gens.append(IdealGenerator(T.rows, g, ("slice", mu, g)))
     return TypeIdeal(lam, gens)
 
 
-def _feasible_support(size, support, classes):
-    """Can a row with `size` cells be filled from exactly the classes in
-    `support`, each used at least once within its multiplicity?"""
-    if len(support) > size:
-        return False
-    return ext_sum(classes[c][1] for c in support) >= size
+def _tail_zero_test(tail, tail_rows, classes):
+    """The tail's zero test at one point, on integers.
+
+    Returns ``vanishes(combo)``: does the tail vanish when the t-variable of
+    ``tail_rows[p]`` takes the value of class ``combo[p]``?  With q the
+    common denominator of the class values and L that of the tail's
+    coefficients, L * q^deg * tail(values) is the integer sum, over the
+    terms c_m t^m, of (L * c_m) * prod(q * value)^m * q^(deg - |m|); it is
+    zero exactly when the tail vanishes.  Answers are kept, so each class
+    choice is tested once.
+    """
+    q = math.lcm(*(v.denominator for v, _ in classes))
+    scaled = [v.numerator * (q // v.denominator) for v, _ in classes]
+    lcm = math.lcm(*(c.denominator for c in tail.terms.values()))
+    deg = tail.total_degree()
+    pos = {tvar(r + 1): p for p, r in enumerate(tail_rows)}
+    terms = [
+        (c.numerator * (lcm // c.denominator) * q ** (deg - sum(e for _, e in m)),
+         tuple((pos[v], e) for v, e in m))
+        for m, c in tail.terms.items()
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def vanishes(combo):
+        total = 0
+        for coeff, mono in terms:
+            for p, e in mono:
+                coeff *= scaled[combo[p]] ** e
+            total += coeff
+        return total == 0
+
+    return vanishes
 
 
 def _exists_nonzero_assignment(gen: IdealGenerator, classes) -> bool:
@@ -236,36 +273,44 @@ def _exists_nonzero_assignment(gen: IdealGenerator, classes) -> bool:
     The difference factors vanish exactly when two labels in distinct rows
     share a class (distinct classes carry distinct values), so rows must
     use pairwise disjoint class sets; within a row, cells are
-    interchangeable.  The distributed tail copies are all nonzero exactly
-    when no choice of one class per mentioned row lands in the tail's zero
-    locus.
+    interchangeable, and a row of `size` cells can be filled from exactly
+    the classes of a support when it has at most `size` classes whose
+    multiplicities add up to at least `size`.  The distributed tail copies
+    are all nonzero exactly when no choice of one class per mentioned row
+    lands in the tail's zero locus (`_tail_zero_test`).
     """
     rows = gen.rows
     tail = gen.tail
-    tail_rows = _tail_rows(rows, tail) if tail is not None else []
-    k = len(rows)
     n = len(classes)
+    # supports are bitmasks of classes
+    members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
+    fits = {
+        size: [m for m in range(1, 1 << n)
+               if len(members[m]) <= size
+               and ext_sum(classes[c][1] for c in members[m]) >= size]
+        for size in {len(r) for r in rows}
+    }
+    tail_rows = _tail_rows(rows, tail) if tail is not None else []
+    vanishes = None  # built when a search first reaches the tail
 
     def rec(i, available, supports):
-        if i == k:
+        nonlocal vanishes
+        if i == len(rows):
             if tail is None:
                 return True
-            for combo in itertools.product(*(supports[r] for r in tail_rows)):
-                env = {tvar(tail_rows[p] + 1): classes[c][0] for p, c in enumerate(combo)}
-                if tail.evaluate(env) == 0:
-                    return False
-            return True
-        size = len(rows[i])
-        avail = [c for c in range(n) if available >> c & 1]
-        for m in range(1, 1 << len(avail)):
-            support = [avail[b] for b in range(len(avail)) if m >> b & 1]
-            if not _feasible_support(size, support, classes):
-                continue
-            supports.append(support)
-            if rec(i + 1, available & ~sum(1 << c for c in support), supports):
+            if vanishes is None:
+                vanishes = _tail_zero_test(tail, tail_rows, classes)
+            return not any(
+                vanishes(combo)
+                for combo in itertools.product(*(members[supports[r]] for r in tail_rows))
+            )
+        for m in fits[len(rows[i])]:
+            if m & available == m:
+                supports.append(m)
+                found = rec(i + 1, available & ~m, supports)
                 supports.pop()
-                return True
-            supports.pop()
+                if found:
+                    return True
         return False
 
     return rec(0, (1 << n) - 1, [])

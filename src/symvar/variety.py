@@ -117,7 +117,11 @@ class PointSetVariety:
     __slots__ = ("lam", "points")
 
     def __init__(self, lam: GenComposition, points):
-        pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+        # coordinates that are already rationals are kept, not copied: points
+        # built from other points share their values, and equal values that
+        # are one object compare without any Fraction arithmetic
+        pts = sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in p)
+                      for p in points})
         for p in pts:
             if len(p) != lam.length:
                 raise ValueError("each point needs one coordinate per label")
@@ -194,36 +198,30 @@ def variety_from_json(text: str) -> PointSetVariety:
     return PointSetVariety(lam, pts)
 
 
+def _positions(f) -> tuple:
+    """The codomain position that each domain coordinate of ``act_point(f, x)``
+    reads."""
+    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
+    return tuple(cod_pos[f.table[i]] for i in f.domain.labels)
+
+
 def act_point(f, x):
     """Point action of a map of compositions: coordinate i receives x_{f(i)}.
 
     `x` is a tuple over the codomain labels; the result lives over the
     domain labels.
     """
-    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
-    return tuple(x[cod_pos[f.table[i]]] for i in f.domain.labels)
+    return tuple(x[i] for i in _positions(f))
 
 
-def _corr_image(f: Correspondence, pts) -> set:
-    """Raw image point set of a correspondence action on tuples over its
-    source: push through the second leg, keep tuples constant on the first
-    leg's fibers, collapse the fibers."""
-    src_pos = {k: i for i, k in enumerate(f.source.labels)}
-    f2_idx = [src_pos[f.f2.table[j]] for j in f.rho.labels]
-    rho_pos = {k: i for i, k in enumerate(f.rho.labels)}
-    fibers = [[rho_pos[j] for j in f.f1.fiber(i)] for i in f.target.labels]
+def _image(action, pts) -> set:
+    """Image of a point set under a correspondence action (see
+    ``Correspondence.action``)."""
+    checks, reads = action
     out = set()
     for s in pts:
-        y = [s[i] for i in f2_idx]
-        coords = []
-        for positions in fibers:
-            v0 = y[positions[0]]
-            if any(y[p] != v0 for p in positions[1:]):
-                coords = None
-                break
-            coords.append(v0)
-        if coords is not None:
-            out.add(tuple(coords))
+        if all(s[a] == s[b] for a, b in checks):
+            out.add(tuple([s[r] for r in reads]))
     return out
 
 
@@ -233,7 +231,7 @@ def apply_corr(f: Correspondence, S: PointSetVariety) -> PointSetVariety:
     tuple is constant on the first leg's fibers)."""
     if S.lam != f.source:
         raise ValueError("point set does not live over the correspondence source")
-    return PointSetVariety(f.target, _corr_image(f, S.points))
+    return PointSetVariety(f.target, _image(f.action, S.points))
 
 
 def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
@@ -244,16 +242,28 @@ def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
         raise ValueError("point set does not live over lam")
     pts = set()
     for f in enumerate_end(lam):
-        for z in Z.points:
-            pts.add(act_point(f, z))
+        idx = _positions(f)
+        pts.update(tuple([z[i] for i in idx]) for z in Z.points)
     return PointSetVariety(lam, pts)
 
 
 def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
-    pts = set()
-    for f in enumerate_good(mu, lam):
-        pts |= _corr_image(f, closed_pts)
-    return pts
+    """Union of the images of `closed_pts` under the good correspondences
+    mu ~> lam.
+
+    An action only copies and compares coordinates, so the search runs on
+    each distinct value's index in place of the value (small integers hash
+    and compare much faster than rationals) and maps the indices back at
+    the end; the result is the same set.  Correspondences sharing an action
+    are run once.
+    """
+    index = {}
+    pts = {tuple([index.setdefault(c, len(index)) for c in p]) for p in closed_pts}
+    out = set()
+    for action in {f.action for f in enumerate_good(mu, lam)}:
+        out |= _image(action, pts)
+    values = list(index)
+    return {tuple([values[i] for i in p]) for p in out}
 
 
 def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> PointSetVariety:

@@ -1,11 +1,13 @@
 """Generator synthesis for the defining ideals and equation-based membership."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from symvar.equations import (
+    IdealGenerator,
     capped_shapes,
     equivalent_mod_relabeling,
     generator_orbit_vanishes,
@@ -21,11 +23,12 @@ from symvar.partitions import (
     INF,
     GenComposition,
     GenPartition,
+    Tableau,
     mu_s,
     preceq,
     row_major_tableau,
 )
-from symvar.poly import Poly, PolyProduct, parse_poly
+from symvar.poly import Poly, PolyProduct, parse_poly, tvar, xvar
 from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
@@ -162,6 +165,54 @@ class TestILambdaZ:
             a = gamma_at(C(lam), Z, C(mu))
             b = gamma_at(C(lam), Z, C(mu_s(mu, e)))
             assert set(a.points) == set(b.points), mu
+
+
+def eager_product(rows, tail):
+    """The product as IdealGenerator built it in its constructor before it
+    became lazy: h_tableau times one tail copy per choice of a cell in each
+    row the tail mentions."""
+    product = h_tableau(Tableau(rows))
+    if tail is not None:
+        used = sorted(i - 1 for fam, i in tail.variables() if fam == 1)
+        for combo in itertools.product(*(rows[i] for i in used)):
+            product = product * tail.subs_vars(
+                {tvar(i + 1): xvar(cell) for i, cell in zip(used, combo)})
+    return product
+
+
+class TestLazyProduct:
+    CASES = [
+        ("inf,inf", [(0, 1), (1, 0)]),
+        ("inf,1", [(Fraction(1, 2), Fraction(-3, 7))]),
+        ("inf,inf,1", [(0, 2, 5), (Fraction(1, 3), 2, -1)]),
+        ("inf,2,1", [(1, 2, 3)]),
+    ]
+
+    def test_equals_eager_construction(self):
+        for text, pts in self.CASES:
+            lam = P(text)
+            for g in i_lambda_z(lam, PointSetVariety(C(lam), pts)).generators:
+                want = eager_product(g.rows, g.tail)
+                assert g.product == want
+                assert str(g.product) == str(want)
+                assert g.product is g.product  # built once, then kept
+
+    def test_equality_and_hash_follow_the_product(self):
+        lam = P("inf,1")
+        Z = PointSetVariety(C(lam), [(0, 1)])
+        gens = i_lambda_z(lam, Z).generators
+        again = i_lambda_z(lam, Z).generators
+        for g, h in zip(gens, again):
+            assert g == h and hash(g) == hash(h) == hash(eager_product(g.rows, g.tail))
+        # provenance is not part of equality
+        g = next(g for g in gens if g.tail is not None)
+        relabeled = IdealGenerator(g.rows, g.tail, ("slice", P("1"), Poly.constant(7)))
+        assert relabeled == g and hash(relabeled) == hash(g)
+        assert len(set(gens)) == len({eager_product(g.rows, g.tail) for g in gens})
+
+    def test_tail_without_a_row_is_rejected_up_front(self):
+        with pytest.raises(ValueError):
+            IdealGenerator(((1, 2),), parse_poly("t2 - 1"), ("slice", P("2"), None))
 
 
 class TestMembership:

@@ -1,0 +1,161 @@
+"""Equation membership on rational data.
+
+``member_by_equations`` tests each slice tail on integers: the class values
+are scaled by their common denominator q and the tail by the lcm of its
+coefficient denominators.  With integer data q is 1; here Z and the points
+carry denominators 2, 3 and 7 and negative values, so q > 1.  Three checks:
+
+- inside the exact domain the equation route equals ``theta_member``, and
+  outside it never rejects a member;
+- the structured search equals the former one, which evaluated every tail
+  in ``Fraction`` arithmetic for every support choice (kept here as the
+  oracle);
+- the integer zero test agrees with ``tail.evaluate(...) == 0`` on every
+  choice of one class per tail row.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from symvar.equations import (
+    _tail_rows,
+    _tail_zero_test,
+    generator_orbit_vanishes,
+    i_lambda_z,
+    member_by_equations,
+)
+from symvar.partitions import INF, GenComposition, GenPartition, ext_sum
+from symvar.poly import tvar
+from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
+
+C = GenComposition.from_partition
+
+POOL = sorted({Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 7)})
+EXACT = ["inf", "inf,1", "inf,2", "inf,inf", "inf,3", "inf,inf,1", "inf,inf,inf"]
+OUTSIDE = ["inf,1,1", "inf,2,1"]
+
+
+def in_exact_domain(lam):
+    return lam.finite_weight <= 1 or lam.length <= 2
+
+
+def oracle_exists_nonzero_assignment(gen, classes):
+    """The former search: every support choice re-evaluates the tail in
+    Fraction arithmetic."""
+    rows = gen.rows
+    tail = gen.tail
+    tail_rows = _tail_rows(rows, tail) if tail is not None else []
+    k = len(rows)
+    n = len(classes)
+
+    def feasible(size, support):
+        if len(support) > size:
+            return False
+        return ext_sum(classes[c][1] for c in support) >= size
+
+    def rec(i, available, supports):
+        if i == k:
+            if tail is None:
+                return True
+            for combo in itertools.product(*(supports[r] for r in tail_rows)):
+                env = {tvar(tail_rows[p] + 1): classes[c][0] for p, c in enumerate(combo)}
+                if tail.evaluate(env) == 0:
+                    return False
+            return True
+        size = len(rows[i])
+        avail = [c for c in range(n) if available >> c & 1]
+        for m in range(1, 1 << len(avail)):
+            support = [avail[b] for b in range(len(avail)) if m >> b & 1]
+            if not feasible(size, support):
+                continue
+            supports.append(support)
+            if rec(i + 1, available & ~sum(1 << c for c in support), supports):
+                return True
+            supports.pop()
+        return False
+
+    return rec(0, (1 << n) - 1, [])
+
+
+def rational_case(rng, text):
+    """A pair (lam, Z) with rational coordinates and points near it: Z's
+    own values at lam's multiplicities, that point with a class dropped,
+    and random points reusing Z's values."""
+    lam = GenPartition.parse(text)
+    npts = rng.randint(1, 2)
+    pts = [tuple(rng.sample(POOL, lam.length)) for _ in range(npts)]
+    Z = PointSetVariety(C(lam), pts)
+    z = rng.choice(Z.points)
+    member = list(zip(z, lam.parts))
+    points = [FinitaryPoint(member)]
+    if len(member) > 1:
+        points.append(FinitaryPoint(member[:-1]))
+    values = sorted(set(z) | set(rng.sample(POOL, 3)))
+    for _ in range(4):
+        width = rng.randint(1, min(4, len(values)))
+        mults = [INF] + [rng.choice([INF, 1, 2]) for _ in range(width - 1)]
+        points.append(FinitaryPoint(zip(rng.sample(values, width), mults)))
+    return lam, Z, points
+
+
+def cases():
+    for text in EXACT + OUTSIDE:
+        for k in range(4):
+            yield text, k
+
+
+@pytest.fixture(scope="module")
+def ideals():
+    """Each case with its ideal, built once for all three checks."""
+    out = {}
+    for text, k in cases():
+        lam, Z, points = rational_case(random.Random(f"{text}/{k}"), text)
+        out[text, k] = (lam, Z, points, i_lambda_z(lam, Z))
+    return out
+
+
+@pytest.mark.parametrize("text,k", list(cases()))
+def test_equations_match_direct(ideals, text, k):
+    lam, Z, points, ideal = ideals[text, k]
+    for x in points:
+        direct = theta_member(C(lam), Z, x)
+        by_equations = member_by_equations(ideal, x)
+        if in_exact_domain(lam):
+            assert by_equations == direct, (Z.points, str(x))
+        else:
+            assert by_equations or not direct, (Z.points, str(x))
+
+
+@pytest.mark.parametrize("text,k", list(cases()))
+def test_search_matches_fraction_oracle(ideals, text, k):
+    _, _, points, ideal = ideals[text, k]
+    for g in ideal.generators:
+        for x in points:
+            want = not oracle_exists_nonzero_assignment(g, list(x.classes))
+            assert generator_orbit_vanishes(g, x) == want, (g, str(x))
+
+
+def test_integer_zero_test_matches_evaluation(ideals):
+    seen = {"zero": 0, "nonzero": 0}
+    for (_, k), (_, _, points, ideal) in ideals.items():
+        # every eighth generator, a different eighth per case, keeps the
+        # exhaustive check over class choices short
+        for g in ideal.generators[k::8]:
+            if g.tail is None:
+                continue
+            tail_rows = _tail_rows(g.rows, g.tail)
+            for x in points:
+                classes = list(x.classes)
+                vanishes = _tail_zero_test(g.tail, tail_rows, classes)
+                for combo in itertools.product(range(len(classes)), repeat=len(tail_rows)):
+                    env = {tvar(r + 1): classes[c][0] for r, c in zip(tail_rows, combo)}
+                    want = g.tail.evaluate(env) == 0
+                    assert vanishes(combo) == want, (g.tail, str(x), combo)
+                    if math.lcm(*(classes[c][0].denominator for c in combo)) > 1:
+                        seen["zero" if want else "nonzero"] += 1
+    # both outcomes occur at values that are not all integers
+    assert seen["zero"] > 0 and seen["nonzero"] > 0, seen

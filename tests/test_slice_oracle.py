@@ -1,0 +1,148 @@
+"""The slice loop against its former implementation.
+
+``end_closure``, ``apply_corr`` and ``gamma_at`` act through position lists
+(``Correspondence.action``) and run the slice search on value indices.  The
+oracle below is the earlier code, which applied every map and every
+correspondence to the rational tuples themselves; both must give the same
+point sets on seeded inputs: ``lambda`` with up to 4 parts, infinite and
+saturated finite slices, coordinates with denominators 2, 3 and 7, negative
+values, and values shared between points.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from symvar.corr import compose, enumerate_end, enumerate_good
+from symvar.equations import capped_shapes
+from symvar.partitions import INF, GenComposition, GenPartition, mu_s
+from symvar.variety import (
+    PointSetVariety,
+    _gamma_points,
+    act_point,
+    apply_corr,
+    end_closure,
+    gamma_at,
+)
+
+C = GenComposition.from_partition
+
+
+def oracle_act_point(f, x):
+    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
+    return tuple(x[cod_pos[f.table[i]]] for i in f.domain.labels)
+
+
+def oracle_corr_image(f, pts):
+    src_pos = {k: i for i, k in enumerate(f.source.labels)}
+    f2_idx = [src_pos[f.f2.table[j]] for j in f.rho.labels]
+    rho_pos = {k: i for i, k in enumerate(f.rho.labels)}
+    fibers = [[rho_pos[j] for j in f.f1.fiber(i)] for i in f.target.labels]
+    out = set()
+    for s in pts:
+        y = [s[i] for i in f2_idx]
+        coords = []
+        for positions in fibers:
+            v0 = y[positions[0]]
+            if any(y[p] != v0 for p in positions[1:]):
+                coords = None
+                break
+            coords.append(v0)
+        if coords is not None:
+            out.add(tuple(coords))
+    return out
+
+
+def oracle_end_closure(lam, Z):
+    return {oracle_act_point(f, z) for f in enumerate_end(lam) for z in Z.points}
+
+
+def oracle_gamma(lam, Z, mu):
+    closed = oracle_end_closure(lam, Z)
+    out = set()
+    for f in enumerate_good(mu, lam):
+        out |= oracle_corr_image(f, closed)
+    return out
+
+
+POOL = [Fraction(n, d) for n in (-3, -1, 0, 1, 2, 5) for d in (1, 2, 3, 7)]
+LAMBDAS = ["inf", "inf,1", "inf,inf", "inf,2", "inf,3", "inf,inf,1", "inf,2,1", "inf,1,1",
+           "inf,inf,inf", "inf,inf,2", "inf,1,1,1", "inf,inf,1,1", "inf,2,1,1",
+           "inf,inf,inf,1", "inf,inf,inf,inf"]
+
+
+def random_variety(rng, lam):
+    """1-3 points drawing coordinates from a few values, so that values
+    repeat within and across points."""
+    values = rng.sample(POOL, rng.randint(2, 4))
+    npts = rng.randint(1, 3)
+    return PointSetVariety(lam, [tuple(rng.choice(values) for _ in range(lam.length))
+                                 for _ in range(npts)])
+
+
+def slices(rng, lam_p):
+    """Two infinite slices and up to three saturated capped shapes."""
+    infinite = [GenPartition([INF] + list(rng.choice([(), (1,), (2,), (1, 1), (INF,), (INF, 1)])))
+                for _ in range(2)]
+    e = lam_p.finite_weight
+    shapes = capped_shapes(lam_p)
+    finite = [mu_s(mu, e) for mu in rng.sample(shapes, min(3, len(shapes)))]
+    return infinite + finite
+
+
+@pytest.mark.parametrize("text", LAMBDAS)
+@pytest.mark.parametrize("k", [0, 1])
+def test_closure_and_slices_match_oracle(text, k):
+    rng = random.Random(f"{text}/{k}")
+    lam_p = GenPartition.parse(text)
+    lam = C(lam_p)
+    Z = random_variety(rng, lam)
+    closed = end_closure(lam, Z)
+    assert closed.points == tuple(sorted(oracle_end_closure(lam, Z)))
+    for mu_p in slices(rng, lam_p):
+        mu = C(mu_p)
+        want = oracle_gamma(lam, Z, mu)
+        assert _gamma_points(lam, closed.points, mu) == want, (Z.points, str(mu_p))
+        assert gamma_at(lam, Z, mu).points == tuple(sorted(want))
+
+
+@pytest.mark.parametrize("text", LAMBDAS)
+def test_apply_corr_matches_oracle(text):
+    rng = random.Random(text)
+    lam_p = GenPartition.parse(text)
+    lam = C(lam_p)
+    S = end_closure(lam, random_variety(rng, lam))
+    corrs = []
+    for mu_p in slices(rng, lam_p):
+        goods = enumerate_good(C(mu_p), lam)
+        corrs += rng.sample(goods, min(4, len(goods)))
+    # composites carry a rho that is not the canonical one of enumerate_good
+    selfs = enumerate_good(lam, lam)
+    corrs += [compose(f, rng.choice(selfs)) for f in rng.sample(corrs, min(4, len(corrs)))]
+    for f in corrs:
+        assert apply_corr(f, S).points == tuple(sorted(oracle_corr_image(f, S.points))), f
+
+
+def test_act_point_matches_oracle():
+    rng = random.Random(7)
+    for text in ("inf,1", "inf,inf,2", "inf,2,1,1"):
+        lam = C(GenPartition.parse(text))
+        z = tuple(rng.choice(POOL) for _ in range(lam.length))
+        for f in enumerate_end(lam):
+            assert act_point(f, z) == oracle_act_point(f, z)
+
+
+def test_action_is_shared_across_relabelings():
+    # distinct correspondences with one action: the search runs once for all
+    lam = C(GenPartition.parse("inf,2,1"))
+    corrs = [f for mu in ("3,3,1", "inf,2,1", "2,1")
+             for f in enumerate_good(C(GenPartition.parse(mu)), lam)]
+    actions = {f.action for f in corrs}
+    assert len(actions) < len(corrs)
+    for f in corrs:
+        checks, reads = f.action
+        assert all(a < b for a, b in checks)
+        assert len(reads) == f.target.length
+        assert f.action is f.action  # derived once, kept on the object
+
