@@ -124,11 +124,6 @@ class GenPartition:
         raise AttributeError("GenPartition is immutable")
 
 
-def canonicalize(parts) -> GenPartition:
-    """Normal form: sort non-increasing and drop zero parts."""
-    return GenPartition(parts)
-
-
 class GenComposition:
     """Finite label set with a positive weight in N ∪ {inf} per label.
 
@@ -358,37 +353,76 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
     return fill_rows(0)
 
 
+def _box_parts(max_length: int, max_part: int, prefix=()):
+    """Parts tuples of the non-empty finite partitions with at most
+    max_length parts, each at most max_part, extending prefix.  Depth-first
+    order is increasing tuple order: a prefix comes before its extensions."""
+    if max_length < 1:
+        return
+    for p in range(1, max_part + 1):
+        cur = prefix + (p,)
+        yield cur
+        yield from _box_parts(max_length - 1, p, cur)
+
+
 def finite_partitions_in_box(max_length: int, max_part: int):
     """All non-empty finite partitions with at most max_length parts, each
     at most max_part, in increasing tuple order."""
-    out = []
+    return [GenPartition(p) for p in _box_parts(max_length, max_part)]
 
-    def rec(prefix, largest, slots):
-        for p in range(1, largest + 1):
-            cur = prefix + (p,)
-            out.append(GenPartition(cur))
-            if slots > 1:
-                rec(cur, p, slots - 1)
 
-    if max_length >= 1 and max_part >= 1:
-        rec((), max_part, max_length)
-    return sorted(out, key=lambda q: q.parts)
+def _lower_covers(parts):
+    """Parts tuples one elementary step below a finite partition: one part
+    lowered by 1 (a zero dropped), or two parts merged."""
+    n = len(parts)
+    for i in range(n):
+        lowered = parts[i] - 1
+        rest = parts[:i] + parts[i + 1:]
+        yield tuple(sorted(rest + (lowered,), reverse=True)) if lowered else rest
+        for j in range(i + 1, n):
+            merged = rest[:j - 1] + rest[j:] + (parts[i] + parts[j],)
+            yield tuple(sorted(merged, reverse=True))
 
 
 def min_excluded(lam: GenPartition) -> list:
     """Minimal finite partitions, for the combining order, that are not below
-    lam.  Searched over the box of partitions with at most length(lam)+1
-    parts, each part at most finite_weight(lam)+1."""
+    lam, in increasing tuple order.  Candidates are the box of partitions
+    with at most length(lam)+1 parts, each at most finite_weight(lam)+1.
+
+    Cover rule: the excluded set is an up-set, since preceq is transitive,
+    and every mu strictly below alpha is reached from alpha by elementary
+    steps (merge two parts, or lower one part by 1, dropping a zero).  So
+    alpha is minimal excluded iff alpha is not below lam and every lower
+    cover of alpha (one step down) is below lam.  A merge can leave the
+    box; those covers are checked too, so the answers are minimal among all
+    finite partitions, not only among the box.
+
+    Tail reduction: with k infinite parts in lam and lam_fin its finite
+    part, a finite alpha (parts non-increasing) is below lam iff alpha[k:]
+    is below lam_fin.  Each infinite part of lam covers any one part of
+    alpha, and swapping an alpha part held by an infinite group with a
+    larger one held by a finite group keeps both groups sufficient; so the
+    k largest parts of alpha may take the infinite parts.  preceq decides
+    the tails, once per distinct tail.
+    """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
-    box = finite_partitions_in_box(lam.length + 1, lam.finite_weight + 1)
-    excluded = [a for a in box if not preceq(a, lam)]
-    minimal = [
-        a
-        for a in excluded
-        if not any(b != a and preceq(b, a) for b in excluded)
+    k = lam.num_infinite
+    lam_fin = GenPartition(lam.parts[k:])
+    below = {}
+
+    def is_below(parts):
+        tail = parts[k:]
+        hit = below.get(tail)
+        if hit is None:
+            hit = below[tail] = preceq(GenPartition(tail), lam_fin)
+        return hit
+
+    return [
+        GenPartition(alpha)
+        for alpha in _box_parts(lam.length + 1, lam.finite_weight + 1)
+        if not is_below(alpha) and all(is_below(c) for c in _lower_covers(alpha))
     ]
-    return sorted(minimal, key=lambda q: q.parts)
 
 
 def mu_minus(mu: GenPartition, e: int) -> GenPartition:

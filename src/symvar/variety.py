@@ -104,10 +104,6 @@ def type_of(x: FinitaryPoint) -> GenPartition:
     return GenPartition(m for _, m in x.classes)
 
 
-def width_at_most(x: FinitaryPoint, n: int) -> bool:
-    return x.width <= n
-
-
 class PointSetVariety:
     """Finite set of rational tuples in the affine space of a composition.
 

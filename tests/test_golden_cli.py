@@ -51,6 +51,9 @@ COMMANDS = [
     ["preceq", "--json", "inf,5", "inf,inf"],
     ["min-excluded", "inf,inf,2,1"],
     ["min-excluded", "--json", "inf,inf,inf,inf,6"],
+    ["min-excluded", "inf,inf,inf,inf,inf,8"],
+    ["min-excluded", "--json", "inf,2,1,1"],
+    ["min-excluded", "inf,inf,3,1"],
     # equations
     ["equations", "inf,1"],
     ["equations", "inf,inf", "--variety", "Z.json", "--reduce"],

@@ -22,7 +22,6 @@ from symvar.variety import (
     type_of,
     variety_from_json,
     variety_to_json,
-    width_at_most,
 )
 
 P = GenPartition.parse
@@ -58,7 +57,7 @@ class TestFinitaryPoint:
 class TestWidth:
     def test_examples(self):
         x = FinitaryPoint.parse("0^inf,1^inf")
-        assert width_at_most(x, 2) and not width_at_most(x, 1)
+        assert x.width <= 2 and not x.width <= 1
 
     def test_agrees_with_discriminant_vanishing(self):
         rng = random.Random(3)
@@ -70,7 +69,7 @@ class TestWidth:
             x = FinitaryPoint(classes)
             for n in range(1, 4):
                 vanishes = orbit_evaluations(discriminant(n + 1), x.classes) == [0]
-                assert width_at_most(x, n) == vanishes
+                assert (x.width <= n) == vanishes
 
 
 class TestActPoint:
