@@ -8,15 +8,15 @@ Output is deterministic byte-for-byte for fixed inputs and seed.
 
 import argparse
 import json
+import random
 import sys
 
 from .equations import i_lambda, i_lambda_z, member_by_equations, reduce_generators
-from .partitions import GenComposition, GenPartition, preceq
+from .partitions import GenComposition, GenPartition, min_excluded, preceq
 from .variety import (
     FinitaryPoint,
     PointSetVariety,
     contains,
-    format_rational,
     gamma_at,
     theta_member,
     type_of,
@@ -81,8 +81,6 @@ def cmd_preceq(args) -> int:
 def cmd_min_excluded(args) -> int:
     lam = _parse_partition(args.lam)
     try:
-        from .partitions import min_excluded
-
         result = min_excluded(lam)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -103,8 +101,6 @@ def cmd_equations(args) -> int:
     else:
         ideal = i_lambda(lam)
     if args.reduce:
-        import random
-
         rng = random.Random(args.seed)
         battery = [selfcheck.random_point(rng, max_width=4) for _ in range(40)]
         ideal = reduce_generators(ideal, battery)
@@ -180,8 +176,8 @@ def cmd_gamma(args) -> int:
     result = gamma_at(
         GenComposition.from_partition(lam), Z, GenComposition.from_partition(mu)
     )
-    lines = [",".join(format_rational(c) for c in p) for p in result.points]
-    payload = {"points": [[format_rational(c) for c in p] for p in result.points]}
+    lines = [",".join(str(c) for c in p) for p in result.points]
+    payload = {"points": [[str(c) for c in p] for p in result.points]}
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -39,9 +39,6 @@ class CompMap:
     def identity(cls, lam: GenComposition) -> "CompMap":
         return cls(lam, lam, {i: i for i in lam.labels})
 
-    def __call__(self, label):
-        return self.table[label]
-
     def fiber(self, j):
         return tuple(i for i in self.domain.labels if self.table[i] == j)
 

@@ -47,7 +47,6 @@ from .poly import (
     Poly,
     PolyProduct,
     difference,
-    orbit_evaluations,
     tvar,
     vanishing_ideal,
     xvar,
@@ -162,22 +161,16 @@ class TypeIdeal:
         raise AttributeError("TypeIdeal is immutable")
 
 
-_I_LAMBDA_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded
     partition, on the canonical row-major tableau."""
-    if lam in _I_LAMBDA_CACHE:
-        return _I_LAMBDA_CACHE[lam]
     gens = [
         IdealGenerator(row_major_tableau(alpha).rows, None, ("excluded", alpha))
         for alpha in min_excluded(lam)
     ]
-    ideal = TypeIdeal(lam, gens)
-    _I_LAMBDA_CACHE[lam] = ideal
-    return ideal
+    return TypeIdeal(lam, gens)
 
 
 def capped_shapes(lam: GenPartition) -> list:
@@ -327,13 +320,6 @@ def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:
     return all(generator_orbit_vanishes(g, x) for g in ideal.generators)
 
 
-def generator_orbit_vanishes_brute(gen: IdealGenerator, x: FinitaryPoint) -> bool:
-    """Expansion-based cross-check of the structured vanishing search; only
-    usable when the expanded generator is small."""
-    vals = orbit_evaluations(gen.product.expand(), x.classes)
-    return vals == [0] or vals == []
-
-
 def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
     """Heuristic pruning: drop a generator when, on every sample point where
     all other kept generators vanish, it vanishes too.  The result cuts out
@@ -352,82 +338,3 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
         if implied:
             kept = others
     return TypeIdeal(ideal.lam, kept)
-
-
-def product_shape(pp: PolyProduct):
-    """Recover the tableau shape of a pure product of coordinate differences.
-
-    Returns the partition of row sizes when the factors form the complete
-    multipartite difference pattern of some tableau (each factor x_a - x_b
-    up to sign, every cross-row pair exactly once, no within-row pairs),
-    else None.
-    """
-    edges = set()
-    vertices = set()
-    for f in pp.factors:
-        terms = f.terms
-        if len(terms) != 2:
-            return None
-        items = sorted(terms.items())
-        monos = [m for m, _ in items]
-        coeffs = [c for _, c in items]
-        vs = []
-        for m in monos:
-            if len(m) != 1 or m[0][1] != 1 or m[0][0][0] != 0:
-                return None
-            vs.append(m[0][0][1])
-        if vs[0] == vs[1] or abs(coeffs[0]) != abs(coeffs[1]) or coeffs[0] + coeffs[1] != 0:
-            return None
-        e = (min(vs), max(vs))
-        if e in edges:
-            return None
-        edges.add(e)
-        vertices.update(vs)
-    if not vertices:
-        return None  # empty product: the shape is not recoverable
-    # rows = connected components of the complement graph
-    rows = []
-    todo = set(vertices)
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        frontier = {seed}
-        while frontier:
-            v = frontier.pop()
-            for w in todo - comp:
-                if (min(v, w), max(v, w)) not in edges:
-                    comp.add(w)
-                    frontier.add(w)
-        rows.append(sorted(comp))
-        todo -= comp
-    for r1, r2 in itertools.combinations(rows, 2):
-        for a in r1:
-            for b in r2:
-                if (min(a, b), max(a, b)) not in edges:
-                    return None
-    for r in rows:
-        for a, b in itertools.combinations(r, 2):
-            if (min(a, b), max(a, b)) in edges:
-                return None
-    if len(edges) != sum(
-        len(r1) * len(r2) for r1, r2 in itertools.combinations(rows, 2)
-    ):
-        return None
-    return GenPartition(len(r) for r in rows)
-
-
-def equivalent_mod_relabeling(p: Poly, q: Poly) -> bool:
-    """Equality up to sign and a bijective relabeling of the x-variables.
-
-    Intended for small polynomials; tries every support bijection.
-    """
-    pv = sorted(i for f, i in p.variables() if f == 0)
-    qv = sorted(i for f, i in q.variables() if f == 0)
-    if len(pv) != len(qv):
-        return False
-    for image in itertools.permutations(qv):
-        sigma = dict(zip(pv, image))
-        moved = p.subs_vars({xvar(a): xvar(b) for a, b in sigma.items()})
-        if moved == q or moved == -q:
-            return True
-    return False

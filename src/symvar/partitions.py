@@ -5,8 +5,8 @@ natural number or infinity.  A generalized composition is a finite label set
 with a positive weight attached to every label.  Two orders are provided:
 ``leq`` (decrease or remove parts) and ``preceq`` (combine, then decrease or
 remove parts), together with the filling criterion equivalent to ``preceq``,
-minimal excluded antichains, and the truncation/saturation operators used by
-the equation synthesis.
+minimal excluded antichains, and the saturation operator used by the equation
+synthesis.
 
 All values are immutable and every function here is pure.
 """
@@ -89,10 +89,6 @@ class GenPartition:
     def is_infinite(self) -> bool:
         return self.length > 0 and is_inf(self.parts[0])
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.is_infinite
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -160,10 +156,6 @@ class GenComposition:
         return len(self.labels)
 
     @property
-    def total(self):
-        return ext_sum(self._weights.values())
-
-    @property
     def is_infinite(self) -> bool:
         return any(is_inf(w) for w in self._weights.values())
 
@@ -209,9 +201,6 @@ class Tableau:
 
     def shape(self) -> GenPartition:
         return GenPartition(len(r) for r in self.rows)
-
-    def labels(self):
-        return [x for row in self.rows for x in row]
 
     def __eq__(self, other):
         return isinstance(other, Tableau) and self.rows == other.rows
@@ -425,11 +414,6 @@ def min_excluded(lam: GenPartition) -> list:
     ]
 
 
-def mu_minus(mu: GenPartition, e: int) -> GenPartition:
-    """Cap every part larger than e+1 at e+1."""
-    return GenPartition(min(p, e + 1) for p in mu.parts)
-
-
 def mu_s(mu: GenPartition, e: int) -> GenPartition:
     """Saturate: parts equal to e+1 become infinite.  The result is the
     largest partition with the same (e+1)-capped truncation as mu."""
@@ -437,22 +421,6 @@ def mu_s(mu: GenPartition, e: int) -> GenPartition:
         if not is_inf(p) and p > e + 1:
             raise ValueError(f"part {p} exceeds e+1 = {e + 1}")
     return GenPartition(INF if p == e + 1 else p for p in mu.parts)
-
-
-def lambda_minus_set(lam: GenPartition) -> list:
-    """All (e+1)-capped truncations of partitions below lam in the
-    decrease-or-remove order, with e = finite_weight(lam).  The empty
-    partition is excluded."""
-    if not lam.is_infinite:
-        raise ValueError("lambda_minus_set requires a partition with an infinite part")
-    e = lam.finite_weight
-    ranges = [range(0, (e + 1 if is_inf(p) else min(p, e + 1)) + 1) for p in lam.parts]
-    seen = set()
-    for vec in itertools.product(*ranges):
-        q = GenPartition(vec)
-        if q.length:
-            seen.add(q)
-    return sorted(seen, key=lambda q: q.parts)
 
 
 def aut(lam: GenComposition) -> list:

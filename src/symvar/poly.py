@@ -8,18 +8,15 @@ x1 > x2 > ... > t1 > t2 > ...
 
 The module also provides discriminants, the coset skew-symmetrization
 identity, constructive discriminant extraction with replayable witnesses,
-orbit evaluation at points with finitely many values, and vanishing ideals
-of finite point sets.  Those are computed by Buchberger-Moeller elimination
-degree by degree, run over the integers after the points are scaled to
-integer coordinates; only the output coefficients are rationals, and the
-generators are exactly those of elimination over Q.
+and vanishing ideals of finite point sets.  Those are computed by
+Buchberger-Moeller elimination degree by degree, run over the integers after
+the points are scaled to integer coordinates; only the output coefficients
+are rationals, and the generators are exactly those of elimination over Q.
 """
 
 import math
 import re
 from fractions import Fraction
-
-from .partitions import is_inf
 
 X_FAMILY = 0
 T_FAMILY = 1
@@ -210,11 +207,6 @@ class Poly:
 
         return sorted(self.terms.items(), key=k)
 
-    def leading_monomial(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.sorted_terms()[0][0]
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -364,14 +356,6 @@ class PolyProduct:
         for f in self.factors:
             out = out * f
         return out
-
-    def evaluate(self, assignment) -> Fraction:
-        total = Fraction(1)
-        for f in self.factors:
-            total *= f.evaluate(assignment)
-            if total == 0:
-                return total
-        return total
 
     def variables(self):
         return {v for f in self.factors for v in f.variables()}
@@ -557,38 +541,6 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     final_perm = tuple(sorted((a, b) for a, b in table.items() if a != b))
     steps.append((Poly.constant(1), ((Fraction(1), final_perm),)))
     return ExtractionWitness(steps, c, n)
-
-
-def orbit_evaluations(p: Poly, point_classes) -> list:
-    """All values of p under assignments of its x-support into the value
-    classes of a point, no class used beyond its multiplicity.
-
-    `point_classes` is a sequence of (value, multiplicity) pairs with
-    pairwise distinct values; multiplicities live in N ∪ {inf}.  Returns the
-    sorted list of distinct evaluation values.
-    """
-    support = sorted(i for fam, i in p.variables() if fam == X_FAMILY)
-    if any(fam != X_FAMILY for fam, _ in p.variables()):
-        raise ValueError("orbit evaluation requires x-variables only")
-    classes = [(Fraction(v), m) for v, m in point_classes]
-    values = set()
-    k = len(support)
-
-    def rec(idx, counts, assignment):
-        if idx == k:
-            values.add(p.evaluate(assignment))
-            return
-        v = xvar(support[idx])
-        for ci, (val, mult) in enumerate(classes):
-            if not is_inf(mult) and counts[ci] >= mult:
-                continue
-            counts[ci] += 1
-            assignment[v] = val
-            rec(idx + 1, counts, assignment)
-            counts[ci] -= 1
-
-    rec(0, [0] * len(classes), {})
-    return sorted(values)
 
 
 def _monomials_of_degree(nvars, degree):

@@ -5,6 +5,7 @@ driver prints one line per suite and an overall verdict.  All randomness is
 drawn from a caller-provided seed so runs are reproducible.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -84,6 +85,17 @@ def random_point(rng, max_width=5, max_mult=4):
     for i, v in enumerate(values):
         classes.append((v, INF if i < n_inf else rng.randint(1, max_mult)))
     return FinitaryPoint(classes)
+
+
+def random_poly(rng, nvars=3, max_degree=3, terms=4):
+    p = Poly.zero()
+    for _ in range(rng.randint(1, terms)):
+        deg = rng.randint(0, max_degree)
+        mono = Poly.constant(1)
+        for _ in range(deg):
+            mono = mono * Poly.x(rng.randint(1, nvars))
+        p = p + mono * rng.choice([-2, -1, 1, 2])
+    return p
 
 
 def random_variety(rng, lam, max_points=3):
@@ -236,23 +248,12 @@ def suite_extraction(rng, count=15):
     for t in range(count):
         f = Poly.zero()
         while f.is_zero:
-            f = _random_poly(rng, nvars=3, max_degree=3)
+            f = random_poly(rng)
         w = extract_discriminant(f)
         checks += 1
         if not verify_witness(f, w):
             fails.append(f"witness replay {t}: {f}")
     return "discriminant extraction", checks, fails
-
-
-def _random_poly(rng, nvars=3, max_degree=3, terms=4):
-    p = Poly.zero()
-    for _ in range(rng.randint(1, terms)):
-        deg = rng.randint(0, max_degree)
-        mono = Poly.constant(1)
-        for _ in range(deg):
-            mono = mono * Poly.x(rng.randint(1, nvars))
-        p = p + mono * rng.choice([-2, -1, 1, 2])
-    return p
 
 
 def suite_vanishing(rng, count=12):
@@ -280,8 +281,6 @@ def _tassign(pt):
 def suite_orders(rng):
     fails = []
     checks = 0
-    import itertools
-
     vals = [1, 2, INF]
     parts_list = sorted(
         {GenPartition(c) for L in range(0, 4) for c in itertools.product(vals, repeat=L)},

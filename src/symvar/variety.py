@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .corr import Correspondence, enumerate_end, enumerate_good
 from .partitions import (
-    INF,
     GenComposition,
     GenPartition,
     aut,
@@ -40,10 +39,6 @@ def _parse_rational(text):
     return Fraction(int(text))
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 class FinitaryPoint:
     """Finitely many distinct rational values with multiplicities, at least
     one multiplicity infinite.  Canonical order: infinite classes first,
@@ -64,8 +59,7 @@ class FinitaryPoint:
             raise ValueError("values must be pairwise distinct")
         if not any(is_inf(m) for _, m in cleaned):
             raise ValueError("a finitary point needs at least one infinite class")
-        cleaned.sort(key=lambda cm: (0 if is_inf(cm[1]) else 1,
-                                     0 if is_inf(cm[1]) else -cm[1], cm[0]))
+        cleaned.sort(key=lambda cm: (-cm[1], cm[0]))
         object.__setattr__(self, "classes", tuple(cleaned))
 
     @classmethod
@@ -90,7 +84,7 @@ class FinitaryPoint:
         return hash(self.classes)
 
     def __str__(self):
-        return ",".join(f"{format_rational(v)}^{format_weight(m)}" for v, m in self.classes)
+        return ",".join(f"{v}^{format_weight(m)}" for v, m in self.classes)
 
     def __repr__(self):
         return f"FinitaryPoint({self})"
@@ -169,7 +163,8 @@ def variety_to_json(Z: PointSetVariety) -> str:
 def variety_from_json(text: str) -> PointSetVariety:
     """Variety file format: JSON object with ``lambda`` (list of naturals or
     "inf") and ``points`` (list of coordinate lists; rationals as "p/q").
-    Weights are sorted non-increasing, permuting coordinates along."""
+    Weights are sorted non-increasing, infinite first and equal weights in
+    file order, permuting coordinates along."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a variety file must hold a JSON object")
@@ -177,9 +172,7 @@ def variety_from_json(text: str) -> PointSetVariety:
     if not isinstance(raw, list):
         raise ValueError("lambda must be a list")
     weights = [parse_weight(str(w)) for w in raw]
-    order = sorted(range(len(weights)), key=lambda i: (0 if is_inf(weights[i]) else 1,
-                                                       0 if is_inf(weights[i]) else -weights[i],
-                                                       i))
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
     lam = GenComposition.from_weights([weights[i] for i in order])
     if not isinstance(data["points"], list):
         raise ValueError("points must be a list")
@@ -289,7 +282,7 @@ def _arrangements(x: FinitaryPoint, mu: GenComposition):
         w: len(vs) for w, vs in classes_by_weight.items()
     }:
         return
-    weights = sorted(by_weight, key=lambda w: (0 if is_inf(w) else 1, 0 if is_inf(w) else -w))
+    weights = sorted(by_weight, reverse=True)
     label_blocks = [by_weight[w] for w in weights]
     value_blocks = [classes_by_weight[w] for w in weights]
     pos = {k: i for i, k in enumerate(mu.labels)}

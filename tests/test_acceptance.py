@@ -15,13 +15,7 @@ import pytest
 
 from symvar.cli import main
 from symvar.corr import pullback_square
-from symvar.equations import (
-    equivalent_mod_relabeling,
-    i_lambda,
-    i_lambda_z,
-    member_by_equations,
-    product_shape,
-)
+from symvar.equations import i_lambda, i_lambda_z, member_by_equations
 from symvar.partitions import (
     INF,
     GenComposition,
@@ -45,6 +39,7 @@ from symvar.selfcheck import (
     random_inf_partition,
     random_map_onto,
     random_point,
+    random_poly,
     random_variety,
 )
 from symvar.variety import (
@@ -54,6 +49,8 @@ from symvar.variety import (
     gamma_at,
     theta_member,
 )
+
+from oracles import equivalent_mod_relabeling, product_shape
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -273,13 +270,7 @@ def test_criterion_8_extraction_battery():
         rng = random.Random(271828)
         done = 0
         while done < 50:
-            p = Poly.zero()
-            for _ in range(rng.randint(1, 4)):
-                deg = rng.randint(0, 3)
-                mono = Poly.constant(1)
-                for _ in range(deg):
-                    mono = mono * Poly.x(rng.randint(1, 3))
-                p = p + mono * rng.choice([-2, -1, 1, 2])
+            p = random_poly(rng)
             if p.is_zero:
                 continue
             w = extract_discriminant(p)

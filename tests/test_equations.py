@@ -9,14 +9,11 @@ import pytest
 from symvar.equations import (
     IdealGenerator,
     capped_shapes,
-    equivalent_mod_relabeling,
     generator_orbit_vanishes,
-    generator_orbit_vanishes_brute,
     h_tableau,
     i_lambda,
     i_lambda_z,
     member_by_equations,
-    product_shape,
     reduce_generators,
 )
 from symvar.partitions import (
@@ -36,6 +33,8 @@ from symvar.selfcheck import (
     random_variety,
 )
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, theta_member, type_of
+
+from oracles import equivalent_mod_relabeling, generator_orbit_vanishes_brute, product_shape
 
 P = GenPartition.parse
 C = GenComposition.from_partition

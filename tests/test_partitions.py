@@ -13,14 +13,14 @@ from symvar.partitions import (
     aut,
     finite_partitions_in_box,
     good_filling_exists,
-    lambda_minus_set,
     leq,
     min_excluded,
-    mu_minus,
     mu_s,
     preceq,
     row_major_tableau,
 )
+
+from oracles import mu_minus
 
 P = GenPartition.parse
 
@@ -187,31 +187,6 @@ class TestTruncations:
             nu = GenPartition(c)
             if mu_minus(nu, e) == mu_minus(mu, e):
                 assert leq(nu, sat), nu
-
-
-class TestLambdaMinusSet:
-    def test_boolean_pair(self):
-        assert [str(a) for a in lambda_minus_set(P("inf,inf"))] == ["1", "1,1"]
-
-    def test_single(self):
-        assert lambda_minus_set(P("inf")) == [P("1")]
-
-    def test_inf_one(self):
-        assert {str(a) for a in lambda_minus_set(P("inf,1"))} == {"2", "2,1", "1", "1,1"}
-
-    def test_members_are_caps_of_leq(self):
-        lam = P("inf,2")
-        e = lam.finite_weight
-        got = set(lambda_minus_set(lam))
-        vals = [1, 2, 3, INF]
-        expected = set()
-        for c in itertools.chain.from_iterable(
-            itertools.product(vals, repeat=n) for n in range(1, 3)
-        ):
-            mu = GenPartition(c)
-            if leq(mu, lam) and mu.length:
-                expected.add(mu_minus(mu, e))
-        assert got == expected
 
 
 class TestFinitePartitionCriterion:

@@ -14,24 +14,15 @@ from symvar.poly import (
     apply_perm,
     discriminant,
     extract_discriminant,
-    orbit_evaluations,
     parse_poly,
     replay_witness,
     skew_sum,
     vanishing_ideal,
     verify_witness,
 )
+from symvar.selfcheck import random_poly
 
-
-def random_poly(rng, nvars=3, max_degree=3, terms=4):
-    p = Poly.zero()
-    for _ in range(rng.randint(1, terms)):
-        deg = rng.randint(0, max_degree)
-        mono = Poly.constant(1)
-        for _ in range(deg):
-            mono = mono * Poly.x(rng.randint(1, nvars))
-        p = p + mono * rng.choice([-2, -1, 1, 2])
-    return p
+from oracles import orbit_evaluations
 
 
 class TestDiscriminant:

@@ -7,11 +7,12 @@ import pytest
 
 from symvar.corr import CompMap, Correspondence
 from symvar.partitions import INF, GenComposition, GenPartition, aut, preceq
-from symvar.poly import discriminant, orbit_evaluations
+from symvar.poly import discriminant
 from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
+    _arrangements,
     act_point,
     apply_corr,
     aut_orbits,
@@ -23,6 +24,8 @@ from symvar.variety import (
     variety_from_json,
     variety_to_json,
 )
+
+from oracles import orbit_evaluations
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -300,3 +303,29 @@ class TestVarietyFiles:
     def test_bad_point_length(self):
         with pytest.raises(ValueError):
             variety_from_json('{"lambda": ["inf"], "points": [[1, 2]]}')
+
+
+class TestWeightOrder:
+    """Infinite weights first, then decreasing: the order of point classes,
+    of variety-file coordinates and of arrangement blocks."""
+
+    def test_point_classes(self):
+        x = FinitaryPoint.parse("1^2,5^inf,3^2,0^inf,2^7")
+        assert str(x) == "0^inf,5^inf,2^7,1^2,3^2"
+
+    def test_variety_file_coordinates(self):
+        # equal weights keep their order in the file
+        V = variety_from_json(
+            '{"lambda": [2, "inf", 2, "inf", 1], "points": [[10, 11, 12, 13, 14]]}'
+        )
+        assert V.lam == C(P("inf,inf,2,2,1"))
+        assert V.points == ((11, 13, 10, 12, 14),)
+
+    def test_arrangement_blocks(self):
+        # labels list the finite weight first; the infinite block still
+        # leads the product, so the finite block varies fastest
+        mu = GenComposition({1: 3, 2: INF, 3: 3, 4: INF})
+        x = FinitaryPoint.parse("0^inf,1^inf,2^3,3^3")
+        assert list(_arrangements(x, mu)) == [
+            (2, 0, 3, 1), (3, 0, 2, 1), (2, 1, 3, 0), (3, 1, 2, 0),
+        ]
