@@ -172,20 +172,6 @@ class Correspondence:
         return self.f2.codomain
 
     @property
-    def is_good(self) -> bool:
-        """Fibers bounded by the number of source parts; labels heavier than
-        the source's finite weight have singleton fibers."""
-        e = self.source.finite_weight
-        bound = self.source.length
-        for i in self.target.labels:
-            fib = self.f1.fiber(i)
-            if len(fib) > bound:
-                return False
-            if self.target.weight(i) > e and len(fib) != 1:
-                return False
-        return True
-
-    @property
     def action(self):
         """The point action as source positions: ``(checks, reads)``.
 

@@ -51,7 +51,7 @@ from .poly import (
     vanishing_ideal,
     xvar,
 )
-from .variety import FinitaryPoint, PointSetVariety, _gamma_points, end_closure
+from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
 def h_tableau(T: Tableau) -> PolyProduct:
@@ -208,14 +208,13 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         raise ValueError("Z must live over the composition of lam")
     e = lam.finite_weight
     gens = list(i_lambda(lam).generators)
-    closed = end_closure(lam_comp, Z)
     for mu in capped_shapes(lam):
         if not _mix_safe(mu, lam):
             continue
         T = row_major_tableau(mu)
         saturated = mu_s(mu, e)
         slice_pts = _gamma_points(
-            lam_comp, closed.points, GenComposition.from_partition(saturated)
+            lam_comp, Z.points, GenComposition.from_partition(saturated)
         )
         if not slice_pts:
             gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1))))

@@ -342,20 +342,14 @@ def parse_poly(text: str) -> Poly:
 
 
 class PolyProduct:
-    """A polynomial kept in factored form; the product is never expanded
-    unless asked.  Used for ideal generators whose expansions are
-    combinatorially infeasible."""
+    """A polynomial kept in factored form; the product is never expanded.
+    Used for ideal generators whose expansions are combinatorially
+    infeasible."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def expand(self) -> Poly:
-        out = Poly.constant(1)
-        for f in self.factors:
-            out = out * f
-        return out
 
     def variables(self):
         return {v for f in self.factors for v in f.variables()}

@@ -4,12 +4,13 @@ A finitary point is a finite list of distinct rational values with
 multiplicities in N ∪ {inf}, at least one of them infinite.  A point-set
 variety is a finite set of rational tuples inside the affine space attached
 to a generalized composition.  This module computes point actions of maps
-and correspondences, the endomorphism closure, the slice-wise closure
-construction over good correspondences, membership of finitary points, and
-containment between classified pairs.
+and correspondences, the endomorphism closure, and the slice-wise closure
+construction over good correspondences, which needs no endomorphism closure
+first.  Membership of finitary points and containment between classified
+pairs build no slice: they follow the paper's point-set description, one
+pass over Z per query (see ``theta_member``).
 """
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -238,7 +239,8 @@ def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
 
 def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     """Union of the images of `closed_pts` under the good correspondences
-    mu ~> lam.
+    mu ~> lam.  The points need not be closed under End(lam): see
+    ``gamma_at``.
 
     An action only copies and compares coordinates, so the search runs on
     each distinct value's index in place of the value (small integers hash
@@ -255,69 +257,77 @@ def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     return {tuple([values[i] for i in p]) for p in out}
 
 
+def _check_slice(lam: GenComposition, Z: PointSetVariety, mu: GenComposition):
+    """The input errors of a slice over mu of the system generated by Z, in
+    the order the construction meets them."""
+    if mu.length == 0:
+        raise ValueError("gamma_at requires a non-empty composition")
+    if Z.lam != lam:
+        raise ValueError("point set does not live over lam")
+    if not lam.is_infinite:
+        raise ValueError("good correspondences require an infinite source composition")
+
+
 def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> PointSetVariety:
     """Slice over mu of the smallest compatible closed system containing Z
     over lam: the finite union, over good correspondences mu ~> lam, of the
-    correspondence action on the endomorphism closure of Z.
+    correspondence action on Z.
+
+    The endomorphism closure of Z would add no point.  Applying f in End(lam)
+    and then a good correspondence (f1, f2) is the action of (f1, f . f2),
+    which is again good (goodness constrains only f1 and lam) and again
+    weight-respecting (f . f2 composes weight-respecting maps), so its image
+    is already in the union.
 
     For infinite mu this is the mu-slice of the closure system; for finite
     mu it is the extended slice used by the equation synthesis.
     """
-    if mu.length == 0:
-        raise ValueError("gamma_at requires a non-empty composition")
-    Ze = end_closure(lam, Z)
-    return PointSetVariety(mu, _gamma_points(lam, Ze.points, mu))
+    _check_slice(lam, Z, mu)
+    return PointSetVariety(mu, _gamma_points(lam, Z.points, mu))
 
 
-def _arrangements(x: FinitaryPoint, mu: GenComposition):
-    """Tuples over mu placing each value class on a label of its own
-    multiplicity; ties among equal multiplicities range over all matchings."""
-    by_weight = {}
-    for k in mu.labels:
-        by_weight.setdefault(mu.weight(k), []).append(k)
-    classes_by_weight = {}
-    for v, m in x.classes:
-        classes_by_weight.setdefault(m, []).append(v)
-    if {w: len(ls) for w, ls in by_weight.items()} != {
-        w: len(vs) for w, vs in classes_by_weight.items()
-    }:
-        return
-    weights = sorted(by_weight, reverse=True)
-    label_blocks = [by_weight[w] for w in weights]
-    value_blocks = [classes_by_weight[w] for w in weights]
-    pos = {k: i for i, k in enumerate(mu.labels)}
-    for perm_choice in itertools.product(*(itertools.permutations(vs) for vs in value_blocks)):
-        coords = [None] * mu.length
-        for labels, values in zip(label_blocks, perm_choice):
-            for k, v in zip(labels, values):
-                coords[pos[k]] = v
-        yield tuple(coords)
+def _realizes(lam: GenComposition, p, pairs) -> bool:
+    """Does every (value, weight) pair find the value in p at a position of
+    at least that weight in lam?  The coordinates of p are distinct."""
+    capacity = dict(zip(p, map(lam.weight, lam.labels)))
+    return all(v in capacity and w <= capacity[v] for v, w in pairs)
 
 
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
     """Does the finitary point x lie in the stable closed set classified by
-    (lam, Z)?  Decided by arranging x's distinct values into a tuple of its
-    type and testing the slice of the closure system there."""
+    (lam, Z)?
+
+    The point-set rule: x is a member iff some p in Z has, for every class
+    (v, m) of x, a position k with p_k = v and m <= lam_k.  Proof sketch: a
+    tuple over the type mu of x lies in the mu-slice iff it is p . sigma for
+    some p in Z and a weight-respecting sigma: mu -> lam.  The coordinates
+    of p are distinct, so sigma must send the label carrying v to the one
+    position of v in p, and it respects weights iff each class fits there.
+    """
     Z.require_distinct()
-    mu = GenComposition.from_partition(type_of(x))
-    slice_pts = set(gamma_at(lam, Z, mu).points)
-    if not slice_pts:
-        return False
-    return any(z in slice_pts for z in _arrangements(x, mu))
+    _check_slice(lam, Z, GenComposition.from_partition(type_of(x)))
+    return any(_realizes(lam, p, x.classes) for p in Z.points)
 
 
 def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
              Z2: PointSetVariety) -> bool:
-    """Containment of the classified set of (mu, Z1) in that of (lam, Z2):
-    a finite check of Z1 against the mu-slice of the closure system of Z2."""
+    """Containment of the classified set of (mu, Z1) in that of (lam, Z2).
+
+    The point-set rule: it holds iff every p1 in Z1 has some p2 in Z2 such
+    that, for every i, (p1)_i = (p2)_k for some k with mu_i <= lam_k; that
+    is, p1 lies in the mu-slice of the system of Z2, by the argument in
+    ``theta_member``.
+    """
     Z1.require_distinct()
     Z2.require_distinct()
     if Z1.lam != mu or Z2.lam != lam:
         raise ValueError("point sets must live over the stated compositions")
     if not Z1.points:
         return True
-    slice_pts = set(gamma_at(lam, Z2, mu).points)
-    return all(p in slice_pts for p in Z1.points)
+    _check_slice(lam, Z2, mu)
+    weights = [mu.weight(i) for i in mu.labels]
+    return all(any(_realizes(lam, p2, zip(p1, weights)) for p2 in Z2.points)
+               for p1 in Z1.points)
 
 
 def aut_orbits(lam: GenComposition, Z: PointSetVariety) -> list:

@@ -3,20 +3,96 @@
 None of these runs on a pipeline path.  The oracles expand, enumerate or
 search in the most direct way, so they are only usable on small inputs;
 ``mu_minus`` is the truncation that ``partitions.mu_s`` inverts.
+``theta_member_by_slice`` and ``contains_by_slice`` are the slice-based
+decisions that the point-set rule of ``variety.theta_member`` and
+``variety.contains`` replaced.
 """
 
 import itertools
 from fractions import Fraction
 
+from symvar.corr import Correspondence
 from symvar.equations import IdealGenerator
-from symvar.partitions import GenPartition, is_inf
+from symvar.partitions import GenComposition, GenPartition, is_inf
 from symvar.poly import X_FAMILY, Poly, PolyProduct, xvar
-from symvar.variety import FinitaryPoint
+from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
 
 def mu_minus(mu: GenPartition, e: int) -> GenPartition:
     """Cap every part larger than e+1 at e+1."""
     return GenPartition(min(p, e + 1) for p in mu.parts)
+
+
+def expand(pp: PolyProduct) -> Poly:
+    """The product of the factors, multiplied out."""
+    out = Poly.constant(1)
+    for f in pp.factors:
+        out = out * f
+    return out
+
+
+def is_good(corr: Correspondence) -> bool:
+    """Fibers bounded by the number of source parts; labels heavier than
+    the source's finite weight have singleton fibers."""
+    e = corr.source.finite_weight
+    bound = corr.source.length
+    for i in corr.target.labels:
+        fib = corr.f1.fiber(i)
+        if len(fib) > bound:
+            return False
+        if corr.target.weight(i) > e and len(fib) != 1:
+            return False
+    return True
+
+
+def arrangements(x: FinitaryPoint, mu: GenComposition):
+    """Tuples over mu placing each value class on a label of its own
+    multiplicity; ties among equal multiplicities range over all matchings."""
+    by_weight = {}
+    for k in mu.labels:
+        by_weight.setdefault(mu.weight(k), []).append(k)
+    classes_by_weight = {}
+    for v, m in x.classes:
+        classes_by_weight.setdefault(m, []).append(v)
+    if {w: len(ls) for w, ls in by_weight.items()} != {
+        w: len(vs) for w, vs in classes_by_weight.items()
+    }:
+        return
+    weights = sorted(by_weight, reverse=True)
+    label_blocks = [by_weight[w] for w in weights]
+    value_blocks = [classes_by_weight[w] for w in weights]
+    pos = {k: i for i, k in enumerate(mu.labels)}
+    for perm_choice in itertools.product(*(itertools.permutations(vs) for vs in value_blocks)):
+        coords = [None] * mu.length
+        for labels, values in zip(label_blocks, perm_choice):
+            for k, v in zip(labels, values):
+                coords[pos[k]] = v
+        yield tuple(coords)
+
+
+def theta_member_by_slice(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
+    """Membership decided by arranging x's distinct values into a tuple of
+    its type and testing the slice of the closure system there."""
+    Z.require_distinct()
+    mu = GenComposition.from_partition(type_of(x))
+    slice_pts = set(gamma_at(lam, Z, mu).points)
+    if not slice_pts:
+        return False
+    return any(z in slice_pts for z in arrangements(x, mu))
+
+
+def contains_by_slice(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
+                      Z2: PointSetVariety) -> bool:
+    """Containment decided by a finite check of Z1 against the mu-slice of
+    the closure system of Z2."""
+    Z1.require_distinct()
+    Z2.require_distinct()
+    if Z1.lam != mu or Z2.lam != lam:
+        raise ValueError("point sets must live over the stated compositions")
+    if not Z1.points:
+        return True
+    slice_pts = set(gamma_at(lam, Z2, mu).points)
+    return all(p in slice_pts for p in Z1.points)
 
 
 def orbit_evaluations(p: Poly, point_classes) -> list:
@@ -54,7 +130,7 @@ def orbit_evaluations(p: Poly, point_classes) -> list:
 def generator_orbit_vanishes_brute(gen: IdealGenerator, x: FinitaryPoint) -> bool:
     """Expansion-based cross-check of the structured vanishing search; only
     usable when the expanded generator is small."""
-    vals = orbit_evaluations(gen.product.expand(), x.classes)
+    vals = orbit_evaluations(expand(gen.product), x.classes)
     return vals == [0] or vals == []
 
 

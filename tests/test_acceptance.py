@@ -50,7 +50,7 @@ from symvar.variety import (
     theta_member,
 )
 
-from oracles import equivalent_mod_relabeling, product_shape
+from oracles import equivalent_mod_relabeling, expand, product_shape
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -140,7 +140,7 @@ def test_criterion_1_two_part_type_loci():
             ours = {str(product_shape(g.product)): g for g in ideal.generators}
             assert set(ours) == {"1,1,1", f"{n + 1},{n + 1}"}
             assert equivalent_mod_relabeling(
-                ours["1,1,1"].product.expand(), reference_h_triple()
+                expand(ours["1,1,1"].product), reference_h_triple()
             )
             assert product_shape(reference_h_pair_block(n)) == GenPartition([n + 1, n + 1])
 
@@ -174,7 +174,7 @@ def test_criterion_3_boolean_pair_classification():
         }
         assert {str(g) for g in vanishing_ideal(g1.points)} == {"t1^2 - t1"}
         ideal = i_lambda_z(P("inf,inf"), Z)
-        ours = [g.product.expand() for g in ideal.generators]
+        ours = [expand(g.product) for g in ideal.generators]
         displays = [
             parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)"),
             parse_poly("(x1 - x2)*(x1*(x1 - 1))"),

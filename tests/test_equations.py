@@ -34,7 +34,12 @@ from symvar.selfcheck import (
 )
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, theta_member, type_of
 
-from oracles import equivalent_mod_relabeling, generator_orbit_vanishes_brute, product_shape
+from oracles import (
+    equivalent_mod_relabeling,
+    expand,
+    generator_orbit_vanishes_brute,
+    product_shape,
+)
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -55,22 +60,22 @@ class TestHTableau:
     def test_triple(self):
         h = h_tableau(row_major_tableau(P("1,1,1")))
         reference = parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)")
-        assert equivalent_mod_relabeling(h.expand(), reference)
+        assert equivalent_mod_relabeling(expand(h), reference)
 
     def test_pair_shape(self):
         h = h_tableau(row_major_tableau(P("2,2")))
         want = parse_poly("(x1 - x3)*(x1 - x4)*(x2 - x3)*(x2 - x4)")
-        assert h.expand() == want
+        assert expand(h) == want
 
     def test_single_row_is_one(self):
-        assert h_tableau(row_major_tableau(P("4"))).expand() == Poly.constant(1)
+        assert expand(h_tableau(row_major_tableau(P("4")))) == Poly.constant(1)
 
     def test_square_invariant_under_row_preserving_relabeling(self):
         from symvar.partitions import Tableau
 
-        a = h_tableau(Tableau([(1, 2), (3,)])).expand()
-        b = h_tableau(Tableau([(2, 1), (3,)])).expand()
-        c = h_tableau(Tableau([(3, 1), (2,)])).expand()
+        a = expand(h_tableau(Tableau([(1, 2), (3,)])))
+        b = expand(h_tableau(Tableau([(2, 1), (3,)])))
+        c = expand(h_tableau(Tableau([(3, 1), (2,)])))
         assert a * a == b * b
         assert equivalent_mod_relabeling(a, c)
 
@@ -103,7 +108,7 @@ class TestILambda:
         ideal = i_lambda(P("inf"))
         assert len(ideal.generators) == 1
         assert equivalent_mod_relabeling(
-            ideal.generators[0].product.expand(), parse_poly("x1 - x2")
+            expand(ideal.generators[0].product), parse_poly("x1 - x2")
         )
 
     def test_requires_infinite_part(self):
@@ -122,7 +127,7 @@ class TestILambdaZ:
             parse_poly("(x1 - x2)*(x2*(x2 - 1))"),
             parse_poly("x1*(x1 - 1)"),
         ]
-        ours = [g.product.expand() for g in ideal.generators]
+        ours = [expand(g.product) for g in ideal.generators]
         for pg in displays:
             assert any(equivalent_mod_relabeling(pg, og) for og in ours)
 
@@ -130,7 +135,7 @@ class TestILambdaZ:
         lam = P("inf")
         Z = PointSetVariety(C(lam), [(Fraction(5),)])
         ideal = i_lambda_z(lam, Z)
-        expanded = [g.product.expand() for g in ideal.generators]
+        expanded = [expand(g.product) for g in ideal.generators]
         assert any(equivalent_mod_relabeling(e, parse_poly("x1 - 5")) for e in expanded)
         assert any(equivalent_mod_relabeling(e, parse_poly("x1 - x2")) for e in expanded)
 

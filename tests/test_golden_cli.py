@@ -37,6 +37,9 @@ FILES = {
     "zq.json": '{"lambda": ["inf", "inf"], "points": [["1/2", "-3/7"], ["-3/7", "1/2"], [2, "1/3"]]}',
     "zq3.json": '{"lambda": ["inf", "inf", 1], "points": [["1/2", -1, "2/7"], [3, "1/2", "-5/3"]]}',
     "zq2.json": '{"lambda": [1, "inf"], "points": [["-2/3", "1/2"], ["1/6", 0]]}',
+    "z6.json": '{"lambda": ["inf", "inf", "inf", "inf", "inf", "inf"], '
+               '"points": [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]}',
+    "z5.json": '{"lambda": ["inf", "inf", "inf", "inf", 3], "points": [[0, 1, 2, 3, 4]]}',
 }
 
 COMMANDS = [
@@ -99,6 +102,13 @@ COMMANDS = [
     ["type", "1/0^inf"],
     ["equations", "inf,1", "--variety", "Z.json"],
     ["member", "inf,inf", "0^inf", "--variety", "missing.json"],
+    # point-set rule on wide compositions
+    ["gamma", "inf,inf,inf,inf,inf,inf", "z6.json", "inf,inf,inf"],
+    ["member", "inf,inf,inf,inf,3", "0^inf,1^inf,2^inf,3^inf,4^2", "--variety", "z5.json",
+     "--method", "direct"],
+    ["member", "inf,inf,inf,inf,3", "0^inf,1^inf,2^inf,3^inf,4^4", "--variety", "z5.json",
+     "--method", "direct"],
+    ["contains", "--json", "inf,inf", "zq.json", "inf,inf,1", "zq3.json"],
 ]
 
 

@@ -22,7 +22,7 @@ from symvar.poly import (
 )
 from symvar.selfcheck import random_poly
 
-from oracles import orbit_evaluations
+from oracles import expand, orbit_evaluations
 
 
 class TestDiscriminant:
@@ -233,8 +233,8 @@ class TestGrammar:
 
     def test_product_round_trip(self):
         pp = PolyProduct((Poly.x(1) - Poly.x(2), parse_poly("x1^2 - x1")))
-        assert parse_poly(str(pp)) == pp.expand()
+        assert parse_poly(str(pp)) == expand(pp)
 
     def test_empty_product(self):
         assert str(PolyProduct(())) == "1"
-        assert PolyProduct(()).expand() == Poly.constant(1)
+        assert expand(PolyProduct(())) == Poly.constant(1)

@@ -1,8 +1,9 @@
 """The slice loop against its former implementation.
 
 ``end_closure``, ``apply_corr`` and ``gamma_at`` act through position lists
-(``Correspondence.action``) and run the slice search on value indices.  The
-oracle below is the earlier code, which applied every map and every
+(``Correspondence.action``) and run the slice search on value indices, and
+``gamma_at`` no longer closes Z under End(lambda) first.  The oracle below
+is the earlier code, which closed Z and applied every map and every
 correspondence to the rational tuples themselves; both must give the same
 point sets on seeded inputs: ``lambda`` with up to 4 parts, infinite and
 saturated finite slices, coordinates with denominators 2, 3 and 7, negative
@@ -104,6 +105,7 @@ def test_closure_and_slices_match_oracle(text, k):
         mu = C(mu_p)
         want = oracle_gamma(lam, Z, mu)
         assert _gamma_points(lam, closed.points, mu) == want, (Z.points, str(mu_p))
+        assert _gamma_points(lam, Z.points, mu) == want, (Z.points, str(mu_p))
         assert gamma_at(lam, Z, mu).points == tuple(sorted(want))
 
 

@@ -12,7 +12,6 @@ from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
-    _arrangements,
     act_point,
     apply_corr,
     aut_orbits,
@@ -25,7 +24,7 @@ from symvar.variety import (
     variety_to_json,
 )
 
-from oracles import orbit_evaluations
+from oracles import arrangements, orbit_evaluations
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -326,6 +325,6 @@ class TestWeightOrder:
         # leads the product, so the finite block varies fastest
         mu = GenComposition({1: 3, 2: INF, 3: 3, 4: INF})
         x = FinitaryPoint.parse("0^inf,1^inf,2^3,3^3")
-        assert list(_arrangements(x, mu)) == [
+        assert list(arrangements(x, mu)) == [
             (2, 0, 3, 1), (3, 0, 2, 1), (2, 1, 3, 0), (3, 1, 2, 0),
         ]
