@@ -234,22 +234,17 @@ def leq(mu: GenPartition, lam: GenPartition) -> bool:
 
 
 def _minimal_cover_groups(target, parts, mask):
-    """Index subsets of `mask` with ext-sum >= target and no sufficient proper prefix.
+    """Index subsets of `mask` with sum >= target and no sufficient proper prefix.
 
-    Every sufficient group contains one of these, so searching over them is
-    complete for the combining order.
+    Target and parts are finite.  Every sufficient group contains one of
+    these, so searching over them is complete for the combining order.
     """
-    if is_inf(target):
-        for i in range(len(parts)):
-            if (mask >> i) & 1 and is_inf(parts[i]):
-                yield 1 << i
-        return
     avail = [i for i in range(len(parts)) if (mask >> i) & 1]
 
     def rec(pos, acc_mask, acc_sum):
         for idx in range(pos, len(avail)):
             i = avail[idx]
-            s = INF if is_inf(parts[i]) else acc_sum + parts[i]
+            s = acc_sum + parts[i]
             m = acc_mask | (1 << i)
             if s >= target:
                 yield m
@@ -262,25 +257,41 @@ def _minimal_cover_groups(target, parts, mask):
 def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     """mu obtained from lam by combining and decreasing (or removing) parts.
 
-    Decided by backtracking over disjoint groups of lam's parts, one group
-    per part of mu, each group ext-summing to at least the mu part.
+    Tail reduction: with k infinite parts in lam, mu is below lam iff
+    mu[k:] is below lam[k:], the finite part of lam.  Each infinite part
+    of lam covers any one part of mu, and swapping a mu part held by an
+    infinite group with a larger one held by a finite group keeps both
+    groups sufficient; so the k largest parts of mu may take the infinite
+    parts.  (mu has at most k infinite parts, so its tail is finite.)
+
+    The tail is then screened exactly: an empty tail is below; a tail of
+    larger sum than lam's finite part is not; a tail below lam's finite
+    part part by part (``leq``) is.  Only the rest is decided by
+    backtracking over disjoint groups of lam's finite parts, one group per
+    tail part, each group summing to at least that part.
     """
-    if mu.length == 0:
-        return True
-    if mu.length > lam.length or mu.num_infinite > lam.num_infinite:
+    k = lam.num_infinite
+    if mu.length > lam.length or mu.num_infinite > k:
         return False
-    mu_parts, lam_parts = mu.parts, lam.parts
+    tail, fin = mu.parts[k:], lam.parts[k:]
+    if not tail:
+        return True
+    if sum(tail) > sum(fin):
+        return False
+    # The length check above gives len(tail) <= len(fin), so zip reads all of tail.
+    if all(m <= f for m, f in zip(tail, fin)):
+        return True
 
     @lru_cache(maxsize=None)
     def solve(j, mask):
-        if j == len(mu_parts):
+        if j == len(tail):
             return True
-        for g in _minimal_cover_groups(mu_parts[j], lam_parts, mask):
+        for g in _minimal_cover_groups(tail[j], fin, mask):
             if solve(j + 1, mask & ~g):
                 return True
         return False
 
-    return solve(0, (1 << lam.length) - 1)
+    return solve(0, (1 << len(fin)) - 1)
 
 
 def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
@@ -375,24 +386,28 @@ def _lower_covers(parts):
 
 def min_excluded(lam: GenPartition) -> list:
     """Minimal finite partitions, for the combining order, that are not below
-    lam, in increasing tuple order.  Candidates are the box of partitions
-    with at most length(lam)+1 parts, each at most finite_weight(lam)+1.
+    lam, in increasing tuple order.
 
     Cover rule: the excluded set is an up-set, since preceq is transitive,
     and every mu strictly below alpha is reached from alpha by elementary
     steps (merge two parts, or lower one part by 1, dropping a zero).  So
     alpha is minimal excluded iff alpha is not below lam and every lower
-    cover of alpha (one step down) is below lam.  A merge can leave the
-    box; those covers are checked too, so the answers are minimal among all
-    finite partitions, not only among the box.
+    cover of alpha (one step down) is below lam.  Covers are checked even
+    where a merge leaves the candidate set, so the answers are minimal
+    among all finite partitions.
 
-    Tail reduction: with k infinite parts in lam and lam_fin its finite
-    part, a finite alpha (parts non-increasing) is below lam iff alpha[k:]
-    is below lam_fin.  Each infinite part of lam covers any one part of
-    alpha, and swapping an alpha part held by an infinite group with a
-    larger one held by a finite group keeps both groups sufficient; so the
-    k largest parts of alpha may take the infinite parts.  preceq decides
-    the tails, once per distinct tail.
+    Tails only: with k infinite parts in lam, alpha is below lam iff the
+    tail alpha[k:] is below the finite part of lam (the tail reduction in
+    ``preceq``).  Lemma: every minimal excluded alpha has alpha_0 = ... =
+    alpha_k.  Proof: alpha has more than k parts, as k parts sit on the
+    infinite parts of lam.  If alpha_j > alpha_k for some j < k, lowering
+    alpha_j by 1 leaves the sorted tail alpha[k:] unchanged, so that lower
+    cover is still excluded and alpha is not minimal.  So of the box of
+    partitions with at most length(lam)+1 parts, each at most
+    finite_weight(lam)+1, only the partitions (tau_0)^k ++ tau are
+    candidates, for tau in the box with at most length(lam)-k+1 parts,
+    each at most finite_weight(lam)+1.  preceq decides each distinct tail
+    once.
     """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
@@ -407,9 +422,11 @@ def min_excluded(lam: GenPartition) -> list:
             hit = below[tail] = preceq(GenPartition(tail), lam_fin)
         return hit
 
+    tails = _box_parts(lam_fin.length + 1, lam.finite_weight + 1)
+    candidates = ((tau[0],) * k + tau for tau in tails)
     return [
         GenPartition(alpha)
-        for alpha in _box_parts(lam.length + 1, lam.finite_weight + 1)
+        for alpha in sorted(candidates)
         if not is_below(alpha) and all(is_below(c) for c in _lower_covers(alpha))
     ]
 

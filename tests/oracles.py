@@ -5,15 +5,18 @@ search in the most direct way, so they are only usable on small inputs;
 ``mu_minus`` is the truncation that ``partitions.mu_s`` inverts.
 ``theta_member_by_slice`` and ``contains_by_slice`` are the slice-based
 decisions that the point-set rule of ``variety.theta_member`` and
-``variety.contains`` replaced.
+``variety.contains`` replaced.  ``preceq_by_groups`` is the combining
+order searched over all of lam's parts, without the tail reduction and
+the screens of ``partitions.preceq``.
 """
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from symvar.corr import Correspondence
 from symvar.equations import IdealGenerator
-from symvar.partitions import GenComposition, GenPartition, is_inf
+from symvar.partitions import INF, GenComposition, GenPartition, is_inf
 from symvar.poly import X_FAMILY, Poly, PolyProduct, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
@@ -21,6 +24,56 @@ from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 def mu_minus(mu: GenPartition, e: int) -> GenPartition:
     """Cap every part larger than e+1 at e+1."""
     return GenPartition(min(p, e + 1) for p in mu.parts)
+
+
+def _minimal_cover_groups(target, parts, mask):
+    """Index subsets of `mask` with ext-sum >= target and no sufficient proper prefix.
+
+    Every sufficient group contains one of these, so searching over them is
+    complete for the combining order.
+    """
+    if is_inf(target):
+        for i in range(len(parts)):
+            if (mask >> i) & 1 and is_inf(parts[i]):
+                yield 1 << i
+        return
+    avail = [i for i in range(len(parts)) if (mask >> i) & 1]
+
+    def rec(pos, acc_mask, acc_sum):
+        for idx in range(pos, len(avail)):
+            i = avail[idx]
+            s = INF if is_inf(parts[i]) else acc_sum + parts[i]
+            m = acc_mask | (1 << i)
+            if s >= target:
+                yield m
+            else:
+                yield from rec(idx + 1, m, s)
+
+    yield from rec(0, 0, 0)
+
+
+def preceq_by_groups(mu: GenPartition, lam: GenPartition) -> bool:
+    """mu obtained from lam by combining and decreasing (or removing) parts.
+
+    Decided by backtracking over disjoint groups of lam's parts, one group
+    per part of mu, each group ext-summing to at least the mu part.
+    """
+    if mu.length == 0:
+        return True
+    if mu.length > lam.length or mu.num_infinite > lam.num_infinite:
+        return False
+    mu_parts, lam_parts = mu.parts, lam.parts
+
+    @lru_cache(maxsize=None)
+    def solve(j, mask):
+        if j == len(mu_parts):
+            return True
+        for g in _minimal_cover_groups(mu_parts[j], lam_parts, mask):
+            if solve(j + 1, mask & ~g):
+                return True
+        return False
+
+    return solve(0, (1 << lam.length) - 1)
 
 
 def expand(pp: PolyProduct) -> Poly:

@@ -109,6 +109,12 @@ COMMANDS = [
     ["member", "inf,inf,inf,inf,3", "0^inf,1^inf,2^inf,3^inf,4^4", "--variety", "z5.json",
      "--method", "direct"],
     ["contains", "--json", "inf,inf", "zq.json", "inf,inf,1", "zq3.json"],
+    # partition orders decided on the finite tail
+    ["min-excluded", "--json", "inf,inf,inf,inf,inf,inf,inf,inf,12"],
+    ["preceq", "inf,3,3", "inf,inf,2,1"],
+    ["preceq", "inf,inf,3", "inf,inf,inf,1"],
+    ["preceq", "5,5", "inf,4,4,1"],
+    ["preceq", "--json", "3,3", "2,2,2"],
 ]
 
 

@@ -6,13 +6,18 @@ excluded ones with no other excluded box member below them.  The cover
 test must give the same antichain on every lam with at most 4 parts and
 finite weight at most 5, and on the sweep inf^k,2k-2.  The tail identity
 that lets ``min_excluded`` hand ``preceq`` only the finite remainder is
-checked on the same boxes.
+checked on the same boxes.  The oracle decides the order with
+``preceq_by_groups``, the search over all of lam's parts, so the tail
+reduction inside ``preceq`` is not the judge of itself.  Every answer has
+alpha_0 = ... = alpha_k, which is why only tails are walked; a work guard
+counts the lower-cover tests this leaves.
 """
 
 import itertools
 
 import pytest
 
+from symvar import partitions
 from symvar.partitions import (
     INF,
     GenPartition,
@@ -22,11 +27,13 @@ from symvar.partitions import (
     preceq,
 )
 
+from oracles import preceq_by_groups
+
 
 def min_excluded_quadratic(lam):
     box = finite_partitions_in_box(lam.length + 1, lam.finite_weight + 1)
-    excluded = [a for a in box if not preceq(a, lam)]
-    minimal = [a for a in excluded if not any(b != a and preceq(b, a) for b in excluded)]
+    excluded = [a for a in box if not preceq_by_groups(a, lam)]
+    minimal = [a for a in excluded if not any(b != a and preceq_by_groups(b, a) for b in excluded)]
     return sorted(minimal, key=lambda q: q.parts)
 
 
@@ -44,6 +51,7 @@ GRID = [
     for fin in _finite_partitions_of(e, 4 - k)
 ]
 SWEEP = [GenPartition((INF,) * k + (2 * k - 2,)) for k in range(2, 5)]
+INF8_12 = GenPartition((INF,) * 8 + (12,))
 
 
 def test_grid_covers_every_small_lambda():
@@ -62,7 +70,31 @@ def test_tail_identity(lam):
     lam_fin = GenPartition(lam.parts[k:])
     for alpha in finite_partitions_in_box(lam.length + 1, lam.finite_weight + 1):
         tail = GenPartition(alpha.parts[k:])
-        assert preceq(alpha, lam) == preceq(tail, lam_fin), (alpha, lam)
+        assert preceq_by_groups(alpha, lam) == preceq(tail, lam_fin), (alpha, lam)
+
+
+@pytest.mark.parametrize("lam", GRID + SWEEP + [INF8_12], ids=str)
+def test_answers_are_tails_behind_equal_parts(lam):
+    k = lam.num_infinite
+    for alpha in min_excluded(lam):
+        assert alpha.length >= k + 1 and alpha[0] == alpha[k], (alpha, lam)
+
+
+def test_lower_cover_work_guard(monkeypatch):
+    # inf^8,12 has 104 tails (at most 2 parts, each at most 13), so at most
+    # C(15,2) - 1 candidates reach the cover test; walking the whole
+    # 10-part box made 646,647 cover tests.
+    calls = []
+    lower_covers = partitions._lower_covers
+
+    def counting(parts):
+        calls.append(parts)
+        return lower_covers(parts)
+
+    monkeypatch.setattr(partitions, "_lower_covers", counting)
+    got = min_excluded(INF8_12)
+    assert got == [GenPartition((1,) * 10), GenPartition((13,) * 9)]
+    assert 0 < len(calls) <= 104
 
 
 @pytest.mark.parametrize("max_length,max_part", [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (5, 6)])

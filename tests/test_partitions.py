@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symvar import partitions
 from symvar.partitions import (
     INF,
     GenComposition,
@@ -20,7 +21,7 @@ from symvar.partitions import (
     row_major_tableau,
 )
 
-from oracles import mu_minus
+from oracles import mu_minus, preceq_by_groups
 
 P = GenPartition.parse
 
@@ -92,6 +93,45 @@ class TestPreceq:
     def test_leq_implies_preceq(self, mu, lam):
         if leq(mu, lam):
             assert preceq(mu, lam)
+
+    def test_screens_and_backtracking_match_oracles_exhaustively(self, monkeypatch):
+        # Every pair with at most 4 parts over {1,2,3,4,inf}: the tail
+        # reduction and its screens agree with the search over all of lam's
+        # parts and with the filling search, and each exit is reached.
+        box = sorted(
+            {GenPartition(c) for n in range(5)
+             for c in itertools.combinations_with_replacement([1, 2, 3, 4, INF], n)},
+            key=lambda q: (q.length, q.parts),
+        )
+        searched = []
+        cover_groups = partitions._minimal_cover_groups
+
+        def counting(*args):
+            searched.append(args)
+            return cover_groups(*args)
+
+        monkeypatch.setattr(partitions, "_minimal_cover_groups", counting)
+        exits = {}
+        for mu in box:
+            for lam in box:
+                searched.clear()
+                verdict = preceq(mu, lam)
+                assert verdict == preceq_by_groups(mu, lam) == good_filling_exists(mu, lam), (mu, lam)
+                k = lam.num_infinite
+                tail, fin = mu.parts[k:], lam.parts[k:]
+                if mu.length > lam.length or mu.num_infinite > k or not tail:
+                    route = "early"
+                elif sum(tail) > sum(fin):
+                    route = "sum"
+                elif leq(GenPartition(tail), GenPartition(fin)):
+                    route = "leq"
+                else:
+                    route = "search"
+                assert bool(searched) == (route == "search"), (mu, lam)
+                exits.setdefault(route, set()).add(verdict)
+        assert len(box) ** 2 == 15876
+        assert exits == {"early": {True, False}, "sum": {False}, "leq": {True},
+                         "search": {True, False}}
 
 
 class TestGoodFilling:
