@@ -4,13 +4,13 @@ A map f from composition lam to composition mu is a function on labels whose
 fiber ext-sums are bounded by the target weights.  A correspondence lam ~> mu
 is a pair (f1, f2) with f1 a principal surjection onto lam and f2 an
 arbitrary map to mu; correspondences act on point sets via pushforward along
-f2 followed by the f1-preimage (see the variety module).
+f2 followed by the f1-preimage (``variety.apply_corr``).  No pipeline path
+runs them: ``variety.gamma_at`` builds the slices they define directly.
 
 Everything is immutable; enumeration output order is deterministic.
 """
 
 import itertools
-from functools import lru_cache
 
 from .partitions import GenComposition, ext_sum, is_inf
 
@@ -146,7 +146,7 @@ def pullback_square(f1: CompMap, f2: CompMap):
 class Correspondence:
     """Pair (f1, f2): f1 a principal surjection rho ->> target, f2: rho -> source."""
 
-    __slots__ = ("rho", "f1", "f2", "_action")
+    __slots__ = ("rho", "f1", "f2")
 
     def __init__(self, rho: GenComposition, f1: CompMap, f2: CompMap):
         if f1.domain != rho or f2.domain != rho:
@@ -156,7 +156,6 @@ class Correspondence:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "_action", None)
 
     @classmethod
     def identity(cls, lam: GenComposition) -> "Correspondence":
@@ -180,18 +179,15 @@ class Correspondence:
         ``tuple(s[r] for r in reads)``.  For each target label, the source
         positions that f2 sends its f1-fiber to must agree; `checks` ties
         them to the smallest one, which the target coordinate reads.
-        Relabelings of rho give the same action.  Derived once from the
-        fibers and kept on the object.
+        Relabelings of rho give the same action.
         """
-        if self._action is None:
-            src_pos = {k: i for i, k in enumerate(self.source.labels)}
-            checks, reads = set(), []
-            for i in self.target.labels:
-                srcs = sorted({src_pos[self.f2.table[j]] for j in self.f1.fiber(i)})
-                checks.update((srcs[0], b) for b in srcs[1:])
-                reads.append(srcs[0])
-            object.__setattr__(self, "_action", (tuple(sorted(checks)), tuple(reads)))
-        return self._action
+        src_pos = {k: i for i, k in enumerate(self.source.labels)}
+        checks, reads = set(), []
+        for i in self.target.labels:
+            srcs = sorted({src_pos[self.f2.table[j]] for j in self.f1.fiber(i)})
+            checks.update((srcs[0], b) for b in srcs[1:])
+            reads.append(srcs[0])
+        return tuple(sorted(checks)), tuple(reads)
 
     def canonical_key(self):
         """Per-target-label multiset of (fiber-part weight, f2 target) pairs;
@@ -277,8 +273,9 @@ def _fiber_options(w, lam: GenComposition, e: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _enumerate_good_cached(mu: GenComposition, lam: GenComposition):
+def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
+    """Complete list of good correspondences mu ~> lam, canonically ordered,
+    one representative per relabeling class of rho."""
     if not lam.is_infinite:
         raise ValueError("good correspondences require an infinite source composition")
     e = lam.finite_weight
@@ -306,10 +303,4 @@ def _enumerate_good_cached(mu: GenComposition, lam: GenComposition):
         corr = Correspondence(rho, CompMap(rho, mu, t1), CompMap(rho, lam, t2))
         out.append(corr)
     out.sort(key=lambda c: c.canonical_key())
-    return tuple(out)
-
-
-def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
-    """Complete list of good correspondences mu ~> lam, canonically ordered,
-    one representative per relabeling class of rho."""
-    return list(_enumerate_good_cached(mu, lam))
+    return out

@@ -161,7 +161,6 @@ class TypeIdeal:
         raise AttributeError("TypeIdeal is immutable")
 
 
-@functools.lru_cache(maxsize=None)
 def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded

@@ -4,21 +4,22 @@ A finitary point is a finite list of distinct rational values with
 multiplicities in N ∪ {inf}, at least one of them infinite.  A point-set
 variety is a finite set of rational tuples inside the affine space attached
 to a generalized composition.  This module computes point actions of maps
-and correspondences, the endomorphism closure, and the slice-wise closure
-construction over good correspondences, which needs no endomorphism closure
-first.  Membership of finitary points and containment between classified
-pairs build no slice: they follow the paper's point-set description, one
-pass over Z per query (see ``theta_member``).
+and correspondences and the endomorphism closure.  The slices of the
+closure system need neither: each is read off the points of Z collapsed
+along their values (see ``gamma_at``).  Membership and containment build
+no slice: they follow the paper's point-set description, one pass over Z
+per query (see ``theta_member``).
 """
 
 import json
 from fractions import Fraction
 
-from .corr import Correspondence, enumerate_end, enumerate_good
+from .corr import Correspondence, enumerate_end
 from .partitions import (
     GenComposition,
     GenPartition,
     aut,
+    ext_sum,
     format_weight,
     is_inf,
     parse_weight,
@@ -204,24 +205,15 @@ def act_point(f, x):
     return tuple(x[i] for i in _positions(f))
 
 
-def _image(action, pts) -> set:
-    """Image of a point set under a correspondence action (see
-    ``Correspondence.action``)."""
-    checks, reads = action
-    out = set()
-    for s in pts:
-        if all(s[a] == s[b] for a, b in checks):
-            out.add(tuple([s[r] for r in reads]))
-    return out
-
-
 def apply_corr(f: Correspondence, S: PointSetVariety) -> PointSetVariety:
     """Point action of a correspondence: push through the second leg, then
     take the preimage along the first (possible exactly when the pushed
     tuple is constant on the first leg's fibers)."""
     if S.lam != f.source:
         raise ValueError("point set does not live over the correspondence source")
-    return PointSetVariety(f.target, _image(f.action, S.points))
+    checks, reads = f.action
+    return PointSetVariety(f.target, {tuple([s[r] for r in reads]) for s in S.points
+                                      if all(s[a] == s[b] for a, b in checks)})
 
 
 def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
@@ -238,46 +230,64 @@ def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
 
 
 def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
-    """Union of the images of `closed_pts` under the good correspondences
-    mu ~> lam.  The points need not be closed under End(lam): see
-    ``gamma_at``.
-
-    An action only copies and compares coordinates, so the search runs on
-    each distinct value's index in place of the value (small integers hash
-    and compare much faster than rationals) and maps the indices back at
-    the end; the result is the same set.  Correspondences sharing an action
-    are run once.
-    """
-    index = {}
-    pts = {tuple([index.setdefault(c, len(index)) for c in p]) for p in closed_pts}
+    """The tuples p . sigma of ``gamma_at`` for p in `closed_pts`, which need
+    not be closed under End(lam).  They hold p's own value objects."""
+    weights = [mu.weight(i) for i in mu.labels]
+    lam_weights = [lam.weight(k) for k in lam.labels]
     out = set()
-    for action in {f.action for f in enumerate_good(mu, lam)}:
-        out |= _image(action, pts)
-    values = list(index)
-    return {tuple([values[i] for i in p]) for p in out}
+    for p in closed_pts:
+        values = list(dict.fromkeys(p))
+        room = [ext_sum(w for q, w in zip(p, lam_weights) if q == v) for v in values]
+
+        def rec(i, chosen):
+            if i == len(weights):
+                out.add(chosen)
+                return
+            for j, r in enumerate(room):
+                if weights[i] <= r:
+                    room[j] = r if is_inf(r) else r - weights[i]
+                    rec(i + 1, chosen + (values[j],))
+                    room[j] = r
+
+        rec(0, ())
+    return out
 
 
 def _check_slice(lam: GenComposition, Z: PointSetVariety, mu: GenComposition):
     """The input errors of a slice over mu of the system generated by Z, in
     the order the construction meets them."""
     if mu.length == 0:
-        raise ValueError("gamma_at requires a non-empty composition")
+        raise ValueError("the slice composition must be non-empty")
     if Z.lam != lam:
         raise ValueError("point set does not live over lam")
     if not lam.is_infinite:
-        raise ValueError("good correspondences require an infinite source composition")
+        raise ValueError("the ambient composition must have an infinite part")
 
 
 def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> PointSetVariety:
     """Slice over mu of the smallest compatible closed system containing Z
     over lam: the finite union, over good correspondences mu ~> lam, of the
-    correspondence action on Z.
+    correspondence action on Z.  It is computed as the union over p in Z of
+    {p . sigma : sigma in Hom(mu, lam_p)}, where lam_p collapses lam along
+    the values of p: one label per distinct value v, weighing the ext-sum
+    of lam_k over the positions k with p_k = v.
 
     The endomorphism closure of Z would add no point.  Applying f in End(lam)
     and then a good correspondence (f1, f2) is the action of (f1, f . f2),
     which is again good (goodness constrains only f1 and lam) and again
     weight-respecting (f . f2 composes weight-respecting maps), so its image
     is already in the union.
+
+    The collapse.  A good correspondence has an image at p exactly when the
+    positions that f2 sends each f1-fiber to carry one value of p, which
+    the image reads at that label of mu; the mu weights so sent to a value
+    v fit into the positions of v, because f1 is principal and f2 respects
+    weights.  Conversely, given sigma, each label i goes whole to an
+    infinite position of sigma(i) if there is one.  Otherwise the weights
+    sent to v = sigma(i) are finite and at most e (the finite weight of lam)
+    in all, and they fill the positions of v in turn, at most one part per
+    position each.  Only weights of at most e are split, so this is a good
+    correspondence with image p . sigma.
 
     For infinite mu this is the mu-slice of the closure system; for finite
     mu it is the extended slice used by the equation synthesis.

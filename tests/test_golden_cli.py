@@ -40,6 +40,9 @@ FILES = {
     "z6.json": '{"lambda": ["inf", "inf", "inf", "inf", "inf", "inf"], '
                '"points": [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]}',
     "z5.json": '{"lambda": ["inf", "inf", "inf", "inf", 3], "points": [[0, 1, 2, 3, 4]]}',
+    "z21.json": '{"lambda":["inf","inf",2,1],"points":[[0,1,2,3],["1/2",2,1,0]]}',
+    "z4.json": '{"lambda":["inf","inf",1,1],"points":[[0,1,2,3],[3,2,1,0]]}',
+    "zfin.json": '{"lambda": [2, 1], "points": [[0, 1]]}',
 }
 
 COMMANDS = [
@@ -115,6 +118,12 @@ COMMANDS = [
     ["preceq", "inf,inf,3", "inf,inf,inf,1"],
     ["preceq", "5,5", "inf,4,4,1"],
     ["preceq", "--json", "3,3", "2,2,2"],
+    # slices collapsed along each point
+    ["gamma", "--json", "inf,2,1,1", "zr.json", "2,2,1"],
+    ["gamma", "inf,2,1,1", "zr.json", "3,2,1"],
+    ["gamma", "inf,inf,2,1", "z21.json", "3,3,2,1,1"],
+    ["equations", "inf,inf,1,1", "--variety", "z4.json"],
+    ["contains", "2,1", "zfin.json", "2,1", "zfin.json"],
 ]
 
 

@@ -140,16 +140,16 @@ def test_errors_are_those_of_the_slice():
     with pytest.raises(ValueError, match="^point sets must live over the stated compositions$"):
         contains(lam, elsewhere, lam, elsewhere)
     empty = GenComposition({})
-    with pytest.raises(ValueError, match="^gamma_at requires a non-empty composition$"):
+    with pytest.raises(ValueError, match="^the slice composition must be non-empty$"):
         gamma_at(lam, PointSetVariety(lam, [(0, 1)]), empty)
-    with pytest.raises(ValueError, match="^gamma_at requires a non-empty composition$"):
+    with pytest.raises(ValueError, match="^the slice composition must be non-empty$"):
         contains(empty, PointSetVariety(empty, [()]), lam, PointSetVariety(lam, [(0, 1)]))
     finite = C(P("2,1"))
     Zf = PointSetVariety(finite, [(0, 1)])
     for call in (lambda: theta_member(finite, Zf, x),
                  lambda: contains(finite, Zf, finite, Zf),
                  lambda: gamma_at(finite, Zf, finite)):
-        with pytest.raises(ValueError, match="^good correspondences require an infinite"):
+        with pytest.raises(ValueError, match="^the ambient composition must have an infinite part$"):
             call()
     # an empty Z1 is contained before any slice check
     assert contains(empty, PointSetVariety(empty, []), finite, Zf) is True
@@ -179,8 +179,13 @@ def test_membership_and_containment_build_no_slice(monkeypatch):
 
 
 def test_slices_and_equations_skip_the_closure(monkeypatch):
-    _patch(monkeypatch, ["end_closure", "enumerate_end"])
+    _patch(monkeypatch, ["end_closure", "enumerate_end", "enumerate_good"])
     lam = C(P("inf,inf"))
     Z = PointSetVariety(lam, [(0, 1), (1, 0)])
     assert set(gamma_at(lam, Z, C(P("1,1"))).points) == {(0, 1), (1, 0), (0, 0), (1, 1)}
     assert len(i_lambda_z(P("inf,inf"), Z).generators) > 0
+    # the weight 2 labels reach value 3 only split over its two positions
+    lam = C(P("inf,2,1,1"))
+    got = gamma_at(lam, PointSetVariety(lam, [(1, 2, 3, 3)]), C(P("2,2,1"))).points
+    assert got == ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 3), (1, 3, 1), (1, 3, 2),
+                   (2, 1, 1), (2, 1, 3), (2, 3, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1))

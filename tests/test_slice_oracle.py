@@ -1,13 +1,16 @@
 """The slice loop against its former implementation.
 
-``end_closure``, ``apply_corr`` and ``gamma_at`` act through position lists
-(``Correspondence.action``) and run the slice search on value indices, and
-``gamma_at`` no longer closes Z under End(lambda) first.  The oracle below
-is the earlier code, which closed Z and applied every map and every
-correspondence to the rational tuples themselves; both must give the same
-point sets on seeded inputs: ``lambda`` with up to 4 parts, infinite and
-saturated finite slices, coordinates with denominators 2, 3 and 7, negative
-values, and values shared between points.
+``end_closure`` and ``apply_corr`` act through position lists
+(``Correspondence.action``).  ``gamma_at`` neither closes Z under
+End(lambda) nor runs a correspondence: it collapses lambda along the values
+of each point and enumerates the weight-respecting maps from mu into the
+collapse.  The oracle below is the earlier code, which closed Z and applied
+every map and every good correspondence to the rational tuples themselves;
+both must give the same point sets on seeded inputs: ``lambda`` with up to
+4 parts, infinite and saturated finite slices, slices with more parts than
+``lambda`` or finite parts above its finite weight, coordinates with
+denominators 2, 3 and 7, negative values, and values shared within and
+between points.
 """
 
 import random
@@ -136,7 +139,7 @@ def test_act_point_matches_oracle():
 
 
 def test_action_is_shared_across_relabelings():
-    # distinct correspondences with one action: the search runs once for all
+    # distinct correspondences with one action
     lam = C(GenPartition.parse("inf,2,1"))
     corrs = [f for mu in ("3,3,1", "inf,2,1", "2,1")
              for f in enumerate_good(C(GenPartition.parse(mu)), lam)]
@@ -146,5 +149,25 @@ def test_action_is_shared_across_relabelings():
         checks, reads = f.action
         assert all(a < b for a, b in checks)
         assert len(reads) == f.target.length
-        assert f.action is f.action  # derived once, kept on the object
 
+
+
+def test_collapsed_slices_match_oracle():
+    rng = random.Random(2011)
+    seen = set()
+    for text in LAMBDAS:
+        lam_p = GenPartition.parse(text)
+        lam = C(lam_p)
+        e = lam_p.finite_weight
+        for _ in range(5):
+            size = rng.randint(1, min(lam.length + 2, 4))
+            mu_p = GenPartition([rng.choice([INF, 1, 2, e + 1, e + 2]) for _ in range(size)])
+            values = rng.sample(POOL, rng.randint(1, 3))
+            Z = PointSetVariety(lam, [tuple(rng.choice(values) for _ in range(lam.length))
+                                      for _ in range(rng.randint(1, 2))])
+            mu = C(mu_p)
+            assert _gamma_points(lam, Z.points, mu) == oracle_gamma(lam, Z, mu), (Z.points, mu)
+            seen.add("longer" if mu.length > lam.length else "not longer")
+            seen.add("above e" if any(e < w < INF for w in mu_p.parts) else "within e")
+            seen.add("repeats" if any(len(set(p)) < len(p) for p in Z.points) else "distinct")
+    assert len(seen) == 6
