@@ -2,7 +2,8 @@
 
 Subcommands: type, preceq, min-excluded, equations, member, contains,
 gamma, selfcheck.  Exit codes: 0 = success or true verdict, 1 = false
-verdict, 2 = usage or data error, 3 = cross-check disagreement.
+verdict, 2 = usage or data error (including input too deep for the
+recursive searches), 3 = cross-check disagreement.
 Output is deterministic byte-for-byte for fixed inputs and seed.
 """
 
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # uncaught, it would exit 1, which reads as "false"
+        print("error: input too deep for the recursive search", file=sys.stderr)
         return 2
 
 

@@ -5,14 +5,15 @@ fiber ext-sums are bounded by the target weights.  A correspondence lam ~> mu
 is a pair (f1, f2) with f1 a principal surjection onto lam and f2 an
 arbitrary map to mu; correspondences act on point sets via pushforward along
 f2 followed by the f1-preimage (``variety.apply_corr``).  No pipeline path
-runs them: ``variety.gamma_at`` builds the slices they define directly.
+runs them: ``variety.gamma_at`` builds the slices they define directly,
+from the search (``partitions.weight_maps``) that also gives End(lam).
 
 Everything is immutable; enumeration output order is deterministic.
 """
 
 import itertools
 
-from .partitions import GenComposition, ext_sum, is_inf
+from .partitions import GenComposition, ext_sum, is_inf, weight_maps
 
 
 class CompMap:
@@ -124,11 +125,9 @@ def pullback_square(f1: CompMap, f2: CompMap):
             b = max(right, key=lambda t: (t[1], -mu2.labels.index(t[0])))
             w = min(a[1], b[1])
             parts.append((w, a[0], b[0]))
-            if is_inf(a[1]) and not is_inf(w):
-                pass  # infinite residual, keep
-            elif is_inf(w):
+            if is_inf(w):
                 left.remove(a)  # saturated by an infinite part
-            else:
+            elif not is_inf(a[1]):  # an infinite residual is kept
                 a[1] -= w
                 if a[1] == 0:
                     left.remove(a)
@@ -226,17 +225,10 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
 
 def enumerate_end(lam: GenComposition) -> list:
     """All weight-respecting self-maps of lam, in table order."""
-    out = []
     labels = lam.labels
-    for images in itertools.product(labels, repeat=len(labels)):
-        table = dict(zip(labels, images))
-        ok = all(
-            ext_sum(lam.weight(i) for i in labels if table[i] == j) <= lam.weight(j)
-            for j in set(images)
-        )
-        if ok:
-            out.append(CompMap(lam, lam, table))
-    return out
+    weights = [lam.weight(k) for k in labels]
+    return [CompMap(lam, lam, dict(zip(labels, images)))
+            for images in weight_maps(weights, labels, weights)]
 
 
 def _fiber_options(w, lam: GenComposition, e: int):
@@ -283,13 +275,8 @@ def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
     out = []
     for combo in itertools.product(*options):
         # aggregate weight condition on the f2 side
-        ok = True
-        for k in lam.labels:
-            s = ext_sum(pw for fiber in combo for pw, tgt in fiber if tgt == k)
-            if s > lam.weight(k):
-                ok = False
-                break
-        if not ok:
+        if any(ext_sum(pw for fiber in combo for pw, tgt in fiber if tgt == k) > lam.weight(k)
+               for k in lam.labels):
             continue
         rho_weights, t1, t2 = {}, {}, {}
         nxt = 1

@@ -6,12 +6,12 @@ with a positive weight attached to every label.  Two orders are provided:
 ``leq`` (decrease or remove parts) and ``preceq`` (combine, then decrease or
 remove parts), together with the filling criterion equivalent to ``preceq``,
 minimal excluded antichains, and the saturation operator used by the equation
-synthesis.
+synthesis.  ``weight_maps`` is the one search for weight-respecting maps,
+End(lam) and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable and every function here is pure.
 """
 
-import itertools
 from functools import lru_cache
 
 INF = float("inf")
@@ -29,6 +29,29 @@ def ext_sum(weights):
             return INF
         total += w
     return total
+
+
+def weight_maps(weights, labels, rooms) -> list:
+    """Every tuple whose entry i is the label of the slot that weight i goes
+    to, such that the weights sent to each slot ext-sum to at most its room,
+    in lexicographic order of slot indices.  Slot j has label ``labels[j]``
+    and room ``rooms[j]``; a finite room shrinks by each weight it takes."""
+    rooms = list(rooms)
+    out = []
+
+    def rec(i, chosen):
+        if i == len(weights):
+            out.append(chosen)
+            return
+        w = weights[i]
+        for j, r in enumerate(rooms):
+            if w <= r:
+                rooms[j] = r if is_inf(r) else r - w
+                rec(i + 1, chosen + (labels[j],))
+                rooms[j] = r
+
+    rec(0, ())
+    return out
 
 
 def format_weight(w) -> str:
@@ -438,22 +461,3 @@ def mu_s(mu: GenPartition, e: int) -> GenPartition:
         if not is_inf(p) and p > e + 1:
             raise ValueError(f"part {p} exceeds e+1 = {e + 1}")
     return GenPartition(INF if p == e + 1 else p for p in mu.parts)
-
-
-def aut(lam: GenComposition) -> list:
-    """All weight-preserving bijections of the label set, as dicts.
-
-    The group is the product of symmetric groups on blocks of equal weight.
-    """
-    blocks = {}
-    for k in lam.labels:
-        blocks.setdefault(lam.weight(k), []).append(k)
-    block_lists = [blocks[w] for w in sorted(blocks, reverse=True)]
-    perms = []
-    for images in itertools.product(*(itertools.permutations(b) for b in block_lists)):
-        table = {}
-        for block, image in zip(block_lists, images):
-            table.update(dict(zip(block, image)))
-        perms.append(table)
-    perms.sort(key=lambda t: tuple(t[k] for k in lam.labels))
-    return perms

@@ -6,23 +6,23 @@ variety is a finite set of rational tuples inside the affine space attached
 to a generalized composition.  This module computes point actions of maps
 and correspondences and the endomorphism closure.  The slices of the
 closure system need neither: each is read off the points of Z collapsed
-along their values (see ``gamma_at``).  Membership and containment build
-no slice: they follow the paper's point-set description, one pass over Z
-per query (see ``theta_member``).
+along their values (see ``gamma_at``); both take their maps from
+``partitions.weight_maps``.  Membership and containment build no slice:
+they follow the paper's point-set description, one pass over Z per query
+(see ``theta_member``).
 """
 
 import json
 from fractions import Fraction
 
-from .corr import Correspondence, enumerate_end
 from .partitions import (
     GenComposition,
     GenPartition,
-    aut,
     ext_sum,
     format_weight,
     is_inf,
     parse_weight,
+    weight_maps,
 )
 
 
@@ -189,23 +189,17 @@ def variety_from_json(text: str) -> PointSetVariety:
     return PointSetVariety(lam, pts)
 
 
-def _positions(f) -> tuple:
-    """The codomain position that each domain coordinate of ``act_point(f, x)``
-    reads."""
-    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
-    return tuple(cod_pos[f.table[i]] for i in f.domain.labels)
-
-
 def act_point(f, x):
     """Point action of a map of compositions: coordinate i receives x_{f(i)}.
 
     `x` is a tuple over the codomain labels; the result lives over the
     domain labels.
     """
-    return tuple(x[i] for i in _positions(f))
+    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
+    return tuple(x[cod_pos[f.table[i]]] for i in f.domain.labels)
 
 
-def apply_corr(f: Correspondence, S: PointSetVariety) -> PointSetVariety:
+def apply_corr(f: "Correspondence", S: PointSetVariety) -> PointSetVariety:
     """Point action of a correspondence: push through the second leg, then
     take the preimage along the first (possible exactly when the pushed
     tuple is constant on the first leg's fibers)."""
@@ -219,14 +213,13 @@ def apply_corr(f: Correspondence, S: PointSetVariety) -> PointSetVariety:
 def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
     """Closure of Z under all weight-respecting self-maps of lam.  For a
     finite point set this is a finite union of coordinate rearrangements,
-    already Zariski closed, and the construction is idempotent."""
+    already Zariski closed, and the construction is idempotent.  Each map
+    is a position tuple: coordinate i reads position idx[i]."""
     if Z.lam != lam:
         raise ValueError("point set does not live over lam")
-    pts = set()
-    for f in enumerate_end(lam):
-        idx = _positions(f)
-        pts.update(tuple([z[i] for i in idx]) for z in Z.points)
-    return PointSetVariety(lam, pts)
+    weights = [lam.weight(k) for k in lam.labels]
+    maps = weight_maps(weights, range(lam.length), weights)
+    return PointSetVariety(lam, {tuple([z[i] for i in idx]) for idx in maps for z in Z.points})
 
 
 def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
@@ -238,18 +231,7 @@ def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     for p in closed_pts:
         values = list(dict.fromkeys(p))
         room = [ext_sum(w for q, w in zip(p, lam_weights) if q == v) for v in values]
-
-        def rec(i, chosen):
-            if i == len(weights):
-                out.add(chosen)
-                return
-            for j, r in enumerate(room):
-                if weights[i] <= r:
-                    room[j] = r if is_inf(r) else r - weights[i]
-                    rec(i + 1, chosen + (values[j],))
-                    room[j] = r
-
-        rec(0, ())
+        out.update(weight_maps(weights, values, room))
     return out
 
 
@@ -342,23 +324,16 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
 
 def aut_orbits(lam: GenComposition, Z: PointSetVariety) -> list:
     """Orbits of Z under the weight-preserving label permutations acting on
-    coordinates.  Z is irreducible for this action iff there is one orbit."""
+    coordinates.  Z is irreducible for this action iff there is one orbit.
+
+    The permutations permute each block of equal-weight labels freely, so p
+    and q share an orbit iff they carry the same multiset of values on every
+    block, that is, the same multiset of (weight, value) pairs.  Points are
+    grouped by that key; no permutation is enumerated.
+    """
     Z.require_distinct()
-    pos = {k: i for i, k in enumerate(lam.labels)}
-    perms = aut(lam)
-    remaining = set(Z.points)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        full = set()
-        frontier = {seed}
-        while frontier:
-            p = frontier.pop()
-            full.add(p)
-            for t in perms:
-                q = tuple(p[pos[t[k]]] for k in lam.labels)
-                if q in remaining and q not in full:
-                    frontier.add(q)
-        remaining -= full
-        orbits.append(tuple(sorted(full)))
-    return sorted(orbits)
+    weights = [lam.weight(k) for k in lam.labels]
+    orbits = {}
+    for p in Z.points:  # sorted, so each orbit is too
+        orbits.setdefault(tuple(sorted(zip(weights, p))), []).append(p)
+    return sorted(tuple(orbit) for orbit in orbits.values())

@@ -7,16 +7,20 @@ search in the most direct way, so they are only usable on small inputs;
 decisions that the point-set rule of ``variety.theta_member`` and
 ``variety.contains`` replaced.  ``preceq_by_groups`` is the combining
 order searched over all of lam's parts, without the tail reduction and
-the screens of ``partitions.preceq``.
+the screens of ``partitions.preceq``.  ``enumerate_end_by_product`` walks
+all n^n tables, ``aut`` lists every weight-preserving permutation and
+``aut_orbits_by_bfs`` closes each point under them: the searches that
+``partitions.weight_maps`` and the block-multiset key of
+``variety.aut_orbits`` replaced.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from symvar.corr import Correspondence
+from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
-from symvar.partitions import INF, GenComposition, GenPartition, is_inf
+from symvar.partitions import INF, GenComposition, GenPartition, ext_sum, is_inf
 from symvar.poly import X_FAMILY, Poly, PolyProduct, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
@@ -264,3 +268,61 @@ def equivalent_mod_relabeling(p: Poly, q: Poly) -> bool:
         if moved == q or moved == -q:
             return True
     return False
+
+
+def enumerate_end_by_product(lam: GenComposition) -> list:
+    """All weight-respecting self-maps of lam, in table order."""
+    out = []
+    labels = lam.labels
+    for images in itertools.product(labels, repeat=len(labels)):
+        table = dict(zip(labels, images))
+        ok = all(
+            ext_sum(lam.weight(i) for i in labels if table[i] == j) <= lam.weight(j)
+            for j in set(images)
+        )
+        if ok:
+            out.append(CompMap(lam, lam, table))
+    return out
+
+
+def aut(lam: GenComposition) -> list:
+    """All weight-preserving bijections of the label set, as dicts.
+
+    The group is the product of symmetric groups on blocks of equal weight.
+    """
+    blocks = {}
+    for k in lam.labels:
+        blocks.setdefault(lam.weight(k), []).append(k)
+    block_lists = [blocks[w] for w in sorted(blocks, reverse=True)]
+    perms = []
+    for images in itertools.product(*(itertools.permutations(b) for b in block_lists)):
+        table = {}
+        for block, image in zip(block_lists, images):
+            table.update(dict(zip(block, image)))
+        perms.append(table)
+    perms.sort(key=lambda t: tuple(t[k] for k in lam.labels))
+    return perms
+
+
+def aut_orbits_by_bfs(lam: GenComposition, Z: PointSetVariety) -> list:
+    """Orbits of Z under the weight-preserving label permutations acting on
+    coordinates, found by closing each point under every permutation."""
+    Z.require_distinct()
+    pos = {k: i for i, k in enumerate(lam.labels)}
+    perms = aut(lam)
+    remaining = set(Z.points)
+    orbits = []
+    while remaining:
+        seed = min(remaining)
+        full = set()
+        frontier = {seed}
+        while frontier:
+            p = frontier.pop()
+            full.add(p)
+            for t in perms:
+                q = tuple(p[pos[t[k]]] for k in lam.labels)
+                if q in remaining and q not in full:
+                    frontier.add(q)
+        remaining -= full
+        orbits.append(tuple(sorted(full)))
+    return sorted(orbits)

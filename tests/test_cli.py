@@ -171,6 +171,17 @@ class TestMalformedInput:
         path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": [[0, "1/0"]]}')
         self.assert_data_error(capsys, "member", "inf,inf", "0^inf", "--variety", path)
 
+    def test_deep_preceq_is_refused(self, capsys):
+        # the true answer is "true"; a crash must not exit 1, which reads as false
+        self.assert_data_error(capsys, "preceq", "1200", ",".join(["1"] * 1200))
+
+    def test_deep_min_excluded_is_refused(self, capsys):
+        self.assert_data_error(capsys, "min-excluded", "inf," + ",".join(["1"] * 1200))
+
+    def test_deeply_nested_variety_file(self, capsys, tmp_path):
+        path = self.write(tmp_path, "[" * 200000)
+        self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)
+
 
 class TestRoundTrips:
     def test_partition_round_trip_through_cli(self, capsys):

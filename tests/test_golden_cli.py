@@ -43,6 +43,7 @@ FILES = {
     "z21.json": '{"lambda":["inf","inf",2,1],"points":[[0,1,2,3],["1/2",2,1,0]]}',
     "z4.json": '{"lambda":["inf","inf",1,1],"points":[[0,1,2,3],[3,2,1,0]]}',
     "zfin.json": '{"lambda": [2, 1], "points": [[0, 1]]}',
+    "zrep.json": '{"lambda":["inf",1,1],"points":[[0,1,1],[2,2,3]]}',
 }
 
 COMMANDS = [
@@ -124,6 +125,10 @@ COMMANDS = [
     ["gamma", "inf,inf,2,1", "z21.json", "3,3,2,1,1"],
     ["equations", "inf,inf,1,1", "--variety", "z4.json"],
     ["contains", "2,1", "zfin.json", "2,1", "zfin.json"],
+    # one search for weight-respecting maps: repeated coordinates, finite rooms
+    ["selfcheck", "--seed", "3"],
+    ["gamma", "inf,1,1", "zrep.json", "2,1,1,1"],
+    ["gamma", "--json", "inf,1,1", "zrep.json", "inf,2"],
 ]
 
 

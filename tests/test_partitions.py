@@ -11,7 +11,6 @@ from symvar.partitions import (
     GenComposition,
     GenPartition,
     Tableau,
-    aut,
     finite_partitions_in_box,
     good_filling_exists,
     leq,
@@ -21,7 +20,7 @@ from symvar.partitions import (
     row_major_tableau,
 )
 
-from oracles import mu_minus, preceq_by_groups
+from oracles import aut, mu_minus, preceq_by_groups
 
 P = GenPartition.parse
 

@@ -30,6 +30,8 @@ from symvar.variety import (
     gamma_at,
 )
 
+from oracles import enumerate_end_by_product
+
 C = GenComposition.from_partition
 
 
@@ -59,7 +61,7 @@ def oracle_corr_image(f, pts):
 
 
 def oracle_end_closure(lam, Z):
-    return {oracle_act_point(f, z) for f in enumerate_end(lam) for z in Z.points}
+    return {oracle_act_point(f, z) for f in enumerate_end_by_product(lam) for z in Z.points}
 
 
 def oracle_gamma(lam, Z, mu):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symvar.corr import CompMap, Correspondence
-from symvar.partitions import INF, GenComposition, GenPartition, aut, preceq
+from symvar.partitions import INF, GenComposition, GenPartition, preceq
 from symvar.poly import discriminant
 from symvar.variety import (
     DistinctnessError,
@@ -24,7 +24,7 @@ from symvar.variety import (
     variety_to_json,
 )
 
-from oracles import arrangements, orbit_evaluations
+from oracles import arrangements, aut, orbit_evaluations
 
 P = GenPartition.parse
 C = GenComposition.from_partition
