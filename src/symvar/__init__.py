@@ -5,111 +5,3 @@ computes closure constructions on finite point-set varieties, decides
 membership and containment, and synthesizes exact polynomial generator sets
 for the defining ideals of type loci and of classified subvarieties.
 """
-
-from .corr import (
-    CompMap,
-    Correspondence,
-    compose,
-    enumerate_end,
-    enumerate_good,
-    factor,
-    pullback_square,
-    pushforward,
-)
-from .equations import (
-    IdealGenerator,
-    TypeIdeal,
-    h_tableau,
-    i_lambda,
-    i_lambda_z,
-    member_by_equations,
-    reduce_generators,
-)
-from .partitions import (
-    INF,
-    GenComposition,
-    GenPartition,
-    Tableau,
-    good_filling_exists,
-    leq,
-    min_excluded,
-    mu_s,
-    preceq,
-    row_major_tableau,
-)
-from .poly import (
-    ExtractionWitness,
-    Poly,
-    PolyProduct,
-    apply_perm,
-    discriminant,
-    extract_discriminant,
-    parse_poly,
-    skew_sum,
-    vanishing_ideal,
-    verify_witness,
-)
-from .variety import (
-    FinitaryPoint,
-    PointSetVariety,
-    act_point,
-    apply_corr,
-    aut_orbits,
-    contains,
-    end_closure,
-    gamma_at,
-    theta_member,
-    type_of,
-    variety_from_json,
-    variety_to_json,
-)
-
-__all__ = [
-    "CompMap",
-    "Correspondence",
-    "ExtractionWitness",
-    "FinitaryPoint",
-    "GenComposition",
-    "GenPartition",
-    "INF",
-    "IdealGenerator",
-    "PointSetVariety",
-    "Poly",
-    "PolyProduct",
-    "Tableau",
-    "TypeIdeal",
-    "act_point",
-    "apply_corr",
-    "apply_perm",
-    "aut_orbits",
-    "compose",
-    "contains",
-    "discriminant",
-    "end_closure",
-    "enumerate_end",
-    "enumerate_good",
-    "extract_discriminant",
-    "factor",
-    "gamma_at",
-    "good_filling_exists",
-    "h_tableau",
-    "i_lambda",
-    "i_lambda_z",
-    "leq",
-    "member_by_equations",
-    "min_excluded",
-    "mu_s",
-    "parse_poly",
-    "preceq",
-    "pullback_square",
-    "pushforward",
-    "reduce_generators",
-    "row_major_tableau",
-    "skew_sum",
-    "theta_member",
-    "type_of",
-    "vanishing_ideal",
-    "variety_from_json",
-    "variety_to_json",
-    "verify_witness",
-]

@@ -2,8 +2,8 @@
 
 Subcommands: type, preceq, min-excluded, equations, member, contains,
 gamma, selfcheck.  Exit codes: 0 = success or true verdict, 1 = false
-verdict, 2 = usage or data error (including input too deep for the
-recursive searches), 3 = cross-check disagreement.
+verdict, 2 = usage or data error (any ValueError the library raises, and
+input too deep for the recursive searches), 3 = cross-check disagreement.
 Output is deterministic byte-for-byte for fixed inputs and seed.
 """
 
@@ -26,35 +26,17 @@ from .variety import (
 from . import selfcheck
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_variety(path: str, lam: GenPartition) -> PointSetVariety:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             Z = variety_from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot read variety file {path}: {exc}") from exc
+        raise ValueError(f"cannot read variety file {path}: {exc}") from exc
     if Z.lam.shape() != lam:
-        raise UsageError(
+        raise ValueError(
             f"variety file ambient {Z.lam.shape()} does not match partition {lam}"
         )
     return Z
-
-
-def _parse_partition(text: str) -> GenPartition:
-    try:
-        return GenPartition.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_point(text: str) -> FinitaryPoint:
-    try:
-        return FinitaryPoint.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -65,40 +47,34 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_type(args) -> int:
-    x = _parse_point(args.point)
+    x = FinitaryPoint.parse(args.point)
     result = str(type_of(x))
     _emit(args, {"type": result}, result)
     return 0
 
 
 def cmd_preceq(args) -> int:
-    mu = _parse_partition(args.mu)
-    lam = _parse_partition(args.lam)
+    mu = GenPartition.parse(args.mu)
+    lam = GenPartition.parse(args.lam)
     verdict = preceq(mu, lam)
     _emit(args, {"preceq": verdict}, "true" if verdict else "false")
     return 0 if verdict else 1
 
 
 def cmd_min_excluded(args) -> int:
-    lam = _parse_partition(args.lam)
-    try:
-        result = min_excluded(lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lam = GenPartition.parse(args.lam)
+    result = min_excluded(lam)
     _emit(args, {"min_excluded": [str(a) for a in result]}, "\n".join(str(a) for a in result))
     return 0
 
 
 def cmd_equations(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = GenPartition.parse(args.lam)
     if not lam.is_infinite:
-        raise UsageError("equations require a partition with an infinite part")
+        raise ValueError("equations require a partition with an infinite part")
     if args.variety:
         Z = _load_variety(args.variety, lam)
-        try:
-            ideal = i_lambda_z(lam, Z)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        ideal = i_lambda_z(lam, Z)
     else:
         ideal = i_lambda(lam)
     if args.reduce:
@@ -115,10 +91,10 @@ def cmd_equations(args) -> int:
 
 
 def cmd_member(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = GenPartition.parse(args.lam)
     if not lam.is_infinite:
-        raise UsageError("membership requires a partition with an infinite part")
-    x = _parse_point(args.point)
+        raise ValueError("membership requires a partition with an infinite part")
+    x = FinitaryPoint.parse(args.point)
     comp = GenComposition.from_partition(lam)
     Z = _load_variety(args.variety, lam) if args.variety else None
 
@@ -131,48 +107,38 @@ def cmd_member(args) -> int:
         ideal = i_lambda(lam) if Z is None else i_lambda_z(lam, Z)
         return member_by_equations(ideal, x)
 
-    try:
-        if args.method == "direct":
-            verdict = direct()
-        elif args.method == "equations":
-            verdict = equations()
-        else:
-            a, b = direct(), equations()
-            if a != b:
-                print(
-                    f"cross-check disagreement: direct={a} equations={b}",
-                    file=sys.stderr,
-                )
-                return 3
-            verdict = a
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.method == "direct":
+        verdict = direct()
+    elif args.method == "equations":
+        verdict = equations()
+    else:
+        a, b = direct(), equations()
+        if a != b:
+            print(
+                f"cross-check disagreement: direct={a} equations={b}",
+                file=sys.stderr,
+            )
+            return 3
+        verdict = a
     _emit(args, {"member": verdict}, "true" if verdict else "false")
     return 0 if verdict else 1
 
 
 def cmd_contains(args) -> int:
-    mu = _parse_partition(args.mu)
-    lam = _parse_partition(args.lam)
+    mu = GenPartition.parse(args.mu)
+    lam = GenPartition.parse(args.lam)
     Z1 = _load_variety(args.file1, mu)
     Z2 = _load_variety(args.file2, lam)
-    try:
-        verdict = contains(
-            GenComposition.from_partition(mu), Z1, GenComposition.from_partition(lam), Z2
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    verdict = contains(
+        GenComposition.from_partition(mu), Z1, GenComposition.from_partition(lam), Z2
+    )
     _emit(args, {"contains": verdict}, "true" if verdict else "false")
     return 0 if verdict else 1
 
 
 def cmd_gamma(args) -> int:
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
-    if not lam.is_infinite:
-        raise UsageError("the ambient partition must have an infinite part")
-    if mu.length == 0:
-        raise UsageError("the slice partition must be non-empty")
+    lam = GenPartition.parse(args.lam)
+    mu = GenPartition.parse(args.mu)
     Z = _load_variety(args.file, lam)
     result = gamma_at(
         GenComposition.from_partition(lam), Z, GenComposition.from_partition(mu)
@@ -248,7 +214,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except ValueError as exc:  # the library's report of bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # uncaught, it would exit 1, which reads as "false"

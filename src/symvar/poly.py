@@ -351,9 +351,6 @@ class PolyProduct:
     def __init__(self, factors=()):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def variables(self):
-        return {v for f in self.factors for v in f.variables()}
-
     def __mul__(self, other):
         if isinstance(other, PolyProduct):
             return PolyProduct(self.factors + other.factors)

@@ -39,6 +39,7 @@ from .poly import (
 from .variety import (
     FinitaryPoint,
     PointSetVariety,
+    _gamma_points,
     apply_corr,
     end_closure,
     theta_member,
@@ -334,6 +335,12 @@ def suite_end_closure(rng, count=15):
             fails.append(f"idempotence {t}")
         if len(enumerate_end(lam)) < 1 or not set(Z.points) <= set(Ze.points):
             fails.append(f"closure containment {t}")
+        # the slice over lam by its definition (the union of the good
+        # correspondences' images) against the collapse route, on Z and on
+        # its closure, which adds no point (see variety.gamma_at)
+        by_corr = {p for c in enumerate_good(lam, lam) for p in apply_corr(c, Z).points}
+        if not by_corr == _gamma_points(lam, Z.points, lam) == _gamma_points(lam, Ze.points, lam):
+            fails.append(f"slice routes disagree {t}")
     return "endomorphism closure", checks, fails
 
 

@@ -3,10 +3,10 @@
 A finitary point is a finite list of distinct rational values with
 multiplicities in N ∪ {inf}, at least one of them infinite.  A point-set
 variety is a finite set of rational tuples inside the affine space attached
-to a generalized composition.  This module computes point actions of maps
-and correspondences and the endomorphism closure.  The slices of the
-closure system need neither: each is read off the points of Z collapsed
-along their values (see ``gamma_at``); both take their maps from
+to a generalized composition.  This module computes the point action of
+correspondences and the endomorphism closure.  The slices of the closure
+system need neither: each is read off the points of Z collapsed along their
+values (see ``gamma_at``); both take their maps from
 ``partitions.weight_maps``.  Membership and containment build no slice:
 they follow the paper's point-set description, one pass over Z per query
 (see ``theta_member``).
@@ -187,16 +187,6 @@ def variety_from_json(text: str) -> PointSetVariety:
         coords = [_parse_rational(str(c)) for c in p]
         pts.append(tuple(coords[i] for i in order))
     return PointSetVariety(lam, pts)
-
-
-def act_point(f, x):
-    """Point action of a map of compositions: coordinate i receives x_{f(i)}.
-
-    `x` is a tuple over the codomain labels; the result lives over the
-    domain labels.
-    """
-    cod_pos = {k: i for i, k in enumerate(f.codomain.labels)}
-    return tuple(x[cod_pos[f.table[i]]] for i in f.domain.labels)
 
 
 def apply_corr(f: "Correspondence", S: PointSetVariety) -> PointSetVariety:

@@ -1,9 +1,14 @@
 """Command-line surface: verdicts, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symvar
+from symvar import cli
 from symvar.cli import main
 
 BOOLEAN_PAIR = '{"lambda": ["inf", "inf"], "points": [[0, 1], [1, 0]]}'
@@ -188,3 +193,34 @@ class TestRoundTrips:
         code, out, _ = run(capsys, "type", "6^inf,7^inf,3^3,5^2")
         code2, out2, _ = run(capsys, "type", "3^3,5^2,6^inf,7^inf")
         assert out == out2
+
+
+class TestErrorPath:
+    """Every ValueError a subcommand meets exits 2 through ``main``."""
+
+    @staticmethod
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    @pytest.mark.parametrize("target, argv", [
+        ("type_of", ["type", "0^inf,1^3"]),
+        ("preceq", ["preceq", "2", "inf,1"]),
+        ("min_excluded", ["min-excluded", "inf,1"]),
+        ("i_lambda", ["equations", "inf,1"]),
+        ("theta_member", ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z"]),
+        ("contains", ["contains", "inf,inf", "Z", "inf,inf", "Z"]),
+        ("gamma_at", ["gamma", "inf,inf", "Z", "1"]),
+        ("selfcheck.run_all", ["selfcheck"]),
+    ])
+    def test_value_error_exits_two(self, monkeypatch, capsys, variety_file, target, argv):
+        owner, _, name = target.rpartition(".")
+        monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, self.boom)
+        argv = [variety_file if a == "Z" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", "error: boom\n")
+
+    def test_import_symvar_loads_no_submodule(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
+        probe = "import sys, symvar; print(sorted(m for m in sys.modules if m.startswith('symvar.')))"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"

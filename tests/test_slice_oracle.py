@@ -18,13 +18,12 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.corr import compose, enumerate_end, enumerate_good
+from symvar.corr import compose, enumerate_good
 from symvar.equations import capped_shapes
 from symvar.partitions import INF, GenComposition, GenPartition, mu_s
 from symvar.variety import (
     PointSetVariety,
     _gamma_points,
-    act_point,
     apply_corr,
     end_closure,
     gamma_at,
@@ -129,15 +128,6 @@ def test_apply_corr_matches_oracle(text):
     corrs += [compose(f, rng.choice(selfs)) for f in rng.sample(corrs, min(4, len(corrs)))]
     for f in corrs:
         assert apply_corr(f, S).points == tuple(sorted(oracle_corr_image(f, S.points))), f
-
-
-def test_act_point_matches_oracle():
-    rng = random.Random(7)
-    for text in ("inf,1", "inf,inf,2", "inf,2,1,1"):
-        lam = C(GenPartition.parse(text))
-        z = tuple(rng.choice(POOL) for _ in range(lam.length))
-        for f in enumerate_end(lam):
-            assert act_point(f, z) == oracle_act_point(f, z)
 
 
 def test_action_is_shared_across_relabelings():

@@ -12,7 +12,6 @@ from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
-    act_point,
     apply_corr,
     aut_orbits,
     contains,
@@ -72,20 +71,6 @@ class TestWidth:
             for n in range(1, 4):
                 vanishes = orbit_evaluations(discriminant(n + 1), x.classes) == [0]
                 assert (x.width <= n) == vanishes
-
-
-class TestActPoint:
-    def test_identity(self):
-        lam = C(P("inf,2"))
-        assert act_point(CompMap.identity(lam), (0, 1)) == (0, 1)
-
-    def test_all_to_one(self):
-        f = CompMap(C(P("1,1,1")), C(P("3")), {1: 1, 2: 1, 3: 1})
-        assert act_point(f, (Fraction(7),)) == (7, 7, 7)
-
-    def test_injection_subtuple(self):
-        f = CompMap(C(P("2,1")), C(P("4,4")), {1: 1, 2: 2})
-        assert act_point(f, (5, 6)) == (5, 6)
 
 
 class TestApplyCorr:

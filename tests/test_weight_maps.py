@@ -7,11 +7,13 @@ search it replaced (``tests/oracles.py``), so the search does not judge
 itself.
 """
 
+import io
 import itertools
 import random
 
 import pytest
 
+from symvar import selfcheck, variety
 from symvar.corr import enumerate_end
 from symvar.partitions import INF, GenComposition, ext_sum, weight_maps
 from symvar.variety import PointSetVariety, aut_orbits
@@ -82,3 +84,19 @@ def test_aut_orbits_match_bfs():
         assert orbits == aut_orbits_by_bfs(lam, Z), (lam, Z.points)
         multi_point_orbits += sum(len(o) > 1 for o in orbits)
     assert multi_point_orbits > 0
+
+
+def weight_maps_without_shrinking(weights, labels, rooms):
+    """``weight_maps`` with rooms that never shrink: a weight fits any slot
+    at least its size, however many weights went there before."""
+    return list(itertools.product(*([labels[j] for j, r in enumerate(rooms) if w <= r]
+                                    for w in weights)))
+
+
+def test_selfcheck_catches_rooms_that_never_shrink(monkeypatch):
+    # the slices and end_closure take their maps from variety's weight_maps;
+    # selfcheck's correspondence route does not, so it sees the extra points
+    monkeypatch.setattr(variety, "weight_maps", weight_maps_without_shrinking)
+    out = io.StringIO()
+    assert selfcheck.run_all(1, out) is False
+    assert "endomorphism closure: FAIL" in out.getvalue()
