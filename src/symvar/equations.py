@@ -207,18 +207,21 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         raise ValueError("Z must live over the composition of lam")
     e = lam.finite_weight
     gens = list(i_lambda(lam).generators)
+    ideals = {}  # slices of different shapes often hold the same points
     for mu in capped_shapes(lam):
         if not _mix_safe(mu, lam):
             continue
         T = row_major_tableau(mu)
         saturated = mu_s(mu, e)
-        slice_pts = _gamma_points(
+        slice_pts = frozenset(_gamma_points(
             lam_comp, Z.points, GenComposition.from_partition(saturated)
-        )
+        ))
         if not slice_pts:
             gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1))))
             continue
-        for g in vanishing_ideal(slice_pts):
+        if slice_pts not in ideals:
+            ideals[slice_pts] = vanishing_ideal(slice_pts)
+        for g in ideals[slice_pts]:
             gens.append(IdealGenerator(T.rows, g, ("slice", mu, g)))
     return TypeIdeal(lam, gens)
 
@@ -257,9 +260,11 @@ def _tail_zero_test(tail, tail_rows, classes):
     return vanishes
 
 
-def _exists_nonzero_assignment(gen: IdealGenerator, classes) -> bool:
-    """Is there an assignment of the generator's labels into the value
-    classes, respecting multiplicities, with every factor nonzero?
+def _orbits_vanish(generators, classes):
+    """For each generator in turn: do all its orbit evaluations vanish at
+    the point with these value classes, that is, is there no assignment of
+    the generator's labels into the classes, respecting multiplicities,
+    with every factor nonzero?
 
     The difference factors vanish exactly when two labels in distinct rows
     share a class (distinct classes carry distinct values), so rows must
@@ -269,53 +274,62 @@ def _exists_nonzero_assignment(gen: IdealGenerator, classes) -> bool:
     multiplicities add up to at least `size`.  The distributed tail copies
     are all nonzero exactly when no choice of one class per mentioned row
     lands in the tail's zero locus (`_tail_zero_test`).
+
+    The supports depend on the rows alone, so each run of consecutive
+    generators with equal rows (one capped shape) enumerates them once, and
+    each tail is tested on their distinct projections onto its rows.  The
+    class tables are built once per point.
     """
-    rows = gen.rows
-    tail = gen.tail
     n = len(classes)
     # supports are bitmasks of classes
     members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
-    fits = {
-        size: [m for m in range(1, 1 << n)
-               if len(members[m]) <= size
-               and ext_sum(classes[c][1] for c in members[m]) >= size]
-        for size in {len(r) for r in rows}
-    }
-    tail_rows = _tail_rows(rows, tail) if tail is not None else []
-    vanishes = None  # built when a search first reaches the tail
+    fits = {}
 
-    def rec(i, available, supports):
-        nonlocal vanishes
+    def supports(rows, i=0, available=(1 << n) - 1):
         if i == len(rows):
-            if tail is None:
-                return True
-            if vanishes is None:
-                vanishes = _tail_zero_test(tail, tail_rows, classes)
-            return not any(
-                vanishes(combo)
-                for combo in itertools.product(*(members[supports[r]] for r in tail_rows))
-            )
-        for m in fits[len(rows[i])]:
+            yield ()
+            return
+        size = len(rows[i])
+        if size not in fits:
+            fits[size] = [m for m in range(1, 1 << n)
+                          if len(members[m]) <= size
+                          and ext_sum(classes[c][1] for c in members[m]) >= size]
+        for m in fits[size]:
             if m & available == m:
-                supports.append(m)
-                found = rec(i + 1, available & ~m, supports)
-                supports.pop()
-                if found:
-                    return True
-        return False
+                for rest in supports(rows, i + 1, available & ~m):
+                    yield (m,) + rest
 
-    return rec(0, (1 << n) - 1, [])
+    for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
+        found = None  # every support assignment, listed when a tail needs it
+        projections = {}
+        for g in run:
+            if g.tail is None:
+                yield next(supports(rows), None) is None
+                continue
+            if found is None:
+                found = list(supports(rows))
+            if not found:
+                yield True
+                continue
+            tail_rows = tuple(_tail_rows(rows, g.tail))
+            if tail_rows not in projections:
+                projections[tail_rows] = {tuple(a[r] for r in tail_rows) for a in found}
+            vanishes = _tail_zero_test(g.tail, tail_rows, classes)
+            yield all(
+                any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
+                for p in projections[tail_rows]
+            )
 
 
 def generator_orbit_vanishes(gen: IdealGenerator, x: FinitaryPoint) -> bool:
     """Do all orbit evaluations of the generator at x equal zero?"""
-    return not _exists_nonzero_assignment(gen, list(x.classes))
+    return next(_orbits_vanish([gen], list(x.classes)))
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:
     """Point membership by equations: every generator's orbit evaluations
     at x must all vanish."""
-    return all(generator_orbit_vanishes(g, x) for g in ideal.generators)
+    return all(_orbits_vanish(ideal.generators, list(x.classes)))
 
 
 def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
@@ -323,16 +337,14 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
     all other kept generators vanish, it vanishes too.  The result cuts out
     the same locus on the sampled battery only; this is flagged as a
     heuristic, not a proof of redundancy."""
-    kept = list(ideal.generators)
-    for g in list(reversed(kept)):
-        others = [h for h in kept if h is not g]
+    gens = ideal.generators
+    # vanish[i][j]: do the orbit evaluations of generator j vanish at sample point i?
+    vanish = [list(_orbits_vanish(gens, list(x.classes))) for x in sample_points]
+    kept = list(range(len(gens)))
+    for j in reversed(kept):
+        others = [h for h in kept if h != j]
         if not others:
             continue
-        implied = all(
-            generator_orbit_vanishes(g, x)
-            for x in sample_points
-            if all(generator_orbit_vanishes(h, x) for h in others)
-        )
-        if implied:
+        if all(row[j] for row in vanish if all(row[h] for h in others)):
             kept = others
-    return TypeIdeal(ideal.lam, kept)
+    return TypeIdeal(ideal.lam, [gens[j] for j in kept])

@@ -59,7 +59,8 @@ class Poly:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -534,39 +535,32 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     return ExtractionWitness(steps, c, n)
 
 
-def _monomials_of_degree(nvars, degree):
-    """Exponent tuples of the given total degree, ascending graded-lex."""
-    if degree == 0:
-        return [(0,) * nvars]
-    if nvars == 0:
-        return []
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == nvars - 1:
-            out.append(tuple(acc + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, acc + [e])
-
-    rec(0, degree, [])
-    return sorted(out)  # larger exponent on an earlier (bigger) variable = bigger
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _border(standard, r):
+    """Ascending exponent tuples m, one degree above the standard monomials
+    `standard` of one degree, with every m / t_i standard: m arises as
+    s * t_i from a standard s once for each i with a positive exponent."""
+    hits = {}
+    for s in standard:
+        for i in range(r):
+            m = s[:i] + (s[i] + 1,) + s[i + 1:]
+            hits[m] = hits.get(m, 0) + 1
+    return sorted(m for m, k in hits.items() if k == r - m.count(0))
 
 
 def vanishing_ideal(points, nvars=None) -> list:
     """Reduced graded-lex generating set of the ideal of polynomials in
     t1..tr vanishing on a finite set of rational points.
 
-    Buchberger-Moeller elimination degree by degree: a monomial that is no
-    multiple of a found leading term is standard if its evaluation vector is
-    independent of those of the earlier standard monomials, and otherwise
-    gives the generator "monomial minus that combination".  The loop ends at
-    the first degree with no such monomial; the quotient dimension then
-    equals the number of points.
+    Buchberger-Moeller elimination degree by degree: a candidate monomial is
+    standard if its evaluation vector is independent of those of the earlier
+    standard monomials, and otherwise gives the generator "monomial minus
+    that combination".  The candidates of degree d are the border of the
+    standard monomials of degree d-1: the monomials m with every m / t_i
+    standard.  Standard monomials form an order ideal, so these are exactly
+    the monomials of degree d that no earlier leading term divides; they are
+    taken in ascending graded-lex order.  The loop ends at the first degree
+    with no candidate; the quotient dimension then equals the number of
+    points.
 
     The arithmetic is over the integers: the points are scaled by the lcm D
     of their denominators, so a degree-k row is D^k times the evaluation
@@ -575,7 +569,8 @@ def vanishing_ideal(points, nvars=None) -> list:
     cross-multiplication and divided by their gcd, and only the emitted
     coefficients become rationals.  The output is that of elimination over Q.
     """
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    # int and Fraction coordinates both carry numerator and denominator
+    pts = sorted({tuple(p) for p in points})
     if not pts:
         raise ValueError("vanishing_ideal requires a non-empty point set")
     r = len(pts[0])
@@ -593,19 +588,13 @@ def vanishing_ideal(points, nvars=None) -> list:
     raw = {}  # scaled evaluation vector of each standard monomial
     standard = []
     gens = []
-    leads = []
+    candidates = [(0,) * r]
     degree = 0
-    while True:
-        candidates = [
-            m
-            for m in _monomials_of_degree(r, degree)
-            if not any(_divides(l, m) for l in leads)
-        ]
-        if not candidates and degree > 0:
-            break
+    while candidates:
+        new_standard = []
         for m in candidates:
             if degree:
-                # m / t_i is standard: otherwise m would be a multiple of a lead
+                # m is a border candidate, so m / t_i is standard
                 i = next(i for i, e in enumerate(m) if e)
                 vec = [a * b for a, b in zip(raw[m[:i] + (m[i] - 1,) + m[i + 1:]], cols[i])]
             else:
@@ -627,6 +616,7 @@ def vanishing_ideal(points, nvars=None) -> list:
                 rows.append((piv, row))
                 raw[m] = vec
                 standard.append(m)
+                new_standard.append(m)
             else:
                 lead = row[-1]
                 gens.append(Poly({
@@ -634,7 +624,7 @@ def vanishing_ideal(points, nvars=None) -> list:
                     for mm, c in zip(standard + [m], row[npts:])
                     if c
                 }))
-                leads.append(m)
+        candidates = _border(new_standard, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"
     return gens

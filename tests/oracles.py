@@ -11,7 +11,10 @@ the screens of ``partitions.preceq``.  ``enumerate_end_by_product`` walks
 all n^n tables, ``aut`` lists every weight-preserving permutation and
 ``aut_orbits_by_bfs`` closes each point under them: the searches that
 ``partitions.weight_maps`` and the block-multiset key of
-``variety.aut_orbits`` replaced.
+``variety.aut_orbits`` replaced.  ``monomials_of_degree`` and ``divides``
+list the candidates of a ``vanishing_ideal`` degree the way the border of
+the standard monomials replaced: every monomial of the degree that no
+leading term divides.
 """
 
 import itertools
@@ -326,3 +329,26 @@ def aut_orbits_by_bfs(lam: GenComposition, Z: PointSetVariety) -> list:
         remaining -= full
         orbits.append(tuple(sorted(full)))
     return sorted(orbits)
+
+
+def monomials_of_degree(nvars, degree):
+    """Exponent tuples of the given total degree, ascending graded-lex."""
+    if degree == 0:
+        return [(0,) * nvars]
+    if nvars == 0:
+        return []
+    out = []
+
+    def rec(pos, remaining, acc):
+        if pos == nvars - 1:
+            out.append(tuple(acc + [remaining]))
+            return
+        for e in range(remaining + 1):
+            rec(pos + 1, remaining - e, acc + [e])
+
+    rec(0, degree, [])
+    return sorted(out)  # larger exponent on an earlier (bigger) variable = bigger
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))

@@ -9,7 +9,9 @@ carry denominators 2, 3 and 7 and negative values, so q > 1.  Three checks:
   outside it never rejects a member;
 - the structured search equals the former one, which evaluated every tail
   in ``Fraction`` arithmetic for every support choice (kept here as the
-  oracle);
+  oracle), both per generator and over a whole ideal, whose runs of equal
+  rows share one support search; a shuffled generator tuple splits those
+  runs and must not change the answer;
 - the integer zero test agrees with ``tail.evaluate(...) == 0`` on every
   choice of one class per tail row.
 """
@@ -24,6 +26,7 @@ import pytest
 from symvar.equations import (
     _tail_rows,
     _tail_zero_test,
+    TypeIdeal,
     generator_orbit_vanishes,
     i_lambda_z,
     member_by_equations,
@@ -137,6 +140,33 @@ def test_search_matches_fraction_oracle(ideals, text, k):
         for x in points:
             want = not oracle_exists_nonzero_assignment(g, list(x.classes))
             assert generator_orbit_vanishes(g, x) == want, (g, str(x))
+
+
+@pytest.mark.parametrize("text,k", list(cases()))
+def test_shared_search_matches_oracle(ideals, text, k):
+    _, _, points, ideal = ideals[text, k]
+    for x in points:
+        want = all(not oracle_exists_nonzero_assignment(g, list(x.classes))
+                   for g in ideal.generators)
+        assert member_by_equations(ideal, x) == want, str(x)
+
+
+def runs(generators):
+    return len(list(itertools.groupby(generators, key=lambda g: g.rows)))
+
+
+def test_shuffled_generators_match_oracle(ideals):
+    lam, _, points, ideal = ideals["inf,inf,1", 0]
+    gens = list(ideal.generators)
+    random.Random(5).shuffle(gens)
+    shuffled = TypeIdeal(lam, gens)
+    assert runs(shuffled.generators) > runs(ideal.generators)
+    answers = set()
+    for x in points:
+        want = all(not oracle_exists_nonzero_assignment(g, list(x.classes)) for g in gens)
+        assert member_by_equations(shuffled, x) == want == member_by_equations(ideal, x), str(x)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_integer_zero_test_matches_evaluation(ideals):

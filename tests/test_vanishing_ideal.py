@@ -12,32 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.poly import Poly, T_FAMILY, vanishing_ideal
+from symvar.poly import Poly, T_FAMILY, _border, vanishing_ideal
 
-
-def _monomials_of_degree(nvars, degree):
-    if degree == 0:
-        return [(0,) * nvars]
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == nvars - 1:
-            out.append(tuple(acc + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, acc + [e])
-
-    rec(0, degree, [])
-    return sorted(out)
+from oracles import divides, monomials_of_degree
 
 
 def _exps_to_poly(exps, coeff=1):
     m = tuple(((T_FAMILY, i + 1), e) for i, e in enumerate(exps) if e)
     return Poly({m: Fraction(coeff)})
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def oracle_vanishing_ideal(points):
@@ -63,8 +45,8 @@ def oracle_vanishing_ideal(points):
     while True:
         candidates = [
             m
-            for m in _monomials_of_degree(r, degree)
-            if not any(_divides(l, m) for l in leads)
+            for m in monomials_of_degree(r, degree)
+            if not any(divides(l, m) for l in leads)
         ]
         if not candidates and degree > 0:
             break
@@ -151,6 +133,29 @@ def test_point_sets_cover_the_grid():
     assert any(len({c for pt in p for c in pt}) < sum(len(pt) for pt in p) for p in sets)
 
 
+def test_border_candidates_match_filtered_monomials():
+    """At every degree, the border of the standard monomials one degree
+    below equals the former candidates: every monomial of the degree that
+    no lower-degree leading term divides."""
+    sets = point_sets(31, 112)
+    assert any(c.denominator > 1 for p in sets for pt in p for c in pt)
+    assert any(len(set(pt)) < len(pt) for p in sets for pt in p)  # repeated coordinates
+    for pts in sets:
+        r = len(pts[0])
+        leads = []
+        for g in vanishing_ideal(pts):
+            exps = [tuple(dict(m).get((T_FAMILY, i + 1), 0) for i in range(r)) for m in g.terms]
+            leads.append(max(exps, key=lambda e: (sum(e), e)))
+        top = max(sum(l) for l in leads)
+        for d in range(1, top + 2):
+            below = [l for l in leads if sum(l) < d]
+            standard = [m for m in monomials_of_degree(r, d - 1)
+                        if not any(divides(l, m) for l in leads)]
+            want = [m for m in monomials_of_degree(r, d)
+                    if not any(divides(l, m) for l in below)]
+            assert _border(standard, r) == want, (pts, d)
+
+
 def test_matches_sympy_groebner():
     sympy = pytest.importorskip("sympy")
     ts = sympy.symbols("t1:5")
@@ -180,7 +185,7 @@ def test_matches_sympy_groebner():
         standard = [
             m
             for d in range(r * bound + 1)
-            for m in _monomials_of_degree(r, d)
-            if not any(_divides(l, m) for l in leads)
+            for m in monomials_of_degree(r, d)
+            if not any(divides(l, m) for l in leads)
         ]
         assert len(standard) == len(set(pts)), pts
