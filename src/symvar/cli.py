@@ -83,7 +83,7 @@ def cmd_equations(args) -> int:
         ideal = reduce_generators(ideal, battery)
     payload = {
         "lambda": str(lam),
-        "generators": [str(g.product) for g in ideal.generators],
+        "generators": [str(g) for g in ideal.generators],
         "provenance": [g.provenance() for g in ideal.generators],
     }
     _emit(args, payload, ideal.render())

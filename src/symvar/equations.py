@@ -23,118 +23,89 @@ whenever lam has finite weight at most 1 or at most two parts (which covers
 every partition with all parts infinite), and may only over-accept outside
 that range.
 
-Generators are kept in factored form; their expansions are combinatorially
-infeasible for even modest shapes, while evaluation, printing and
-comparison never need them expanded.
+A generator is held as its shape and its slice factor.  Its expansion is
+combinatorially infeasible for even modest shapes; membership reads the
+shape and the factor, and printing writes the factored form straight from
+them.
 """
 
 import functools
 import itertools
 import math
+import re
 
 from .partitions import (
     GenComposition,
     GenPartition,
-    Tableau,
     ext_sum,
     finite_partitions_in_box,
-    is_inf,
     min_excluded,
     mu_s,
-    row_major_tableau,
 )
-from .poly import (
-    Poly,
-    PolyProduct,
-    difference,
-    tvar,
-    vanishing_ideal,
-    xvar,
-)
+from .poly import T_FAMILY, tvar, vanishing_ideal
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
-def h_tableau(T: Tableau) -> PolyProduct:
-    """Product of (x_i - x_j), i < j, over pairs of labels in distinct rows.
-
-    A single-row tableau yields the empty product 1.
-    """
-    factors = []
-    rows = T.rows
-    for r1 in range(len(rows)):
-        for r2 in range(r1 + 1, len(rows)):
-            for a in rows[r1]:
-                for b in rows[r2]:
-                    lo, hi = (a, b) if a < b else (b, a)
-                    factors.append(difference(lo, hi))
-    factors.sort(key=lambda f: sorted(f.variables()))
-    return PolyProduct(factors)
-
-
 class IdealGenerator:
-    """One generator of an orbit ideal, in factored form.
+    """One generator of an orbit ideal: a finite shape and an optional
+    slice factor.
 
-    `rows` are the tableau rows behind the difference factors.  `tail` is
-    the optional slice factor, a polynomial in t-variables: t_i stands for
-    the coordinates of row i, and the emitted product carries one copy of
-    the tail per choice of a cell in each row it mentions.  `origin`
-    records provenance: ("excluded", alpha) for a minimal excluded
-    partition, or ("slice", mu, g) for a capped shape mu and a
-    vanishing-ideal element g.
+    `kind` is "excluded" for a minimal excluded partition and "slice" for
+    a capped shape.  `rows` fill the `shape` row-major with the cells
+    1, 2, ...; the generator is the product of (x_a - x_b) over cells a < b
+    in different rows.  `tail` is the optional slice factor, a polynomial
+    in t-variables: t_i stands for the coordinates of row i, and the
+    generator carries one copy of the tail per choice of a cell in each
+    row of `tail_rows`, the rows the tail mentions.
     """
 
-    __slots__ = ("_product", "rows", "tail", "origin")
+    __slots__ = ("kind", "shape", "rows", "tail", "tail_rows")
 
-    def __init__(self, rows, tail, origin):
-        rows = Tableau(rows).rows
+    def __init__(self, kind, shape: GenPartition, tail=None):
+        rows, cell = [], 1
+        for size in shape:
+            rows.append(tuple(range(cell, cell + size)))
+            cell += size
+        tail_rows = ()
         if tail is not None:
-            _tail_rows(rows, tail)  # reject a t-variable with no row up front
-        object.__setattr__(self, "_product", None)
-        object.__setattr__(self, "rows", rows)
+            used = {i for fam, i in tail.variables() if fam == T_FAMILY}
+            tail_rows = tuple(i for i in range(len(rows)) if i + 1 in used)
+            if len(tail_rows) != len(used):
+                raise ValueError("tail uses a t-variable with no matching row")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def product(self) -> PolyProduct:
-        """h_tableau of the rows times the distributed tail copies, built on
-        first use and kept: membership reads only `rows` and `tail`, so only
-        printing and comparison pay for the product."""
-        if self._product is None:
-            product = h_tableau(Tableau(self.rows))
-            if self.tail is not None:
-                rows_used = _tail_rows(self.rows, self.tail)
-                for combo in itertools.product(*(self.rows[i] for i in rows_used)):
-                    sub = {tvar(i + 1): xvar(cell) for i, cell in zip(rows_used, combo)}
-                    product = product * self.tail.subs_vars(sub)
-            object.__setattr__(self, "_product", product)
-        return self._product
+        object.__setattr__(self, "tail_rows", tail_rows)
 
     def provenance(self) -> str:
-        if self.origin[0] == "excluded":
-            return f"excluded {self.origin[1]}"
-        _, mu, g = self.origin
-        return f"slice {mu} : {g}"
+        if self.kind == "excluded":
+            return f"excluded {self.shape}"
+        return f"slice {self.shape} : {self.tail or 1}"
 
-    def __eq__(self, other):
-        return isinstance(other, IdealGenerator) and self.product == other.product
-
-    def __hash__(self):
-        return hash(self.product)
+    def __str__(self):
+        """The factored form: the difference factors in order of their
+        cell pairs, then the tail copies; "1" for the empty product."""
+        rows = self.rows
+        factors = [f"(x{a} - x{b})" for a, b in sorted(
+            (a, b) for i, row in enumerate(rows) for later in rows[i + 1:]
+            for a in row for b in later)]
+        if self.tail is not None:
+            # t_{i+1} becomes a cell of row i; cells rise with the row index,
+            # so the renaming keeps the variable order and every copy keeps
+            # the term order of str(tail)
+            slot = {i + 1: p for p, i in enumerate(self.tail_rows)}
+            copy = re.sub(r"t(\d+)", lambda m: "x{%d}" % slot[int(m.group(1))],
+                          f"({self.tail})")
+            factors += [copy.format(*cells) for cells in
+                        itertools.product(*(rows[i] for i in self.tail_rows))]
+        return "*".join(factors) or "1"
 
     def __repr__(self):
         return f"IdealGenerator({self.provenance()})"
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealGenerator is immutable")
-
-
-def _tail_rows(rows, tail):
-    """Indices of the rows whose t-variable appears in the tail."""
-    used = {i for fam, i in tail.variables() if fam == 1}
-    out = [i for i in range(len(rows)) if i + 1 in used]
-    if {i + 1 for i in out} != used:
-        raise ValueError("tail uses a t-variable with no matching row")
-    return out
 
 
 class TypeIdeal:
@@ -151,7 +122,7 @@ class TypeIdeal:
         lines = []
         for g in self.generators:
             lines.append(f"# provenance: {g.provenance()}")
-            lines.append(str(g.product))
+            lines.append(str(g))
         return "\n".join(lines)
 
     def __repr__(self):
@@ -164,12 +135,8 @@ class TypeIdeal:
 def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded
-    partition, on the canonical row-major tableau."""
-    gens = [
-        IdealGenerator(row_major_tableau(alpha).rows, None, ("excluded", alpha))
-        for alpha in min_excluded(lam)
-    ]
-    return TypeIdeal(lam, gens)
+    partition."""
+    return TypeIdeal(lam, [IdealGenerator("excluded", alpha) for alpha in min_excluded(lam)])
 
 
 def capped_shapes(lam: GenPartition) -> list:
@@ -211,18 +178,17 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     for mu in capped_shapes(lam):
         if not _mix_safe(mu, lam):
             continue
-        T = row_major_tableau(mu)
         saturated = mu_s(mu, e)
         slice_pts = frozenset(_gamma_points(
             lam_comp, Z.points, GenComposition.from_partition(saturated)
         ))
         if not slice_pts:
-            gens.append(IdealGenerator(T.rows, None, ("slice", mu, Poly.constant(1))))
+            gens.append(IdealGenerator("slice", mu))
             continue
         if slice_pts not in ideals:
             ideals[slice_pts] = vanishing_ideal(slice_pts)
         for g in ideals[slice_pts]:
-            gens.append(IdealGenerator(T.rows, g, ("slice", mu, g)))
+            gens.append(IdealGenerator("slice", mu, g))
     return TypeIdeal(lam, gens)
 
 
@@ -311,19 +277,13 @@ def _orbits_vanish(generators, classes):
             if not found:
                 yield True
                 continue
-            tail_rows = tuple(_tail_rows(rows, g.tail))
-            if tail_rows not in projections:
-                projections[tail_rows] = {tuple(a[r] for r in tail_rows) for a in found}
-            vanishes = _tail_zero_test(g.tail, tail_rows, classes)
+            if g.tail_rows not in projections:
+                projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
+            vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
             yield all(
                 any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
-                for p in projections[tail_rows]
+                for p in projections[g.tail_rows]
             )
-
-
-def generator_orbit_vanishes(gen: IdealGenerator, x: FinitaryPoint) -> bool:
-    """Do all orbit evaluations of the generator at x equal zero?"""
-    return next(_orbits_vanish([gen], list(x.classes)))
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:

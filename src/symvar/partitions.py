@@ -203,52 +203,6 @@ class GenComposition:
         raise AttributeError("GenComposition is immutable")
 
 
-class Tableau:
-    """Rows of globally distinct integer labels, row lengths non-increasing."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        labels = [x for row in rows for x in row]
-        if len(set(labels)) != len(labels):
-            raise ValueError("tableau labels must be globally distinct")
-        if any(not isinstance(x, int) or x < 1 for x in labels):
-            raise ValueError("tableau labels must be positive integers")
-        lengths = [len(r) for r in rows]
-        if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-            raise ValueError("row lengths must be non-increasing")
-        if any(n == 0 for n in lengths):
-            raise ValueError("empty rows are not allowed")
-        object.__setattr__(self, "rows", rows)
-
-    def shape(self) -> GenPartition:
-        return GenPartition(len(r) for r in self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Tableau({self.rows!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
-
-
-def row_major_tableau(shape: GenPartition) -> Tableau:
-    """Rows filled with consecutive integers: row 1 gets 1..shape[0], etc."""
-    if shape.is_infinite:
-        raise ValueError("row-major tableau requires a finite shape")
-    rows, nxt = [], 1
-    for size in shape:
-        rows.append(tuple(range(nxt, nxt + size)))
-        nxt += size
-    return Tableau(rows)
-
-
 def leq(mu: GenPartition, lam: GenPartition) -> bool:
     """mu obtained from lam by decreasing or removing parts."""
     if mu.length > lam.length:

@@ -342,39 +342,6 @@ def parse_poly(text: str) -> Poly:
     return node
 
 
-class PolyProduct:
-    """A polynomial kept in factored form; the product is never expanded.
-    Used for ideal generators whose expansions are combinatorially
-    infeasible."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors=()):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def __mul__(self, other):
-        if isinstance(other, PolyProduct):
-            return PolyProduct(self.factors + other.factors)
-        return PolyProduct(self.factors + (other,))
-
-    def __eq__(self, other):
-        return isinstance(other, PolyProduct) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        return "*".join(f"({f})" for f in self.factors)
-
-    def __repr__(self):
-        return f"PolyProduct({self})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyProduct is immutable")
-
-
 def difference(a: int, b: int) -> Poly:
     """x_a - x_b."""
     return Poly.x(a) - Poly.x(b)

@@ -33,12 +33,16 @@ class DistinctnessError(ValueError):
 
 def _parse_rational(text):
     text = text.strip()
-    if "/" in text:
-        num, den = (int(s) for s in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = (int(s) for s in text.split("/", 1))
+        else:
+            num, den = int(text), 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r} (expected an integer or p/q)") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 class FinitaryPoint:
@@ -120,12 +124,8 @@ class PointSetVariety:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "points", tuple(pts))
 
-    @property
-    def has_distinct_coordinates(self) -> bool:
-        return all(len(set(p)) == len(p) for p in self.points)
-
     def require_distinct(self):
-        if not self.has_distinct_coordinates:
+        if any(len(set(p)) != len(p) for p in self.points):
             raise DistinctnessError(
                 "operation requires points with pairwise distinct coordinates"
             )
@@ -135,9 +135,6 @@ class PointSetVariety:
 
     def __iter__(self):
         return iter(self.points)
-
-    def __contains__(self, p):
-        return tuple(Fraction(c) for c in p) in set(self.points)
 
     def __eq__(self, other):
         return (

@@ -14,7 +14,9 @@ all n^n tables, ``aut`` lists every weight-preserving permutation and
 ``variety.aut_orbits`` replaced.  ``monomials_of_degree`` and ``divides``
 list the candidates of a ``vanishing_ideal`` degree the way the border of
 the standard monomials replaced: every monomial of the degree that no
-leading term divides.
+leading term divides.  ``h_tableau`` and ``eager_product`` build a
+generator's factors as polynomials, the way generators were once held
+before they were printed straight from their shape and slice factor.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
 from symvar.partitions import INF, GenComposition, GenPartition, ext_sum, is_inf
-from symvar.poly import X_FAMILY, Poly, PolyProduct, xvar
+from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
 
@@ -83,12 +85,39 @@ def preceq_by_groups(mu: GenPartition, lam: GenPartition) -> bool:
     return solve(0, (1 << lam.length) - 1)
 
 
-def expand(pp: PolyProduct) -> Poly:
+def expand(factors) -> Poly:
     """The product of the factors, multiplied out."""
     out = Poly.constant(1)
-    for f in pp.factors:
+    for f in factors:
         out = out * f
     return out
+
+
+def h_tableau(rows) -> tuple:
+    """Factors x_a - x_b, a < b, over pairs of labels in distinct rows,
+    sorted by their variables.  A single row yields the empty product."""
+    factors = []
+    for r1 in range(len(rows)):
+        for r2 in range(r1 + 1, len(rows)):
+            for a in rows[r1]:
+                for b in rows[r2]:
+                    lo, hi = (a, b) if a < b else (b, a)
+                    factors.append(difference(lo, hi))
+    factors.sort(key=lambda f: sorted(f.variables()))
+    return tuple(factors)
+
+
+def eager_product(gen: IdealGenerator) -> tuple:
+    """The factors of a generator: h_tableau of its rows, then one copy of
+    the tail per choice of a cell in each row the tail mentions, relabeled
+    with ``Poly.subs_vars``."""
+    factors = h_tableau(gen.rows)
+    if gen.tail is not None:
+        used = sorted(i - 1 for fam, i in gen.tail.variables() if fam == T_FAMILY)
+        for combo in itertools.product(*(gen.rows[i] for i in used)):
+            factors += (gen.tail.subs_vars(
+                {tvar(i + 1): xvar(cell) for i, cell in zip(used, combo)}),)
+    return factors
 
 
 def is_good(corr: Correspondence) -> bool:
@@ -190,11 +219,11 @@ def orbit_evaluations(p: Poly, point_classes) -> list:
 def generator_orbit_vanishes_brute(gen: IdealGenerator, x: FinitaryPoint) -> bool:
     """Expansion-based cross-check of the structured vanishing search; only
     usable when the expanded generator is small."""
-    vals = orbit_evaluations(expand(gen.product), x.classes)
+    vals = orbit_evaluations(expand(eager_product(gen)), x.classes)
     return vals == [0] or vals == []
 
 
-def product_shape(pp: PolyProduct):
+def product_shape(factors):
     """Recover the tableau shape of a pure product of coordinate differences.
 
     Returns the partition of row sizes when the factors form the complete
@@ -204,7 +233,7 @@ def product_shape(pp: PolyProduct):
     """
     edges = set()
     vertices = set()
-    for f in pp.factors:
+    for f in factors:
         terms = f.terms
         if len(terms) != 2:
             return None

@@ -164,6 +164,16 @@ class TestMalformedInput:
     def test_zero_denominator_in_point_literal(self, capsys):
         self.assert_data_error(capsys, "type", "1/0^inf")
 
+    @pytest.mark.parametrize("literal, bad", [
+        ("^", "''"),
+        ("1e3^inf", "'1e3'"),
+        ("0^inf,1/2/3^1", "'1/2/3'"),
+    ])
+    def test_bad_rational_in_point_literal(self, capsys, literal, bad):
+        code, out, err = run(capsys, "type", literal)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad rational {bad} (expected an integer or p/q)\n"
+
     def test_points_not_a_list(self, capsys, tmp_path):
         path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": 5}')
         self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)

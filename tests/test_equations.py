@@ -1,16 +1,16 @@
 """Generator synthesis for the defining ideals and equation-based membership."""
 
-import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from symvar import cli
 from symvar.equations import (
     IdealGenerator,
+    TypeIdeal,
     capped_shapes,
-    generator_orbit_vanishes,
-    h_tableau,
     i_lambda,
     i_lambda_z,
     member_by_equations,
@@ -20,95 +20,90 @@ from symvar.partitions import (
     INF,
     GenComposition,
     GenPartition,
-    Tableau,
     mu_s,
     preceq,
-    row_major_tableau,
 )
-from symvar.poly import Poly, PolyProduct, parse_poly, tvar, xvar
+from symvar.poly import Poly, parse_poly
 from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
     random_point,
     random_variety,
 )
-from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, theta_member, type_of
+from symvar.variety import (
+    FinitaryPoint,
+    PointSetVariety,
+    gamma_at,
+    theta_member,
+    type_of,
+    variety_from_json,
+)
 
 from oracles import (
+    eager_product,
     equivalent_mod_relabeling,
     expand,
     generator_orbit_vanishes_brute,
+    h_tableau,
     product_shape,
 )
+from test_golden_cli import FILES
 
 P = GenPartition.parse
 C = GenComposition.from_partition
 
 
-def reference_pair_block_product(n):
-    """prod over 0 <= k,l <= n of (x_{n+1-k} - x_{2n+2-l})."""
-    return PolyProduct(
-        tuple(
-            parse_poly(f"x{n + 1 - k} - x{2 * n + 2 - l}")
-            for k in range(n + 1)
-            for l in range(n + 1)
-        )
-    )
+def excluded(text):
+    return IdealGenerator("excluded", P(text))
 
 
 class TestHTableau:
     def test_triple(self):
-        h = h_tableau(row_major_tableau(P("1,1,1")))
+        h = parse_poly(str(excluded("1,1,1")))
         reference = parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)")
-        assert equivalent_mod_relabeling(expand(h), reference)
+        assert equivalent_mod_relabeling(h, reference)
 
     def test_pair_shape(self):
-        h = h_tableau(row_major_tableau(P("2,2")))
+        g = excluded("2,2")
+        assert g.rows == ((1, 2), (3, 4))
         want = parse_poly("(x1 - x3)*(x1 - x4)*(x2 - x3)*(x2 - x4)")
-        assert expand(h) == want
+        assert parse_poly(str(g)) == want
 
     def test_single_row_is_one(self):
-        assert expand(h_tableau(row_major_tableau(P("4")))) == Poly.constant(1)
-
-    def test_square_invariant_under_row_preserving_relabeling(self):
-        from symvar.partitions import Tableau
-
-        a = expand(h_tableau(Tableau([(1, 2), (3,)])))
-        b = expand(h_tableau(Tableau([(2, 1), (3,)])))
-        c = expand(h_tableau(Tableau([(3, 1), (2,)])))
-        assert a * a == b * b
-        assert equivalent_mod_relabeling(a, c)
+        g = excluded("4")
+        assert str(g) == "1"
+        assert expand(eager_product(g)) == Poly.constant(1)
 
 
 class TestProductShape:
     def test_recovers_shapes(self):
         for lit in ["1,1,1", "2,2", "3,3,3,1", "4,4,4", "2,1"]:
             shape = P(lit)
-            assert product_shape(h_tableau(row_major_tableau(shape))) == shape
+            assert product_shape(h_tableau(excluded(lit).rows)) == shape
 
     def test_rejects_non_multipartite(self):
-        assert product_shape(PolyProduct((parse_poly("x1 - x2"), parse_poly("x3 - x4")))) is None
-        assert product_shape(PolyProduct((parse_poly("x1 + x2"),))) is None
-        assert product_shape(PolyProduct(())) is None
+        assert product_shape((parse_poly("x1 - x2"), parse_poly("x3 - x4"))) is None
+        assert product_shape((parse_poly("x1 + x2"),)) is None
+        assert product_shape(()) is None
 
 
 class TestILambda:
     def test_two_part_family_shapes(self):
         for n in range(1, 6):
             ideal = i_lambda(GenPartition([INF, n]))
-            shapes = sorted(str(product_shape(g.product)) for g in ideal.generators)
+            shapes = sorted(str(product_shape(eager_product(g))) for g in ideal.generators)
             assert shapes == sorted(["1,1,1", f"{n + 1},{n + 1}"])
 
     def test_four_part_family_shapes(self):
         ideal = i_lambda(P("inf,inf,2,1"))
-        shapes = sorted(str(product_shape(g.product)) for g in ideal.generators)
+        shapes = sorted(str(product_shape(eager_product(g))) for g in ideal.generators)
         assert shapes == sorted(["1,1,1,1,1", "2,2,2,2", "3,3,3,1", "4,4,4"])
 
     def test_single_infinite(self):
         ideal = i_lambda(P("inf"))
         assert len(ideal.generators) == 1
         assert equivalent_mod_relabeling(
-            expand(ideal.generators[0].product), parse_poly("x1 - x2")
+            expand(eager_product(ideal.generators[0])), parse_poly("x1 - x2")
         )
 
     def test_requires_infinite_part(self):
@@ -127,7 +122,7 @@ class TestILambdaZ:
             parse_poly("(x1 - x2)*(x2*(x2 - 1))"),
             parse_poly("x1*(x1 - 1)"),
         ]
-        ours = [expand(g.product) for g in ideal.generators]
+        ours = [expand(eager_product(g)) for g in ideal.generators]
         for pg in displays:
             assert any(equivalent_mod_relabeling(pg, og) for og in ours)
 
@@ -135,7 +130,7 @@ class TestILambdaZ:
         lam = P("inf")
         Z = PointSetVariety(C(lam), [(Fraction(5),)])
         ideal = i_lambda_z(lam, Z)
-        expanded = [expand(g.product) for g in ideal.generators]
+        expanded = [expand(eager_product(g)) for g in ideal.generators]
         assert any(equivalent_mod_relabeling(e, parse_poly("x1 - 5")) for e in expanded)
         assert any(equivalent_mod_relabeling(e, parse_poly("x1 - x2")) for e in expanded)
 
@@ -144,7 +139,7 @@ class TestILambdaZ:
         Z = PointSetVariety(C(lam), [(0, 1)])
         ideal = i_lambda_z(lam, Z)
         for g in ideal.generators:
-            assert g.origin[0] in ("excluded", "slice")
+            assert g.kind in ("excluded", "slice")
             assert g.provenance()
 
     def test_distinctness_required(self):
@@ -158,7 +153,7 @@ class TestILambdaZ:
         lam = P("inf,inf")
         Z = PointSetVariety(C(lam), [])
         ideal = i_lambda_z(lam, Z)
-        assert any(g.origin[0] == "slice" and g.tail is None for g in ideal.generators)
+        assert any(g.kind == "slice" and g.tail is None for g in ideal.generators)
 
     def test_saturated_slices_match_capped_slices(self):
         # the slice over a capped shape equals the slice over its saturation
@@ -171,52 +166,63 @@ class TestILambdaZ:
             assert set(a.points) == set(b.points), mu
 
 
-def eager_product(rows, tail):
-    """The product as IdealGenerator built it in its constructor before it
-    became lazy: h_tableau times one tail copy per choice of a cell in each
-    row the tail mentions."""
-    product = h_tableau(Tableau(rows))
-    if tail is not None:
-        used = sorted(i - 1 for fam, i in tail.variables() if fam == 1)
-        for combo in itertools.product(*(rows[i] for i in used)):
-            product = product * tail.subs_vars(
-                {tvar(i + 1): xvar(cell) for i, cell in zip(used, combo)})
-    return product
+def golden_pair(name):
+    Z = variety_from_json(FILES[name])
+    return GenPartition(w for _, w in Z.lam.items()), Z
+
+
+def cli_stdout(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
 
 
 class TestLazyProduct:
+    """A generator's product is never built: it prints its factored form
+    straight from shape and tail, and the text must be the product the
+    polynomial oracle builds, factor by factor."""
+
     CASES = [
         ("inf,inf", [(0, 1), (1, 0)]),
         ("inf,1", [(Fraction(1, 2), Fraction(-3, 7))]),
         ("inf,inf,1", [(0, 2, 5), (Fraction(1, 3), 2, -1)]),
         ("inf,2,1", [(1, 2, 3)]),
     ]
+    GOLDEN = ["zq.json", "zq3.json", "z21.json"]
 
-    def test_equals_eager_construction(self):
-        for text, pts in self.CASES:
-            lam = P(text)
-            for g in i_lambda_z(lam, PointSetVariety(C(lam), pts)).generators:
-                want = eager_product(g.rows, g.tail)
-                assert g.product == want
-                assert str(g.product) == str(want)
-                assert g.product is g.product  # built once, then kept
+    @pytest.fixture(scope="class")
+    def golden(self):
+        """Each golden variety file with its ideal, built once."""
+        return {name: i_lambda_z(*golden_pair(name)) for name in self.GOLDEN}
 
-    def test_equality_and_hash_follow_the_product(self):
-        lam = P("inf,1")
-        Z = PointSetVariety(C(lam), [(0, 1)])
-        gens = i_lambda_z(lam, Z).generators
-        again = i_lambda_z(lam, Z).generators
-        for g, h in zip(gens, again):
-            assert g == h and hash(g) == hash(h) == hash(eager_product(g.rows, g.tail))
-        # provenance is not part of equality
-        g = next(g for g in gens if g.tail is not None)
-        relabeled = IdealGenerator(g.rows, g.tail, ("slice", P("1"), Poly.constant(7)))
-        assert relabeled == g and hash(relabeled) == hash(g)
-        assert len(set(gens)) == len({eager_product(g.rows, g.tail) for g in gens})
+    def test_equals_eager_construction(self, golden):
+        ideals = [i_lambda_z(P(text), PointSetVariety(C(P(text)), pts))
+                  for text, pts in self.CASES]
+        ideals += list(golden.values()) + [i_lambda(P("inf,inf,2,1"))]
+        for ideal in ideals:
+            for g in ideal.generators:
+                want = "*".join(f"({f})" for f in eager_product(g)) or "1"
+                assert str(g) == want, g
+
+    def test_json_generators_match_text(self, golden, capsys, tmp_path, monkeypatch):
+        # the command prints the ideal the fixture built; the golden corpus
+        # covers how it is built
+        by_lam = {str(golden_pair(name)[0]): name for name in self.GOLDEN}
+        monkeypatch.setattr(cli, "i_lambda_z", lambda lam, Z: golden[by_lam[str(lam)]])
+        commands = [["inf,inf,2,1"]]
+        for name in self.GOLDEN:
+            path = tmp_path / name
+            path.write_text(FILES[name])
+            commands.append([str(golden_pair(name)[0]), "--variety", str(path)])
+        for argv in commands:
+            text = cli_stdout(capsys, "equations", *argv)
+            payload = json.loads(cli_stdout(capsys, "equations", "--json", *argv))
+            lines = [line for line in text.splitlines() if not line.startswith("#")]
+            assert payload["generators"] == lines
+            assert len(payload["provenance"]) == len(lines)
 
     def test_tail_without_a_row_is_rejected_up_front(self):
         with pytest.raises(ValueError):
-            IdealGenerator(((1, 2),), parse_poly("t2 - 1"), ("slice", P("2"), None))
+            IdealGenerator("slice", P("2"), parse_poly("t2 - 1"))
 
 
 class TestMembership:
@@ -266,7 +272,8 @@ class TestMembership:
         ]
         for g in gens:
             for x in points:
-                assert generator_orbit_vanishes(g, x) == generator_orbit_vanishes_brute(g, x)
+                got = member_by_equations(TypeIdeal(lam, [g]), x)
+                assert got == generator_orbit_vanishes_brute(g, x)
 
 
 class TestOracleEquivalences:

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symvar import partitions
+from symvar.equations import IdealGenerator
 from symvar.partitions import (
     INF,
     GenComposition,
     GenPartition,
-    Tableau,
     finite_partitions_in_box,
     good_filling_exists,
     leq,
     min_excluded,
     mu_s,
     preceq,
-    row_major_tableau,
 )
 
 from oracles import aut, mu_minus, preceq_by_groups
@@ -272,14 +271,7 @@ class TestAut:
 
 class TestTableau:
     def test_row_major(self):
-        T = row_major_tableau(P("3,2"))
-        assert T.rows == ((1, 2, 3), (4, 5))
-        assert T.shape() == P("3,2")
-
-    def test_distinct_labels_required(self):
-        with pytest.raises(ValueError):
-            Tableau([(1, 2), (2,)])
-
-    def test_row_lengths_non_increasing(self):
-        with pytest.raises(ValueError):
-            Tableau([(1,), (2, 3)])
+        # generators fill their shape row-major with the cells 1, 2, ...
+        g = IdealGenerator("excluded", P("3,2"))
+        assert g.rows == ((1, 2, 3), (4, 5))
+        assert g.shape == P("3,2")

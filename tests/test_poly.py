@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.partitions import INF
+from symvar.equations import IdealGenerator
+from symvar.partitions import INF, GenPartition
 from symvar.poly import (
     ExtractionWitness,
     Poly,
-    PolyProduct,
     apply_perm,
     discriminant,
     extract_discriminant,
@@ -232,9 +232,12 @@ class TestGrammar:
                 parse_poly(bad)
 
     def test_product_round_trip(self):
-        pp = PolyProduct((Poly.x(1) - Poly.x(2), parse_poly("x1^2 - x1")))
-        assert parse_poly(str(pp)) == expand(pp)
+        # generators print as parenthesized factors joined by "*"
+        factors = (Poly.x(1) - Poly.x(2), parse_poly("x1^2 - x1"))
+        assert parse_poly("*".join(f"({f})" for f in factors)) == expand(factors)
 
     def test_empty_product(self):
-        assert str(PolyProduct(())) == "1"
-        assert expand(PolyProduct(())) == Poly.constant(1)
+        # a generator with no factors prints as 1 and expands to 1
+        g = IdealGenerator("excluded", GenPartition.parse("3"))
+        assert str(g) == "1"
+        assert parse_poly(str(g)) == expand(()) == Poly.constant(1)
