@@ -30,7 +30,7 @@ def _load_variety(path: str, lam: GenPartition) -> PointSetVariety:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             Z = variety_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read variety file {path}: {exc}") from exc
     if Z.lam.shape() != lam:
         raise ValueError(
@@ -81,12 +81,14 @@ def cmd_equations(args) -> int:
         rng = random.Random(args.seed)
         battery = [selfcheck.random_point(rng, max_width=4) for _ in range(40)]
         ideal = reduce_generators(ideal, battery)
-    payload = {
-        "lambda": str(lam),
-        "generators": [str(g) for g in ideal.generators],
-        "provenance": [g.provenance() for g in ideal.generators],
-    }
-    _emit(args, payload, ideal.render())
+    if args.json:
+        print(json.dumps({
+            "lambda": str(lam),
+            "generators": [str(g) for g in ideal.generators],
+            "provenance": [g.provenance() for g in ideal.generators],
+        }, sort_keys=True))
+    else:
+        print(ideal.render())
     return 0
 
 

@@ -13,7 +13,7 @@ Everything is immutable; enumeration output order is deterministic.
 
 import itertools
 
-from .partitions import GenComposition, ext_sum, is_inf, weight_maps
+from .partitions import GenComposition, is_inf, weight_maps
 
 
 class CompMap:
@@ -27,7 +27,7 @@ class CompMap:
         if not set(table.values()) <= set(codomain.labels):
             raise ValueError("table values must be codomain labels")
         for j in codomain.labels:
-            s = ext_sum(domain.weight(i) for i in table if table[i] == j)
+            s = sum(domain.weight(i) for i in table if table[i] == j)
             if s > codomain.weight(j):
                 raise ValueError(
                     f"weight condition fails at label {j}: fiber sums to {s} > {codomain.weight(j)}"
@@ -47,7 +47,7 @@ class CompMap:
     def is_principal(self) -> bool:
         """Pushforward weights hit the codomain weights exactly."""
         return all(
-            ext_sum(self.domain.weight(i) for i in self.fiber(j)) == self.codomain.weight(j)
+            sum(self.domain.weight(i) for i in self.fiber(j)) == self.codomain.weight(j)
             for j in self.codomain.labels
         )
 
@@ -86,7 +86,7 @@ def pushforward(f: CompMap) -> GenComposition:
     """Composition on the codomain labels hit by f, weighted by fiber sums."""
     weights = {}
     for j in f.codomain.labels:
-        s = ext_sum(f.domain.weight(i) for i in f.fiber(j))
+        s = sum(f.domain.weight(i) for i in f.fiber(j))
         if s != 0:
             weights[j] = s
     return GenComposition(weights)
@@ -275,7 +275,7 @@ def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
     out = []
     for combo in itertools.product(*options):
         # aggregate weight condition on the f2 side
-        if any(ext_sum(pw for fiber in combo for pw, tgt in fiber if tgt == k) > lam.weight(k)
+        if any(sum(pw for fiber in combo for pw, tgt in fiber if tgt == k) > lam.weight(k)
                for k in lam.labels):
             continue
         rho_weights, t1, t2 = {}, {}, {}

@@ -37,7 +37,6 @@ import re
 from .partitions import (
     GenComposition,
     GenPartition,
-    ext_sum,
     finite_partitions_in_box,
     min_excluded,
     mu_s,
@@ -259,7 +258,7 @@ def _orbits_vanish(generators, classes):
         if size not in fits:
             fits[size] = [m for m in range(1, 1 << n)
                           if len(members[m]) <= size
-                          and ext_sum(classes[c][1] for c in members[m]) >= size]
+                          and sum(classes[c][1] for c in members[m]) >= size]
         for m in fits[size]:
             if m & available == m:
                 for rest in supports(rows, i + 1, available & ~m):

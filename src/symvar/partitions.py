@@ -14,6 +14,8 @@ All values are immutable and every function here is pure.
 
 from functools import lru_cache
 
+# with weights in N ∪ {INF}, the builtin sum is the sum in N ∪ {inf} and
+# str(INF) is "inf"
 INF = float("inf")
 
 
@@ -21,19 +23,9 @@ def is_inf(w) -> bool:
     return w == INF
 
 
-def ext_sum(weights):
-    """Sum in N ∪ {inf}; any infinite summand makes the sum infinite."""
-    total = 0
-    for w in weights:
-        if is_inf(w):
-            return INF
-        total += w
-    return total
-
-
 def weight_maps(weights, labels, rooms) -> list:
     """Every tuple whose entry i is the label of the slot that weight i goes
-    to, such that the weights sent to each slot ext-sum to at most its room,
+    to, such that the weights sent to each slot sum to at most its room,
     in lexicographic order of slot indices.  Slot j has label ``labels[j]``
     and room ``rooms[j]``; a finite room shrinks by each weight it takes."""
     rooms = list(rooms)
@@ -46,7 +38,7 @@ def weight_maps(weights, labels, rooms) -> list:
         w = weights[i]
         for j, r in enumerate(rooms):
             if w <= r:
-                rooms[j] = r if is_inf(r) else r - w
+                rooms[j] = r if is_inf(r) else r - w  # inf - inf is NaN
                 rec(i + 1, chosen + (labels[j],))
                 rooms[j] = r
 
@@ -54,15 +46,11 @@ def weight_maps(weights, labels, rooms) -> list:
     return out
 
 
-def format_weight(w) -> str:
-    return "inf" if is_inf(w) else str(w)
-
-
 def parse_weight(token: str):
     token = token.strip()
     if token == "inf":
         return INF
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ValueError(f"bad weight token {token!r} (expected a natural number or 'inf')")
     return int(token)
 
@@ -134,7 +122,7 @@ class GenPartition:
         return hash(self.parts)
 
     def __str__(self):
-        return ",".join(format_weight(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def __repr__(self):
         return f"GenPartition({self.parts!r})"
@@ -196,7 +184,7 @@ class GenComposition:
         return hash(tuple((k, self._weights[k]) for k in self.labels))
 
     def __repr__(self):
-        inner = ", ".join(f"{k}: {format_weight(w)}" for k, w in self.items())
+        inner = ", ".join(f"{k}: {w}" for k, w in self.items())
         return f"GenComposition({{{inner}}})"
 
     def __setattr__(self, name, value):

@@ -2,9 +2,9 @@
 
 Two variable families are supported: x1, x2, ... (the ambient coordinates,
 acted on by finite permutations) and t1, t2, ... (slice coordinates used by
-vanishing ideals).  Coefficients are exact rationals; there is no floating
-point anywhere.  Monomials are ordered graded-lexicographically with
-x1 > x2 > ... > t1 > t2 > ...
+vanishing ideals).  Coefficients are exact rationals, ints or Fractions;
+there is no floating point anywhere.  Monomials are ordered
+graded-lexicographically with x1 > x2 > ... > t1 > t2 > ...
 
 The module also provides discriminants, the coset skew-symmetrization
 identity, constructive discriminant extraction with replayable witnesses,
@@ -50,7 +50,9 @@ def _mono_degree(m):
 class Poly:
     """Immutable sparse polynomial: mapping from monomials to nonzero rationals.
 
-    A monomial is a sorted tuple of ((family, index), exponent) pairs.
+    A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
+    coefficient is an int or a Fraction, which compare and hash alike when
+    equal; any other number is stored as the Fraction it equals exactly.
     """
 
     __slots__ = ("terms",)
@@ -59,7 +61,7 @@ class Poly:
         clean = {}
         if terms:
             for m, c in terms.items():
-                if type(c) is not Fraction:
+                if type(c) not in (int, Fraction):
                     c = Fraction(c)
                 if c:
                     clean[m] = c
@@ -71,11 +73,11 @@ class Poly:
 
     @classmethod
     def constant(cls, c):
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, v):
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     @classmethod
     def x(cls, i):
@@ -96,7 +98,7 @@ class Poly:
     def constant_value(self):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def total_degree(self):
         return max((_mono_degree(m) for m in self.terms), default=0)
@@ -116,7 +118,7 @@ class Poly:
             e = dict(m).get(v, 0)
             if e == k:
                 rest = tuple(p for p in m if p[0] != v)
-                out[rest] = out.get(rest, Fraction(0)) + c
+                out[rest] = out.get(rest, 0) + c
         return Poly(out)
 
     def variables(self):
@@ -127,7 +129,7 @@ class Poly:
             other = Poly.constant(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Poly(out)
 
     __radd__ = __add__
@@ -145,13 +147,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly({m: c * v for m, v in self.terms.items()})
+            return Poly({m: other * v for m, v in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -164,9 +165,9 @@ class Poly:
             out = out * self
         return out
 
-    def evaluate(self, assignment) -> Fraction:
+    def evaluate(self, assignment):
         """Evaluate with every used variable present in `assignment`."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             val = c
             for v, e in m:
@@ -183,7 +184,7 @@ class Poly:
                 w = mapping.get(v, v)
                 exps[w] = exps.get(w, 0) + e
             m2 = tuple(sorted(exps.items()))
-            out[m2] = out.get(m2, Fraction(0)) + c
+            out[m2] = out.get(m2, 0) + c
         return Poly(out)
 
     def key(self):
@@ -322,6 +323,8 @@ def parse_poly(text: str) -> Poly:
                 k3, v3 = take()
                 if k3 != "num":
                     raise ValueError("bad rational literal")
+                if v3 == 0:
+                    raise ValueError(f"zero denominator in '{val}/0'")
                 return Poly.constant(Fraction(val, v3))
             return Poly.constant(val)
         if kind == "var":
@@ -415,7 +418,7 @@ class ExtractionWitness:
 
     def __init__(self, steps, c, n):
         object.__setattr__(self, "steps", tuple((m, tuple(op)) for m, op in steps))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "n", int(n))
 
     def __repr__(self):
@@ -474,8 +477,8 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
         d = p.degree_in(xvar(r))
         g_top = p.coefficient_of(xvar(r), d)
         fresh = _fresh_indices(used, d)
-        op = [(Fraction(1), ())]
-        op += [(Fraction(-1), ((i, r), (r, i))) for i in fresh]
+        op = [(1, ())]
+        op += [(-1, ((i, r), (r, i))) for i in fresh]
         skew_step = (discriminant_on(fresh), tuple(op))
         c, seq, sub_steps = go(g_top)
         block = tuple(fresh) + (r,)
@@ -485,7 +488,7 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
                 cross = cross * difference(b, a)
         steps = [skew_step] + sub_steps
         if not cross.is_constant:
-            steps.append((cross, ((Fraction(1), ()),)))
+            steps.append((cross, ((1, ()),)))
         return c, seq + block, steps
 
     c, seq, steps = go(f)
@@ -498,7 +501,7 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     leftovers_dst = [u for u in union if u not in set(table.values())]
     table.update(dict(zip(leftovers_src, leftovers_dst)))
     final_perm = tuple(sorted((a, b) for a, b in table.items() if a != b))
-    steps.append((Poly.constant(1), ((Fraction(1), final_perm),)))
+    steps.append((Poly.constant(1), ((1, final_perm),)))
     return ExtractionWitness(steps, c, n)
 
 
@@ -514,7 +517,7 @@ def _border(standard, r):
     return sorted(m for m, k in hits.items() if k == r - m.count(0))
 
 
-def vanishing_ideal(points, nvars=None) -> list:
+def vanishing_ideal(points) -> list:
     """Reduced graded-lex generating set of the ideal of polynomials in
     t1..tr vanishing on a finite set of rational points.
 
@@ -543,8 +546,6 @@ def vanishing_ideal(points, nvars=None) -> list:
     r = len(pts[0])
     if any(len(p) != r for p in pts):
         raise ValueError("all points must have the same length")
-    if nvars is not None and nvars != r:
-        raise ValueError("nvars disagrees with point length")
     npts = len(pts)
     scale = math.lcm(*(c.denominator for p in pts for c in p))
     cols = [[p[i].numerator * (scale // p[i].denominator) for p in pts] for i in range(r)]

@@ -18,8 +18,6 @@ from fractions import Fraction
 from .partitions import (
     GenComposition,
     GenPartition,
-    ext_sum,
-    format_weight,
     is_inf,
     parse_weight,
     weight_maps,
@@ -90,7 +88,7 @@ class FinitaryPoint:
         return hash(self.classes)
 
     def __str__(self):
-        return ",".join(f"{v}^{format_weight(m)}" for v, m in self.classes)
+        return ",".join(f"{v}^{m}" for v, m in self.classes)
 
     def __repr__(self):
         return f"FinitaryPoint({self})"
@@ -167,6 +165,9 @@ def variety_from_json(text: str) -> PointSetVariety:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a variety file must hold a JSON object")
+    for key in ("lambda", "points"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
     raw = data["lambda"]
     if not isinstance(raw, list):
         raise ValueError("lambda must be a list")
@@ -217,7 +218,7 @@ def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     out = set()
     for p in closed_pts:
         values = list(dict.fromkeys(p))
-        room = [ext_sum(w for q, w in zip(p, lam_weights) if q == v) for v in values]
+        room = [sum(w for q, w in zip(p, lam_weights) if q == v) for v in values]
         out.update(weight_maps(weights, values, room))
     return out
 

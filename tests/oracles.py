@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
-from symvar.partitions import INF, GenComposition, GenPartition, ext_sum, is_inf
+from symvar.partitions import INF, GenComposition, GenPartition, is_inf
 from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
@@ -309,7 +309,7 @@ def enumerate_end_by_product(lam: GenComposition) -> list:
     for images in itertools.product(labels, repeat=len(labels)):
         table = dict(zip(labels, images))
         ok = all(
-            ext_sum(lam.weight(i) for i in labels if table[i] == j) <= lam.weight(j)
+            sum(lam.weight(i) for i in labels if table[i] == j) <= lam.weight(j)
             for j in set(images)
         )
         if ok:

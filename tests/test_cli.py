@@ -178,6 +178,22 @@ class TestMalformedInput:
         path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": 5}')
         self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"points": [[0, 1]]}', "lambda"),
+        ('{"lambda": ["inf", "inf"]}', "points"),
+    ])
+    def test_missing_key_in_variety_file(self, capsys, tmp_path, text, key):
+        path = self.write(tmp_path, text)
+        code, out, err = run(capsys, "equations", "inf,inf", "--variety", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read variety file {path}: missing key '{key}'\n"
+
+    @pytest.mark.parametrize("token", ["²", "٣"])
+    def test_non_ascii_digit_weight(self, capsys, token):
+        code, out, err = run(capsys, "preceq", token, "inf,inf")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad weight token {token!r} (expected a natural number or 'inf')\n"
+
     def test_top_level_array(self, capsys, tmp_path):
         path = self.write(tmp_path, "[1, 2]")
         self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)

@@ -15,7 +15,7 @@ from symvar.corr import (
     pullback_square,
     pushforward,
 )
-from symvar.partitions import INF, GenComposition, GenPartition, ext_sum
+from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.selfcheck import random_composition, random_map_onto
 from symvar.variety import PointSetVariety, apply_corr
 
@@ -81,7 +81,7 @@ class TestFactor:
                 for images in itertools.product(cod.labels, repeat=dom.length):
                     table = dict(zip(dom.labels, images))
                     ok = all(
-                        ext_sum(dom.weight(i) for i in table if table[i] == j)
+                        sum(dom.weight(i) for i in table if table[i] == j)
                         <= cod.weight(j)
                         for j in cod.labels
                     )
@@ -158,7 +158,7 @@ class TestEnumerateEnd:
         for images in itertools.product([1, 2], repeat=2):
             table = dict(zip([1, 2], images))
             if all(
-                ext_sum(lam.weight(i) for i in table if table[i] == j) <= lam.weight(j)
+                sum(lam.weight(i) for i in table if table[i] == j) <= lam.weight(j)
                 for j in set(images)
             ):
                 valid.append(table)
@@ -179,7 +179,7 @@ def brute_force_good(mu, lam):
                 # principality screen before building objects
                 ok = True
                 for j in mu.labels:
-                    s = ext_sum(weights[i] for i in range(m) if t1[i] == j)
+                    s = sum(weights[i] for i in range(m) if t1[i] == j)
                     if s != mu.weight(j):
                         ok = False
                         break
@@ -187,7 +187,7 @@ def brute_force_good(mu, lam):
                     continue
                 for t2 in itertools.product(lam.labels, repeat=m):
                     ok2 = all(
-                        ext_sum(weights[i] for i in range(m) if t2[i] == k)
+                        sum(weights[i] for i in range(m) if t2[i] == k)
                         <= lam.weight(k)
                         for k in lam.labels
                     )

@@ -17,8 +17,10 @@ from symvar.poly import (
     parse_poly,
     replay_witness,
     skew_sum,
+    tvar,
     vanishing_ideal,
     verify_witness,
+    xvar,
 )
 from symvar.selfcheck import random_poly
 
@@ -207,6 +209,28 @@ class TestVanishingIdeal:
             )
 
 
+class TestCoefficients:
+    """Integer coefficients stay ints, others are Fractions, never floats."""
+
+    def test_integer_polynomials_hold_ints(self):
+        for p in (discriminant(3), parse_poly("(x1 - x2)^2")):
+            assert p.terms and all(type(c) is int for c in p.terms.values())
+
+    def test_rational_literal_holds_a_fraction(self):
+        c = parse_poly("1/2*t1").terms[((tvar(1), 1),)]
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_float_is_stored_as_exact_fraction(self):
+        c = Poly({(): 0.5}).terms[()]
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_int_and_fraction_coefficients_agree(self):
+        ints = Poly({((xvar(1), 2),): 3, (): -1})
+        fracs = Poly({((xvar(1), 2),): Fraction(3), (): Fraction(-1)})
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert str(ints) == str(fracs) == "3*x1^2 - 1"
+
+
 class TestGrammar:
     @pytest.mark.parametrize(
         "text",
@@ -227,7 +251,7 @@ class TestGrammar:
         assert str(parse_poly("3/2 - x2 + x2*x1^2")) == "x1^2*x2 - x2 + 3/2"
 
     def test_bad_syntax(self):
-        for bad in ["x", "1 +", "x1^^2", "(x1", "x1 & x2"]:
+        for bad in ["x", "1 +", "x1^^2", "(x1", "x1 & x2", "1/0", "3/0*x1"]:
             with pytest.raises(ValueError):
                 parse_poly(bad)
 

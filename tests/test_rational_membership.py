@@ -29,7 +29,7 @@ from symvar.equations import (
     i_lambda_z,
     member_by_equations,
 )
-from symvar.partitions import INF, GenComposition, GenPartition, ext_sum
+from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import tvar
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
@@ -54,7 +54,7 @@ def oracle_exists_nonzero_assignment(gen, classes):
     def feasible(size, support):
         if len(support) > size:
             return False
-        return ext_sum(classes[c][1] for c in support) >= size
+        return sum(classes[c][1] for c in support) >= size
 
     def rec(i, available, supports):
         if i == k:

@@ -15,7 +15,7 @@ import pytest
 
 from symvar import selfcheck, variety
 from symvar.corr import enumerate_end
-from symvar.partitions import INF, GenComposition, ext_sum, weight_maps
+from symvar.partitions import INF, GenComposition, weight_maps
 from symvar.variety import PointSetVariety, aut_orbits
 
 from oracles import aut_orbits_by_bfs, enumerate_end_by_product
@@ -25,7 +25,7 @@ def weight_maps_by_product(weights, labels, rooms):
     """Every tuple of labels, kept when no slot is overfilled."""
     out = []
     for images in itertools.product(range(len(labels)), repeat=len(weights)):
-        if all(ext_sum(w for w, j in zip(weights, images) if j == slot) <= room
+        if all(sum(w for w, j in zip(weights, images) if j == slot) <= room
                for slot, room in enumerate(rooms)):
             out.append(tuple(labels[j] for j in images))
     return out
