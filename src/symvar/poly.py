@@ -237,7 +237,7 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xt])(\d+)|(\*\*|[()+\-*/^]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([xt])([0-9]+)|(\*\*|[()+\-*/^]))")
 
 
 def _tokenize(text):

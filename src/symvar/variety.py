@@ -8,11 +8,13 @@ correspondences and the endomorphism closure.  The slices of the closure
 system need neither: each is read off the points of Z collapsed along their
 values (see ``gamma_at``); both take their maps from
 ``partitions.weight_maps``.  Membership and containment build no slice:
-they follow the paper's point-set description, one pass over Z per query
-(see ``theta_member``).
+they follow the paper's point-set description (see ``theta_member``).  A
+``PointSetVariety`` builds its per-point value tables once, at
+construction, so a query is one lookup per class per point.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .partitions import (
@@ -29,15 +31,15 @@ class DistinctnessError(ValueError):
     coordinates and the input violates that."""
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rational(text):
     text = text.strip()
-    try:
-        if "/" in text:
-            num, den = (int(s) for s in text.split("/", 1))
-        else:
-            num, den = int(text), 1
-    except ValueError:
-        raise ValueError(f"bad rational {text!r} (expected an integer or p/q)") from None
+    m = _RATIONAL.fullmatch(text)
+    if not m:
+        raise ValueError(f"bad rational {text!r} (expected an integer or p/q)")
+    num, den = int(m.group(1)), int(m.group(2) or 1)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -106,24 +108,38 @@ class PointSetVariety:
     """Finite set of rational tuples in the affine space of a composition.
 
     Coordinates follow the sorted label order of the ambient composition.
+    ``tables`` holds, for each point in order, a dict from its values to the
+    weights of their positions; a point with a repeated value has fewer
+    entries than labels.  An integral value is keyed by its numerator, any
+    other by its Fraction: equal values get equal keys, and int keys hash
+    and compare without running Python code.
     """
 
-    __slots__ = ("lam", "points")
+    __slots__ = ("lam", "points", "tables")
 
     def __init__(self, lam: GenComposition, points):
-        # coordinates that are already rationals are kept, not copied: points
-        # built from other points share their values, and equal values that
-        # are one object compare without any Fraction arithmetic
-        pts = sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in p)
-                      for p in points})
-        for p in pts:
-            if len(p) != lam.length:
+        # one pass keys every coordinate, and the keys do the dedup and the
+        # sort.  Coordinates that are already rationals are kept, not copied:
+        # points built from other points share their values.
+        keyed = {}
+        for p in points:
+            values = tuple([c if type(c) is Fraction else Fraction(c) for c in p])
+            keyed.setdefault(tuple([c.numerator if c.denominator == 1 else c for c in values]),
+                             values)
+        weights = list(map(lam.weight, lam.labels))
+        pts, tables = [], []
+        for keys in sorted(keyed):
+            if len(keys) != lam.length:
                 raise ValueError("each point needs one coordinate per label")
+            pts.append(keyed[keys])
+            tables.append(dict(zip(keys, weights)))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "tables", tuple(tables))
 
     def require_distinct(self):
-        if any(len(set(p)) != len(p) for p in self.points):
+        length = self.lam.length
+        if any(len(t) != length for t in self.tables):
             raise DistinctnessError(
                 "operation requires points with pairwise distinct coordinates"
             )
@@ -223,10 +239,10 @@ def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     return out
 
 
-def _check_slice(lam: GenComposition, Z: PointSetVariety, mu: GenComposition):
-    """The input errors of a slice over mu of the system generated by Z, in
-    the order the construction meets them."""
-    if mu.length == 0:
+def _check_slice(lam: GenComposition, Z: PointSetVariety, width: int):
+    """The input errors of a slice, over a composition of `width` labels, of
+    the system generated by Z, in the order the construction meets them."""
+    if width == 0:
         raise ValueError("the slice composition must be non-empty")
     if Z.lam != lam:
         raise ValueError("point set does not live over lam")
@@ -262,15 +278,8 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
     For infinite mu this is the mu-slice of the closure system; for finite
     mu it is the extended slice used by the equation synthesis.
     """
-    _check_slice(lam, Z, mu)
+    _check_slice(lam, Z, mu.length)
     return PointSetVariety(mu, _gamma_points(lam, Z.points, mu))
-
-
-def _realizes(lam: GenComposition, p, pairs) -> bool:
-    """Does every (value, weight) pair find the value in p at a position of
-    at least that weight in lam?  The coordinates of p are distinct."""
-    capacity = dict(zip(p, map(lam.weight, lam.labels)))
-    return all(v in capacity and w <= capacity[v] for v, w in pairs)
 
 
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
@@ -282,11 +291,14 @@ def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> b
     tuple over the type mu of x lies in the mu-slice iff it is p . sigma for
     some p in Z and a weight-respecting sigma: mu -> lam.  The coordinates
     of p are distinct, so sigma must send the label carrying v to the one
-    position of v in p, and it respects weights iff each class fits there.
+    position of v in p, and it respects weights iff each class fits there:
+    one lookup in p's table per class, where a value p lacks reads as weight
+    0, below every multiplicity.
     """
     Z.require_distinct()
-    _check_slice(lam, Z, GenComposition.from_partition(type_of(x)))
-    return any(_realizes(lam, p, x.classes) for p in Z.points)
+    _check_slice(lam, Z, x.width)
+    pairs = [(v.numerator if v.denominator == 1 else v, m) for v, m in x.classes]
+    return any(all(t.get(k, 0) >= m for k, m in pairs) for t in Z.tables)
 
 
 def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
@@ -304,10 +316,9 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
         raise ValueError("point sets must live over the stated compositions")
     if not Z1.points:
         return True
-    _check_slice(lam, Z2, mu)
-    weights = [mu.weight(i) for i in mu.labels]
-    return all(any(_realizes(lam, p2, zip(p1, weights)) for p2 in Z2.points)
-               for p1 in Z1.points)
+    _check_slice(lam, Z2, mu.length)
+    return all(any(all(t2.get(k, 0) >= w for k, w in t1.items()) for t2 in Z2.tables)
+               for t1 in Z1.tables)
 
 
 def aut_orbits(lam: GenComposition, Z: PointSetVariety) -> list:

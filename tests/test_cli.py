@@ -168,6 +168,10 @@ class TestMalformedInput:
         ("^", "''"),
         ("1e3^inf", "'1e3'"),
         ("0^inf,1/2/3^1", "'1/2/3'"),
+        # digits beyond ASCII and int()'s underscores are not rationals
+        ("٣^inf,1_0^2", "'٣'"),
+        ("0^inf,1_0^2", "'1_0'"),
+        ("0^inf,1/٢^1", "'1/٢'"),
     ])
     def test_bad_rational_in_point_literal(self, capsys, literal, bad):
         code, out, err = run(capsys, "type", literal)

@@ -44,6 +44,8 @@ FILES = {
     "z4.json": '{"lambda":["inf","inf",1,1],"points":[[0,1,2,3],[3,2,1,0]]}',
     "zfin.json": '{"lambda": [2, 1], "points": [[0, 1]]}',
     "zrep.json": '{"lambda":["inf",1,1],"points":[[0,1,1],[2,2,3]]}',
+    "zk.json": '{"lambda": ["inf", 2, 1], "points": [["6/2", "-1/2", -2], [-2, 3, "5/3"]]}',
+    "zk1.json": '{"lambda": ["inf", 1], "points": [[3, "-1/2"]]}',
 }
 
 COMMANDS = [
@@ -129,6 +131,12 @@ COMMANDS = [
     ["selfcheck", "--seed", "3"],
     ["gamma", "inf,1,1", "zrep.json", "2,1,1,1"],
     ["gamma", "--json", "inf,1,1", "zrep.json", "inf,2"],
+    # one integral value written as 6/2 and as 3, with negative and non-integral values
+    ["member", "inf,2,1", "3^inf,-1/2^2", "--variety", "zk.json", "--method", "direct"],
+    ["member", "inf,2,1", "3^inf,5/3^2", "--variety", "zk.json", "--method", "direct"],
+    ["contains", "inf,1", "zk1.json", "inf,2,1", "zk.json"],
+    ["contains", "inf,2,1", "zk.json", "inf,1", "zk1.json"],
+    ["gamma", "inf,2,1", "zk.json", "2,1,1"],
 ]
 
 

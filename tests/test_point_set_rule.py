@@ -4,7 +4,8 @@
 slice, no endomorphism closure and no correspondence.  They must agree with
 the slice-based decisions kept in ``oracles`` on seeded inputs: ``lambda``
 with up to 4 parts, coordinates with denominators 1, 2, 3 and 7, negative
-values, and both verdicts.  Their input errors stay those of the slice
+values, integral values given as ints, Fractions and unreduced Fractions,
+and both verdicts.  Their input errors stay those of the slice
 construction.
 """
 
@@ -39,11 +40,19 @@ LAMBDAS = ["inf", "inf,1", "inf,inf", "inf,2", "inf,3", "inf,inf,1", "inf,2,1", 
 MULTS = [INF, 1, 2, 3]
 
 
+def spelled(rng, v):
+    """v itself, or when it is integral any of 3, Fraction(3), Fraction(6, 2)."""
+    if v.denominator != 1:
+        return v
+    n = v.numerator
+    return rng.choice([n, Fraction(n), Fraction(2 * n, 2)])
+
+
 def distinct_variety(rng, lam):
     """1-3 points with pairwise distinct coordinates, sharing values across
-    points."""
+    points, each integral value spelled at random."""
     values = rng.sample(POOL, lam.length + 2)
-    return PointSetVariety(lam, [tuple(rng.sample(values, lam.length))
+    return PointSetVariety(lam, [tuple(spelled(rng, v) for v in rng.sample(values, lam.length))
                                  for _ in range(rng.randint(1, 3))])
 
 
@@ -58,7 +67,7 @@ def random_point(rng, lam, Z):
         classes[p[k]] = rng.choice([weights[k], weights[k], INF, 1, 2, 3])
     if rng.random() < 0.3:
         classes[rng.choice([v for v in POOL if v not in classes])] = rng.choice(MULTS)
-    return FinitaryPoint(classes.items())
+    return FinitaryPoint((spelled(rng, v), m) for v, m in classes.items())
 
 
 @pytest.mark.parametrize("text", LAMBDAS)
@@ -91,7 +100,7 @@ def random_subpoint(rng, mu, lam, Z2):
             coords.append(p2[k])
         else:
             coords.append(rng.choice([v for v in POOL if v not in p2 and v not in coords]))
-    return tuple(coords)
+    return tuple(spelled(rng, v) for v in coords)
 
 
 @pytest.mark.parametrize("text", LAMBDAS)
@@ -120,6 +129,18 @@ def test_rational_classes_against_position_weights():
     assert theta_member(lam, Z, FinitaryPoint.parse("2/3^inf,-1/2^inf,2^1")) is True
     assert theta_member(lam, Z, FinitaryPoint.parse("2/3^inf,-1/2^inf,2^2")) is False
     assert theta_member(lam, Z, FinitaryPoint.parse("2/3^inf,-1/2^inf,3^1")) is False
+
+
+def test_points_are_sorted_deduplicated_fractions():
+    lam = C(P("inf,2,1"))
+    Z = PointSetVariety(lam, [(3, Fraction(-1, 2), -2), (Fraction(6, 2), Fraction(-2, 4), -2),
+                              (-2, Fraction(3), Fraction(5, 3)), (-2, 3, Fraction(10, 6))])
+    assert Z.points == ((Fraction(-2), Fraction(3), Fraction(5, 3)),
+                        (Fraction(3), Fraction(-1, 2), Fraction(-2)))
+    assert all(type(c) is Fraction for p in Z.points for c in p)
+    Z.require_distinct()
+    with pytest.raises(DistinctnessError, match="pairwise distinct coordinates"):
+        PointSetVariety(C(P("inf,inf")), [(3, Fraction(6, 2))]).require_distinct()
 
 
 def test_errors_are_those_of_the_slice():
@@ -167,8 +188,9 @@ def _patch(monkeypatch, names):
 
 
 def test_membership_and_containment_build_no_slice(monkeypatch):
+    # GenComposition too: a query builds no composition for the type of x
     _patch(monkeypatch, ["end_closure", "enumerate_end", "enumerate_good", "_gamma_points",
-                         "gamma_at"])
+                         "gamma_at", "GenComposition"])
     lam = C(P("inf,inf,inf,inf,3"))
     Z = PointSetVariety(lam, [(0, 1, 2, 3, 4), (3, 2, 1, 0, 4)])
     assert theta_member(lam, Z, FinitaryPoint.parse("0^inf,1^inf,2^inf,3^inf,4^2")) is True

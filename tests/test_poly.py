@@ -251,7 +251,8 @@ class TestGrammar:
         assert str(parse_poly("3/2 - x2 + x2*x1^2")) == "x1^2*x2 - x2 + 3/2"
 
     def test_bad_syntax(self):
-        for bad in ["x", "1 +", "x1^^2", "(x1", "x1 & x2", "1/0", "3/0*x1"]:
+        for bad in ["x", "1 +", "x1^^2", "(x1", "x1 & x2", "1/0", "3/0*x1",
+                    "٣*x1", "x١", "3*x1 + ٢"]:
             with pytest.raises(ValueError):
                 parse_poly(bad)
 
