@@ -41,7 +41,8 @@ MULTS = [INF, 1, 2, 3]
 
 
 def spelled(rng, v):
-    """v itself, or when it is integral any of 3, Fraction(3), Fraction(6, 2)."""
+    """v itself, or when v = n is integral one of n, Fraction(n) and
+    Fraction(2n, 2), at random."""
     if v.denominator != 1:
         return v
     n = v.numerator
