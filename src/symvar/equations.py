@@ -179,7 +179,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
             continue
         saturated = mu_s(mu, e)
         slice_pts = frozenset(_gamma_points(
-            lam_comp, Z.points, GenComposition.from_partition(saturated)
+            lam_comp, Z.keys, GenComposition.from_partition(saturated)
         ))
         if not slice_pts:
             gens.append(IdealGenerator("slice", mu))

@@ -168,7 +168,7 @@ class GenComposition:
 
     @property
     def is_infinite(self) -> bool:
-        return any(is_inf(w) for w in self._weights.values())
+        return INF in self._weights.values()
 
     @property
     def finite_weight(self) -> int:

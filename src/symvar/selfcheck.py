@@ -339,7 +339,7 @@ def suite_end_closure(rng, count=15):
         # correspondences' images) against the collapse route, on Z and on
         # its closure, which adds no point (see variety.gamma_at)
         by_corr = {p for c in enumerate_good(lam, lam) for p in apply_corr(c, Z).points}
-        if not by_corr == _gamma_points(lam, Z.points, lam) == _gamma_points(lam, Ze.points, lam):
+        if not by_corr == _gamma_points(lam, Z.keys, lam) == _gamma_points(lam, Ze.keys, lam):
             fails.append(f"slice routes disagree {t}")
     return "endomorphism closure", checks, fails
 

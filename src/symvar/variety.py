@@ -9,13 +9,15 @@ system need neither: each is read off the points of Z collapsed along their
 values (see ``gamma_at``); both take their maps from
 ``partitions.weight_maps``.  Membership and containment build no slice:
 they follow the paper's point-set description (see ``theta_member``).  A
-``PointSetVariety`` builds its per-point value tables once, at
-construction, so a query is one lookup per class per point.
+``PointSetVariety`` and a ``FinitaryPoint`` key their values once, at
+construction, so a query is one lookup per class per point, and a slice
+search hashes ints where the values are integral.
 """
 
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .partitions import (
     GenComposition,
@@ -34,6 +36,13 @@ class DistinctnessError(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def _key(value):
+    """The key of a rational: its numerator when it is integral, else the
+    Fraction itself.  Equal values get equal keys, and int keys hash and
+    compare without running Python code."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _parse_rational(text):
     text = text.strip()
     m = _RATIONAL.fullmatch(text)
@@ -48,9 +57,10 @@ def _parse_rational(text):
 class FinitaryPoint:
     """Finitely many distinct rational values with multiplicities, at least
     one multiplicity infinite.  Canonical order: infinite classes first,
-    then by decreasing multiplicity, ties by increasing value."""
+    then by decreasing multiplicity, ties by increasing value.  ``keyed``
+    holds the classes as (``_key(value)``, mult) pairs, in the same order."""
 
-    __slots__ = ("classes",)
+    __slots__ = ("classes", "keyed")
 
     def __init__(self, classes):
         cleaned = []
@@ -60,13 +70,14 @@ class FinitaryPoint:
                 if not isinstance(mult, int) or mult < 1:
                     raise ValueError(f"multiplicity must be positive or INF, got {mult!r}")
             cleaned.append((value, mult))
-        values = [v for v, _ in cleaned]
-        if len(set(values)) != len(values):
+        cleaned.sort(key=lambda cm: (-cm[1], cm[0]))
+        keyed = tuple([(_key(v), m) for v, m in cleaned])
+        if len({k for k, _ in keyed}) != len(keyed):
             raise ValueError("values must be pairwise distinct")
         if not any(is_inf(m) for _, m in cleaned):
             raise ValueError("a finitary point needs at least one infinite class")
-        cleaned.sort(key=lambda cm: (-cm[1], cm[0]))
         object.__setattr__(self, "classes", tuple(cleaned))
+        object.__setattr__(self, "keyed", keyed)
 
     @classmethod
     def parse(cls, text: str) -> "FinitaryPoint":
@@ -108,38 +119,54 @@ class PointSetVariety:
     """Finite set of rational tuples in the affine space of a composition.
 
     Coordinates follow the sorted label order of the ambient composition.
-    ``tables`` holds, for each point in order, a dict from its values to the
-    weights of their positions; a point with a repeated value has fewer
-    entries than labels.  An integral value is keyed by its numerator, any
-    other by its Fraction: equal values get equal keys, and int keys hash
-    and compare without running Python code.
+    Every value is keyed once, at construction (see ``_key``), and all later
+    work runs on the keys.  ``keys`` holds each point's key tuple, in the
+    order of ``points``; ``tables`` holds, for each point, a dict from its
+    keys to the weights of their positions, so a point with a repeated value
+    has fewer entries than labels; ``distinct`` says whether no point
+    repeats a value.  The slice search (``gamma_at``) runs on ``keys`` and
+    maps its result back to Z's own values.
     """
 
-    __slots__ = ("lam", "points", "tables")
+    __slots__ = ("lam", "points", "keys", "tables", "distinct")
 
     def __init__(self, lam: GenComposition, points):
-        # one pass keys every coordinate, and the keys do the dedup and the
-        # sort.  Coordinates that are already rationals are kept, not copied:
-        # points built from other points share their values.
+        # the keys do the dedup and the sort.  Coordinates that are already
+        # rationals are kept, not copied: points built from other points
+        # share their values.
         keyed = {}
         for p in points:
             values = tuple([c if type(c) is Fraction else Fraction(c) for c in p])
-            keyed.setdefault(tuple([c.numerator if c.denominator == 1 else c for c in values]),
-                             values)
+            keyed.setdefault(tuple(map(_key, values)), values)
+        self._fill(lam, keyed)
+
+    @classmethod
+    def _from_keys(cls, lam: GenComposition, keyed: dict) -> "PointSetVariety":
+        """The set of the values ``keyed`` maps each key tuple to."""
+        Z = object.__new__(cls)
+        Z._fill(lam, keyed)
+        return Z
+
+    def _fill(self, lam, keyed):
+        length = lam.length
         weights = list(map(lam.weight, lam.labels))
-        pts, tables = [], []
-        for keys in sorted(keyed):
-            if len(keys) != lam.length:
+        keys = tuple(sorted(keyed))
+        tables = []
+        distinct = True
+        for k in keys:
+            if len(k) != length:
                 raise ValueError("each point needs one coordinate per label")
-            pts.append(keyed[keys])
-            tables.append(dict(zip(keys, weights)))
+            table = dict(zip(k, weights))
+            distinct = distinct and len(table) == length
+            tables.append(table)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "points", tuple(map(keyed.__getitem__, keys)))
+        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "tables", tuple(tables))
+        object.__setattr__(self, "distinct", distinct)
 
     def require_distinct(self):
-        length = self.lam.length
-        if any(len(t) != length for t in self.tables):
+        if not self.distinct:
             raise DistinctnessError(
                 "operation requires points with pairwise distinct coordinates"
             )
@@ -228,14 +255,18 @@ def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
 
 def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
     """The tuples p . sigma of ``gamma_at`` for p in `closed_pts`, which need
-    not be closed under End(lam).  They hold p's own value objects."""
+    not be closed under End(lam).  They hold p's own coordinates, which
+    need only hash and compare like the values: ``gamma_at`` and
+    ``i_lambda_z`` pass each point's key tuple.  The room of a value sums
+    the weights of all its positions."""
     weights = [mu.weight(i) for i in mu.labels]
     lam_weights = [lam.weight(k) for k in lam.labels]
     out = set()
     for p in closed_pts:
-        values = list(dict.fromkeys(p))
-        room = [sum(w for q, w in zip(p, lam_weights) if q == v) for v in values]
-        out.update(weight_maps(weights, values, room))
+        room = {}
+        for v, w in zip(p, lam_weights):
+            room[v] = room.get(v, 0) + w
+        out.update(weight_maps(weights, list(room), list(room.values())))
     return out
 
 
@@ -276,10 +307,14 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
     correspondence with image p . sigma.
 
     For infinite mu this is the mu-slice of the closure system; for finite
-    mu it is the extended slice used by the equation synthesis.
+    mu it is the extended slice used by the equation synthesis.  The search
+    runs on Z's key tuples; each key of the result maps back to Z's own
+    value, so its points are Fractions that Z holds.
     """
     _check_slice(lam, Z, mu.length)
-    return PointSetVariety(mu, _gamma_points(lam, Z.points, mu))
+    value = dict(zip(chain.from_iterable(Z.keys), chain.from_iterable(Z.points)))
+    return PointSetVariety._from_keys(
+        mu, {ks: tuple(map(value.__getitem__, ks)) for ks in _gamma_points(lam, Z.keys, mu)})
 
 
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
@@ -297,8 +332,7 @@ def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> b
     """
     Z.require_distinct()
     _check_slice(lam, Z, x.width)
-    pairs = [(v.numerator if v.denominator == 1 else v, m) for v, m in x.classes]
-    return any(all(t.get(k, 0) >= m for k, m in pairs) for t in Z.tables)
+    return any(all(t.get(k, 0) >= m for k, m in x.keyed) for t in Z.tables)
 
 
 def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
@@ -314,8 +348,6 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
     Z2.require_distinct()
     if Z1.lam != mu or Z2.lam != lam:
         raise ValueError("point sets must live over the stated compositions")
-    if not Z1.points:
-        return True
     _check_slice(lam, Z2, mu.length)
     return all(any(all(t2.get(k, 0) >= w for k, w in t1.items()) for t2 in Z2.tables)
                for t1 in Z1.tables)

@@ -159,6 +159,15 @@ def arrangements(x: FinitaryPoint, mu: GenComposition):
         yield tuple(coords)
 
 
+def spelled(rng, v):
+    """v itself, or when v = n is integral one of n, Fraction(n) and
+    Fraction(2n, 2), at random."""
+    if v.denominator != 1:
+        return v
+    n = v.numerator
+    return rng.choice([n, Fraction(n), Fraction(2 * n, 2)])
+
+
 def theta_member_by_slice(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
     """Membership decided by arranging x's distinct values into a tuple of
     its type and testing the slice of the closure system there."""

@@ -119,6 +119,18 @@ class TestContains:
         code, out, _ = run(capsys, "contains", "inf,2", str(zb), "inf,1", str(za))
         assert code == 1 and out.strip() == "false"
 
+    def test_empty_first_set_gets_the_input_checks(self, capsys, tmp_path):
+        e = tmp_path / "e.json"
+        f = tmp_path / "f.json"
+        e.write_text('{"lambda": ["inf", 1], "points": []}', encoding="utf-8")
+        f.write_text('{"lambda": [2, 1], "points": [[0, 1]]}', encoding="utf-8")
+        code, out, err = run(capsys, "contains", "inf,1", str(e), "2,1", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: the ambient composition must have an infinite part\n"
+        f.write_text('{"lambda": ["inf", 1], "points": [[0, 1]]}', encoding="utf-8")
+        code, out, _ = run(capsys, "contains", "inf,1", str(e), "inf,1", str(f))
+        assert code == 0 and out.strip() == "true"
+
 
 class TestGamma:
     def test_known_slices(self, capsys, variety_file):

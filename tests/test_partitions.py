@@ -55,6 +55,14 @@ class TestCanonicalize:
             assert str(P(text)) == text
 
 
+class TestGenComposition:
+    def test_is_infinite(self):
+        assert GenComposition({}).is_infinite is False
+        assert GenComposition({1: 2, 2: 1}).is_infinite is False
+        assert GenComposition({1: 2, 2: INF}).is_infinite is True
+        assert GenComposition.from_partition(P("inf,inf,1")).is_infinite is True
+
+
 class TestLeq:
     def test_examples(self):
         assert leq(P("2"), P("inf,1")) is True

@@ -23,12 +23,13 @@ from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
+    aut_orbits,
     contains,
     gamma_at,
     theta_member,
 )
 
-from oracles import contains_by_slice, theta_member_by_slice
+from oracles import contains_by_slice, spelled, theta_member_by_slice
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -38,15 +39,6 @@ LAMBDAS = ["inf", "inf,1", "inf,inf", "inf,2", "inf,3", "inf,inf,1", "inf,2,1", 
            "inf,inf,inf", "inf,inf,2", "inf,1,1,1", "inf,inf,1,1", "inf,2,1,1",
            "inf,inf,inf,1", "inf,inf,inf,inf"]
 MULTS = [INF, 1, 2, 3]
-
-
-def spelled(rng, v):
-    """v itself, or when v = n is integral one of n, Fraction(n) and
-    Fraction(2n, 2), at random."""
-    if v.denominator != 1:
-        return v
-    n = v.numerator
-    return rng.choice([n, Fraction(n), Fraction(2 * n, 2)])
 
 
 def distinct_variety(rng, lam):
@@ -144,6 +136,32 @@ def test_points_are_sorted_deduplicated_fractions():
         PointSetVariety(C(P("inf,inf")), [(3, Fraction(6, 2))]).require_distinct()
 
 
+def test_a_value_spelled_twice_is_repeated():
+    lam = C(P("inf,inf"))
+    Z = PointSetVariety(lam, [(3, Fraction(6, 2))])
+    assert Z.distinct is False
+    fine = PointSetVariety(lam, [(0, 1)])
+    x = FinitaryPoint.parse("3^inf")
+    for call in (lambda: theta_member(lam, Z, x),
+                 lambda: contains(lam, Z, lam, fine),
+                 lambda: contains(lam, fine, lam, Z),
+                 lambda: i_lambda_z(P("inf,inf"), Z),
+                 lambda: aut_orbits(lam, Z)):
+        with pytest.raises(DistinctnessError, match="pairwise distinct coordinates"):
+            call()
+
+
+def test_slices_sum_the_rooms_of_a_repeated_value():
+    # 0 sits on both weight-1 positions, so it has room 2
+    lam = C(P("inf,1,1"))
+    Z = PointSetVariety(lam, [(5, Fraction(0), Fraction(0, 2))])
+    assert Z.distinct is False
+    assert gamma_at(lam, Z, C(P("2"))).points == ((0,), (5,))
+    got = gamma_at(lam, Z, C(P("2,1"))).points
+    assert (0, 0) not in got
+    assert got == ((0, 5), (5, 0), (5, 5))
+
+
 def test_errors_are_those_of_the_slice():
     lam = C(P("inf,inf"))
     x = FinitaryPoint.parse("0^inf")
@@ -173,8 +191,12 @@ def test_errors_are_those_of_the_slice():
                  lambda: gamma_at(finite, Zf, finite)):
         with pytest.raises(ValueError, match="^the ambient composition must have an infinite part$"):
             call()
-    # an empty Z1 is contained before any slice check
-    assert contains(empty, PointSetVariety(empty, []), finite, Zf) is True
+    # an empty Z1 gets the same checks, and is contained when they pass
+    with pytest.raises(ValueError, match="^the slice composition must be non-empty$"):
+        contains(empty, PointSetVariety(empty, []), finite, Zf)
+    with pytest.raises(ValueError, match="^the ambient composition must have an infinite part$"):
+        contains(lam, PointSetVariety(lam, []), finite, Zf)
+    assert contains(lam, PointSetVariety(lam, []), lam, PointSetVariety(lam, [(0, 1)])) is True
 
 
 def _refuse(*args, **kwargs):

@@ -9,8 +9,9 @@ every map and every good correspondence to the rational tuples themselves;
 both must give the same point sets on seeded inputs: ``lambda`` with up to
 4 parts, infinite and saturated finite slices, slices with more parts than
 ``lambda`` or finite parts above its finite weight, coordinates with
-denominators 2, 3 and 7, negative values, and values shared within and
-between points.
+denominators 2, 3 and 7, negative values, values shared within and
+between points, and integral values given as ints, Fractions and
+unreduced Fractions.
 """
 
 import random
@@ -29,7 +30,7 @@ from symvar.variety import (
     gamma_at,
 )
 
-from oracles import enumerate_end_by_product
+from oracles import enumerate_end_by_product, spelled
 
 C = GenComposition.from_partition
 
@@ -108,9 +109,28 @@ def test_closure_and_slices_match_oracle(text, k):
     for mu_p in slices(rng, lam_p):
         mu = C(mu_p)
         want = oracle_gamma(lam, Z, mu)
-        assert _gamma_points(lam, closed.points, mu) == want, (Z.points, str(mu_p))
-        assert _gamma_points(lam, Z.points, mu) == want, (Z.points, str(mu_p))
+        assert _gamma_points(lam, closed.keys, mu) == want, (Z.points, str(mu_p))
+        assert _gamma_points(lam, Z.keys, mu) == want, (Z.points, str(mu_p))
         assert gamma_at(lam, Z, mu).points == tuple(sorted(want))
+
+
+@pytest.mark.parametrize("text", LAMBDAS)
+def test_integral_values_in_every_spelling(text):
+    # the slice search runs on keys and maps them back to Z's own values
+    rng = random.Random(f"spelling/{text}")
+    lam_p = GenPartition.parse(text)
+    lam = C(lam_p)
+    integral = [v for v in POOL if v.denominator == 1]
+    rational = [v for v in POOL if v.denominator != 1]
+    values = rng.sample(integral, 2) + rng.sample(rational, rng.randint(1, 2))
+    Z = PointSetVariety(lam, [tuple(spelled(rng, rng.choice(values)) for _ in range(lam.length))
+                              for _ in range(rng.randint(1, 3))])
+    own = {id(c) for p in Z.points for c in p}
+    for mu_p in slices(rng, lam_p):
+        mu = C(mu_p)
+        got = gamma_at(lam, Z, mu).points
+        assert got == tuple(sorted(oracle_gamma(lam, Z, mu))), (Z.points, str(mu_p))
+        assert all(type(c) is Fraction and id(c) in own for p in got for c in p)
 
 
 @pytest.mark.parametrize("text", LAMBDAS)
@@ -158,7 +178,7 @@ def test_collapsed_slices_match_oracle():
             Z = PointSetVariety(lam, [tuple(rng.choice(values) for _ in range(lam.length))
                                       for _ in range(rng.randint(1, 2))])
             mu = C(mu_p)
-            assert _gamma_points(lam, Z.points, mu) == oracle_gamma(lam, Z, mu), (Z.points, mu)
+            assert _gamma_points(lam, Z.keys, mu) == oracle_gamma(lam, Z, mu), (Z.points, mu)
             seen.add("longer" if mu.length > lam.length else "not longer")
             seen.add("above e" if any(e < w < INF for w in mu_p.parts) else "within e")
             seen.add("repeats" if any(len(set(p)) < len(p) for p in Z.points) else "distinct")

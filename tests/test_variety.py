@@ -54,6 +54,15 @@ class TestFinitaryPoint:
             x = FinitaryPoint.parse(lit)
             assert FinitaryPoint.parse(str(x)) == x
 
+    def test_keyed_pairs_match_classes(self):
+        x = FinitaryPoint([(Fraction(6, 2), 2), (Fraction(-1, 2), INF), (0, INF)])
+        assert x.keyed == x.classes
+        assert [type(k) for k, _ in x.keyed] == [Fraction, int, int]
+        assert [m for _, m in x.keyed] == [m for _, m in x.classes]
+        for name in ("classes", "keyed"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, ())
+
 
 class TestWidth:
     def test_examples(self):
@@ -115,6 +124,18 @@ class TestEndClosure:
         lam = C(P("inf,inf"))
         Z = PointSetVariety(lam, [(0, 0)])
         assert end_closure(lam, Z) == Z
+
+
+class TestPointSetKeys:
+    def test_keys_match_points(self):
+        lam = C(P("inf,inf,1"))
+        Z = PointSetVariety(lam, [(Fraction(4, 2), Fraction(1, 3), 0), (-1, 2, Fraction(5))])
+        assert Z.keys == Z.points
+        assert [[type(k) for k in ks] for ks in Z.keys] == [[int, int, int], [int, Fraction, int]]
+        assert Z.distinct is True
+        for name in ("keys", "tables", "distinct"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(Z, name, ())
 
 
 class TestGammaAt:
