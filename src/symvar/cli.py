@@ -3,12 +3,14 @@
 Subcommands: type, preceq, min-excluded, equations, member, contains,
 gamma, selfcheck.  Exit codes: 0 = success or true verdict, 1 = false
 verdict, 2 = usage or data error (any ValueError the library raises, and
-input too deep for the recursive searches), 3 = cross-check disagreement.
+input too deep for the recursive searches) or a stdout closed before the
+output was written, 3 = cross-check disagreement.
 Output is deterministic byte-for-byte for fixed inputs and seed.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -152,8 +154,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    ok = selfcheck.run_all(args.seed, sys.stdout)
-    return 0 if ok else 1
+    summary = selfcheck.run_all(args.seed)
+    _emit(args, summary, selfcheck.report(summary))
+    return 0 if summary["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +218,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except ValueError as exc:  # the library's report of bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ are rationals, and the generators are exactly those of elimination over Q.
 """
 
 import math
-import re
 from fractions import Fraction
 
 X_FAMILY = 0
@@ -76,16 +75,12 @@ class Poly:
         return cls({(): c})
 
     @classmethod
-    def variable(cls, v):
-        return cls({((v, 1),): 1})
-
-    @classmethod
     def x(cls, i):
-        return cls.variable(xvar(i))
+        return cls({((xvar(i), 1),): 1})
 
     @classmethod
     def t(cls, i):
-        return cls.variable(tvar(i))
+        return cls({((tvar(i), 1),): 1})
 
     @property
     def is_zero(self):
@@ -187,16 +182,13 @@ class Poly:
             out[m2] = out.get(m2, 0) + c
         return Poly(out)
 
-    def key(self):
-        return frozenset(self.terms.items())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
         """Terms in decreasing graded-lexicographic order."""
@@ -235,114 +227,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([xt])([0-9]+)|(\*\*|[()+\-*/^]))")
-
-
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial syntax near {text[pos:pos + 12]!r}")
-            break
-        if m.group(1):
-            out.append(("num", int(m.group(1))))
-        elif m.group(2):
-            fam = X_FAMILY if m.group(2) == "x" else T_FAMILY
-            out.append(("var", (fam, int(m.group(3)))))
-        else:
-            op = m.group(4)
-            out.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    return out
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse the polynomial grammar: +/- joined terms, `*` products,
-    `^` powers, variables x<i> and t<i>, rationals p/q, parentheses."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of polynomial text")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr():
-        sign = 1
-        kind, val = peek()
-        if kind == "op" and val in "+-":
-            take()
-            sign = -1 if val == "-" else 1
-        node = parse_term() * sign
-        while True:
-            kind, val = peek()
-            if kind == "op" and val in "+-":
-                take()
-                nxt = parse_term()
-                node = node + nxt if val == "+" else node - nxt
-            else:
-                return node
-
-    def parse_term():
-        node = parse_factor()
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                take()
-                node = node * parse_factor()
-            else:
-                return node
-
-    def parse_factor():
-        base = parse_base()
-        kind, val = peek()
-        if kind == "op" and val == "^":
-            take()
-            kind, val = take()
-            if kind != "num":
-                raise ValueError("exponent must be a natural number")
-            return base ** val
-        return base
-
-    def parse_base():
-        kind, val = take()
-        if kind == "num":
-            k2, v2 = peek()
-            if k2 == "op" and v2 == "/":
-                take()
-                k3, v3 = take()
-                if k3 != "num":
-                    raise ValueError("bad rational literal")
-                if v3 == 0:
-                    raise ValueError(f"zero denominator in '{val}/0'")
-                return Poly.constant(Fraction(val, v3))
-            return Poly.constant(val)
-        if kind == "var":
-            return Poly.variable(val)
-        if kind == "op" and val == "(":
-            node = parse_expr()
-            k2, v2 = take()
-            if (k2, v2) != ("op", ")"):
-                raise ValueError("unbalanced parentheses")
-            return node
-        raise ValueError(f"unexpected token {val!r}")
-
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    node = parse_expr()
-    if pos != len(tokens):
-        raise ValueError("trailing polynomial text")
-    return node
 
 
 def difference(a: int, b: int) -> Poly:

@@ -1,8 +1,9 @@
 """Randomized invariant battery behind the ``selfcheck`` subcommand.
 
-Each suite returns (name, number of checks, list of failure strings); the
-driver prints one line per suite and an overall verdict.  All randomness is
-drawn from a caller-provided seed so runs are reproducible.
+Each suite returns (name, number of checks, list of failure strings);
+``run_all`` gathers them into one summary, and ``report`` renders it as one
+line per suite and an overall verdict.  All randomness is drawn from a
+caller-provided seed so runs are reproducible.
 """
 
 import itertools
@@ -49,12 +50,13 @@ from .variety import (
 VALUE_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
 
 
-def random_inf_partition(rng, max_len=4, max_finite=4):
-    """Random partition with at least one infinite part."""
-    n_inf = rng.randint(1, max_len)
+def random_inf_partition(rng):
+    """Random partition with at least one infinite part: at most four parts,
+    finite parts summing to at most 4."""
+    n_inf = rng.randint(1, 4)
     parts = [INF] * n_inf
-    budget = max_finite
-    while len(parts) < max_len and budget > 0 and rng.random() < 0.7:
+    budget = 4
+    while len(parts) < 4 and budget > 0 and rng.random() < 0.7:
         p = rng.randint(1, budget)
         parts.append(p)
         budget -= p
@@ -78,19 +80,19 @@ def random_exact_domain_partition(rng):
     return GenPartition(parts[:3])
 
 
-def random_point(rng, max_width=5, max_mult=4):
+def random_point(rng, max_width=5):
     width = rng.randint(1, max_width)
     values = rng.sample(VALUE_POOL, width)
     n_inf = rng.randint(1, width)
     classes = []
     for i, v in enumerate(values):
-        classes.append((v, INF if i < n_inf else rng.randint(1, max_mult)))
+        classes.append((v, INF if i < n_inf else rng.randint(1, 4)))
     return FinitaryPoint(classes)
 
 
-def random_poly(rng, nvars=3, max_degree=3, terms=4):
+def random_poly(rng, nvars=3, max_degree=3):
     p = Poly.zero()
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 4)):
         deg = rng.randint(0, max_degree)
         mono = Poly.constant(1)
         for _ in range(deg):
@@ -99,16 +101,16 @@ def random_poly(rng, nvars=3, max_degree=3, terms=4):
     return p
 
 
-def random_variety(rng, lam, max_points=3):
+def random_variety(rng, lam):
     comp = GenComposition.from_partition(lam)
-    pts = [tuple(rng.sample(VALUE_POOL[:4], lam.length)) for _ in range(rng.randint(1, max_points))]
+    pts = [tuple(rng.sample(VALUE_POOL[:4], lam.length)) for _ in range(rng.randint(1, 3))]
     return PointSetVariety(comp, pts)
 
 
-def random_composition(rng, max_len=3, max_weight=4):
+def random_composition(rng, max_len=3):
     weights = []
     for _ in range(rng.randint(1, max_len)):
-        weights.append(INF if rng.random() < 0.5 else rng.randint(1, max_weight))
+        weights.append(INF if rng.random() < 0.5 else rng.randint(1, 4))
     if not any(is_inf(w) for w in weights):
         weights[rng.randrange(len(weights))] = INF
     return GenComposition.from_weights(weights)
@@ -188,10 +190,10 @@ def suite_discriminant_signs(rng):
     return "discriminant sign action", checks, fails
 
 
-def suite_pullback(rng, squares=40):
+def suite_pullback(rng):
     fails = []
     checks = 0
-    for t in range(squares):
+    for t in range(40):
         mu = random_composition(rng)
         flavor = t % 3
         f1 = random_map_onto(rng, mu)
@@ -207,10 +209,10 @@ def suite_pullback(rng, squares=40):
     return "pullback squares", checks, fails
 
 
-def suite_factor(rng, count=30):
+def suite_factor(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(30):
         mu = random_composition(rng)
         f = random_map_onto(rng, mu)
         h, g = factor(f)
@@ -220,10 +222,10 @@ def suite_factor(rng, count=30):
     return "map factorization", checks, fails
 
 
-def suite_compose(rng, count=12):
+def suite_compose(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(12):
         lam = random_composition(rng, max_len=2)
         mu = random_composition(rng, max_len=2)
         nu = random_composition(rng, max_len=2)
@@ -243,10 +245,10 @@ def suite_compose(rng, count=12):
     return "correspondence composition", checks, fails
 
 
-def suite_extraction(rng, count=15):
+def suite_extraction(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(15):
         f = Poly.zero()
         while f.is_zero:
             f = random_poly(rng)
@@ -257,10 +259,10 @@ def suite_extraction(rng, count=15):
     return "discriminant extraction", checks, fails
 
 
-def suite_vanishing(rng, count=12):
+def suite_vanishing(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(12):
         r = rng.randint(1, 3)
         pts = {tuple(rng.choice(VALUE_POOL[:4]) for _ in range(r)) for _ in range(rng.randint(1, 5))}
         pts = sorted(pts)
@@ -279,7 +281,7 @@ def _tassign(pt):
     return {(1, i + 1): c for i, c in enumerate(pt)}
 
 
-def suite_orders(rng):
+def suite_orders():
     fails = []
     checks = 0
     vals = [1, 2, INF]
@@ -295,10 +297,10 @@ def suite_orders(rng):
     return "combining order vs fillings", checks, fails
 
 
-def suite_type_locus(rng, count=25):
+def suite_type_locus(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(25):
         lam = random_inf_partition(rng)
         x = random_point(rng)
         checks += 1
@@ -307,15 +309,13 @@ def suite_type_locus(rng, count=25):
     return "type-locus equations", checks, fails
 
 
-def suite_classified(rng, count=15):
+def suite_classified(rng):
     fails = []
     checks = 0
-    t = 0
-    while t < count:
+    for t in range(1, 16):
         lam = random_exact_domain_partition(rng)
         Z = random_variety(rng, lam)
         x = random_point(rng, max_width=4)
-        t += 1
         checks += 1
         comp = GenComposition.from_partition(lam)
         if member_by_equations(i_lambda_z(lam, Z), x) != theta_member(comp, Z, x):
@@ -323,10 +323,10 @@ def suite_classified(rng, count=15):
     return "classified-set equations", checks, fails
 
 
-def suite_end_closure(rng, count=15):
+def suite_end_closure(rng):
     fails = []
     checks = 0
-    for t in range(count):
+    for t in range(15):
         lam = random_composition(rng)
         Z = PointSetVariety(lam, [tuple(rng.sample(VALUE_POOL[:5], lam.length)) for _ in range(2)])
         Ze = end_closure(lam, Z)
@@ -344,7 +344,9 @@ def suite_end_closure(rng, count=15):
     return "endomorphism closure", checks, fails
 
 
-def run_all(seed: int, out) -> bool:
+def run_all(seed: int) -> dict:
+    """Run every suite on one RNG seeded with `seed`; the summary is what
+    ``selfcheck --json`` prints and what ``report`` renders."""
     rng = random.Random(seed)
     suites = [
         suite_skew_identity(),
@@ -354,21 +356,30 @@ def run_all(seed: int, out) -> bool:
         suite_compose(rng),
         suite_extraction(rng),
         suite_vanishing(rng),
-        suite_orders(rng),
+        suite_orders(),
         suite_type_locus(rng),
         suite_classified(rng),
         suite_end_closure(rng),
     ]
-    ok = True
-    total = 0
-    for name, checks, fails in suites:
-        total += checks
+    return {
+        "seed": seed,
+        "ok": not any(fails for _, _, fails in suites),
+        "checks": sum(checks for _, checks, _ in suites),
+        "suites": [{"name": n, "checks": c, "failures": f} for n, c, f in suites],
+    }
+
+
+def report(summary: dict) -> str:
+    """One line per suite, at most five failures under a failing one, then
+    the verdict."""
+    lines = []
+    for suite in summary["suites"]:
+        name, checks, fails = suite["name"], suite["checks"], suite["failures"]
         if fails:
-            ok = False
-            out.write(f"{name}: FAIL ({len(fails)}/{checks} checks failed)\n")
-            for f in fails[:5]:
-                out.write(f"  - {f}\n")
+            lines.append(f"{name}: FAIL ({len(fails)}/{checks} checks failed)")
+            lines.extend(f"  - {f}" for f in fails[:5])
         else:
-            out.write(f"{name}: pass ({checks} checks)\n")
-    out.write(f"{'all suites passed' if ok else 'FAILURES PRESENT'} ({total} checks, seed {seed})\n")
-    return ok
+            lines.append(f"{name}: pass ({checks} checks)")
+    verdict = "all suites passed" if summary["ok"] else "FAILURES PRESENT"
+    lines.append(f"{verdict} ({summary['checks']} checks, seed {summary['seed']})")
+    return "\n".join(lines)

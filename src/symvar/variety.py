@@ -194,12 +194,6 @@ class PointSetVariety:
         raise AttributeError("PointSetVariety is immutable")
 
 
-def variety_to_json(Z: PointSetVariety) -> str:
-    lam = ["inf" if is_inf(w) else w for _, w in Z.lam.items()]
-    pts = [[str(c) if c.denominator != 1 else int(c) for c in p] for p in Z.points]
-    return json.dumps({"lambda": lam, "points": pts}, sort_keys=True)
-
-
 def variety_from_json(text: str) -> PointSetVariety:
     """Variety file format: JSON object with ``lambda`` (list of naturals or
     "inf") and ``points`` (list of coordinate lists; rationals as "p/q").

@@ -25,9 +25,9 @@ from symvar.partitions import (
 )
 from symvar.poly import (
     Poly,
+    difference,
     discriminant,
     extract_discriminant,
-    parse_poly,
     skew_sum,
     vanishing_ideal,
     verify_witness,
@@ -77,35 +77,35 @@ def cli_lines(*argv):
 
 
 def reference_h_triple():
-    return parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)")
+    return difference(1, 2) * difference(2, 3) * difference(3, 1)
 
 
 def reference_h_pair_block(n):
     return tuple(
-        parse_poly(f"x{n + 1 - k} - x{2 * n + 2 - l}")
+        difference(n + 1 - k, 2 * n + 2 - l)
         for k in range(n + 1)
         for l in range(n + 1)
     )
 
 
 def reference_four_part_generators():
-    h1 = tuple(parse_poly(f"x{i} - x{j}") for i in range(1, 6) for j in range(i + 1, 6))
+    h1 = tuple(difference(i, j) for i in range(1, 6) for j in range(i + 1, 6))
     h2 = tuple(
-        parse_poly(f"x{2 * i - k} - x{2 * j - l}")
+        difference(2 * i - k, 2 * j - l)
         for i in range(1, 5)
         for j in range(i + 1, 5)
         for k in range(2)
         for l in range(2)
     )
-    h3 = tuple(parse_poly(f"x{i} - x10") for i in range(1, 10)) + tuple(
-        parse_poly(f"x{3 * i - k} - x{3 * j - l}")
+    h3 = tuple(difference(i, 10) for i in range(1, 10)) + tuple(
+        difference(3 * i - k, 3 * j - l)
         for i in range(1, 4)
         for j in range(i + 1, 4)
         for k in range(3)
         for l in range(3)
     )
     h4 = tuple(
-        parse_poly(f"x{4 * i - k} - x{4 * j - l}")
+        difference(4 * i - k, 4 * j - l)
         for i in range(1, 4)
         for j in range(i + 1, 4)
         for k in range(4)
@@ -163,11 +163,12 @@ def test_criterion_3_boolean_pair_classification():
         assert {str(g) for g in vanishing_ideal(g1.points)} == {"t1^2 - t1"}
         ideal = i_lambda_z(P("inf,inf"), Z)
         ours = [expand(eager_product(g)) for g in ideal.generators]
+        x1, x2 = Poly.x(1), Poly.x(2)
         displays = [
-            parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)"),
-            parse_poly("(x1 - x2)*(x1*(x1 - 1))"),
-            parse_poly("(x1 - x2)*(x2*(x2 - 1))"),
-            parse_poly("x1*(x1 - 1)"),
+            reference_h_triple(),
+            difference(1, 2) * (x1 * (x1 - 1)),
+            difference(1, 2) * (x2 * (x2 - 1)),
+            x1 * (x1 - 1),
         ]
         for pg in displays:
             assert any(equivalent_mod_relabeling(pg, og) for og in ours)
@@ -177,7 +178,7 @@ def test_criterion_4_type_locus_cross_oracle():
     with criterion(4, "type-locus cross-oracle (200 pairs)", budget=60.0):
         rng = random.Random(84)
         for _ in range(200):
-            lam = random_inf_partition(rng, max_len=4, max_finite=4)
+            lam = random_inf_partition(rng)
             x = random_point(rng, max_width=5)
             got = member_by_equations(i_lambda(lam), x)
             want = preceq(type_of_point(x), lam)

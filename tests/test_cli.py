@@ -11,6 +11,8 @@ import symvar
 from symvar import cli
 from symvar.cli import main
 
+from test_golden_cli import FILES
+
 BOOLEAN_PAIR = '{"lambda": ["inf", "inf"], "points": [[0, 1], [1, 0]]}'
 
 
@@ -266,3 +268,38 @@ class TestErrorPath:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+
+class TestClosedStdout:
+    """A reader that stops early makes exit 2 with a quiet stderr."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closes_after_one_line(self, tmp_path, unbuffered):
+        # about 140 kB of generators, more than a pipe holds: the writer is
+        # still writing when the reader closes its end
+        path = tmp_path / "Z3.json"
+        path.write_text(FILES["Z3.json"])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
+        argv = ["equations", "inf,inf,2", "--variety", str(path)]
+        child = subprocess.Popen([sys.executable, "-m", "symvar.cli", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline().startswith(b"# ")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2
+        assert err == b""
+
+
+class TestSelfcheckJson:
+    def test_suites_mirror_the_text_report(self, capsys):
+        code, text, _ = run(capsys, "selfcheck", "--seed", "3")
+        code_json, out, _ = run(capsys, "selfcheck", "--json", "--seed", "3")
+        summary = json.loads(out)
+        assert code == code_json == 0
+        assert summary["seed"] == 3 and summary["ok"] is True
+        lines = [f"{s['name']}: pass ({s['checks']} checks)" for s in summary["suites"]]
+        lines.append(f"all suites passed ({summary['checks']} checks, seed 3)")
+        assert text.splitlines() == lines
+        assert all(s["failures"] == [] for s in summary["suites"])

@@ -23,7 +23,7 @@ from symvar.partitions import (
     mu_s,
     preceq,
 )
-from symvar.poly import Poly, parse_poly
+from symvar.poly import Poly, difference
 from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
@@ -59,15 +59,17 @@ def excluded(text):
 
 class TestHTableau:
     def test_triple(self):
-        h = parse_poly(str(excluded("1,1,1")))
-        reference = parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)")
-        assert equivalent_mod_relabeling(h, reference)
+        g = excluded("1,1,1")
+        assert str(g) == "(x1 - x2)*(x1 - x3)*(x2 - x3)"
+        reference = difference(1, 2) * difference(2, 3) * difference(3, 1)
+        assert equivalent_mod_relabeling(expand(eager_product(g)), reference)
 
     def test_pair_shape(self):
         g = excluded("2,2")
         assert g.rows == ((1, 2), (3, 4))
-        want = parse_poly("(x1 - x3)*(x1 - x4)*(x2 - x3)*(x2 - x4)")
-        assert parse_poly(str(g)) == want
+        assert str(g) == "(x1 - x3)*(x1 - x4)*(x2 - x3)*(x2 - x4)"
+        want = difference(1, 3) * difference(1, 4) * difference(2, 3) * difference(2, 4)
+        assert expand(eager_product(g)) == want
 
     def test_single_row_is_one(self):
         g = excluded("4")
@@ -82,8 +84,8 @@ class TestProductShape:
             assert product_shape(h_tableau(excluded(lit).rows)) == shape
 
     def test_rejects_non_multipartite(self):
-        assert product_shape((parse_poly("x1 - x2"), parse_poly("x3 - x4"))) is None
-        assert product_shape((parse_poly("x1 + x2"),)) is None
+        assert product_shape((difference(1, 2), difference(3, 4))) is None
+        assert product_shape((Poly.x(1) + Poly.x(2),)) is None
         assert product_shape(()) is None
 
 
@@ -103,7 +105,7 @@ class TestILambda:
         ideal = i_lambda(P("inf"))
         assert len(ideal.generators) == 1
         assert equivalent_mod_relabeling(
-            expand(eager_product(ideal.generators[0])), parse_poly("x1 - x2")
+            expand(eager_product(ideal.generators[0])), difference(1, 2)
         )
 
     def test_requires_infinite_part(self):
@@ -116,11 +118,12 @@ class TestILambdaZ:
         lam = P("inf,inf")
         Z = PointSetVariety(C(lam), [(0, 1), (1, 0)])
         ideal = i_lambda_z(lam, Z)
+        x1, x2 = Poly.x(1), Poly.x(2)
         displays = [
-            parse_poly("(x1 - x2)*(x2 - x3)*(x3 - x1)"),
-            parse_poly("(x1 - x2)*(x1*(x1 - 1))"),
-            parse_poly("(x1 - x2)*(x2*(x2 - 1))"),
-            parse_poly("x1*(x1 - 1)"),
+            difference(1, 2) * difference(2, 3) * difference(3, 1),
+            difference(1, 2) * (x1 * (x1 - 1)),
+            difference(1, 2) * (x2 * (x2 - 1)),
+            x1 * (x1 - 1),
         ]
         ours = [expand(eager_product(g)) for g in ideal.generators]
         for pg in displays:
@@ -131,8 +134,8 @@ class TestILambdaZ:
         Z = PointSetVariety(C(lam), [(Fraction(5),)])
         ideal = i_lambda_z(lam, Z)
         expanded = [expand(eager_product(g)) for g in ideal.generators]
-        assert any(equivalent_mod_relabeling(e, parse_poly("x1 - 5")) for e in expanded)
-        assert any(equivalent_mod_relabeling(e, parse_poly("x1 - x2")) for e in expanded)
+        assert any(equivalent_mod_relabeling(e, Poly.x(1) - 5) for e in expanded)
+        assert any(equivalent_mod_relabeling(e, difference(1, 2)) for e in expanded)
 
     def test_provenance_total(self):
         lam = P("inf,1")
@@ -222,7 +225,7 @@ class TestLazyProduct:
 
     def test_tail_without_a_row_is_rejected_up_front(self):
         with pytest.raises(ValueError):
-            IdealGenerator("slice", P("2"), parse_poly("t2 - 1"))
+            IdealGenerator("slice", P("2"), Poly.t(2) - 1)
 
 
 class TestMembership:

@@ -14,7 +14,6 @@ from symvar.poly import (
     apply_perm,
     discriminant,
     extract_discriminant,
-    parse_poly,
     replay_witness,
     skew_sum,
     tvar,
@@ -24,7 +23,7 @@ from symvar.poly import (
 )
 from symvar.selfcheck import random_poly
 
-from oracles import expand, orbit_evaluations
+from oracles import eager_product, expand, orbit_evaluations
 
 
 class TestDiscriminant:
@@ -50,7 +49,7 @@ class TestDiscriminant:
 
 class TestApplyPerm:
     def test_identity(self):
-        p = parse_poly("x1^2*x2 - x2 + 3/2")
+        p = Poly.x(1) ** 2 * Poly.x(2) - Poly.x(2) + Fraction(3, 2)
         assert apply_perm({}, p) == p
 
     def test_antisymmetry(self):
@@ -174,7 +173,7 @@ class TestOrbitEvaluations:
 
 class TestVanishingIdeal:
     def test_two_points_on_line(self):
-        assert vanishing_ideal([(0,), (1,)]) == [parse_poly("t1^2 - t1")]
+        assert vanishing_ideal([(0,), (1,)]) == [Poly.t(1) ** 2 - Poly.t(1)]
 
     def test_square(self):
         gens = vanishing_ideal([(0, 1), (1, 0), (0, 0), (1, 1)])
@@ -213,11 +212,11 @@ class TestCoefficients:
     """Integer coefficients stay ints, others are Fractions, never floats."""
 
     def test_integer_polynomials_hold_ints(self):
-        for p in (discriminant(3), parse_poly("(x1 - x2)^2")):
+        for p in (discriminant(3), (Poly.x(1) - Poly.x(2)) ** 2):
             assert p.terms and all(type(c) is int for c in p.terms.values())
 
     def test_rational_literal_holds_a_fraction(self):
-        c = parse_poly("1/2*t1").terms[((tvar(1), 1),)]
+        c = (Fraction(1, 2) * Poly.t(1)).terms[((tvar(1), 1),)]
         assert type(c) is Fraction and c == Fraction(1, 2)
 
     def test_float_is_stored_as_exact_fraction(self):
@@ -232,37 +231,15 @@ class TestCoefficients:
 
 
 class TestGrammar:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x1^2*x2 - x2 + 3/2",
-            "t1^2 - t1",
-            "-x1 + 2",
-            "(x1 - x2)*(x1^2 - x1)",
-            "5",
-            "x12*t3 - 7/3",
-        ],
-    )
-    def test_round_trip(self, text):
-        q = parse_poly(text)
-        assert parse_poly(str(q)) == q
+    """The printed form: terms in decreasing graded-lex order, signs
+    between terms, and a factor-free generator printed as 1."""
 
     def test_canonical_order(self):
-        assert str(parse_poly("3/2 - x2 + x2*x1^2")) == "x1^2*x2 - x2 + 3/2"
-
-    def test_bad_syntax(self):
-        for bad in ["x", "1 +", "x1^^2", "(x1", "x1 & x2", "1/0", "3/0*x1",
-                    "٣*x1", "x١", "3*x1 + ٢"]:
-            with pytest.raises(ValueError):
-                parse_poly(bad)
-
-    def test_product_round_trip(self):
-        # generators print as parenthesized factors joined by "*"
-        factors = (Poly.x(1) - Poly.x(2), parse_poly("x1^2 - x1"))
-        assert parse_poly("*".join(f"({f})" for f in factors)) == expand(factors)
+        x1, x2 = Poly.x(1), Poly.x(2)
+        assert str(Fraction(3, 2) - x2 + x2 * x1**2) == "x1^2*x2 - x2 + 3/2"
 
     def test_empty_product(self):
         # a generator with no factors prints as 1 and expands to 1
         g = IdealGenerator("excluded", GenPartition.parse("3"))
         assert str(g) == "1"
-        assert parse_poly(str(g)) == expand(()) == Poly.constant(1)
+        assert expand(eager_product(g)) == expand(()) == Poly.constant(1)

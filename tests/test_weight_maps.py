@@ -7,7 +7,6 @@ search it replaced (``tests/oracles.py``), so the search does not judge
 itself.
 """
 
-import io
 import itertools
 import random
 
@@ -97,6 +96,6 @@ def test_selfcheck_catches_rooms_that_never_shrink(monkeypatch):
     # the slices and end_closure take their maps from variety's weight_maps;
     # selfcheck's correspondence route does not, so it sees the extra points
     monkeypatch.setattr(variety, "weight_maps", weight_maps_without_shrinking)
-    out = io.StringIO()
-    assert selfcheck.run_all(1, out) is False
-    assert "endomorphism closure: FAIL" in out.getvalue()
+    summary = selfcheck.run_all(1)
+    assert summary["ok"] is False
+    assert "endomorphism closure: FAIL" in selfcheck.report(summary)
