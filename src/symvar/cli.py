@@ -133,9 +133,7 @@ def cmd_contains(args) -> int:
     lam = GenPartition.parse(args.lam)
     Z1 = _load_variety(args.file1, mu)
     Z2 = _load_variety(args.file2, lam)
-    verdict = contains(
-        GenComposition.from_partition(mu), Z1, GenComposition.from_partition(lam), Z2
-    )
+    verdict = contains(Z1.lam, Z1, Z2.lam, Z2)
     _emit(args, {"contains": verdict}, "true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -144,9 +142,7 @@ def cmd_gamma(args) -> int:
     lam = GenPartition.parse(args.lam)
     mu = GenPartition.parse(args.mu)
     Z = _load_variety(args.file, lam)
-    result = gamma_at(
-        GenComposition.from_partition(lam), Z, GenComposition.from_partition(mu)
-    )
+    result = gamma_at(Z.lam, Z, GenComposition.from_partition(mu))
     lines = [",".join(str(c) for c in p) for p in result.points]
     payload = {"points": [[str(c) for c in p] for p in result.points]}
     _emit(args, payload, "\n".join(lines))

@@ -13,7 +13,7 @@ Everything is immutable; enumeration output order is deterministic.
 
 import itertools
 
-from .partitions import GenComposition, is_inf, weight_maps
+from .partitions import INF, GenComposition, weight_maps
 
 
 class CompMap:
@@ -125,13 +125,13 @@ def pullback_square(f1: CompMap, f2: CompMap):
             b = max(right, key=lambda t: (t[1], -mu2.labels.index(t[0])))
             w = min(a[1], b[1])
             parts.append((w, a[0], b[0]))
-            if is_inf(w):
+            if w == INF:
                 left.remove(a)  # saturated by an infinite part
-            elif not is_inf(a[1]):  # an infinite residual is kept
+            elif a[1] != INF:  # an infinite residual is kept
                 a[1] -= w
                 if a[1] == 0:
                     left.remove(a)
-            if not is_inf(b[1]):
+            if b[1] != INF:
                 b[1] -= w
                 if b[1] == 0:
                     right.remove(b)

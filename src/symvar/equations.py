@@ -29,7 +29,6 @@ shape and the factor, and printing writes the factored form straight from
 them.
 """
 
-import functools
 import itertools
 import math
 import re
@@ -168,8 +167,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     if not lam.is_infinite:
         raise ValueError("i_lambda_z requires a partition with an infinite part")
     Z.require_distinct()
-    lam_comp = GenComposition.from_partition(lam)
-    if Z.lam != lam_comp:
+    if Z.lam != GenComposition.from_partition(lam):
         raise ValueError("Z must live over the composition of lam")
     e = lam.finite_weight
     gens = list(i_lambda(lam).generators)
@@ -178,9 +176,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         if not _mix_safe(mu, lam):
             continue
         saturated = mu_s(mu, e)
-        slice_pts = frozenset(_gamma_points(
-            lam_comp, Z.keys, GenComposition.from_partition(saturated)
-        ))
+        slice_pts = frozenset(_gamma_points(Z.tables, GenComposition.from_partition(saturated)))
         if not slice_pts:
             gens.append(IdealGenerator("slice", mu))
             continue
@@ -199,8 +195,7 @@ def _tail_zero_test(tail, tail_rows, classes):
     common denominator of the class values and L that of the tail's
     coefficients, L * q^deg * tail(values) is the integer sum, over the
     terms c_m t^m, of (L * c_m) * prod(q * value)^m * q^(deg - |m|); it is
-    zero exactly when the tail vanishes.  Answers are kept, so each class
-    choice is tested once.
+    zero exactly when the tail vanishes.
     """
     q = math.lcm(*(v.denominator for v, _ in classes))
     scaled = [v.numerator * (q // v.denominator) for v, _ in classes]
@@ -213,7 +208,6 @@ def _tail_zero_test(tail, tail_rows, classes):
         for m, c in tail.terms.items()
     ]
 
-    @functools.lru_cache(maxsize=None)
     def vanishes(combo):
         total = 0
         for coeff, mono in terms:

@@ -19,10 +19,6 @@ from functools import lru_cache
 INF = float("inf")
 
 
-def is_inf(w) -> bool:
-    return w == INF
-
-
 def weight_maps(weights, labels, rooms) -> list:
     """Every tuple whose entry i is the label of the slot that weight i goes
     to, such that the weights sent to each slot sum to at most its room,
@@ -38,7 +34,7 @@ def weight_maps(weights, labels, rooms) -> list:
         w = weights[i]
         for j, r in enumerate(rooms):
             if w <= r:
-                rooms[j] = r if is_inf(r) else r - w  # inf - inf is NaN
+                rooms[j] = r if r == INF else r - w  # inf - inf is NaN
                 rec(i + 1, chosen + (labels[j],))
                 rooms[j] = r
 
@@ -56,7 +52,7 @@ def parse_weight(token: str):
 
 
 def _check_weight(w, allow_zero=False):
-    if is_inf(w):
+    if w == INF:
         return w
     if isinstance(w, bool) or not isinstance(w, int):
         raise ValueError(f"weight must be a natural number or INF, got {w!r}")
@@ -89,16 +85,16 @@ class GenPartition:
 
     @property
     def num_infinite(self) -> int:
-        return sum(1 for p in self.parts if is_inf(p))
+        return self.parts.count(INF)
 
     @property
     def finite_weight(self) -> int:
         """Sum of the finite parts."""
-        return sum(p for p in self.parts if not is_inf(p))
+        return sum(p for p in self.parts if p != INF)
 
     @property
     def is_infinite(self) -> bool:
-        return self.length > 0 and is_inf(self.parts[0])
+        return self.length > 0 and self.parts[0] == INF
 
     def __iter__(self):
         return iter(self.parts)
@@ -172,7 +168,7 @@ class GenComposition:
 
     @property
     def finite_weight(self) -> int:
-        return sum(w for w in self._weights.values() if not is_inf(w))
+        return sum(w for w in self._weights.values() if w != INF)
 
     def shape(self) -> GenPartition:
         return GenPartition(self._weights.values())
@@ -269,7 +265,7 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
     if mu.length == 0:
         return True
     caps = list(lam.parts)
-    inf_entries = [i for i, c in enumerate(caps) if is_inf(c)]
+    inf_entries = [i for i, c in enumerate(caps) if c == INF]
     inf_rows = mu.num_infinite
     if inf_rows > len(inf_entries):
         return False
@@ -277,7 +273,7 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
     # equal capacity are interchangeable, so anchoring the first ones is no
     # loss of generality.
     owned = set(inf_entries[:inf_rows])
-    finite_rows = [p for p in mu.parts if not is_inf(p)]
+    finite_rows = [p for p in mu.parts if p != INF]
     residual = {i: caps[i] for i in range(len(caps))}
 
     def fill_rows(r):
@@ -297,15 +293,15 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
                 if e in owned:
                     continue
                 cap = residual[e]
-                if not is_inf(cap) and cap < 1:
+                if cap < 1:
                     continue
-                if not is_inf(cap):
+                if cap != INF:
                     residual[e] = cap - 1
                 added = e not in row_used
                 if added:
                     row_used.append(e)
                 ok = fill_cells(pos + 1, e)
-                if not is_inf(cap):
+                if cap != INF:
                     residual[e] = cap
                 if added:
                     row_used.pop()
@@ -400,6 +396,6 @@ def mu_s(mu: GenPartition, e: int) -> GenPartition:
     """Saturate: parts equal to e+1 become infinite.  The result is the
     largest partition with the same (e+1)-capped truncation as mu."""
     for p in mu.parts:
-        if not is_inf(p) and p > e + 1:
+        if p != INF and p > e + 1:
             raise ValueError(f"part {p} exceeds e+1 = {e + 1}")
     return GenPartition(INF if p == e + 1 else p for p in mu.parts)

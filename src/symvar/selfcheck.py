@@ -24,7 +24,6 @@ from .partitions import (
     GenComposition,
     GenPartition,
     good_filling_exists,
-    is_inf,
     preceq,
 )
 from .poly import (
@@ -111,7 +110,7 @@ def random_composition(rng, max_len=3):
     weights = []
     for _ in range(rng.randint(1, max_len)):
         weights.append(INF if rng.random() < 0.5 else rng.randint(1, 4))
-    if not any(is_inf(w) for w in weights):
+    if INF not in weights:
         weights[rng.randrange(len(weights))] = INF
     return GenComposition.from_weights(weights)
 
@@ -124,8 +123,8 @@ def random_map_onto(rng, mu, principal=False, injection=False):
         target = mu.weight(j)
         if injection:
             if rng.random() < 0.5:
-                w = INF if is_inf(target) and rng.random() < 0.5 else rng.randint(
-                    1, target if not is_inf(target) else 4
+                w = INF if target == INF and rng.random() < 0.5 else rng.randint(
+                    1, target if target != INF else 4
                 )
                 weights[nxt] = w
                 table[nxt] = j
@@ -134,7 +133,7 @@ def random_map_onto(rng, mu, principal=False, injection=False):
         if principal:
             remaining = target
             while True:
-                if is_inf(remaining):
+                if remaining == INF:
                     if rng.random() < 0.5:
                         weights[nxt], table[nxt] = INF, j
                         nxt += 1
@@ -149,7 +148,7 @@ def random_map_onto(rng, mu, principal=False, injection=False):
                     nxt += 1
                     remaining -= w
         else:
-            budget = 4 if is_inf(target) else target
+            budget = 4 if target == INF else target
             while budget > 0 and rng.random() < 0.6:
                 w = rng.randint(1, budget)
                 weights[nxt], table[nxt] = w, j
@@ -339,7 +338,7 @@ def suite_end_closure(rng):
         # correspondences' images) against the collapse route, on Z and on
         # its closure, which adds no point (see variety.gamma_at)
         by_corr = {p for c in enumerate_good(lam, lam) for p in apply_corr(c, Z).points}
-        if not by_corr == _gamma_points(lam, Z.keys, lam) == _gamma_points(lam, Ze.keys, lam):
+        if not by_corr == _gamma_points(Z.tables, lam) == _gamma_points(Ze.tables, lam):
             fails.append(f"slice routes disagree {t}")
     return "endomorphism closure", checks, fails
 

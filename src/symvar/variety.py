@@ -8,10 +8,12 @@ correspondences and the endomorphism closure.  The slices of the closure
 system need neither: each is read off the points of Z collapsed along their
 values (see ``gamma_at``); both take their maps from
 ``partitions.weight_maps``.  Membership and containment build no slice:
-they follow the paper's point-set description (see ``theta_member``).  A
-``PointSetVariety`` and a ``FinitaryPoint`` key their values once, at
-construction, so a query is one lookup per class per point, and a slice
-search hashes ints where the values are integral.
+they follow the paper's point-set description (see ``theta_member``).
+Values are ints or Fractions, keyed once, at construction (see ``_key``):
+a finitary point holds only its keyed classes, and a point set holds, per
+point, the room of each of its values.  A query is one lookup per class
+per point, and a slice search reads the rooms, hashing ints where the
+values are integral.
 """
 
 import json
@@ -20,9 +22,10 @@ from fractions import Fraction
 from itertools import chain
 
 from .partitions import (
+    INF,
     GenComposition,
     GenPartition,
-    is_inf,
+    _check_weight,
     parse_weight,
     weight_maps,
 )
@@ -36,8 +39,19 @@ class DistinctnessError(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def _rational(value):
+    """`value` as a Fraction.  Only an int (not a bool, as in
+    ``partitions._check_weight``) or a Fraction is a value: a float's binary
+    expansion is seldom the number meant."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"a value must be an int or a Fraction, got {value!r}")
+
+
 def _key(value):
-    """The key of a rational: its numerator when it is integral, else the
+    """The key of a Fraction: its numerator when it is integral, else the
     Fraction itself.  Equal values get equal keys, and int keys hash and
     compare without running Python code."""
     return value.numerator if value.denominator == 1 else value
@@ -56,28 +70,21 @@ def _parse_rational(text):
 
 class FinitaryPoint:
     """Finitely many distinct rational values with multiplicities, at least
-    one multiplicity infinite.  Canonical order: infinite classes first,
-    then by decreasing multiplicity, ties by increasing value.  ``keyed``
-    holds the classes as (``_key(value)``, mult) pairs, in the same order."""
+    one multiplicity infinite.  ``classes`` holds (``_key(value)``, mult)
+    pairs in canonical order: infinite classes first, then by decreasing
+    multiplicity, ties by increasing value.  A multiplicity is a weight
+    (``partitions._check_weight``) other than 0."""
 
-    __slots__ = ("classes", "keyed")
+    __slots__ = ("classes",)
 
     def __init__(self, classes):
-        cleaned = []
-        for value, mult in classes:
-            value = Fraction(value)
-            if not is_inf(mult):
-                if not isinstance(mult, int) or mult < 1:
-                    raise ValueError(f"multiplicity must be positive or INF, got {mult!r}")
-            cleaned.append((value, mult))
-        cleaned.sort(key=lambda cm: (-cm[1], cm[0]))
-        keyed = tuple([(_key(v), m) for v, m in cleaned])
+        keyed = sorted([(_key(_rational(v)), _check_weight(m)) for v, m in classes],
+                       key=lambda cm: (-cm[1], cm[0]))
         if len({k for k, _ in keyed}) != len(keyed):
             raise ValueError("values must be pairwise distinct")
-        if not any(is_inf(m) for _, m in cleaned):
+        if INF not in (m for _, m in keyed):
             raise ValueError("a finitary point needs at least one infinite class")
-        object.__setattr__(self, "classes", tuple(cleaned))
-        object.__setattr__(self, "keyed", keyed)
+        object.__setattr__(self, "classes", tuple(keyed))
 
     @classmethod
     def parse(cls, text: str) -> "FinitaryPoint":
@@ -122,10 +129,10 @@ class PointSetVariety:
     Every value is keyed once, at construction (see ``_key``), and all later
     work runs on the keys.  ``keys`` holds each point's key tuple, in the
     order of ``points``; ``tables`` holds, for each point, a dict from its
-    keys to the weights of their positions, so a point with a repeated value
-    has fewer entries than labels; ``distinct`` says whether no point
-    repeats a value.  The slice search (``gamma_at``) runs on ``keys`` and
-    maps its result back to Z's own values.
+    keys to their rooms, the room of a value being the sum of the weights
+    at its positions; ``distinct`` says whether no point repeats a value,
+    so that every room is one weight.  The slice search (``gamma_at``) reads
+    the rooms and maps its result back to Z's own values.
     """
 
     __slots__ = ("lam", "points", "keys", "tables", "distinct")
@@ -136,7 +143,7 @@ class PointSetVariety:
         # share their values.
         keyed = {}
         for p in points:
-            values = tuple([c if type(c) is Fraction else Fraction(c) for c in p])
+            values = tuple(map(_rational, p))
             keyed.setdefault(tuple(map(_key, values)), values)
         self._fill(lam, keyed)
 
@@ -157,7 +164,11 @@ class PointSetVariety:
             if len(k) != length:
                 raise ValueError("each point needs one coordinate per label")
             table = dict(zip(k, weights))
-            distinct = distinct and len(table) == length
+            if len(table) < length:  # a repeated value: its room sums its weights
+                distinct = False
+                table = {}
+                for v, w in zip(k, weights):
+                    table[v] = table.get(v, 0) + w
             tables.append(table)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "points", tuple(map(keyed.__getitem__, keys)))
@@ -247,20 +258,17 @@ def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:
     return PointSetVariety(lam, {tuple([z[i] for i in idx]) for idx in maps for z in Z.points})
 
 
-def _gamma_points(lam: GenComposition, closed_pts, mu: GenComposition) -> set:
-    """The tuples p . sigma of ``gamma_at`` for p in `closed_pts`, which need
-    not be closed under End(lam).  They hold p's own coordinates, which
-    need only hash and compare like the values: ``gamma_at`` and
-    ``i_lambda_z`` pass each point's key tuple.  The room of a value sums
-    the weights of all its positions."""
+def _gamma_points(tables, mu: GenComposition) -> set:
+    """The tuples p . sigma of ``gamma_at``, for the points p of a set whose
+    room tables (``PointSetVariety.tables``) are `tables`; the set need not
+    be closed under End(lam).  Each label of mu goes to a key of p, and the
+    mu weights sent to a key fit in its room.  The tuples hold keys:
+    ``gamma_at`` maps them back to values, and ``i_lambda_z`` needs only
+    that they hash and compare like the values."""
     weights = [mu.weight(i) for i in mu.labels]
-    lam_weights = [lam.weight(k) for k in lam.labels]
     out = set()
-    for p in closed_pts:
-        room = {}
-        for v, w in zip(p, lam_weights):
-            room[v] = room.get(v, 0) + w
-        out.update(weight_maps(weights, list(room), list(room.values())))
+    for t in tables:
+        out.update(weight_maps(weights, list(t), t.values()))
     return out
 
 
@@ -302,13 +310,14 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
 
     For infinite mu this is the mu-slice of the closure system; for finite
     mu it is the extended slice used by the equation synthesis.  The search
-    runs on Z's key tuples; each key of the result maps back to Z's own
-    value, so its points are Fractions that Z holds.
+    reads Z's room tables, which are the collapses lam_p; each key of the
+    result maps back to Z's own value, so its points are Fractions that Z
+    holds.
     """
     _check_slice(lam, Z, mu.length)
     value = dict(zip(chain.from_iterable(Z.keys), chain.from_iterable(Z.points)))
     return PointSetVariety._from_keys(
-        mu, {ks: tuple(map(value.__getitem__, ks)) for ks in _gamma_points(lam, Z.keys, mu)})
+        mu, {ks: tuple(map(value.__getitem__, ks)) for ks in _gamma_points(Z.tables, mu)})
 
 
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
@@ -326,7 +335,7 @@ def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> b
     """
     Z.require_distinct()
     _check_slice(lam, Z, x.width)
-    return any(all(t.get(k, 0) >= m for k, m in x.keyed) for t in Z.tables)
+    return any(all(t.get(k, 0) >= m for k, m in x.classes) for t in Z.tables)
 
 
 def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,

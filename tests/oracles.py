@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
-from symvar.partitions import INF, GenComposition, GenPartition, is_inf
+from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
@@ -41,9 +41,9 @@ def _minimal_cover_groups(target, parts, mask):
     Every sufficient group contains one of these, so searching over them is
     complete for the combining order.
     """
-    if is_inf(target):
+    if target == INF:
         for i in range(len(parts)):
-            if (mask >> i) & 1 and is_inf(parts[i]):
+            if (mask >> i) & 1 and parts[i] == INF:
                 yield 1 << i
         return
     avail = [i for i in range(len(parts)) if (mask >> i) & 1]
@@ -51,7 +51,7 @@ def _minimal_cover_groups(target, parts, mask):
     def rec(pos, acc_mask, acc_sum):
         for idx in range(pos, len(avail)):
             i = avail[idx]
-            s = INF if is_inf(parts[i]) else acc_sum + parts[i]
+            s = INF if parts[i] == INF else acc_sum + parts[i]
             m = acc_mask | (1 << i)
             if s >= target:
                 yield m
@@ -214,7 +214,7 @@ def orbit_evaluations(p: Poly, point_classes) -> list:
             return
         v = xvar(support[idx])
         for ci, (val, mult) in enumerate(classes):
-            if not is_inf(mult) and counts[ci] >= mult:
+            if mult != INF and counts[ci] >= mult:
                 continue
             counts[ci] += 1
             assignment[v] = val

@@ -214,8 +214,6 @@ def test_criterion_5_classified_set_cross_oracle():
 
 
 def realization_of(rng, lam, Z):
-    from symvar.partitions import is_inf
-
     z = rng.choice(Z.points)
     classes, used = [], set()
     for i, w in enumerate(lam.parts):
@@ -223,7 +221,7 @@ def realization_of(rng, lam, Z):
         if v in used:
             return None
         used.add(v)
-        mult = w if is_inf(w) else rng.choice([w, max(1, w - rng.randint(0, 2))])
+        mult = w if w == INF else rng.choice([w, max(1, w - rng.randint(0, 2))])
         classes.append((v, mult))
     if rng.random() < 0.3 and Fraction(7) not in used:
         classes.append((Fraction(7), rng.randint(1, 2)))

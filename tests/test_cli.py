@@ -192,6 +192,10 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"error: bad rational {bad} (expected an integer or p/q)\n"
 
+    def test_zero_multiplicity_in_point_literal(self, capsys):
+        code, out, err = run(capsys, "type", "0^inf,1^0")
+        assert (code, out, err) == (2, "", "error: weight must be positive, got 0\n")
+
     def test_points_not_a_list(self, capsys, tmp_path):
         path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": 5}')
         self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)

@@ -55,12 +55,23 @@ class TestFinitaryPoint:
 
     def test_keyed_pairs_match_classes(self):
         x = FinitaryPoint([(Fraction(6, 2), 2), (Fraction(-1, 2), INF), (0, INF)])
-        assert x.keyed == x.classes
-        assert [type(k) for k, _ in x.keyed] == [Fraction, int, int]
-        assert [m for _, m in x.keyed] == [m for _, m in x.classes]
-        for name in ("classes", "keyed"):
-            with pytest.raises(AttributeError, match="immutable"):
-                setattr(x, name, ())
+        assert x.classes == ((Fraction(-1, 2), INF), (0, INF), (3, 2))
+        assert [type(k) for k, _ in x.classes] == [Fraction, int, int]
+        assert str(x) == "-1/2^inf,0^inf,3^2"
+        with pytest.raises(AttributeError, match="immutable"):
+            x.classes = ()
+
+    @pytest.mark.parametrize("mult", [True, False, 0, -1, 2.0, "3"])
+    def test_multiplicity_is_a_positive_weight(self, mult):
+        with pytest.raises(ValueError, match="weight must be"):
+            FinitaryPoint([(0, INF), (1, mult)])
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "1/2", None])
+    def test_values_are_ints_or_fractions(self, value):
+        with pytest.raises(ValueError, match="an int or a Fraction"):
+            FinitaryPoint([(value, INF)])
+        with pytest.raises(ValueError, match="an int or a Fraction"):
+            PointSetVariety(C(P("inf,1")), [(0, value)])
 
 
 class TestWidth:
@@ -132,9 +143,16 @@ class TestPointSetKeys:
         assert Z.keys == Z.points
         assert [[type(k) for k in ks] for ks in Z.keys] == [[int, int, int], [int, Fraction, int]]
         assert Z.distinct is True
+        assert Z.tables == ({-1: INF, 2: INF, 5: 1}, {2: INF, Fraction(1, 3): INF, 0: 1})
         for name in ("keys", "tables", "distinct"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(Z, name, ())
+
+
+    def test_room_of_a_repeated_value_sums_its_weights(self):
+        Z = PointSetVariety(C(P("inf,1,1")), [(5, 0, 0), (1, 2, 3), (4, 4, Fraction(8, 2))])
+        assert Z.tables == ({1: INF, 2: 1, 3: 1}, {4: INF}, {5: INF, 0: 2})
+        assert Z.distinct is False
 
 
 class TestGammaAt:
