@@ -137,7 +137,7 @@ class GenComposition:
     __slots__ = ("labels", "_weights")
 
     def __init__(self, weights: dict):
-        if not all(isinstance(k, int) for k in weights):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in weights):
             raise ValueError("labels must be integers")
         w = {k: _check_weight(v) for k, v in weights.items()}
         object.__setattr__(self, "labels", tuple(sorted(w)))

@@ -10,8 +10,9 @@ The module also provides discriminants, the coset skew-symmetrization
 identity, constructive discriminant extraction with replayable witnesses,
 and vanishing ideals of finite point sets.  Those are computed by
 Buchberger-Moeller elimination degree by degree, run over the integers after
-the points are scaled to integer coordinates; only the output coefficients
-are rationals, and the generators are exactly those of elimination over Q.
+the points are scaled to integer coordinates, on rows of constant width; only
+the output coefficients are rationals, and the generators are exactly those
+of elimination over Q.
 """
 
 import math
@@ -419,9 +420,13 @@ def vanishing_ideal(points) -> list:
     The arithmetic is over the integers: the points are scaled by the lcm D
     of their denominators, so a degree-k row is D^k times the evaluation
     vector, a factor its combination records.  vec(m) is built as
-    vec(m / t_i) times coordinate column i.  Rows are reduced by
-    cross-multiplication and divided by their gcd, and only the emitted
-    coefficients become rationals.  The output is that of elimination over Q.
+    vec(m / t_i) times coordinate column i.  Each reduction step
+    cross-multiplies, deletes the pivot column it zeroes and appends the
+    basis row's coefficient, so every row keeps npts + 1 entries, and a basis
+    row is stored in the layout a later candidate has when it meets it.  A
+    row is divided by its gcd once, after its last step, and only the
+    emitted coefficients become rationals.  The output is that of
+    elimination over Q.
     """
     # int and Fraction coordinates both carry numerator and denominator
     pts = sorted({tuple(p) for p in points})
@@ -434,8 +439,9 @@ def vanishing_ideal(points) -> list:
     scale = math.lcm(*(c.denominator for p in pts for c in p))
     cols = [[p[i].numerator * (scale // p[i].denominator) for p in pts] for i in range(r)]
 
-    # a row is its evaluation vector (npts entries) followed by its
-    # combination: one coefficient per standard monomial, then its own
+    # a row met by k basis rows holds the npts - k evaluation entries off
+    # their pivots, in point order, then those rows' monomials' coefficients;
+    # its own coefficient `own` rides beside it until the row is done
     rows = []  # (pivot index, row)
     raw = {}  # scaled evaluation vector of each standard monomial
     standard = []
@@ -451,19 +457,26 @@ def vanishing_ideal(points) -> list:
                 vec = [a * b for a, b in zip(raw[m[:i] + (m[i] - 1,) + m[i + 1:]], cols[i])]
             else:
                 vec = [1] * npts
-            row = vec + [0] * len(standard) + [scale ** degree]
+            row = vec[:]
+            own = scale ** degree
             for piv, prow in rows:
+                # prow is one entry longer than row: its last is its own
+                # coefficient, which becomes row's coefficient of its monomial
                 a = row[piv]
                 if a:
                     b = prow[piv]
                     g = math.gcd(a, b)
                     a, b = a // g, b // g
-                    n = len(prow)
-                    row = [b * x - a * y for x, y in zip(row, prow)] + [b * x for x in row[n:]]
-                    g = math.gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
-            piv = next((j for j in range(npts) if row[j]), None)
+                    row = [b * x - a * y for x, y in zip(row, prow)]
+                    own *= b
+                del row[piv]
+                row.append(-a * prow[-1])
+            row.append(own)
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            k = len(standard)
+            piv = next((j for j in range(npts - k) if row[j]), None)
             if piv is not None:
                 rows.append((piv, row))
                 raw[m] = vec
@@ -473,7 +486,7 @@ def vanishing_ideal(points) -> list:
                 lead = row[-1]
                 gens.append(Poly({
                     tuple(((T_FAMILY, j + 1), e) for j, e in enumerate(mm) if e): Fraction(c, lead)
-                    for mm, c in zip(standard + [m], row[npts:])
+                    for mm, c in zip(standard + [m], row[npts - k:])
                     if c
                 }))
         candidates = _border(new_standard, r)

@@ -46,6 +46,7 @@ FILES = {
     "zrep.json": '{"lambda":["inf",1,1],"points":[[0,1,1],[2,2,3]]}',
     "zk.json": '{"lambda": ["inf", 2, 1], "points": [["6/2", "-1/2", -2], [-2, 3, "5/3"]]}',
     "zk1.json": '{"lambda": ["inf", 1], "points": [[3, "-1/2"]]}',
+    "zg.json": '{"lambda":["inf",2,1,1],"points":[[0,1,2,3],[5,-7,11,13]]}',
 }
 
 COMMANDS = [
@@ -137,6 +138,8 @@ COMMANDS = [
     ["contains", "inf,1", "zk1.json", "inf,2,1", "zk.json"],
     ["contains", "inf,2,1", "zk.json", "inf,1", "zk1.json"],
     ["gamma", "inf,2,1", "zk.json", "2,1,1"],
+    # a 4-part lambda on a generic pair: slices of up to 230 points
+    ["equations", "inf,2,1,1", "--variety", "zg.json"],
 ]
 
 

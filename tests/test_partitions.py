@@ -62,6 +62,12 @@ class TestGenComposition:
         assert GenComposition({1: 2, 2: INF}).is_infinite is True
         assert GenComposition.from_partition(P("inf,inf,1")).is_infinite is True
 
+    @pytest.mark.parametrize("label", [True, False])
+    def test_rejects_bool_labels(self, label):
+        # True == 1 and False == 0, so a bool label would pass as an int one
+        with pytest.raises(ValueError, match="labels must be integers"):
+            GenComposition({label: INF, 2: 1})
+
 
 class TestLeq:
     def test_examples(self):

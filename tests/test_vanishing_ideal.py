@@ -6,6 +6,7 @@ exactly the same generators.  The second is sympy's Groebner basis, which
 must reproduce the output as a reduced graded-lex basis.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -156,11 +157,13 @@ def test_border_candidates_match_filtered_monomials():
             assert _border(standard, r) == want, (pts, d)
 
 
-def test_matches_sympy_groebner():
-    sympy = pytest.importorskip("sympy")
+def _check_against_sympy(sympy, pts):
+    """The output vanishes on the points, is sympy's reduced graded-lex
+    Groebner basis of itself, and leaves len(points) standard monomials."""
     ts = sympy.symbols("t1:5")
+    r = len(pts[0])
 
-    def to_sympy(g, r):
+    def to_sympy(g):
         expr = sympy.Integer(0)
         for mono, c in g.terms.items():
             term = sympy.Rational(c.numerator, c.denominator)
@@ -169,23 +172,66 @@ def test_matches_sympy_groebner():
             expr += term
         return sympy.Poly(expr, *ts[:r], domain="QQ")
 
+    gens = vanishing_ideal(pts)
+    for g in gens:
+        for p in pts:
+            assert g.evaluate(tassign(p)) == 0, (g, p)
+    ours = {to_sympy(g) for g in gens}
+    basis = sympy.groebner([p.as_expr() for p in ours], *ts[:r], order="grlex")
+    assert {sympy.Poly(e, *ts[:r], domain="QQ") for e in basis.exprs} == ours, pts
+    # the standard monomials span a quotient of dimension len(points), so
+    # the generators cut out exactly the points
+    leads = [p.monoms(order="grlex")[0] for p in ours]
+    bound = max(max(m) for m in leads)
+    standard = [
+        m
+        for d in range(r * bound + 1)
+        for m in monomials_of_degree(r, d)
+        if not any(divides(l, m) for l in leads)
+    ]
+    assert len(standard) == len(set(pts)), pts
+
+
+def test_matches_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
     for pts in point_sets(29, 48, max_r=3):
-        r = len(pts[0])
-        gens = vanishing_ideal(pts)
-        for g in gens:
-            for p in pts:
-                assert g.evaluate(tassign(p)) == 0, (g, p)
-        ours = {to_sympy(g, r) for g in gens}
-        basis = sympy.groebner([p.as_expr() for p in ours], *ts[:r], order="grlex")
-        assert {sympy.Poly(e, *ts[:r], domain="QQ") for e in basis.exprs} == ours, pts
-        # the standard monomials span a quotient of dimension len(points), so
-        # the generators cut out exactly the points
-        leads = [p.monoms(order="grlex")[0] for p in ours]
-        bound = max(max(m) for m in leads)
-        standard = [
-            m
-            for d in range(r * bound + 1)
-            for m in monomials_of_degree(r, d)
-            if not any(divides(l, m) for l in leads)
-        ]
-        assert len(standard) == len(set(pts)), pts
+        _check_against_sympy(sympy, pts)
+
+
+def _many_pivot_sets():
+    """Point sets far past the seeded ones' 8 points, where the elimination
+    runs through many pivots: the 54-point union of two 3x3x3 grids (the
+    largest slice the synth benchmark makes, from inf,inf,inf on 2 points),
+    and 23 points with denominators 2 and 3 and a repeated coordinate."""
+    grids = [list(itertools.product(values, repeat=3)) for values in ((-12, 7, 26), (1, 24, 2))]
+    rng = random.Random(5)
+    values = [Fraction(n, d) for d in (2, 3) for n in range(-7, 8) if n % d]
+    rational = [tuple(rng.choice(values) for _ in range(3)) for _ in range(22)]
+    rational.append((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3)))
+    return {"grids54": grids[0] + grids[1], "rational23": rational}
+
+
+MANY_PIVOT_SETS = _many_pivot_sets()
+
+
+def test_many_pivot_sets_are_large():
+    grid, rational = MANY_PIVOT_SETS["grids54"], MANY_PIVOT_SETS["rational23"]
+    assert len(set(grid)) == 54
+    assert len(set(rational)) >= 20
+    assert {c.denominator for pt in rational for c in pt} == {2, 3}
+    assert any(len(set(pt)) < len(pt) for pt in rational)
+
+
+@pytest.mark.parametrize("name", sorted(MANY_PIVOT_SETS))
+def test_many_pivots_identical_to_fraction_oracle(name):
+    pts = MANY_PIVOT_SETS[name]
+    got = vanishing_ideal(pts)
+    want = oracle_vanishing_ideal(pts)
+    assert got == want
+    assert [str(g) for g in got] == [str(g) for g in want]
+
+
+@pytest.mark.parametrize("name", sorted(MANY_PIVOT_SETS))
+def test_many_pivots_match_sympy_groebner(name):
+    sympy = pytest.importorskip("sympy")
+    _check_against_sympy(sympy, MANY_PIVOT_SETS[name])
