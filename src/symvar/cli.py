@@ -99,13 +99,12 @@ def cmd_member(args) -> int:
     if not lam.is_infinite:
         raise ValueError("membership requires a partition with an infinite part")
     x = FinitaryPoint.parse(args.point)
-    comp = GenComposition.from_partition(lam)
     Z = _load_variety(args.variety, lam) if args.variety else None
 
     def direct() -> bool:
         if Z is None:
             return preceq(type_of(x), lam)
-        return theta_member(comp, Z, x)
+        return theta_member(Z.lam, Z, x)
 
     def equations() -> bool:
         ideal = i_lambda(lam) if Z is None else i_lambda_z(lam, Z)

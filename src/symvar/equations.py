@@ -31,7 +31,6 @@ them.
 
 import itertools
 import math
-import re
 
 from .partitions import (
     GenComposition,
@@ -89,12 +88,10 @@ class IdealGenerator:
             (a, b) for i, row in enumerate(rows) for later in rows[i + 1:]
             for a in row for b in later)]
         if self.tail is not None:
-            # t_{i+1} becomes a cell of row i; cells rise with the row index,
-            # so the renaming keeps the variable order and every copy keeps
-            # the term order of str(tail)
-            slot = {i + 1: p for p, i in enumerate(self.tail_rows)}
-            copy = re.sub(r"t(\d+)", lambda m: "x{%d}" % slot[int(m.group(1))],
-                          f"({self.tail})")
+            # the tail printed with t_{r+1} as the field x{p}, r = tail_rows[p],
+            # so it keeps the term order of str(tail); each copy fills in cells
+            slot = {tvar(r + 1): p for p, r in enumerate(self.tail_rows)}
+            copy = "(" + self.tail.format(lambda v: "x{%d}" % slot[v]) + ")"
             factors += [copy.format(*cells) for cells in
                         itertools.product(*(rows[i] for i in self.tail_rows))]
         return "*".join(factors) or "1"

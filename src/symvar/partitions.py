@@ -368,7 +368,8 @@ def min_excluded(lam: GenPartition) -> list:
     finite_weight(lam)+1, only the partitions (tau_0)^k ++ tau are
     candidates, for tau in the box with at most length(lam)-k+1 parts,
     each at most finite_weight(lam)+1.  preceq decides each distinct tail
-    once.
+    once.  No sort: ``_box_parts`` yields the tails in increasing order, and
+    tau -> (tau_0)^k ++ tau is strictly increasing (tau_0 first, then tau).
     """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
@@ -387,7 +388,7 @@ def min_excluded(lam: GenPartition) -> list:
     candidates = ((tau[0],) * k + tau for tau in tails)
     return [
         GenPartition(alpha)
-        for alpha in sorted(candidates)
+        for alpha in candidates
         if not is_below(alpha) and all(is_below(c) for c in _lower_covers(alpha))
     ]
 

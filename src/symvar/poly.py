@@ -21,7 +21,9 @@ from fractions import Fraction
 X_FAMILY = 0
 T_FAMILY = 1
 
-_FAMILY_NAMES = {X_FAMILY: "x", T_FAMILY: "t"}
+
+def _default_name(v):
+    return f"{'x' if v[0] == X_FAMILY else 't'}{v[1]}"
 
 
 def xvar(i):
@@ -51,8 +53,9 @@ class Poly:
     """Immutable sparse polynomial: mapping from monomials to nonzero rationals.
 
     A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
-    coefficient is an int or a Fraction, which compare and hash alike when
-    equal; any other number is stored as the Fraction it equals exactly.
+    coefficient is an int or a Fraction, which compare, hash and print alike
+    when equal; any other number is stored as the Fraction it equals exactly.
+    Arithmetic on ints keeps ints; `vanishing_ideal` gives only Fractions.
     """
 
     __slots__ = ("terms",)
@@ -191,37 +194,31 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def sorted_terms(self):
-        """Terms in decreasing graded-lexicographic order."""
-        allvars = sorted(self.variables())
-
-        def k(item):
-            m, _ = item
-            exps = dict(m)
-            return (-_mono_degree(m), tuple(-exps.get(v, 0) for v in allvars))
-
-        return sorted(self.terms.items(), key=k)
-
-    def __str__(self):
+    def format(self, name=_default_name):
+        """The terms in decreasing graded-lex order, each variable written as
+        ``name(variable)``.  Terms sort on (-degree, ((var, -exp), ...)): a
+        monomial lists its variables in increasing order, so at equal degree
+        the first factor where two differ either names a variable the other
+        lacks or gives one a larger exponent, and that monomial is the larger
+        in graded lex; neither is a proper prefix of the other."""
         if self.is_zero:
             return "0"
         pieces = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(
-                f"{_FAMILY_NAMES[f]}{i}" + (f"^{e}" if e > 1 else "")
-                for (f, i), e in m
-            )
+        for m, c in sorted(self.terms.items(), key=lambda item: (
+                -_mono_degree(item[0]), tuple((v, -e) for v, e in item[0]))):
+            mono = "*".join(name(v) + (f"^{e}" if e > 1 else "") for v, e in m)
+            sign, a = (" - ", -c) if c < 0 else (" + ", c)
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = str(a)
+            elif a == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+                body = f"{a}*{mono}"
+            pieces += [sign, body]
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
+
+    __str__ = format
 
     def __repr__(self):
         return f"Poly({self})"

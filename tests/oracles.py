@@ -17,6 +17,9 @@ the standard monomials replaced: every monomial of the degree that no
 leading term divides.  ``h_tableau`` and ``eager_product`` build a
 generator's factors as polynomials, the way generators were once held
 before they were printed straight from their shape and slice factor.
+``terms_by_dense_key`` orders a polynomial's terms on a dense exponent
+vector over all its variables, the key the printer's sparse sort
+replaced.
 """
 
 import itertools
@@ -390,3 +393,15 @@ def monomials_of_degree(nvars, degree):
 
 def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def terms_by_dense_key(p: Poly) -> list:
+    """The terms of p in decreasing graded-lex order: by degree, then by the
+    negated exponents of every variable of p, in variable order."""
+    allvars = sorted(p.variables())
+
+    def key(item):
+        exps = dict(item[0])
+        return (-sum(exps.values()), tuple(-exps.get(v, 0) for v in allvars))
+
+    return sorted(p.terms.items(), key=key)

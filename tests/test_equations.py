@@ -223,6 +223,28 @@ class TestLazyProduct:
             assert payload["generators"] == lines
             assert len(payload["provenance"]) == len(lines)
 
+    def test_tails_on_sparse_and_two_digit_rows(self):
+        # tails that skip a row (t1, t3) or name a row past 9; the texts
+        # were recorded from the printer that renamed t<i> in str(tail)
+        t = Poly.t
+        cases = [
+            ("2,2,1",
+             Fraction(-3, 2) * t(1) ** 2 * t(3) + Fraction(5, 7) * t(3) ** 2 - t(1) + 4,
+             "(x1 - x3)*(x1 - x4)*(x1 - x5)*(x2 - x3)*(x2 - x4)*(x2 - x5)*(x3 - x5)*(x4 - x5)"
+             "*(-3/2*x1^2*x5 + 5/7*x5^2 - x1 + 4)*(-3/2*x2^2*x5 + 5/7*x5^2 - x2 + 4)"),
+            ("2,1,1,1,1,1,1,1,1,1",
+             t(10) ** 2 - Fraction(2, 3) * t(1) * t(10) - 7 * t(1) + Fraction(-1, 4),
+             "*(-2/3*x1*x11 + x11^2 - 7*x1 - 1/4)*(-2/3*x2*x11 + x11^2 - 7*x2 - 1/4)"),
+            ("2,1,1,1,1,1,1,1,1,1,1",
+             Fraction(9, 5) * t(11) * t(2) - t(11) ** 3 + t(2) - 1,
+             "*(x11 - x12)*(-x12^3 + 9/5*x3*x12 + x3 - 1)"),
+        ]
+        for shape, tail, text in cases:
+            g = IdealGenerator("slice", P(shape), tail)
+            assert str(g).endswith(text), shape
+            assert str(g) == "*".join(f"({f})" for f in eager_product(g))
+        assert g.provenance() == "slice 2,1,1,1,1,1,1,1,1,1,1 : -t11^3 + 9/5*t2*t11 + t2 - 1"
+
     def test_tail_without_a_row_is_rejected_up_front(self):
         with pytest.raises(ValueError):
             IdealGenerator("slice", P("2"), Poly.t(2) - 1)

@@ -23,7 +23,7 @@ from symvar.poly import (
 )
 from symvar.selfcheck import random_poly
 
-from oracles import eager_product, expand, orbit_evaluations
+from oracles import eager_product, expand, orbit_evaluations, terms_by_dense_key
 
 
 class TestDiscriminant:
@@ -237,6 +237,35 @@ class TestGrammar:
     def test_canonical_order(self):
         x1, x2 = Poly.x(1), Poly.x(2)
         assert str(Fraction(3, 2) - x2 + x2 * x1**2) == "x1^2*x2 - x2 + 3/2"
+
+    def test_terms_in_dense_key_order(self):
+        # the printed terms, sign tokens between them, against the order of
+        # a dense exponent key, on mixed x/t polynomials with rationals
+        rng = random.Random(20)
+        coeffs = [1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7)]
+        for _ in range(1000):
+            terms = {}
+            for _ in range(rng.randint(1, 7)):
+                exps = {}
+                for _ in range(rng.randint(0, 4)):
+                    v = rng.choice((xvar, tvar))(rng.randint(1, 11))
+                    exps[v] = exps.get(v, 0) + rng.randint(1, 3)
+                terms[tuple(sorted(exps.items()))] = rng.choice(coeffs)
+            p = Poly(terms)
+            tokens = []
+            for m, c in terms_by_dense_key(p):
+                body = str(Poly({m: abs(c)}))
+                if tokens:
+                    tokens += ["-" if c < 0 else "+", body]
+                else:
+                    tokens.append(f"-{body}" if c < 0 else body)
+            assert str(p) == " ".join(tokens)
+
+    def test_custom_names(self):
+        p = 3 * Poly.x(1) ** 2 * Poly.t(2) - Poly.t(2) + Poly.t(10) * Poly.x(4) + Fraction(1, 2)
+        assert str(p) == p.format() == "3*x1^2*t2 + x4*t10 - t2 + 1/2"
+        assert p.format(lambda v: f"{'ab'[v[0]]}[{v[1]}]") == "3*a[1]^2*b[2] + a[4]*b[10] - b[2] + 1/2"
+        assert Poly.zero().format(lambda v: "y") == "0"
 
     def test_empty_product(self):
         # a generator with no factors prints as 1 and expands to 1
