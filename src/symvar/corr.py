@@ -4,9 +4,10 @@ A map f from composition lam to composition mu is a function on labels whose
 fiber ext-sums are bounded by the target weights.  A correspondence lam ~> mu
 is a pair (f1, f2) with f1 a principal surjection onto lam and f2 an
 arbitrary map to mu; correspondences act on point sets via pushforward along
-f2 followed by the f1-preimage (``variety.apply_corr``).  No pipeline path
-runs them: ``variety.gamma_at`` builds the slices they define directly,
-from the search (``partitions.weight_maps``) that also gives End(lam).
+f2 followed by the f1-preimage (``apply_corr``, the one place that point
+action is computed).  No pipeline path runs them: ``variety.gamma_at``
+builds the slices they define directly, from the search
+(``partitions.weight_maps``) that also gives End(lam).
 
 Everything is immutable; enumeration output order is deterministic.
 """
@@ -14,20 +15,26 @@ Everything is immutable; enumeration output order is deterministic.
 import itertools
 
 from .partitions import INF, GenComposition, weight_maps
+from .variety import PointSetVariety
 
 
 class CompMap:
     """Weight-respecting function between generalized compositions."""
 
-    __slots__ = ("domain", "codomain", "table")
+    __slots__ = ("domain", "codomain", "table", "_fibers")
 
     def __init__(self, domain: GenComposition, codomain: GenComposition, table: dict):
         if set(table) != set(domain.labels):
             raise ValueError("table must be defined on exactly the domain labels")
         if not set(table.values()) <= set(codomain.labels):
             raise ValueError("table values must be codomain labels")
-        for j in codomain.labels:
-            s = sum(domain.weight(i) for i in table if table[i] == j)
+        # one pass over the domain: each codomain label, in label order, to
+        # its fiber and the ext-sum of the fiber's weights
+        fibers = {j: [] for j in codomain.labels}
+        for i in domain.labels:
+            fibers[table[i]].append(i)
+        fibers = {j: (tuple(fiber), sum(map(domain.weight, fiber))) for j, fiber in fibers.items()}
+        for j, (_, s) in fibers.items():
             if s > codomain.weight(j):
                 raise ValueError(
                     f"weight condition fails at label {j}: fiber sums to {s} > {codomain.weight(j)}"
@@ -35,21 +42,20 @@ class CompMap:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "table", dict(table))
+        object.__setattr__(self, "_fibers", fibers)
 
     @classmethod
     def identity(cls, lam: GenComposition) -> "CompMap":
         return cls(lam, lam, {i: i for i in lam.labels})
 
     def fiber(self, j):
-        return tuple(i for i in self.domain.labels if self.table[i] == j)
+        """The domain labels sent to the codomain label j, in label order."""
+        return self._fibers[j][0]
 
     @property
     def is_principal(self) -> bool:
         """Pushforward weights hit the codomain weights exactly."""
-        return all(
-            sum(self.domain.weight(i) for i in self.fiber(j)) == self.codomain.weight(j)
-            for j in self.codomain.labels
-        )
+        return all(s == self.codomain.weight(j) for j, (_, s) in self._fibers.items())
 
     @property
     def is_injection(self) -> bool:
@@ -84,12 +90,7 @@ class CompMap:
 
 def pushforward(f: CompMap) -> GenComposition:
     """Composition on the codomain labels hit by f, weighted by fiber sums."""
-    weights = {}
-    for j in f.codomain.labels:
-        s = sum(f.domain.weight(i) for i in f.fiber(j))
-        if s != 0:
-            weights[j] = s
-    return GenComposition(weights)
+    return GenComposition({j: s for j, (_, s) in f._fibers.items() if s != 0})
 
 
 def factor(f: CompMap):
@@ -169,25 +170,6 @@ class Correspondence:
     def source(self) -> GenComposition:
         return self.f2.codomain
 
-    @property
-    def action(self):
-        """The point action as source positions: ``(checks, reads)``.
-
-        A tuple s over the source has an image exactly when s[a] == s[b] for
-        every pair (a, b) in `checks`, and the image is
-        ``tuple(s[r] for r in reads)``.  For each target label, the source
-        positions that f2 sends its f1-fiber to must agree; `checks` ties
-        them to the smallest one, which the target coordinate reads.
-        Relabelings of rho give the same action.
-        """
-        src_pos = {k: i for i, k in enumerate(self.source.labels)}
-        checks, reads = set(), []
-        for i in self.target.labels:
-            srcs = sorted({src_pos[self.f2.table[j]] for j in self.f1.fiber(i)})
-            checks.update((srcs[0], b) for b in srcs[1:])
-            reads.append(srcs[0])
-        return tuple(sorted(checks)), tuple(reads)
-
     def canonical_key(self):
         """Per-target-label multiset of (fiber-part weight, f2 target) pairs;
         identifies correspondences up to relabeling of rho."""
@@ -221,6 +203,24 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     h1 = p.then(f.f1)
     h2 = q.then(g.f2)
     return Correspondence(p.domain, h1, h2)
+
+
+def apply_corr(f: Correspondence, S: PointSetVariety) -> PointSetVariety:
+    """Point action of a correspondence: push S through the second leg, then
+    take the preimage along the first.
+
+    For each target label, f2 sends its f1-fiber to some source positions;
+    the fiber is non-empty, as f1 is principal.  A tuple s over the source
+    has an image exactly when, for every target label, those positions
+    carry one value of s, and the image reads that value at the label.
+    Relabelings of rho give the same action.
+    """
+    if S.lam != f.source:
+        raise ValueError("point set does not live over the correspondence source")
+    pos = {k: p for p, k in enumerate(f.source.labels)}
+    spans = [[pos[f.f2.table[j]] for j in f.f1.fiber(i)] for i in f.target.labels]
+    return PointSetVariety(f.target, {tuple([s[span[0]] for span in spans]) for s in S.points
+                                      if all(s[p] == s[span[0]] for span in spans for p in span)})
 
 
 def enumerate_end(lam: GenComposition) -> list:

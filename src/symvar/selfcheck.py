@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .corr import (
     CompMap,
+    apply_corr,
     compose,
     enumerate_end,
     enumerate_good,
@@ -33,6 +34,7 @@ from .poly import (
     extract_discriminant,
     perm_sign,
     skew_sum,
+    tvar,
     vanishing_ideal,
     verify_witness,
 )
@@ -40,7 +42,6 @@ from .variety import (
     FinitaryPoint,
     PointSetVariety,
     _gamma_points,
-    apply_corr,
     end_closure,
     theta_member,
     type_of,
@@ -277,7 +278,7 @@ def suite_vanishing(rng):
 
 
 def _tassign(pt):
-    return {(1, i + 1): c for i, c in enumerate(pt)}
+    return {tvar(i + 1): c for i, c in enumerate(pt)}
 
 
 def suite_orders():

@@ -3,11 +3,12 @@
 A finitary point is a finite list of distinct rational values with
 multiplicities in N ∪ {inf}, at least one of them infinite.  A point-set
 variety is a finite set of rational tuples inside the affine space attached
-to a generalized composition.  This module computes the point action of
-correspondences and the endomorphism closure.  The slices of the closure
-system need neither: each is read off the points of Z collapsed along their
-values (see ``gamma_at``); both take their maps from
-``partitions.weight_maps``.  Membership and containment build no slice:
+to a generalized composition.  This module computes the endomorphism
+closure; the point action of correspondences lives with them, in
+``corr.apply_corr``.  The slices of the closure system need neither: each
+is read off the points of Z collapsed along their values (see
+``gamma_at``), with the maps of ``partitions.weight_maps``, which the
+closure also takes.  Membership and containment build no slice:
 they follow the paper's point-set description (see ``theta_member``).
 Values are ints or Fractions, keyed once, at construction (see ``_key``):
 a finitary point holds only its keyed classes, and a point set holds, per
@@ -233,17 +234,6 @@ def variety_from_json(text: str) -> PointSetVariety:
         coords = [_parse_rational(str(c)) for c in p]
         pts.append(tuple(coords[i] for i in order))
     return PointSetVariety(lam, pts)
-
-
-def apply_corr(f: "Correspondence", S: PointSetVariety) -> PointSetVariety:
-    """Point action of a correspondence: push through the second leg, then
-    take the preimage along the first (possible exactly when the pushed
-    tuple is constant on the first leg's fibers)."""
-    if S.lam != f.source:
-        raise ValueError("point set does not live over the correspondence source")
-    checks, reads = f.action
-    return PointSetVariety(f.target, {tuple([s[r] for r in reads]) for s in S.points
-                                      if all(s[a] == s[b] for a, b in checks)})
 
 
 def end_closure(lam: GenComposition, Z: PointSetVariety) -> PointSetVariety:

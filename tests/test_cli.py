@@ -266,12 +266,21 @@ class TestErrorPath:
         argv = [variety_file if a == "Z" else a for a in argv]
         assert run(capsys, *argv) == (2, "", "error: boom\n")
 
-    def test_import_symvar_loads_no_submodule(self):
+    # the layering: the package loads nothing, the pipeline reaches neither
+    # the correspondences nor the invariant battery, and the correspondences
+    # need only the compositions and the point sets
+    @pytest.mark.parametrize("module, loaded", [
+        ("symvar", []),
+        ("symvar.equations",
+         ["symvar.equations", "symvar.partitions", "symvar.poly", "symvar.variety"]),
+        ("symvar.corr", ["symvar.corr", "symvar.partitions", "symvar.variety"]),
+    ], ids=["symvar", "equations", "corr"])
+    def test_import_loads_only_its_layer(self, module, loaded):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
-        probe = "import sys, symvar; print(sorted(m for m in sys.modules if m.startswith('symvar.')))"
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('symvar.')))"
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "[]\n"
+        assert done.stdout == f"{loaded}\n"
 
 
 class TestClosedStdout:

@@ -8,6 +8,7 @@ import pytest
 from symvar.corr import (
     CompMap,
     Correspondence,
+    apply_corr,
     compose,
     enumerate_end,
     enumerate_good,
@@ -17,7 +18,7 @@ from symvar.corr import (
 )
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.selfcheck import random_composition, random_map_onto
-from symvar.variety import PointSetVariety, apply_corr
+from symvar.variety import PointSetVariety
 
 from oracles import is_good
 
@@ -73,25 +74,40 @@ class TestFactor:
         assert h.is_principal and g.is_injection
 
     def test_exhaustive_small_sweep(self):
-        # all maps between compositions with <= 3 labels drawn from a pool
+        # all tables between compositions with <= 3 labels drawn from a pool;
+        # the fibers, their sums and what is read off them are spelled out
+        # directly, scanning the table once per codomain label
         pool = [C(P(t)) for t in ["inf", "inf,1", "inf,2", "inf,inf", "2,1,inf"]]
-        count = 0
+        count = rejected = 0
         for dom in pool:
             for cod in pool:
                 for images in itertools.product(cod.labels, repeat=dom.length):
                     table = dict(zip(dom.labels, images))
-                    ok = all(
-                        sum(dom.weight(i) for i in table if table[i] == j)
-                        <= cod.weight(j)
-                        for j in cod.labels
-                    )
-                    if not ok:
+                    fibers = {j: tuple(i for i in dom.labels if table[i] == j) for j in cod.labels}
+                    sums = {j: sum(dom.weight(i) for i in fibers[j]) for j in cod.labels}
+                    bad = [j for j in cod.labels if sums[j] > cod.weight(j)]
+                    if bad:
+                        with pytest.raises(ValueError) as err:
+                            CompMap(dom, cod, table)
+                        j = bad[0]  # the first violating label, in label order
+                        assert str(err.value) == (f"weight condition fails at label {j}: "
+                                                  f"fiber sums to {sums[j]} > {cod.weight(j)}")
+                        rejected += 1
                         continue
                     f = CompMap(dom, cod, table)
+                    assert all(f.fiber(j) == fibers[j] for j in cod.labels)
+                    assert f.is_principal == all(sums[j] == cod.weight(j) for j in cod.labels)
+                    assert pushforward(f) == GenComposition({j: s for j, s in sums.items() if s})
                     h, g = factor(f)
                     assert h.then(g) == f and h.is_principal and g.is_injection
                     count += 1
-        assert count > 50
+        assert count > 50 and rejected > 50
+        # one of them, as recorded: it fails at labels 2 (2 + 1 > 2) and
+        # 3 (inf > 1); the table meets label 3 first, the message names 2
+        lam = C(P("inf,2,1"))
+        with pytest.raises(ValueError) as err:
+            CompMap(lam, lam, {1: 3, 2: 2, 3: 2})
+        assert str(err.value) == "weight condition fails at label 2: fiber sums to 3 > 2"
 
 
 class TestPullbackSquare:

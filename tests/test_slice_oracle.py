@@ -1,7 +1,8 @@
 """The slice loop against its former implementation.
 
-``end_closure`` and ``apply_corr`` act through position lists
-(``Correspondence.action``).  ``gamma_at`` neither closes Z under
+``end_closure`` and ``apply_corr`` act through source positions, the
+latter reading them off the legs of the correspondence.  ``gamma_at``
+neither closes Z under
 End(lambda) nor runs a correspondence: it collapses lambda along the values
 of each point and enumerates the weight-respecting maps from mu into the
 collapse.  The oracle below is the earlier code, which closed Z and applied
@@ -19,13 +20,12 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.corr import compose, enumerate_good
+from symvar.corr import apply_corr, compose, enumerate_good
 from symvar.equations import capped_shapes
 from symvar.partitions import INF, GenComposition, GenPartition, mu_s
 from symvar.variety import (
     PointSetVariety,
     _gamma_points,
-    apply_corr,
     end_closure,
     gamma_at,
 )
@@ -148,20 +148,6 @@ def test_apply_corr_matches_oracle(text):
     corrs += [compose(f, rng.choice(selfs)) for f in rng.sample(corrs, min(4, len(corrs)))]
     for f in corrs:
         assert apply_corr(f, S).points == tuple(sorted(oracle_corr_image(f, S.points))), f
-
-
-def test_action_is_shared_across_relabelings():
-    # distinct correspondences with one action
-    lam = C(GenPartition.parse("inf,2,1"))
-    corrs = [f for mu in ("3,3,1", "inf,2,1", "2,1")
-             for f in enumerate_good(C(GenPartition.parse(mu)), lam)]
-    actions = {f.action for f in corrs}
-    assert len(actions) < len(corrs)
-    for f in corrs:
-        checks, reads = f.action
-        assert all(a < b for a, b in checks)
-        assert len(reads) == f.target.length
-
 
 
 def test_collapsed_slices_match_oracle():

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.corr import CompMap, Correspondence
+from symvar.corr import CompMap, Correspondence, apply_corr
 from symvar.partitions import INF, GenComposition, GenPartition, preceq
 from symvar.poly import discriminant
 from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
-    apply_corr,
     aut_orbits,
     contains,
     end_closure,
