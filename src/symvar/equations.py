@@ -59,13 +59,18 @@ class IdealGenerator:
     __slots__ = ("kind", "shape", "rows", "tail", "tail_rows")
 
     def __init__(self, kind, shape: GenPartition, tail=None):
+        if shape.num_infinite:
+            raise ValueError("generator shape has an infinite part")
         rows, cell = [], 1
         for size in shape:
             rows.append(tuple(range(cell, cell + size)))
             cell += size
         tail_rows = ()
         if tail is not None:
-            used = {i for fam, i in tail.variables() if fam == T_FAMILY}
+            variables = tail.variables()
+            if any(fam != T_FAMILY for fam, _ in variables):
+                raise ValueError("tail uses a variable that is not a t-variable")
+            used = {i for _, i in variables}
             tail_rows = tuple(i for i in range(len(rows)) if i + 1 in used)
             if len(tail_rows) != len(used):
                 raise ValueError("tail uses a t-variable with no matching row")

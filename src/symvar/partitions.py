@@ -12,7 +12,9 @@ End(lam) and the slices' Hom(mu, lam_p) alike.
 All values are immutable and every function here is pure.
 """
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 # with weights in N ∪ {INF}, the builtin sum is the sum in N ∪ {inf} and
 # str(INF) is "inf"
@@ -260,58 +262,31 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
     total and confined to a single row each?
 
     Independent route to the combining order: decided by explicit filling
-    search rather than by grouping.
+    search rather than by grouping.  The rows are filled one at a time, and
+    each finite row is a multiset of the entries that no earlier row holds,
+    written as a non-decreasing row; it is accepted when no entry appears
+    more often than its capacity, and then holds its entries.
     """
-    if mu.length == 0:
-        return True
-    caps = list(lam.parts)
+    caps = lam.parts
     inf_entries = [i for i, c in enumerate(caps) if c == INF]
-    inf_rows = mu.num_infinite
-    if inf_rows > len(inf_entries):
+    if mu.num_infinite > len(inf_entries):
         return False
+    finite_rows = [p for p in mu.parts if p != INF]
+
+    def fill(r, held):
+        if r == len(finite_rows):
+            return True
+        free = [e for e in range(len(caps)) if e not in held]
+        for row in combinations_with_replacement(free, finite_rows[r]):
+            counts = Counter(row)
+            if all(n <= caps[e] for e, n in counts.items()) and fill(r + 1, held | set(counts)):
+                return True
+        return False
+
     # An infinite row needs a dedicated infinite-capacity entry.  Entries of
     # equal capacity are interchangeable, so anchoring the first ones is no
     # loss of generality.
-    owned = set(inf_entries[:inf_rows])
-    finite_rows = [p for p in mu.parts if p != INF]
-    residual = {i: caps[i] for i in range(len(caps))}
-
-    def fill_rows(r):
-        if r == len(finite_rows):
-            return True
-        size = finite_rows[r]
-        row_used = []
-
-        def fill_cells(pos, min_entry):
-            if pos == size:
-                owned.update(row_used)
-                ok = fill_rows(r + 1)
-                owned.difference_update(row_used)
-                return ok
-            # non-decreasing entries within the row avoid permuted duplicates
-            for e in range(min_entry, len(caps)):
-                if e in owned:
-                    continue
-                cap = residual[e]
-                if cap < 1:
-                    continue
-                if cap != INF:
-                    residual[e] = cap - 1
-                added = e not in row_used
-                if added:
-                    row_used.append(e)
-                ok = fill_cells(pos + 1, e)
-                if cap != INF:
-                    residual[e] = cap
-                if added:
-                    row_used.pop()
-                if ok:
-                    return True
-            return False
-
-        return fill_cells(0, 0)
-
-    return fill_rows(0)
+    return fill(0, set(inf_entries[:mu.num_infinite]))
 
 
 def _box_parts(max_length: int, max_part: int, prefix=()):

@@ -258,19 +258,12 @@ def apply_perm(sigma: dict, p: Poly) -> Poly:
 
 
 def perm_sign(sigma: dict) -> int:
+    """Sign of a finite-support permutation: the parity of the inverted
+    pairs among its images, read in increasing order of the support."""
     support = sorted(set(sigma) | set(sigma.values()))
-    sign, seen = 1, set()
-    for s in support:
-        if s in seen:
-            continue
-        length, cur = 0, s
-        while cur not in seen:
-            seen.add(cur)
-            cur = sigma.get(cur, cur)
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    images = [sigma.get(s, s) for s in support]
+    inversions = sum(a > b for i, a in enumerate(images) for b in images[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def skew_sum(n: int, k: int) -> Poly:

@@ -1,9 +1,12 @@
 """Randomized invariant battery behind the ``selfcheck`` subcommand.
 
-Each suite returns (name, number of checks, list of failure strings);
-``run_all`` gathers them into one summary, and ``report`` renders it as one
-line per suite and an overall verdict.  All randomness is drawn from a
-caller-provided seed so runs are reproducible.
+Each suite is a generator over one RNG: it yields one list of failure
+strings per check, empty when the check passes, and an iteration that
+checks nothing yields nothing.  ``SUITES`` names the suites in run order;
+``run_all`` runs each to the end before starting the next, counts a suite's
+checks as its yields and concatenates their failures into one summary, and
+``report`` renders it as one line per suite and an overall verdict.  All
+randomness is drawn from a caller-provided seed so runs are reproducible.
 """
 
 import itertools
@@ -161,70 +164,51 @@ def random_map_onto(rng, mu, principal=False, injection=False):
     return CompMap(dom, mu, table)
 
 
-def suite_skew_identity():
-    fails = []
-    checks = 0
+def suite_skew_identity(rng):
     for n in range(2, 5):
         for k in range(0, n):
-            checks += 1
-            got = skew_sum(n, k)
             want = discriminant(n) if k == n - 1 else Poly.zero()
-            if got != want:
-                fails.append(f"skew_sum({n},{k})")
-    return "skew-sum identity", checks, fails
+            yield [] if skew_sum(n, k) == want else [f"skew_sum({n},{k})"]
 
 
 def suite_discriminant_signs(rng):
-    fails = []
-    checks = 0
     for n in range(2, 5):
         d = discriminant(n)
         for _ in range(4):
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             sigma = {i + 1: perm[i] for i in range(n)}
-            sign = perm_sign(sigma)
-            checks += 1
-            if apply_perm(sigma, d) != d * sign:
-                fails.append(f"sgn behavior at n={n}, sigma={sigma}")
-    return "discriminant sign action", checks, fails
+            ok = apply_perm(sigma, d) == d * perm_sign(sigma)
+            yield [] if ok else [f"sgn behavior at n={n}, sigma={sigma}"]
 
 
 def suite_pullback(rng):
-    fails = []
-    checks = 0
     for t in range(40):
         mu = random_composition(rng)
         flavor = t % 3
         f1 = random_map_onto(rng, mu)
         f2 = random_map_onto(rng, mu, principal=(flavor == 0), injection=(flavor == 1))
         wmu, g1, g2 = pullback_square(f1, f2)
-        checks += 1
+        fails = []
         if g1.then(f1) != g2.then(f2):
             fails.append(f"square {t} does not commute")
         if flavor == 0 and f2.is_principal and not g1.is_principal:
             fails.append(f"square {t}: principal surjection not preserved")
         if flavor == 1 and f2.is_injection and not g1.is_injection:
             fails.append(f"square {t}: injection not preserved")
-    return "pullback squares", checks, fails
+        yield fails
 
 
 def suite_factor(rng):
-    fails = []
-    checks = 0
     for t in range(30):
         mu = random_composition(rng)
         f = random_map_onto(rng, mu)
         h, g = factor(f)
-        checks += 1
-        if h.then(g) != f or not h.is_principal or not g.is_injection:
-            fails.append(f"factorization {t}")
-    return "map factorization", checks, fails
+        ok = h.then(g) == f and h.is_principal and g.is_injection
+        yield [] if ok else [f"factorization {t}"]
 
 
 def suite_compose(rng):
-    fails = []
-    checks = 0
     for t in range(12):
         lam = random_composition(rng, max_len=2)
         mu = random_composition(rng, max_len=2)
@@ -239,51 +223,38 @@ def suite_compose(rng):
         S = PointSetVariety(nu, [tuple(rng.sample(VALUE_POOL[:4], nu.length)) for _ in range(2)])
         via = apply_corr(f, apply_corr(g, S))
         direct = apply_corr(h, S)
-        checks += 1
-        if not set(via.points) <= set(direct.points):
-            fails.append(f"composition containment {t}")
-    return "correspondence composition", checks, fails
+        yield [] if set(via.points) <= set(direct.points) else [f"composition containment {t}"]
 
 
 def suite_extraction(rng):
-    fails = []
-    checks = 0
     for t in range(15):
         f = Poly.zero()
         while f.is_zero:
             f = random_poly(rng)
         w = extract_discriminant(f)
-        checks += 1
-        if not verify_witness(f, w):
-            fails.append(f"witness replay {t}: {f}")
-    return "discriminant extraction", checks, fails
+        yield [] if verify_witness(f, w) else [f"witness replay {t}: {f}"]
 
 
 def suite_vanishing(rng):
-    fails = []
-    checks = 0
     for t in range(12):
         r = rng.randint(1, 3)
         pts = {tuple(rng.choice(VALUE_POOL[:4]) for _ in range(r)) for _ in range(rng.randint(1, 5))}
         pts = sorted(pts)
         gens = vanishing_ideal(pts)
-        checks += 1
-        bad = [g for g in gens for p in pts if g.evaluate(_tassign(p)) != 0]
-        if bad:
+        fails = []
+        if any(g.evaluate(_tassign(p)) != 0 for g in gens for p in pts):
             fails.append(f"nonvanishing generator {t}")
         outside = tuple(Fraction(9) for _ in range(r))
         if outside not in pts and all(g.evaluate(_tassign(outside)) == 0 for g in gens):
             fails.append(f"outside point not separated {t}")
-    return "vanishing ideals", checks, fails
+        yield fails
 
 
 def _tassign(pt):
     return {tvar(i + 1): c for i, c in enumerate(pt)}
 
 
-def suite_orders():
-    fails = []
-    checks = 0
+def suite_orders(rng):
     vals = [1, 2, INF]
     parts_list = sorted(
         {GenPartition(c) for L in range(0, 4) for c in itertools.product(vals, repeat=L)},
@@ -291,45 +262,33 @@ def suite_orders():
     )
     for m in parts_list:
         for l in parts_list:
-            checks += 1
-            if preceq(m, l) != good_filling_exists(m, l):
-                fails.append(f"order disagreement {m} vs {l}")
-    return "combining order vs fillings", checks, fails
+            ok = preceq(m, l) == good_filling_exists(m, l)
+            yield [] if ok else [f"order disagreement {m} vs {l}"]
 
 
 def suite_type_locus(rng):
-    fails = []
-    checks = 0
     for t in range(25):
         lam = random_inf_partition(rng)
         x = random_point(rng)
-        checks += 1
-        if member_by_equations(i_lambda(lam), x) != preceq(type_of(x), lam):
-            fails.append(f"type-locus oracle {t}: {lam} at {x}")
-    return "type-locus equations", checks, fails
+        ok = member_by_equations(i_lambda(lam), x) == preceq(type_of(x), lam)
+        yield [] if ok else [f"type-locus oracle {t}: {lam} at {x}"]
 
 
 def suite_classified(rng):
-    fails = []
-    checks = 0
     for t in range(1, 16):
         lam = random_exact_domain_partition(rng)
         Z = random_variety(rng, lam)
         x = random_point(rng, max_width=4)
-        checks += 1
-        if member_by_equations(i_lambda_z(lam, Z), x) != theta_member(Z.lam, Z, x):
-            fails.append(f"classified oracle {t}: {lam}")
-    return "classified-set equations", checks, fails
+        ok = member_by_equations(i_lambda_z(lam, Z), x) == theta_member(Z.lam, Z, x)
+        yield [] if ok else [f"classified oracle {t}: {lam}"]
 
 
 def suite_end_closure(rng):
-    fails = []
-    checks = 0
     for t in range(15):
         lam = random_composition(rng)
         Z = PointSetVariety(lam, [tuple(rng.sample(VALUE_POOL[:5], lam.length)) for _ in range(2)])
         Ze = end_closure(lam, Z)
-        checks += 1
+        fails = []
         if end_closure(lam, Ze) != Ze:
             fails.append(f"idempotence {t}")
         if len(enumerate_end(lam)) < 1 or not set(Z.points) <= set(Ze.points):
@@ -340,31 +299,39 @@ def suite_end_closure(rng):
         by_corr = {p for c in enumerate_good(lam, lam) for p in apply_corr(c, Z).points}
         if not by_corr == _gamma_points(Z.tables, lam) == _gamma_points(Ze.tables, lam):
             fails.append(f"slice routes disagree {t}")
-    return "endomorphism closure", checks, fails
+        yield fails
+
+
+SUITES = [
+    ("skew-sum identity", suite_skew_identity),
+    ("discriminant sign action", suite_discriminant_signs),
+    ("pullback squares", suite_pullback),
+    ("map factorization", suite_factor),
+    ("correspondence composition", suite_compose),
+    ("discriminant extraction", suite_extraction),
+    ("vanishing ideals", suite_vanishing),
+    ("combining order vs fillings", suite_orders),
+    ("type-locus equations", suite_type_locus),
+    ("classified-set equations", suite_classified),
+    ("endomorphism closure", suite_end_closure),
+]
 
 
 def run_all(seed: int) -> dict:
-    """Run every suite on one RNG seeded with `seed`; the summary is what
-    ``selfcheck --json`` prints and what ``report`` renders."""
+    """Run every suite to the end, in ``SUITES`` order, on one RNG seeded
+    with `seed`; the summary is what ``selfcheck --json`` prints and what
+    ``report`` renders."""
     rng = random.Random(seed)
-    suites = [
-        suite_skew_identity(),
-        suite_discriminant_signs(rng),
-        suite_pullback(rng),
-        suite_factor(rng),
-        suite_compose(rng),
-        suite_extraction(rng),
-        suite_vanishing(rng),
-        suite_orders(),
-        suite_type_locus(rng),
-        suite_classified(rng),
-        suite_end_closure(rng),
-    ]
+    suites = []
+    for name, suite in SUITES:
+        results = list(suite(rng))
+        failures = [f for fails in results for f in fails]
+        suites.append({"name": name, "checks": len(results), "failures": failures})
     return {
         "seed": seed,
-        "ok": not any(fails for _, _, fails in suites),
-        "checks": sum(checks for _, checks, _ in suites),
-        "suites": [{"name": n, "checks": c, "failures": f} for n, c, f in suites],
+        "ok": not any(s["failures"] for s in suites),
+        "checks": sum(s["checks"] for s in suites),
+        "suites": suites,
     }
 
 

@@ -19,6 +19,10 @@ generator's factors as polynomials, the way generators were once held
 before they were printed straight from their shape and slice factor.
 ``terms_by_dense_key`` orders a polynomial's terms on a dense exponent
 vector over all its variables, the key the printer's sparse sort
+replaced.  ``good_filling_by_cells`` fills a tableau cell by cell with
+add-and-undo bookkeeping, the search that the row-multiset enumeration of
+``partitions.good_filling_exists`` replaced, and ``perm_sign_by_cycles``
+counts the even cycles that the inversion count of ``poly.perm_sign``
 replaced.
 """
 
@@ -36,6 +40,76 @@ from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 def mu_minus(mu: GenPartition, e: int) -> GenPartition:
     """Cap every part larger than e+1 at e+1."""
     return GenPartition(min(p, e + 1) for p in mu.parts)
+
+
+def good_filling_by_cells(mu: GenPartition, lam: GenPartition) -> bool:
+    """Is there a tableau of shape mu, entries i used at most lam_i times in
+    total and confined to a single row each?  Searched cell by cell, rows in
+    order and entries non-decreasing within a row."""
+    if mu.length == 0:
+        return True
+    caps = list(lam.parts)
+    inf_entries = [i for i, c in enumerate(caps) if c == INF]
+    inf_rows = mu.num_infinite
+    if inf_rows > len(inf_entries):
+        return False
+    # an infinite row takes one of the first infinite-capacity entries
+    owned = set(inf_entries[:inf_rows])
+    finite_rows = [p for p in mu.parts if p != INF]
+    residual = {i: caps[i] for i in range(len(caps))}
+
+    def fill_rows(r):
+        if r == len(finite_rows):
+            return True
+        size = finite_rows[r]
+        row_used = []
+
+        def fill_cells(pos, min_entry):
+            if pos == size:
+                owned.update(row_used)
+                ok = fill_rows(r + 1)
+                owned.difference_update(row_used)
+                return ok
+            for e in range(min_entry, len(caps)):
+                if e in owned:
+                    continue
+                cap = residual[e]
+                if cap < 1:
+                    continue
+                if cap != INF:
+                    residual[e] = cap - 1
+                added = e not in row_used
+                if added:
+                    row_used.append(e)
+                ok = fill_cells(pos + 1, e)
+                if cap != INF:
+                    residual[e] = cap
+                if added:
+                    row_used.pop()
+                if ok:
+                    return True
+            return False
+
+        return fill_cells(0, 0)
+
+    return fill_rows(0)
+
+
+def perm_sign_by_cycles(sigma: dict) -> int:
+    """Sign of a finite-support permutation: -1 per cycle of even length."""
+    support = sorted(set(sigma) | set(sigma.values()))
+    sign, seen = 1, set()
+    for s in support:
+        if s in seen:
+            continue
+        length, cur = 0, s
+        while cur not in seen:
+            seen.add(cur)
+            cur = sigma.get(cur, cur)
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def _minimal_cover_groups(target, parts, mask):

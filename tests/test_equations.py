@@ -246,8 +246,16 @@ class TestLazyProduct:
         assert g.provenance() == "slice 2,1,1,1,1,1,1,1,1,1,1 : -t11^3 + 9/5*t2*t11 + t2 - 1"
 
     def test_tail_without_a_row_is_rejected_up_front(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tail uses a t-variable with no matching row$"):
             IdealGenerator("slice", P("2"), Poly.t(2) - 1)
+
+    def test_tail_with_an_x_variable_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match="not a t-variable"):
+            IdealGenerator("slice", P("2,1"), Poly.x(1) + Poly.t(1))
+
+    def test_infinite_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="infinite part"):
+            IdealGenerator("excluded", P("inf,1"))
 
 
 class TestMembership:

@@ -140,6 +140,10 @@ COMMANDS = [
     ["gamma", "inf,2,1", "zk.json", "2,1,1"],
     # a 4-part lambda on a generic pair: slices of up to 230 points
     ["equations", "inf,2,1,1", "--variety", "zg.json"],
+    # invariant battery: the JSON summary and the per-suite check counts of more seeds
+    ["selfcheck", "--json"],
+    ["selfcheck", "--seed", "1"],
+    ["selfcheck", "--json", "--seed", "7"],
 ]
 
 

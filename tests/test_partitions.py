@@ -1,6 +1,7 @@
 """Partition orders, fillings, excluded antichains, truncations."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from symvar.partitions import (
     preceq,
 )
 
-from oracles import aut, mu_minus, preceq_by_groups
+from oracles import aut, good_filling_by_cells, mu_minus, preceq_by_groups
 
 P = GenPartition.parse
 
@@ -161,6 +162,24 @@ class TestGoodFilling:
         for mu in box:
             for lam in box:
                 assert good_filling_exists(mu, lam) == preceq(mu, lam), (mu, lam)
+
+    def test_agrees_with_cell_search_on_rows_up_to_five(self):
+        # past the exhaustive boxes: 1-5 parts, each inf or 1-5
+        rng = random.Random(22)
+
+        def draw():
+            return GenPartition(rng.choice([1, 2, 3, 4, 5, INF]) for _ in range(rng.randint(1, 5)))
+
+        verdicts = set()
+        for _ in range(2000):
+            mu, lam = draw(), draw()
+            verdict = good_filling_exists(mu, lam)
+            assert verdict == good_filling_by_cells(mu, lam) == preceq(mu, lam), (mu, lam)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_five_rows_of_five_do_not_fit_six_rows_of_four(self):
+        assert good_filling_exists(P("5,5,5,5,5"), P("4,4,4,4,4,4")) is False
 
 
 class TestMinExcluded:

@@ -14,6 +14,7 @@ from symvar.poly import (
     apply_perm,
     discriminant,
     extract_discriminant,
+    perm_sign,
     replay_witness,
     skew_sum,
     tvar,
@@ -23,7 +24,13 @@ from symvar.poly import (
 )
 from symvar.selfcheck import random_poly
 
-from oracles import eager_product, expand, orbit_evaluations, terms_by_dense_key
+from oracles import (
+    eager_product,
+    expand,
+    orbit_evaluations,
+    perm_sign_by_cycles,
+    terms_by_dense_key,
+)
 
 
 class TestDiscriminant:
@@ -76,6 +83,23 @@ class TestApplyPerm:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             apply_perm({1: 2}, Poly.x(1))
+
+
+class TestPermSign:
+    def test_matches_cycle_parity_on_every_small_permutation(self):
+        for n in range(0, 7):
+            for images in itertools.permutations(range(1, n + 1)):
+                sigma = dict(zip(range(1, n + 1), images))
+                assert perm_sign(sigma) == perm_sign_by_cycles(sigma), sigma
+                # the same permutation with its fixed points left out
+                moved = {i: j for i, j in sigma.items() if i != j}
+                assert perm_sign(moved) == perm_sign(sigma), sigma
+
+    def test_sparse_supports(self):
+        cases = [{}, {5: 5}, {2: 9, 9: 2}, {3: 7, 7: 11, 11: 3}, {10: 4, 4: 1, 1: 10, 6: 8, 8: 6}]
+        for sigma in cases:
+            assert perm_sign(sigma) == perm_sign_by_cycles(sigma), sigma
+        assert [perm_sign(s) for s in cases] == [1, 1, -1, 1, -1]
 
 
 class TestSkewSum:
