@@ -35,6 +35,7 @@ import math
 from .partitions import (
     GenComposition,
     GenPartition,
+    _minimal_cover_groups,
     finite_partitions_in_box,
     min_excluded,
     mu_s,
@@ -231,20 +232,30 @@ def _orbits_vanish(generators, classes):
     share a class (distinct classes carry distinct values), so rows must
     use pairwise disjoint class sets; within a row, cells are
     interchangeable, and a row of `size` cells can be filled from exactly
-    the classes of a support when it has at most `size` classes whose
-    multiplicities add up to at least `size`.  The distributed tail copies
-    are all nonzero exactly when no choice of one class per mentioned row
-    lands in the tail's zero locus (`_tail_zero_test`).
+    the classes of a set S when |S| <= size and their multiplicities add
+    up to at least `size`.  The distributed tail copies are all nonzero
+    exactly when no choice of one class per mentioned row lands in the
+    tail's zero locus (`_tail_zero_test`).
+
+    Only the minimal sets are searched: the groups of
+    `partitions._minimal_cover_groups`, sufficient sets with no sufficient
+    proper prefix in class order.  This is exact.  Shrink each row's S in
+    a valid support to its shortest sufficient prefix P: the P stay
+    pairwise disjoint and sufficient, |P| <= size (each class adds at least
+    1 and every proper prefix is short of `size`), and they are exactly
+    cover groups.  The tail copies over P are among those over S, so if
+    some support has every tail copy nonzero, some support of cover groups
+    has too; and every cover group is itself a valid S.
 
     The supports depend on the rows alone, so each run of consecutive
     generators with equal rows (one capped shape) enumerates them once, and
     each tail is tested on their distinct projections onto its rows.  The
-    class tables are built once per point.
+    cover groups of each row size are listed once per point, each with its
+    classes.
     """
     n = len(classes)
-    # supports are bitmasks of classes
-    members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
-    fits = {}
+    mults = [m for _, m in classes]
+    fits = {}  # row size -> [(mask, classes of the mask)]
 
     def supports(rows, i=0, available=(1 << n) - 1):
         if i == len(rows):
@@ -252,13 +263,12 @@ def _orbits_vanish(generators, classes):
             return
         size = len(rows[i])
         if size not in fits:
-            fits[size] = [m for m in range(1, 1 << n)
-                          if len(members[m]) <= size
-                          and sum(classes[c][1] for c in members[m]) >= size]
-        for m in fits[size]:
+            fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
+                          for m in _minimal_cover_groups(size, mults, (1 << n) - 1)]
+        for m, group in fits[size]:
             if m & available == m:
                 for rest in supports(rows, i + 1, available & ~m):
-                    yield (m,) + rest
+                    yield (group,) + rest
 
     for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
         found = None  # every support assignment, listed when a tail needs it
@@ -275,10 +285,8 @@ def _orbits_vanish(generators, classes):
             if g.tail_rows not in projections:
                 projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
             vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
-            yield all(
-                any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
-                for p in projections[g.tail_rows]
-            )
+            yield all(any(vanishes(combo) for combo in itertools.product(*p))
+                      for p in projections[g.tail_rows])
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:

@@ -199,7 +199,10 @@ def leq(mu: GenPartition, lam: GenPartition) -> bool:
 def _minimal_cover_groups(target, parts, mask):
     """Index subsets of `mask` with sum >= target and no sufficient proper prefix.
 
-    Target and parts are finite.  Every sufficient group contains one of
+    The target is a positive integer; parts are positive integers or INF,
+    and an INF part covers any target alone.  Every proper prefix of a group
+    falls short of the target and each part adds at least 1, so a group has
+    at most `target` members.  Every sufficient group contains one of
     these, so searching over them is complete for the combining order.
     """
     avail = [i for i in range(len(parts)) if (mask >> i) & 1]

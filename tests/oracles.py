@@ -23,7 +23,9 @@ replaced.  ``good_filling_by_cells`` fills a tableau cell by cell with
 add-and-undo bookkeeping, the search that the row-multiset enumeration of
 ``partitions.good_filling_exists`` replaced, and ``perm_sign_by_cycles``
 counts the even cycles that the inversion count of ``poly.perm_sign``
-replaced.
+replaced.  ``orbits_vanish_by_masks`` finds a point's row fits in a table
+of all 2^n class masks, the search that the cover groups of
+``equations._orbits_vanish`` replaced.
 """
 
 import itertools
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
-from symvar.equations import IdealGenerator
+from symvar.equations import IdealGenerator, _tail_zero_test
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
@@ -479,3 +481,47 @@ def terms_by_dense_key(p: Poly) -> list:
         return (-sum(exps.values()), tuple(-exps.get(v, 0) for v in allvars))
 
     return sorted(p.terms.items(), key=key)
+
+
+def orbits_vanish_by_masks(generators, classes):
+    """``equations._orbits_vanish`` with every support that can fill a row:
+    a class mask fits a row of `size` cells when it has at most `size`
+    classes whose multiplicities add up to at least `size`, found in a
+    table of all 2^n masks."""
+    n = len(classes)
+    members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
+    fits = {}
+
+    def supports(rows, i=0, available=(1 << n) - 1):
+        if i == len(rows):
+            yield ()
+            return
+        size = len(rows[i])
+        if size not in fits:
+            fits[size] = [m for m in range(1, 1 << n)
+                          if len(members[m]) <= size
+                          and sum(classes[c][1] for c in members[m]) >= size]
+        for m in fits[size]:
+            if m & available == m:
+                for rest in supports(rows, i + 1, available & ~m):
+                    yield (m,) + rest
+
+    for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
+        found = None
+        projections = {}
+        for g in run:
+            if g.tail is None:
+                yield next(supports(rows), None) is None
+                continue
+            if found is None:
+                found = list(supports(rows))
+            if not found:
+                yield True
+                continue
+            if g.tail_rows not in projections:
+                projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
+            vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
+            yield all(
+                any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
+                for p in projections[g.tail_rows]
+            )

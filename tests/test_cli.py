@@ -109,6 +109,31 @@ class TestMember:
         code, out, _ = run(capsys, "member", "inf,2", "0^inf,1^3", "--method", "equations")
         assert code == 1 and out.strip() == "false"
 
+    @pytest.mark.parametrize("lam, points, x, code, note", [
+        # outside the exact domain: a known over-acceptance, a member, a rejection
+        ("inf,2,1", [[0, 4, 2], [1, 3, 2]], "0^inf,4^3", 0, True),
+        ("inf,2,1", [[0, 4, 2], [1, 3, 2]], "0^inf,4^2,2^1", 0, True),
+        ("inf,2,1", [[0, 4, 2], [1, 3, 2]], "0^inf,5^1", 1, False),
+        # inside it: finite weight 1, two parts, no variety
+        ("inf,inf,1", [[0, 1, 2]], "0^inf,1^inf,2^1", 0, False),
+        ("inf,3", [[0, 1]], "0^inf,1^3", 0, False),
+    ])
+    def test_over_acceptance_note(self, capsys, tmp_path, lam, points, x, code, note):
+        path = tmp_path / "z.json"
+        parts = [p if p == "inf" else int(p) for p in lam.split(",")]
+        path.write_text(json.dumps({"lambda": parts, "points": points}), encoding="utf-8")
+        argv = ["member", lam, x, "--variety", str(path), "--method", "equations"]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "true\n" if code == 0 else "false\n")
+        assert (err.startswith("note: ") and err.count("\n") == 1) if note else err == ""
+        got, out, json_err = run(capsys, "member", "--json", *argv[1:])
+        assert (got, json.loads(out), json_err) == (code, {"member": code == 0}, err)
+
+    def test_no_note_without_variety(self, capsys):
+        # the type locus alone is cut out exactly
+        code, out, err = run(capsys, "member", "inf,2,1", "0^inf,1^2,2^1", "--method", "equations")
+        assert (code, out, err) == (0, "true\n", "")
+
 
 class TestContains:
     def test_both_directions(self, capsys, tmp_path):

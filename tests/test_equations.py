@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from symvar import cli
 from symvar.equations import (
     IdealGenerator,
     TypeIdeal,
+    _orbits_vanish,
     capped_shapes,
     i_lambda,
     i_lambda_z,
@@ -45,6 +47,7 @@ from oracles import (
     expand,
     generator_orbit_vanishes_brute,
     h_tableau,
+    orbits_vanish_by_masks,
     product_shape,
 )
 from test_golden_cli import FILES
@@ -327,6 +330,59 @@ class TestOracleEquivalences:
             got = member_by_equations(i_lambda_z(lam, Z), x)
             want = theta_member(C(lam), Z, x)
             assert got == want, (lam, Z.points, x)
+
+
+class TestRowFits:
+    """Rows filled from the cover groups of the combining order: the same
+    per-generator verdicts as every fitting class set, and no table over
+    all 2^n class masks."""
+
+    LAMBDAS = ["inf", "inf,1", "inf,2", "inf,3", "inf,inf", "inf,1,1", "inf,2,1",
+               "inf,inf,1", "inf,inf,2", "inf,inf,3", "inf,inf,inf"]
+    VALUES = [Fraction(v) for v in range(-3, 5)] + [
+        Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3), Fraction(7, 4)]
+
+    def test_cover_groups_match_mask_table(self):
+        # every lambda of at most 3 parts and finite weight at most 3, one or
+        # two points of Z, points of width 1..7; every other point starts
+        # with Z's values
+        rng = random.Random(2026)
+        for text in self.LAMBDAS:
+            lam = P(text)
+            Z = PointSetVariety(C(lam), [tuple(rng.sample(self.VALUES, lam.length))
+                                         for _ in range(rng.randint(1, 2))])
+            gens = i_lambda_z(lam, Z).generators
+            on_z = sorted({c for p in Z.points for c in p})
+            fresh = [v for v in self.VALUES if v not in on_z]
+            for k in range(8):
+                width = rng.randint(1, 7)
+                if k % 2:
+                    values = (rng.sample(on_z, min(width, len(on_z)))
+                              + rng.sample(fresh, max(0, width - len(on_z))))
+                else:
+                    values = rng.sample(self.VALUES, width)
+                mults = [INF] + [rng.choice([INF, 1, 2, 3]) for _ in range(width - 1)]
+                classes = list(FinitaryPoint(zip(values, mults)).classes)
+                assert (list(_orbits_vanish(gens, classes))
+                        == list(orbits_vanish_by_masks(gens, classes))), (text, Z.points, classes)
+
+    def test_wide_point_stays_small(self):
+        # 18 classes: a table of all class masks would hold 2^18 lists
+        x = FinitaryPoint([(0, INF)] + [(v, 1) for v in range(1, 18)])
+        ideal = i_lambda(P("inf,1"))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verdict = member_by_equations(ideal, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert verdict is False
+        assert peak < 1_000_000
 
 
 class TestReduce:

@@ -144,6 +144,13 @@ COMMANDS = [
     ["selfcheck", "--json"],
     ["selfcheck", "--seed", "1"],
     ["selfcheck", "--json", "--seed", "7"],
+    # equation membership at points of 16 classes: row fits from the cover-group search
+    ["member", "inf,1",
+     "0^inf,1^1,2^1,3^1,4^1,5^1,6^1,7^1,8^1,9^1,10^1,11^1,12^1,13^1,14^1,15^1",
+     "--method", "both"],
+    ["member", "inf,2,1",
+     "3^inf,-1/2^1,-2^1,5/3^1,4^1,5^1,6^1,7^1,8^1,9^1,10^1,11^1,12^1,13^1,14^1,15^1",
+     "--variety", "zk.json", "--method", "both"],
 ]
 
 

@@ -147,6 +147,42 @@ class TestPreceq:
                          "search": {True, False}}
 
 
+class TestMinimalCoverGroups:
+    """The groups are the sufficient index sets whose largest index is
+    needed: the search over subsets, restricted to each mask."""
+
+    def test_groups_equal_subset_search(self):
+        rng = random.Random(11)
+        for n in range(7):
+            for parts in {tuple(rng.choice([1, 2, 3, INF]) for _ in range(n)) for _ in range(30)}:
+                for target in range(1, 7):
+                    minimal = [
+                        sum(1 << i for i in sub)
+                        for k in range(1, n + 1) for sub in itertools.combinations(range(n), k)
+                        if sum(parts[i] for i in sub) >= target > sum(parts[i] for i in sub[:-1])
+                    ]
+                    for mask in range(1 << n):
+                        got = list(partitions._minimal_cover_groups(target, parts, mask))
+                        assert len(got) == len(set(got)), (parts, target, mask)
+                        assert set(got) == {g for g in minimal if g & mask == g}, (parts, target, mask)
+
+    def test_infinite_part_covers_alone(self):
+        parts = [1, INF, 2, INF]
+        for target in (1, 5, 100):
+            groups = list(partitions._minimal_cover_groups(target, parts, 0b1111))
+            assert {1 << 1, 1 << 3} <= set(groups)
+            # an infinite part completes every group it joins
+            assert all(g >> 2 == 0 for g in groups if g & 1 << 1)
+        assert list(partitions._minimal_cover_groups(100, parts, 0b0101)) == []
+
+    def test_at_most_target_members(self):
+        parts = [1] * 8 + [INF]
+        for target in range(1, 10):
+            groups = list(partitions._minimal_cover_groups(target, parts, (1 << 9) - 1))
+            assert groups and all(bin(g).count("1") <= target for g in groups)
+            assert max(bin(g).count("1") for g in groups) == min(target, 9)
+
+
 class TestGoodFilling:
     def test_examples(self):
         assert good_filling_exists(P("2,2"), P("inf,1")) is False
