@@ -7,14 +7,15 @@ arbitrary map to mu; correspondences act on point sets via pushforward along
 f2 followed by the f1-preimage (``apply_corr``, the one place that point
 action is computed).  No pipeline path runs them: ``variety.gamma_at``
 builds the slices they define directly, from the search
-(``partitions.weight_maps``) that also gives End(lam).
+(``partitions.weight_maps``) that also gives End(lam) and the second leg
+of each good correspondence (``enumerate_good``).
 
 Everything is immutable; enumeration output order is deterministic.
 """
 
 import itertools
 
-from .partitions import INF, GenComposition, weight_maps
+from .partitions import INF, GenComposition, finite_partitions_in_box, weight_maps
 from .variety import PointSetVariety
 
 
@@ -122,8 +123,8 @@ def pullback_square(f1: CompMap, f2: CompMap):
         left = [[i, mu1.weight(i)] for i in f1.fiber(j)]
         right = [[i, mu2.weight(i)] for i in f2.fiber(j)]
         while left and right:
-            a = max(left, key=lambda t: (t[1], -mu1.labels.index(t[0])))
-            b = max(right, key=lambda t: (t[1], -mu2.labels.index(t[0])))
+            a = max(left, key=lambda t: t[1])
+            b = max(right, key=lambda t: t[1])
             w = min(a[1], b[1])
             parts.append((w, a[0], b[0]))
             if w == INF:
@@ -231,63 +232,36 @@ def enumerate_end(lam: GenComposition) -> list:
             for images in weight_maps(weights, labels, weights)]
 
 
-def _fiber_options(w, lam: GenComposition, e: int):
-    """Candidate fibers above a target label of weight w: multisets of
-    (part weight, source label) pairs ext-summing to w, at most one part per
-    source label count bound, singleton when w exceeds e."""
-    targets = lam.labels
-    if w > e:  # in particular any infinite w
-        return [((w, k),) for k in targets if lam.weight(k) >= w]
-    pairs = [
-        (pw, k)
-        for pw in range(w, 0, -1)
-        for k in targets
-        if lam.weight(k) >= pw
-    ]
-    maxlen = lam.length
-    out = []
-
-    def rec(remaining, start, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if len(acc) == maxlen:
-            return
-        for idx in range(start, len(pairs)):
-            pw, k = pairs[idx]
-            if pw > remaining:
-                continue
-            acc.append((pw, k))
-            rec(remaining - pw, idx, acc)
-            acc.pop()
-
-    rec(w, 0, [])
-    return out
-
-
 def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
     """Complete list of good correspondences mu ~> lam, canonically ordered,
-    one representative per relabeling class of rho."""
+    one representative per relabeling class of rho.
+
+    A label of mu of weight w splits into the parts of its f1-fiber: w
+    alone when w exceeds e = lam.finite_weight (any infinite w does), else
+    a partition of w into at most length(lam) parts.  Each product of
+    splits gives rho (fiber by fiber, largest part first) and f1; f2 is
+    each map rho -> lam from ``weight_maps`` whose labels do not decrease
+    along a run of equal parts of one fiber.  ``canonical_key`` is the
+    per-label multiset of (part weight, f2 label) pairs, so the maps that
+    permute the labels of such a run relabel one correspondence, and the
+    tie rule keeps one: the one whose fibers are sorted like its key.
+    """
     if not lam.is_infinite:
         raise ValueError("good correspondences require an infinite source composition")
     e = lam.finite_weight
-    options = [_fiber_options(mu.weight(i), lam, e) for i in mu.labels]
+    splits = [[(w,)] if w > e else [p.parts for p in finite_partitions_in_box(lam.length, w)
+                                    if sum(p.parts) == w]
+              for w in map(mu.weight, mu.labels)]
+    rooms = [lam.weight(k) for k in lam.labels]
     out = []
-    for combo in itertools.product(*options):
-        # aggregate weight condition on the f2 side
-        if any(sum(pw for fiber in combo for pw, tgt in fiber if tgt == k) > lam.weight(k)
-               for k in lam.labels):
-            continue
-        rho_weights, t1, t2 = {}, {}, {}
-        nxt = 1
-        for i, fiber in zip(mu.labels, combo):
-            for pw, tgt in fiber:
-                rho_weights[nxt] = pw
-                t1[nxt] = i
-                t2[nxt] = tgt
-                nxt += 1
-        rho = GenComposition(rho_weights)
-        corr = Correspondence(rho, CompMap(rho, mu, t1), CompMap(rho, lam, t2))
-        out.append(corr)
+    for combo in itertools.product(*splits):
+        fiber_parts = [(i, w) for i, parts in zip(mu.labels, combo) for w in parts]
+        weights = [w for _, w in fiber_parts]
+        rho = GenComposition.from_weights(weights)
+        f1 = CompMap(rho, mu, {k + 1: i for k, (i, _) in enumerate(fiber_parts)})
+        ties = [k for k in range(1, len(weights)) if fiber_parts[k] == fiber_parts[k - 1]]
+        for images in weight_maps(weights, lam.labels, rooms):
+            if all(images[k - 1] <= images[k] for k in ties):
+                out.append(Correspondence(rho, f1, CompMap(rho, lam, dict(zip(rho.labels, images)))))
     out.sort(key=lambda c: c.canonical_key())
     return out

@@ -25,7 +25,11 @@ add-and-undo bookkeeping, the search that the row-multiset enumeration of
 counts the even cycles that the inversion count of ``poly.perm_sign``
 replaced.  ``orbits_vanish_by_masks`` finds a point's row fits in a table
 of all 2^n class masks, the search that the cover groups of
-``equations._orbits_vanish`` replaced.
+``equations._orbits_vanish`` replaced.  ``good_correspondences_by_fibers``
+lists the candidate fibers of each label by a multiset search, takes
+their product and keeps the products within the source weights: the
+route that the splits and ``partitions.weight_maps`` of
+``corr.enumerate_good`` replaced.
 """
 
 import itertools
@@ -525,3 +529,64 @@ def orbits_vanish_by_masks(generators, classes):
                 any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
                 for p in projections[g.tail_rows]
             )
+
+
+def _fiber_options(w, lam: GenComposition, e: int):
+    """Candidate fibers above a target label of weight w: multisets of
+    (part weight, source label) pairs ext-summing to w, at most one part per
+    source label count bound, singleton when w exceeds e."""
+    targets = lam.labels
+    if w > e:  # in particular any infinite w
+        return [((w, k),) for k in targets if lam.weight(k) >= w]
+    pairs = [
+        (pw, k)
+        for pw in range(w, 0, -1)
+        for k in targets
+        if lam.weight(k) >= pw
+    ]
+    maxlen = lam.length
+    out = []
+
+    def rec(remaining, start, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if len(acc) == maxlen:
+            return
+        for idx in range(start, len(pairs)):
+            pw, k = pairs[idx]
+            if pw > remaining:
+                continue
+            acc.append((pw, k))
+            rec(remaining - pw, idx, acc)
+            acc.pop()
+
+    rec(w, 0, [])
+    return out
+
+
+def good_correspondences_by_fibers(mu: GenComposition, lam: GenComposition) -> list:
+    """``corr.enumerate_good`` by a product of candidate fibers, one per
+    label of mu, filtered on the weights summed at each label of lam."""
+    if not lam.is_infinite:
+        raise ValueError("good correspondences require an infinite source composition")
+    e = lam.finite_weight
+    options = [_fiber_options(mu.weight(i), lam, e) for i in mu.labels]
+    out = []
+    for combo in itertools.product(*options):
+        # aggregate weight condition on the f2 side
+        if any(sum(pw for fiber in combo for pw, tgt in fiber if tgt == k) > lam.weight(k)
+               for k in lam.labels):
+            continue
+        rho_weights, t1, t2 = {}, {}, {}
+        nxt = 1
+        for i, fiber in zip(mu.labels, combo):
+            for pw, tgt in fiber:
+                rho_weights[nxt] = pw
+                t1[nxt] = i
+                t2[nxt] = tgt
+                nxt += 1
+        rho = GenComposition(rho_weights)
+        out.append(Correspondence(rho, CompMap(rho, mu, t1), CompMap(rho, lam, t2)))
+    out.sort(key=lambda c: c.canonical_key())
+    return out

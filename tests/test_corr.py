@@ -20,7 +20,7 @@ from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.selfcheck import random_composition, random_map_onto
 from symvar.variety import PointSetVariety
 
-from oracles import is_good
+from oracles import good_correspondences_by_fibers, is_good
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -120,6 +120,9 @@ class TestPullbackSquare:
         wmu, g1, g2 = pullback_square(f1, f2)
         # frozen output of the deterministic largest-first recursion
         assert wmu.shape() == P("inf,4,2,2")
+        # the tied residuals 4, 4 of mu2 go to the smaller label first
+        assert g1.table == {1: 1, 2: 2, 3: 2, 4: 3}
+        assert g2.table == {1: 1, 2: 2, 3: 3, 4: 3}
         assert g1.then(f1) == g2.then(f2)
         assert g1.is_principal  # f2 is a principal surjection
 
@@ -226,11 +229,34 @@ class TestEnumerateGood:
         goods = enumerate_good(lam, lam)
         assert len(goods) == 1
 
-    @pytest.mark.parametrize("mu,lam", [("inf", "inf"), ("inf,1", "inf,1"), ("inf", "inf,1")])
+    @pytest.mark.parametrize("mu,lam", [("inf", "inf"), ("inf,1", "inf,1"), ("inf", "inf,1"),
+                                        ("1,1", "inf,2"), ("2", "inf,1,1")])
     def test_matches_brute_force(self, mu, lam):
         mu, lam = C(P(mu)), C(P(lam))
         ours = {c.canonical_key() for c in enumerate_good(mu, lam)}
         assert ours == brute_force_good(mu, lam)
+
+    def test_finite_source_rejected(self):
+        with pytest.raises(ValueError) as err:
+            enumerate_good(C(P("1")), C(P("2,1")))
+        assert str(err.value) == "good correspondences require an infinite source composition"
+
+    def test_matches_fiber_search(self):
+        # every composition of 1 to 3 labels with weights inf, 1, 2 as mu,
+        # against every infinite one as lam: 39 x 25 pairs, plus one larger
+        comps = [GenComposition.from_weights(ws)
+                 for n in range(1, 4) for ws in itertools.product((INF, 1, 2), repeat=n)]
+        pairs = [(mu, lam) for mu in comps for lam in comps if lam.is_infinite]
+        assert len(pairs) == 975
+        pairs.append((C(P("3,3")), C(P("inf,3,3"))))
+
+        def tables(corrs):
+            return [(c.rho.items(), sorted(c.f1.table.items()), sorted(c.f2.table.items()))
+                    for c in corrs]
+
+        for mu, lam in pairs:
+            assert tables(enumerate_good(mu, lam)) == tables(good_correspondences_by_fibers(mu, lam))
+        assert len(enumerate_good(*pairs[-1])) == 326
 
     def test_all_good_and_unique(self):
         mu = C(P("inf,2,1,1"))
