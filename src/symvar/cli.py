@@ -4,7 +4,8 @@ Subcommands: type, preceq, min-excluded, equations, member, contains,
 gamma, selfcheck.  Exit codes: 0 = success or true verdict, 1 = false
 verdict, 2 = usage or data error (any ValueError the library raises, and
 input too deep for the recursive searches) or a stdout closed before the
-output was written, 3 = cross-check disagreement.
+output was written, 3 = cross-check disagreement, 4 = internal error (any
+other exception, reported as one line with no traceback).
 Output is deterministic byte-for-byte for fixed inputs and seed.
 """
 
@@ -231,6 +232,9 @@ def main(argv=None) -> int:
     except RecursionError:  # uncaught, it would exit 1, which reads as "false"
         print("error: input too deep for the recursive search", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect; uncaught, it too would exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,15 +6,17 @@ with a positive weight attached to every label.  Two orders are provided:
 ``leq`` (decrease or remove parts) and ``preceq`` (combine, then decrease or
 remove parts), together with the filling criterion equivalent to ``preceq``,
 minimal excluded antichains, and the saturation operator used by the equation
-synthesis.  ``weight_maps`` is the one search for weight-respecting maps,
-End(lam) and the slices' Hom(mu, lam_p) alike.
+synthesis.  ``preceq`` and ``min_excluded`` decide a finite tail against the
+finite part of lam through one search on plain tuples, ``_tail_below``; each
+call keeps its own memo of failed states.  ``weight_maps`` is the one search
+for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable and every function here is pure.
 """
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import le
 
 # with weights in N ∪ {INF}, the builtin sum is the sum in N ∪ {inf} and
 # str(INF) is "inf"
@@ -220,6 +222,44 @@ def _minimal_cover_groups(target, parts, mask):
     yield from rec(0, 0, 0)
 
 
+def _tail_below(tail, fin) -> bool:
+    """Is the non-increasing tuple `tail` below the finite tuple `fin` in
+    the combining order: disjoint groups of fin's parts, one group per tail
+    part, each group summing to at least that part?
+
+    The screens are exact: a tail longer than fin is not below (each part
+    needs its own non-empty group); an empty tail is; a tail of larger sum
+    than fin is not; a tail below fin part by part (``leq``) is.  Only the
+    rest is decided by backtracking over ``_minimal_cover_groups``, tail
+    part by tail part.  A state is the next tail part and the mask of
+    fin's unused parts.  A true state ends the search, so only the failed
+    states are remembered, in a set that lives for this call.
+    """
+    if len(tail) > len(fin):
+        return False
+    if not tail:
+        return True
+    if sum(tail) > sum(fin):
+        return False
+    if all(map(le, tail, fin)):
+        return True
+    n = len(tail)
+    failed = set()
+
+    def solve(j, mask):
+        if j == n:
+            return True
+        if (j, mask) in failed:
+            return False
+        for g in _minimal_cover_groups(tail[j], fin, mask):
+            if solve(j + 1, mask & ~g):
+                return True
+        failed.add((j, mask))
+        return False
+
+    return solve(0, (1 << len(fin)) - 1)
+
+
 def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     """mu obtained from lam by combining and decreasing (or removing) parts.
 
@@ -228,36 +268,16 @@ def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     of lam covers any one part of mu, and swapping a mu part held by an
     infinite group with a larger one held by a finite group keeps both
     groups sufficient; so the k largest parts of mu may take the infinite
-    parts.  (mu has at most k infinite parts, so its tail is finite.)
-
-    The tail is then screened exactly: an empty tail is below; a tail of
-    larger sum than lam's finite part is not; a tail below lam's finite
-    part part by part (``leq``) is.  Only the rest is decided by
-    backtracking over disjoint groups of lam's finite parts, one group per
-    tail part, each group summing to at least that part.
+    parts.  A mu longer than lam, or with more infinite parts, is not
+    below it: each part of mu needs its own group, and an infinite part
+    an infinite one.  So the tail is finite, and ``_tail_below`` decides
+    it.
     """
-    k = lam.num_infinite
-    if mu.length > lam.length or mu.num_infinite > k:
+    mu_parts, lam_parts = mu.parts, lam.parts
+    k = lam_parts.count(INF)
+    if len(mu_parts) > len(lam_parts) or mu_parts.count(INF) > k:
         return False
-    tail, fin = mu.parts[k:], lam.parts[k:]
-    if not tail:
-        return True
-    if sum(tail) > sum(fin):
-        return False
-    # The length check above gives len(tail) <= len(fin), so zip reads all of tail.
-    if all(m <= f for m, f in zip(tail, fin)):
-        return True
-
-    @lru_cache(maxsize=None)
-    def solve(j, mask):
-        if j == len(tail):
-            return True
-        for g in _minimal_cover_groups(tail[j], fin, mask):
-            if solve(j + 1, mask & ~g):
-                return True
-        return False
-
-    return solve(0, (1 << len(fin)) - 1)
+    return _tail_below(mu_parts[k:], lam_parts[k:])
 
 
 def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
@@ -292,16 +312,17 @@ def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:
     return fill(0, set(inf_entries[:mu.num_infinite]))
 
 
-def _box_parts(max_length: int, max_part: int, prefix=()):
+def _box_parts(max_length: int, max_part: int, max_sum=INF, prefix=()):
     """Parts tuples of the non-empty finite partitions with at most
-    max_length parts, each at most max_part, extending prefix.  Depth-first
-    order is increasing tuple order: a prefix comes before its extensions."""
+    max_length parts, each at most max_part, of sum at most max_sum,
+    extending prefix.  Depth-first order is increasing tuple order: a
+    prefix comes before its extensions."""
     if max_length < 1:
         return
-    for p in range(1, max_part + 1):
+    for p in range(1, min(max_part, max_sum) + 1):
         cur = prefix + (p,)
         yield cur
-        yield from _box_parts(max_length - 1, p, cur)
+        yield from _box_parts(max_length - 1, p, max_sum - p, cur)
 
 
 def finite_partitions_in_box(max_length: int, max_part: int):
@@ -345,24 +366,33 @@ def min_excluded(lam: GenPartition) -> list:
     partitions with at most length(lam)+1 parts, each at most
     finite_weight(lam)+1, only the partitions (tau_0)^k ++ tau are
     candidates, for tau in the box with at most length(lam)-k+1 parts,
-    each at most finite_weight(lam)+1.  preceq decides each distinct tail
-    once.  No sort: ``_box_parts`` yields the tails in increasing order, and
-    tau -> (tau_0)^k ++ tau is strictly increasing (tau_0 first, then tau).
+    each at most finite_weight(lam)+1.
+
+    Second lemma: the tail tau of a minimal excluded alpha has sum at most
+    finite_weight(lam)+1.  Proof: lowering alpha's last part, which lies in
+    tau, by 1 gives a lower cover whose tail has sum sum(tau)-1; that cover
+    is below lam, so its tail sum is at most finite_weight(lam).  The tails
+    walked are therefore those of sum at most finite_weight(lam)+1, which
+    bounds each part too.  ``_tail_below``, the tail search of ``preceq``,
+    decides each distinct tail once, on plain tuples.  No sort:
+    ``_box_parts`` yields the tails in increasing order, and tau ->
+    (tau_0)^k ++ tau is strictly increasing (tau_0 first, then tau).
     """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
     k = lam.num_infinite
-    lam_fin = GenPartition(lam.parts[k:])
+    fin = lam.parts[k:]
     below = {}
 
     def is_below(parts):
         tail = parts[k:]
         hit = below.get(tail)
         if hit is None:
-            hit = below[tail] = preceq(GenPartition(tail), lam_fin)
+            hit = below[tail] = _tail_below(tail, fin)
         return hit
 
-    tails = _box_parts(lam_fin.length + 1, lam.finite_weight + 1)
+    w = sum(fin) + 1
+    tails = _box_parts(len(fin) + 1, w, w)
     candidates = ((tau[0],) * k + tau for tau in tails)
     return [
         GenPartition(alpha)

@@ -269,7 +269,8 @@ class TestRoundTrips:
 
 
 class TestErrorPath:
-    """Every ValueError a subcommand meets exits 2 through ``main``."""
+    """Every ValueError a subcommand meets exits 2 through ``main``, and
+    every other exception exits 4."""
 
     @staticmethod
     def boom(*args, **kwargs):
@@ -290,6 +291,20 @@ class TestErrorPath:
         monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, self.boom)
         argv = [variety_file if a == "Z" else a for a in argv]
         assert run(capsys, *argv) == (2, "", "error: boom\n")
+
+    @pytest.mark.parametrize("exc, line", [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (KeyError("boom"), "KeyError: 'boom'"),
+        (AssertionError("boom"), "AssertionError: boom"),
+    ], ids=["RuntimeError", "KeyError", "AssertionError"])
+    def test_internal_error_exits_four(self, monkeypatch, capsys, exc, line):
+        # any other exception is a defect: one line, no traceback, and not
+        # exit 1, which reads as "false"
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "preceq", crash)
+        assert run(capsys, "preceq", "2", "inf,1") == (4, "", f"internal error: {line}\n")
 
     # the layering: the package loads nothing, the pipeline reaches neither
     # the correspondences nor the invariant battery, and the correspondences

@@ -151,6 +151,12 @@ COMMANDS = [
     ["member", "inf,2,1",
      "3^inf,-1/2^1,-2^1,5/3^1,4^1,5^1,6^1,7^1,8^1,9^1,10^1,11^1,12^1,13^1,14^1,15^1",
      "--variety", "zk.json", "--method", "both"],
+    # combining order decided by the tail search, with and without infinite parts
+    ["preceq", "5,5", "4,3,3"],
+    ["preceq", "inf,6,6", "inf,5,4,3"],
+    ["preceq", "--json", "7,5", "4,4,3,1"],
+    ["min-excluded", "inf,3,3,2,2,1"],
+    ["min-excluded", "--json", "inf,inf,4,3,2,1"],
 ]
 
 

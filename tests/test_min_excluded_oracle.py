@@ -9,8 +9,9 @@ that lets ``min_excluded`` hand ``preceq`` only the finite remainder is
 checked on the same boxes.  The oracle decides the order with
 ``preceq_by_groups``, the search over all of lam's parts, so the tail
 reduction inside ``preceq`` is not the judge of itself.  Every answer has
-alpha_0 = ... = alpha_k, which is why only tails are walked; a work guard
-counts the lower-cover tests this leaves.
+alpha_0 = ... = alpha_k, which is why only tails are walked, and a tail
+of sum at most finite_weight(lam)+1, which is why only those tails are
+walked; a work guard counts the lower-cover tests this leaves.
 """
 
 import itertools
@@ -78,11 +79,13 @@ def test_answers_are_tails_behind_equal_parts(lam):
     k = lam.num_infinite
     for alpha in min_excluded(lam):
         assert alpha.length >= k + 1 and alpha[0] == alpha[k], (alpha, lam)
+        assert sum(alpha.parts[k:]) <= lam.finite_weight + 1, (alpha, lam)
 
 
 def test_lower_cover_work_guard(monkeypatch):
-    # inf^8,12 has 104 tails (at most 2 parts, each at most 13), so at most
-    # C(15,2) - 1 candidates reach the cover test; walking the whole
+    # inf^8,12 has 55 tails of at most 2 parts and sum at most 13, so at
+    # most 55 candidates reach the cover test (43 do); the 104 tails of at
+    # most 2 parts, each at most 13, sent 92 there, and walking the whole
     # 10-part box made 646,647 cover tests.
     calls = []
     lower_covers = partitions._lower_covers
@@ -94,7 +97,7 @@ def test_lower_cover_work_guard(monkeypatch):
     monkeypatch.setattr(partitions, "_lower_covers", counting)
     got = min_excluded(INF8_12)
     assert got == [GenPartition((1,) * 10), GenPartition((13,) * 9)]
-    assert 0 < len(calls) <= 104
+    assert 0 < len(calls) <= 55
 
 
 @pytest.mark.parametrize("max_length,max_part", [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (5, 6)])
@@ -107,3 +110,10 @@ def test_box_parts_order(max_length, max_part):
         for c in itertools.combinations_with_replacement(range(1, max_part + 1), n)
     )
     assert streamed == independent
+
+
+@pytest.mark.parametrize("max_sum", [0, 1, 4, 7, 30])
+def test_box_parts_sum_bound(max_sum):
+    # the sum bound prunes the box and keeps its order
+    streamed = list(_box_parts(4, 5, max_sum))
+    assert streamed == [p for p in _box_parts(4, 5) if sum(p) <= max_sum]

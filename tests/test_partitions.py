@@ -34,6 +34,20 @@ def leq_oracle(mu, lam):
     return mu.length == 0
 
 
+@pytest.fixture
+def cover_group_calls(monkeypatch):
+    """The arguments of every ``_minimal_cover_groups`` call, in order."""
+    calls = []
+    cover_groups = partitions._minimal_cover_groups
+
+    def counting(*args):
+        calls.append(args)
+        return cover_groups(*args)
+
+    monkeypatch.setattr(partitions, "_minimal_cover_groups", counting)
+    return calls
+
+
 parts_strategy = st.lists(st.sampled_from([1, 2, 3, INF]), min_size=0, max_size=4).map(GenPartition)
 
 
@@ -145,6 +159,29 @@ class TestPreceq:
         assert len(box) ** 2 == 15876
         assert exits == {"early": {True, False}, "sum": {False}, "leq": {True},
                          "search": {True, False}}
+
+    def test_matches_filling_search_on_random_pairs(self, cover_group_calls):
+        # past the exhaustive box: 1-6 parts, each inf with probability 1/4,
+        # else 1-6; the run must reach the backtracking, not only the screens
+        part = st.sampled_from([1, 2, 3, 4, 5, 6, INF, INF])
+        gen = st.lists(part, min_size=1, max_size=6).map(GenPartition)
+
+        @settings(max_examples=1000, deadline=None)
+        @given(gen, gen)
+        def check(mu, lam):
+            assert preceq(mu, lam) == good_filling_exists(mu, lam), (mu, lam)
+
+        check()
+        assert cover_group_calls
+
+    def test_search_visits_each_state_once(self, cover_group_calls):
+        # each of 6,5,4,3 needs two of the six 3s, so the search fails; it
+        # meets 1 + 15 + 15 + 1 distinct (tail part, unused-parts mask)
+        # states, and without the memo of failed states it would make 196
+        # cover-group calls
+        assert preceq(P("inf,6,5,4,3"), P("inf,3,3,3,3,3,3")) is False
+        # the tail parts differ, so a call's target names its state's tail part
+        assert len(cover_group_calls) == len(set(cover_group_calls)) == 32
 
 
 class TestMinimalCoverGroups:
