@@ -280,7 +280,7 @@ class TestErrorPath:
         ("type_of", ["type", "0^inf,1^3"]),
         ("preceq", ["preceq", "2", "inf,1"]),
         ("min_excluded", ["min-excluded", "inf,1"]),
-        ("i_lambda", ["equations", "inf,1"]),
+        ("equations.i_lambda", ["equations", "inf,1"]),
         ("theta_member", ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z"]),
         ("contains", ["contains", "inf,inf", "Z", "inf,inf", "Z"]),
         ("gamma_at", ["gamma", "inf,inf", "Z", "1"]),
@@ -321,6 +321,65 @@ class TestErrorPath:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == f"{loaded}\n"
+
+
+class TestLazyModules:
+    """``symvar.cli`` registers ``equations``, ``poly``, ``corr`` and
+    ``selfcheck`` without running them.  The probes read
+    ``type(sys.modules[name])``: any attribute access, ``isinstance``
+    included, would run the module."""
+
+    LAZY = ["symvar.corr", "symvar.equations", "symvar.poly", "symvar.selfcheck"]
+
+    @staticmethod
+    def probe(code, *args):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    @pytest.mark.parametrize("commands, ran", [
+        ([["type", "0^inf,1^3"], ["preceq", "4,4,4", "inf,inf,2,1"],
+          ["min-excluded", "inf,2,1"], ["contains", "inf,inf", "Z", "inf,inf", "Z"],
+          ["gamma", "inf,inf", "Z", "1,1"],
+          ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z", "--method", "direct"],
+          ["member", "inf,1", "0^inf,1^1"], ["type", "1/0^inf"]],
+         []),
+        ([["equations", "inf,inf", "--variety", "Z"],
+          ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z", "--method", "both"]],
+         ["symvar.equations", "symvar.poly"]),
+    ], ids=["partitions-and-variety", "equations"])
+    def test_a_command_runs_only_what_it_reaches(self, variety_file, commands, ran):
+        code = f"""
+import contextlib, io, json, sys, types
+import symvar.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        symvar.cli.main(argv)
+print([n for n in {self.LAZY!r} if type(sys.modules[n]) is types.ModuleType])
+"""
+        commands = [[variety_file if a == "Z" else a for a in argv] for argv in commands]
+        assert self.probe(code, json.dumps(commands)) == f"{ran}\n"
+
+    def test_an_imported_module_is_reused(self):
+        code = """
+import sys, types
+import symvar.equations
+import symvar.cli
+print(symvar.cli.equations is sys.modules["symvar.equations"],
+      type(symvar.cli.equations) is types.ModuleType)
+"""
+        assert self.probe(code) == "True True\n"
+
+    def test_registered_modules_are_bound_on_the_package(self):
+        code = f"""
+import sys, types
+import symvar, symvar.cli
+print(all(getattr(symvar, n.split(".")[1]) is sys.modules[n] for n in {self.LAZY!r}),
+      any(type(sys.modules[n]) is types.ModuleType for n in {self.LAZY!r}))
+"""
+        assert self.probe(code) == "True False\n"
 
 
 class TestClosedStdout:

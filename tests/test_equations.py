@@ -213,7 +213,7 @@ class TestLazyProduct:
         # the command prints the ideal the fixture built; the golden corpus
         # covers how it is built
         by_lam = {str(golden_pair(name)[0]): name for name in self.GOLDEN}
-        monkeypatch.setattr(cli, "i_lambda_z", lambda lam, Z: golden[by_lam[str(lam)]])
+        monkeypatch.setattr(cli.equations, "i_lambda_z", lambda lam, Z: golden[by_lam[str(lam)]])
         commands = [["inf,inf,2,1"]]
         for name in self.GOLDEN:
             path = tmp_path / name

@@ -47,6 +47,8 @@ FILES = {
     "zk.json": '{"lambda": ["inf", 2, 1], "points": [["6/2", "-1/2", -2], [-2, 3, "5/3"]]}',
     "zk1.json": '{"lambda": ["inf", 1], "points": [[3, "-1/2"]]}',
     "zg.json": '{"lambda":["inf",2,1,1],"points":[[0,1,2,3],[5,-7,11,13]]}',
+    "zo.json": '{"lambda": ["inf", 2, 1], "points": [[0, 4, 2], [1, 3, 2]]}',
+    "ze.json": '{"lambda": ["inf", 1], "points": []}',
 }
 
 COMMANDS = [
@@ -157,6 +159,10 @@ COMMANDS = [
     ["preceq", "--json", "7,5", "4,4,3,1"],
     ["min-excluded", "inf,3,3,2,2,1"],
     ["min-excluded", "--json", "inf,inf,4,3,2,1"],
+    # the routes disagree outside the equation route's exact domain: exit 3
+    ["member", "inf,2,1", "0^inf,4^3", "--variety", "zo.json", "--method", "both"],
+    # an empty classified set: each slice generator is its bare tableau polynomial
+    ["equations", "inf,1", "--variety", "ze.json"],
 ]
 
 

@@ -179,6 +179,12 @@ def test_errors_are_those_of_the_slice():
         gamma_at(lam, elsewhere, C(P("1")))
     with pytest.raises(ValueError, match="^point sets must live over the stated compositions$"):
         contains(lam, elsewhere, lam, elsewhere)
+    # each composition is checked on its own: one mismatch is enough
+    here = PointSetVariety(lam, [(0, 1)])
+    for call in (lambda: contains(lam, elsewhere, lam, here),
+                 lambda: contains(lam, here, lam, elsewhere)):
+        with pytest.raises(ValueError, match="^point sets must live over the stated compositions$"):
+            call()
     empty = GenComposition({})
     with pytest.raises(ValueError, match="^the slice composition must be non-empty$"):
         gamma_at(lam, PointSetVariety(lam, [(0, 1)]), empty)
