@@ -23,14 +23,15 @@ whenever lam has finite weight at most 1 or at most two parts (which covers
 every partition with all parts infinite), and may only over-accept outside
 that range.
 
-A generator is held as its shape and its slice factor.  Its expansion is
-combinatorially infeasible for even modest shapes; membership reads the
-shape and the factor, and printing writes the factored form straight from
-them.
+A generator is held as its shape and its slice factor, the integer row
+that `poly.vanishing_ideal` leaves; generators of shapes with the same
+slice share one factor.  Its expansion is combinatorially infeasible for
+even modest shapes; membership reads the shape and tests the factor on
+integers, and printing writes the factored form straight from the shape and
+the factor's text.  Nothing but printing reads a factor's rational form.
 """
 
 import itertools
-import math
 
 from .partitions import (
     GenComposition,
@@ -40,7 +41,7 @@ from .partitions import (
     min_excluded,
     mu_s,
 )
-from .poly import T_FAMILY, tvar, vanishing_ideal
+from .poly import vanishing_ideal
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
@@ -51,55 +52,52 @@ class IdealGenerator:
     `kind` is "excluded" for a minimal excluded partition and "slice" for
     a capped shape.  `rows` fill the `shape` row-major with the cells
     1, 2, ...; the generator is the product of (x_a - x_b) over cells a < b
-    in different rows.  `tail` is the optional slice factor, a polynomial
-    in t-variables: t_i stands for the coordinates of row i, and the
-    generator carries one copy of the tail per choice of a cell in each
-    row of `tail_rows`, the rows the tail mentions.
+    in different rows.  `factor` is the optional slice factor, a
+    `poly.SliceFactor`: t_i stands for the coordinates of row i, and the
+    generator carries one copy of the factor per choice of a cell in each
+    row of `tail_rows`, the rows the factor mentions.  `tail` is the
+    factor as a `Poly`, built on first read.
     """
 
-    __slots__ = ("kind", "shape", "rows", "tail", "tail_rows")
+    __slots__ = ("kind", "shape", "rows", "factor", "tail_rows")
 
-    def __init__(self, kind, shape: GenPartition, tail=None):
+    def __init__(self, kind, shape: GenPartition, factor=None):
         if shape.num_infinite:
             raise ValueError("generator shape has an infinite part")
         rows, cell = [], 1
         for size in shape:
             rows.append(tuple(range(cell, cell + size)))
             cell += size
-        tail_rows = ()
-        if tail is not None:
-            variables = tail.variables()
-            if any(fam != T_FAMILY for fam, _ in variables):
-                raise ValueError("tail uses a variable that is not a t-variable")
-            used = {i for _, i in variables}
-            tail_rows = tuple(i for i in range(len(rows)) if i + 1 in used)
-            if len(tail_rows) != len(used):
-                raise ValueError("tail uses a t-variable with no matching row")
+        tail_rows = () if factor is None else factor.used
+        if tail_rows and tail_rows[-1] >= len(rows):
+            raise ValueError("tail uses a t-variable with no matching row")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "tail_rows", tail_rows)
+
+    @property
+    def tail(self):
+        return None if self.factor is None else self.factor.poly
 
     def provenance(self) -> str:
         if self.kind == "excluded":
             return f"excluded {self.shape}"
-        return f"slice {self.shape} : {self.tail or 1}"
+        return f"slice {self.shape} : {self.factor or 1}"
 
     def __str__(self):
         """The factored form: the difference factors in order of their
-        cell pairs, then the tail copies; "1" for the empty product."""
+        cell pairs, then the factor copies; "1" for the empty product."""
         rows = self.rows
         factors = [f"(x{a} - x{b})" for a, b in sorted(
             (a, b) for i, row in enumerate(rows) for later in rows[i + 1:]
             for a in row for b in later)]
-        if self.tail is not None:
-            # the tail printed with t_{r+1} as the field x{p}, r = tail_rows[p],
-            # so it keeps the term order of str(tail); each copy fills in cells
-            slot = {tvar(r + 1): p for p, r in enumerate(self.tail_rows)}
-            copy = "(" + self.tail.format(lambda v: "x{%d}" % slot[v]) + ")"
+        if self.factor is not None:
+            # field p of the template names the cell of row tail_rows[p]
+            copy = "(" + self.factor.template + ")"
             factors += [copy.format(*cells) for cells in
-                        itertools.product(*(rows[i] for i in self.tail_rows))]
+                        itertools.product(*(["x%d" % a for a in rows[i]] for i in self.tail_rows))]
         return "*".join(factors) or "1"
 
     def __repr__(self):
@@ -190,38 +188,6 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     return TypeIdeal(lam, gens)
 
 
-def _tail_zero_test(tail, tail_rows, classes):
-    """The tail's zero test at one point, on integers.
-
-    Returns ``vanishes(combo)``: does the tail vanish when the t-variable of
-    ``tail_rows[p]`` takes the value of class ``combo[p]``?  With q the
-    common denominator of the class values and L that of the tail's
-    coefficients, L * q^deg * tail(values) is the integer sum, over the
-    terms c_m t^m, of (L * c_m) * prod(q * value)^m * q^(deg - |m|); it is
-    zero exactly when the tail vanishes.
-    """
-    q = math.lcm(*(v.denominator for v, _ in classes))
-    scaled = [v.numerator * (q // v.denominator) for v, _ in classes]
-    lcm = math.lcm(*(c.denominator for c in tail.terms.values()))
-    deg = tail.total_degree()
-    pos = {tvar(r + 1): p for p, r in enumerate(tail_rows)}
-    terms = [
-        (c.numerator * (lcm // c.denominator) * q ** (deg - sum(e for _, e in m)),
-         tuple((pos[v], e) for v, e in m))
-        for m, c in tail.terms.items()
-    ]
-
-    def vanishes(combo):
-        total = 0
-        for coeff, mono in terms:
-            for p, e in mono:
-                coeff *= scaled[combo[p]] ** e
-            total += coeff
-        return total == 0
-
-    return vanishes
-
-
 def _orbits_vanish(generators, classes):
     """For each generator in turn: do all its orbit evaluations vanish at
     the point with these value classes, that is, is there no assignment of
@@ -235,7 +201,7 @@ def _orbits_vanish(generators, classes):
     the classes of a set S when |S| <= size and their multiplicities add
     up to at least `size`.  The distributed tail copies are all nonzero
     exactly when no choice of one class per mentioned row lands in the
-    tail's zero locus (`_tail_zero_test`).
+    factor's zero locus (`SliceFactor.zero_test`).
 
     Only the minimal sets are searched: the groups of
     `partitions._minimal_cover_groups`, sufficient sets with no sufficient
@@ -249,13 +215,16 @@ def _orbits_vanish(generators, classes):
 
     The supports depend on the rows alone, so each run of consecutive
     generators with equal rows (one capped shape) enumerates them once, and
-    each tail is tested on their distinct projections onto its rows.  The
+    each factor is tested on their distinct projections onto its rows.  The
     cover groups of each row size are listed once per point, each with its
-    classes.
+    classes, and each distinct factor's zero test is compiled once per
+    point.
     """
     n = len(classes)
+    values = [v for v, _ in classes]
     mults = [m for _, m in classes]
     fits = {}  # row size -> [(mask, classes of the mask)]
+    zero_tests = {}  # slice factor -> its zero test at this point
 
     def supports(rows, i=0, available=(1 << n) - 1):
         if i == len(rows):
@@ -274,7 +243,8 @@ def _orbits_vanish(generators, classes):
         found = None  # every support assignment, listed when a tail needs it
         projections = {}
         for g in run:
-            if g.tail is None:
+            f = g.factor
+            if f is None:
                 yield next(supports(rows), None) is None
                 continue
             if found is None:
@@ -282,11 +252,13 @@ def _orbits_vanish(generators, classes):
             if not found:
                 yield True
                 continue
-            if g.tail_rows not in projections:
-                projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
-            vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
+            if f.used not in projections:
+                projections[f.used] = {tuple(a[r] for r in f.used) for a in found}
+            if f not in zero_tests:
+                zero_tests[f] = f.zero_test(values)
+            vanishes = zero_tests[f]
             yield all(any(vanishes(combo) for combo in itertools.product(*p))
-                      for p in projections[g.tail_rows])
+                      for p in projections[f.used])
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:

@@ -10,9 +10,10 @@ The module also provides discriminants, the coset skew-symmetrization
 identity, constructive discriminant extraction with replayable witnesses,
 and vanishing ideals of finite point sets.  Those are computed by
 Buchberger-Moeller elimination degree by degree, run over the integers after
-the points are scaled to integer coordinates, on rows of constant width; only
-the output coefficients are rationals, and the generators are exactly those
-of elimination over Q.
+the points are scaled to integer coordinates, on rows of constant width.  A
+generator stays the integer row elimination leaves, a `SliceFactor`: its
+coefficients over one common lead.  Only its `poly`, built on first read,
+holds rationals, and it is exactly the generator of elimination over Q.
 """
 
 import math
@@ -55,7 +56,7 @@ class Poly:
     A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
     coefficient is an int or a Fraction, which compare, hash and print alike
     when equal; any other number is stored as the Fraction it equals exactly.
-    Arithmetic on ints keeps ints; `vanishing_ideal` gives only Fractions.
+    Arithmetic on ints keeps ints; `SliceFactor.poly` gives only Fractions.
     """
 
     __slots__ = ("terms",)
@@ -380,6 +381,96 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     return ExtractionWitness(steps, c, n)
 
 
+class SliceFactor:
+    """A polynomial in t-variables held as integers over one common lead:
+    the sum, over the `terms` (c, monomial), of c / `lead` times the
+    monomial.  `used` lists, ascending, the indices j of the variables
+    t_{j+1} it mentions, and a monomial is a tuple of (p, exponent) pairs
+    naming the variable t_{used[p]+1}.  `lead` is a nonzero int of either
+    sign.  `degree` is the total degree.
+
+    This is the form in which `vanishing_ideal` leaves a generator.  The
+    zero test reads it on integers; the `Poly`, with `Fraction`
+    coefficients, and the printed text are built on first read and kept.
+    """
+
+    __slots__ = ("lead", "used", "terms", "degree", "_poly", "_template")
+
+    def __init__(self, lead, used, terms, degree):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "used", used)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_poly", None)
+        object.__setattr__(self, "_template", None)
+
+    @classmethod
+    def from_poly(cls, p: Poly) -> "SliceFactor":
+        """The factor of a polynomial in t-variables; its `poly` is p."""
+        variables = p.variables()
+        if any(fam != T_FAMILY for fam, _ in variables):
+            raise ValueError("slice factor uses a variable that is not a t-variable")
+        used = tuple(sorted(i - 1 for _, i in variables))
+        pos = {tvar(j + 1): k for k, j in enumerate(used)}
+        lead = math.lcm(*(c.denominator for c in p.terms.values()))
+        terms = tuple((int(c * lead), tuple((pos[v], e) for v, e in m)) for m, c in p.terms.items())
+        f = cls(lead, used, terms, p.total_degree())
+        object.__setattr__(f, "_poly", p)
+        return f
+
+    def total_degree(self):
+        return self.degree
+
+    @property
+    def poly(self) -> Poly:
+        if self._poly is None:
+            names = [tvar(j + 1) for j in self.used]
+            object.__setattr__(self, "_poly", Poly({
+                tuple((names[p], e) for p, e in m): Fraction(c, self.lead)
+                for c, m in self.terms}))
+        return self._poly
+
+    @property
+    def template(self) -> str:
+        """``str(poly)`` with the field ``{p}`` in place of the variable
+        t_{used[p]+1}; its terms are sorted once."""
+        if self._template is None:
+            slot = {tvar(j + 1): "{%d}" % p for p, j in enumerate(self.used)}
+            object.__setattr__(self, "_template", self.poly.format(slot.__getitem__))
+        return self._template
+
+    def __str__(self):
+        return self.template.format(*(f"t{j + 1}" for j in self.used))
+
+    def zero_test(self, values):
+        """``vanishes(combo)``: is the factor zero when the variable
+        t_{used[p]+1} takes the value ``values[combo[p]]``?
+
+        With q the common denominator of the values, lead * q^degree times
+        the factor's value is the integer sum, over the terms c t^m, of
+        c * prod(q * value)^m * q^(degree - |m|); it is zero exactly when
+        the factor vanishes.
+        """
+        q = math.lcm(*(v.denominator for v in values))
+        scaled = [v.numerator * (q // v.denominator) for v in values]
+        terms = self.terms
+        if q > 1:
+            terms = [(c * q ** (self.degree - sum(e for _, e in m)), m) for c, m in terms]
+
+        def vanishes(combo):
+            total = 0
+            for coeff, m in terms:
+                for p, e in m:
+                    coeff *= scaled[combo[p]] ** e
+                total += coeff
+            return total == 0
+
+        return vanishes
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SliceFactor is immutable")
+
+
 def _border(standard, r):
     """Ascending exponent tuples m, one degree above the standard monomials
     `standard` of one degree, with every m / t_i standard: m arises as
@@ -394,7 +485,8 @@ def _border(standard, r):
 
 def vanishing_ideal(points) -> list:
     """Reduced graded-lex generating set of the ideal of polynomials in
-    t1..tr vanishing on a finite set of rational points.
+    t1..tr vanishing on a finite set of rational points, as `SliceFactor`s;
+    a factor's `poly` is the generator with `Fraction` coefficients.
 
     Buchberger-Moeller elimination degree by degree: a candidate monomial is
     standard if its evaluation vector is independent of those of the earlier
@@ -414,8 +506,9 @@ def vanishing_ideal(points) -> list:
     cross-multiplies, deletes the pivot column it zeroes and appends the
     basis row's coefficient, so every row keeps npts + 1 entries, and a basis
     row is stored in the layout a later candidate has when it meets it.  A
-    row is divided by its gcd once, after its last step, and only the
-    emitted coefficients become rationals.  The output is that of
+    row is divided by its gcd once, after its last step.  A generator's
+    factor keeps the row's coefficients over its own entry, the lead, and
+    becomes rational only when its `poly` is read; that is the output of
     elimination over Q.
     """
     # int and Fraction coordinates both carry numerator and denominator
@@ -473,12 +566,11 @@ def vanishing_ideal(points) -> list:
                 standard.append(m)
                 new_standard.append(m)
             else:
-                lead = row[-1]
-                gens.append(Poly({
-                    tuple(((T_FAMILY, j + 1), e) for j, e in enumerate(mm) if e): Fraction(c, lead)
-                    for mm, c in zip(standard + [m], row[npts - k:])
-                    if c
-                }))
+                kept = [(c, mm) for mm, c in zip(standard + [m], row[npts - k:]) if c]
+                used = tuple(j for j in range(r) if any(mm[j] for _, mm in kept))
+                gens.append(SliceFactor(row[-1], used, tuple(
+                    (c, tuple((p, mm[j]) for p, j in enumerate(used) if mm[j])) for c, mm in kept
+                ), degree))
         candidates = _border(new_standard, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"

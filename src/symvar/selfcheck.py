@@ -242,10 +242,10 @@ def suite_vanishing(rng):
         pts = sorted(pts)
         gens = vanishing_ideal(pts)
         fails = []
-        if any(g.evaluate(_tassign(p)) != 0 for g in gens for p in pts):
+        if any(g.poly.evaluate(_tassign(p)) != 0 for g in gens for p in pts):
             fails.append(f"nonvanishing generator {t}")
         outside = tuple(Fraction(9) for _ in range(r))
-        if outside not in pts and all(g.evaluate(_tassign(outside)) == 0 for g in gens):
+        if outside not in pts and all(g.poly.evaluate(_tassign(outside)) == 0 for g in gens):
             fails.append(f"outside point not separated {t}")
         yield fails
 

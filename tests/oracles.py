@@ -29,15 +29,19 @@ of all 2^n class masks, the search that the cover groups of
 lists the candidate fibers of each label by a multiset search, takes
 their product and keeps the products within the source weights: the
 route that the splits and ``partitions.weight_maps`` of
-``corr.enumerate_good`` replaced.
+``corr.enumerate_good`` replaced.  ``tail_zero_test_by_poly`` rebuilds a
+slice factor's integer zero test from its ``Poly`` at every point, the way
+membership did before it read ``poly.SliceFactor.zero_test`` off the
+factor's integer row.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
-from symvar.equations import IdealGenerator, _tail_zero_test
+from symvar.equations import IdealGenerator
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
@@ -487,6 +491,39 @@ def terms_by_dense_key(p: Poly) -> list:
     return sorted(p.terms.items(), key=key)
 
 
+def tail_zero_test_by_poly(tail, tail_rows, classes):
+    """The tail's zero test at one point, on integers, read off the
+    ``Poly``.
+
+    Returns ``vanishes(combo)``: does the tail vanish when the t-variable of
+    ``tail_rows[p]`` takes the value of class ``combo[p]``?  With q the
+    common denominator of the class values and L that of the tail's
+    coefficients, L * q^deg * tail(values) is the integer sum, over the
+    terms c_m t^m, of (L * c_m) * prod(q * value)^m * q^(deg - |m|); it is
+    zero exactly when the tail vanishes.
+    """
+    q = math.lcm(*(v.denominator for v, _ in classes))
+    scaled = [v.numerator * (q // v.denominator) for v, _ in classes]
+    lcm = math.lcm(*(c.denominator for c in tail.terms.values()))
+    deg = tail.total_degree()
+    pos = {tvar(r + 1): p for p, r in enumerate(tail_rows)}
+    terms = [
+        (c.numerator * (lcm // c.denominator) * q ** (deg - sum(e for _, e in m)),
+         tuple((pos[v], e) for v, e in m))
+        for m, c in tail.terms.items()
+    ]
+
+    def vanishes(combo):
+        total = 0
+        for coeff, mono in terms:
+            for p, e in mono:
+                coeff *= scaled[combo[p]] ** e
+            total += coeff
+        return total == 0
+
+    return vanishes
+
+
 def orbits_vanish_by_masks(generators, classes):
     """``equations._orbits_vanish`` with every support that can fill a row:
     a class mask fits a row of `size` cells when it has at most `size`
@@ -524,7 +561,7 @@ def orbits_vanish_by_masks(generators, classes):
                 continue
             if g.tail_rows not in projections:
                 projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
-            vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
+            vanishes = tail_zero_test_by_poly(g.tail, g.tail_rows, classes)
             yield all(
                 any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
                 for p in projections[g.tail_rows]

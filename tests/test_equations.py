@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symvar import cli
+from symvar import cli, poly
 from symvar.equations import (
     IdealGenerator,
     TypeIdeal,
@@ -25,7 +25,7 @@ from symvar.partitions import (
     mu_s,
     preceq,
 )
-from symvar.poly import Poly, difference
+from symvar.poly import Poly, SliceFactor, difference
 from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
@@ -243,22 +243,53 @@ class TestLazyProduct:
              "*(x11 - x12)*(-x12^3 + 9/5*x3*x12 + x3 - 1)"),
         ]
         for shape, tail, text in cases:
-            g = IdealGenerator("slice", P(shape), tail)
+            g = IdealGenerator("slice", P(shape), SliceFactor.from_poly(tail))
             assert str(g).endswith(text), shape
             assert str(g) == "*".join(f"({f})" for f in eager_product(g))
         assert g.provenance() == "slice 2,1,1,1,1,1,1,1,1,1,1 : -t11^3 + 9/5*t2*t11 + t2 - 1"
 
     def test_tail_without_a_row_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="^tail uses a t-variable with no matching row$"):
-            IdealGenerator("slice", P("2"), Poly.t(2) - 1)
+            IdealGenerator("slice", P("2"), SliceFactor.from_poly(Poly.t(2) - 1))
 
     def test_tail_with_an_x_variable_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="not a t-variable"):
-            IdealGenerator("slice", P("2,1"), Poly.x(1) + Poly.t(1))
+            IdealGenerator("slice", P("2,1"), SliceFactor.from_poly(Poly.x(1) + Poly.t(1)))
 
     def test_infinite_shape_is_rejected(self):
         with pytest.raises(ValueError, match="infinite part"):
             IdealGenerator("excluded", P("inf,1"))
+
+
+class TestRationalFormOnlyToPrint:
+    def test_membership_builds_none_and_render_builds_each_once(self, monkeypatch):
+        built, compiled = [], []
+
+        class CountingPoly(Poly):
+            __slots__ = ()
+
+            def __init__(self, terms=None):
+                super().__init__(terms)
+                built.append(self)
+
+        zero_test = SliceFactor.zero_test
+        monkeypatch.setattr(poly, "Poly", CountingPoly)
+        monkeypatch.setattr(SliceFactor, "zero_test",
+                            lambda f, values: compiled.append(f) or zero_test(f, values))
+        lam = P("inf,2,1")
+        Z = PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)])
+        ideal = i_lambda_z(lam, Z)
+        verdicts = [member_by_equations(ideal, FinitaryPoint.parse(x))
+                    for x in ("0^inf,1^2,2^1", "5^inf,-7^2,11^1", "0^inf,5^2")]
+        assert verdicts == [True, True, False]
+        assert compiled and built == []
+        factors = {id(g.factor): g.factor for g in ideal.generators if g.factor is not None}
+        # shapes with the same slice share its factors
+        assert len(factors) < sum(g.factor is not None for g in ideal.generators)
+        text = ideal.render()
+        assert len(built) == len(factors)
+        assert {id(p) for p in built} == {id(f.poly) for f in factors.values()}
+        assert ideal.render() == text and len(built) == len(factors)
 
 
 class TestMembership:

@@ -1,9 +1,10 @@
 """Equation membership on rational data.
 
-``member_by_equations`` tests each slice tail on integers: the class values
-are scaled by their common denominator q and the tail by the lcm of its
-coefficient denominators.  With integer data q is 1; here Z and the points
-carry denominators 2, 3 and 7 and negative values, so q > 1.  Three checks:
+``member_by_equations`` tests each slice factor on integers: the class
+values are scaled by their common denominator q, and the factor is read as
+the integer row ``vanishing_ideal`` left.  With integer data q is 1; here Z
+and the points carry denominators 2, 3 and 7 and negative values, so q > 1.
+Four checks:
 
 - inside the exact domain the equation route equals ``theta_member``, and
   outside it never rejects a member;
@@ -13,7 +14,10 @@ carry denominators 2, 3 and 7 and negative values, so q > 1.  Three checks:
   rows share one support search; a shuffled generator tuple splits those
   runs and must not change the answer;
 - the integer zero test agrees with ``tail.evaluate(...) == 0`` on every
-  choice of one class per tail row.
+  choice of one class per tail row;
+- it also agrees with the former zero test, rebuilt from the ``Poly`` at
+  every point (``oracles.tail_zero_test_by_poly``), on rational values, on
+  factors whose integer lead is negative and on factors that skip a row.
 """
 
 import itertools
@@ -23,15 +27,12 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.equations import (
-    _tail_zero_test,
-    TypeIdeal,
-    i_lambda_z,
-    member_by_equations,
-)
+from symvar.equations import TypeIdeal, i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import tvar
+from symvar.poly import tvar, vanishing_ideal
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
+
+from oracles import tail_zero_test_by_poly
 
 C = GenComposition.from_partition
 
@@ -171,11 +172,11 @@ def test_integer_zero_test_matches_evaluation(ideals):
         # every eighth generator, a different eighth per case, keeps the
         # exhaustive check over class choices short
         for g in ideal.generators[k::8]:
-            if g.tail is None:
+            if g.factor is None:
                 continue
             for x in points:
                 classes = list(x.classes)
-                vanishes = _tail_zero_test(g.tail, g.tail_rows, classes)
+                vanishes = g.factor.zero_test([v for v, _ in classes])
                 for combo in itertools.product(range(len(classes)), repeat=len(g.tail_rows)):
                     env = {tvar(r + 1): classes[c][0] for r, c in zip(g.tail_rows, combo)}
                     want = g.tail.evaluate(env) == 0
@@ -184,3 +185,29 @@ def test_integer_zero_test_matches_evaluation(ideals):
                         seen["zero" if want else "nonzero"] += 1
     # both outcomes occur at values that are not all integers
     assert seen["zero"] > 0 and seen["nonzero"] > 0, seen
+
+
+def test_compiled_zero_test_matches_poly_oracle():
+    """Factors of seeded rational point sets in three coordinates, half of
+    them with the middle one held fixed so that factors skip row 2, tested
+    at class values drawn from the points' coordinates and from POOL."""
+    rng = random.Random(27)
+    seen = {"q > 1": 0, "negative lead": 0, "skips a row": 0, "zero": 0, "nonzero": 0}
+    for t in range(24):
+        middle = rng.choice(POOL)
+        pts = [(rng.choice(POOL), middle if t % 2 else rng.choice(POOL), rng.choice(POOL))
+               for _ in range(rng.randint(2, 6))]
+        coords = sorted({c for p in pts for c in p})
+        values = rng.sample(coords, min(3, len(coords))) + rng.sample(POOL, 1)
+        values = list(dict.fromkeys(values))
+        classes = [(v, INF) for v in values]
+        for f in vanishing_ideal(pts):
+            vanishes = f.zero_test(values)
+            want = tail_zero_test_by_poly(f.poly, f.used, classes)
+            for combo in itertools.product(range(len(values)), repeat=len(f.used)):
+                assert vanishes(combo) == want(combo), (f.poly, values, combo)
+                seen["zero" if want(combo) else "nonzero"] += 1
+            seen["q > 1"] += math.lcm(*(v.denominator for v in values)) > 1
+            seen["negative lead"] += f.lead < 0
+            seen["skips a row"] += f.used[-1] - f.used[0] + 1 > len(f.used)
+    assert all(seen.values()), seen
