@@ -105,7 +105,7 @@ def cmd_equations(args) -> int:
         import random
 
         rng = random.Random(args.seed)
-        battery = [selfcheck.random_point(rng, max_width=4) for _ in range(40)]
+        battery = [equations.random_point(rng, max_width=4) for _ in range(40)]
         ideal = equations.reduce_generators(ideal, battery)
     if args.json:
         print(json.dumps({

@@ -28,12 +28,14 @@ that `poly.vanishing_ideal` leaves; generators of shapes with the same
 slice share one factor.  Its expansion is combinatorially infeasible for
 even modest shapes; membership reads the shape and tests the factor on
 integers, and printing writes the factored form straight from the shape and
-the factor's text.  Nothing but printing reads a factor's rational form.
+the text the factor formats from its row.
 """
 
 import itertools
+from fractions import Fraction
 
 from .partitions import (
+    INF,
     GenComposition,
     GenPartition,
     _minimal_cover_groups,
@@ -55,8 +57,7 @@ class IdealGenerator:
     in different rows.  `factor` is the optional slice factor, a
     `poly.SliceFactor`: t_i stands for the coordinates of row i, and the
     generator carries one copy of the factor per choice of a cell in each
-    row of `tail_rows`, the rows the factor mentions.  `tail` is the
-    factor as a `Poly`, built on first read.
+    row of `tail_rows`, the rows the factor mentions.
     """
 
     __slots__ = ("kind", "shape", "rows", "factor", "tail_rows")
@@ -76,10 +77,6 @@ class IdealGenerator:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "tail_rows", tail_rows)
-
-    @property
-    def tail(self):
-        return None if self.factor is None else self.factor.poly
 
     def provenance(self) -> str:
         if self.kind == "excluded":
@@ -265,6 +262,22 @@ def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:
     """Point membership by equations: every generator's orbit evaluations
     at x must all vanish."""
     return all(_orbits_vanish(ideal.generators, list(x.classes)))
+
+
+VALUE_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
+
+
+def random_point(rng, max_width=5):
+    """A point of 1 to `max_width` distinct classes from `VALUE_POOL`: the
+    first one or more of infinite multiplicity, the rest of 1 to 4.
+    ``equations --reduce`` prunes against a battery of these."""
+    width = rng.randint(1, max_width)
+    values = rng.sample(VALUE_POOL, width)
+    n_inf = rng.randint(1, width)
+    classes = []
+    for i, v in enumerate(values):
+        classes.append((v, INF if i < n_inf else rng.randint(1, 4)))
+    return FinitaryPoint(classes)
 
 
 def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:

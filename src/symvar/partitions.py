@@ -2,14 +2,14 @@
 
 A generalized partition is a non-increasing tuple of positive weights, each a
 natural number or infinity.  A generalized composition is a finite label set
-with a positive weight attached to every label.  Two orders are provided:
-``leq`` (decrease or remove parts) and ``preceq`` (combine, then decrease or
-remove parts), together with the filling criterion equivalent to ``preceq``,
-minimal excluded antichains, and the saturation operator used by the equation
-synthesis.  ``preceq`` and ``min_excluded`` decide a finite tail against the
-finite part of lam through one search on plain tuples, ``_tail_below``; each
-call keeps its own memo of failed states.  ``weight_maps`` is the one search
-for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p) alike.
+with a positive weight attached to every label.  The combining order
+``preceq`` (combine, then decrease or remove parts) is provided together
+with the filling criterion equivalent to it, minimal excluded antichains,
+and the saturation operator used by the equation synthesis.  ``preceq`` and
+``min_excluded`` decide a finite tail against the finite part of lam through
+one search on plain tuples, ``_tail_below``; each call keeps its own memo of
+failed states.  ``weight_maps`` is the one search for weight-respecting
+maps, End(lam) and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable and every function here is pure.
 """
@@ -103,9 +103,6 @@ class GenPartition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
     def __getitem__(self, i):
         return self.parts[i]
 
@@ -113,10 +110,8 @@ class GenPartition:
         return isinstance(other, GenPartition) and self.parts == other.parts
 
     def __lt__(self, other):
+        # lets a set of partitions be sorted (the benchmark's orders workload)
         return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
 
     def __hash__(self):
         return hash(self.parts)
@@ -191,13 +186,6 @@ class GenComposition:
         raise AttributeError("GenComposition is immutable")
 
 
-def leq(mu: GenPartition, lam: GenPartition) -> bool:
-    """mu obtained from lam by decreasing or removing parts."""
-    if mu.length > lam.length:
-        return False
-    return all(mu[i] <= lam[i] for i in range(mu.length))
-
-
 def _minimal_cover_groups(target, parts, mask):
     """Index subsets of `mask` with sum >= target and no sufficient proper prefix.
 
@@ -229,11 +217,12 @@ def _tail_below(tail, fin) -> bool:
 
     The screens are exact: a tail longer than fin is not below (each part
     needs its own non-empty group); an empty tail is; a tail of larger sum
-    than fin is not; a tail below fin part by part (``leq``) is.  Only the
-    rest is decided by backtracking over ``_minimal_cover_groups``, tail
-    part by tail part.  A state is the next tail part and the mask of
-    fin's unused parts.  A true state ends the search, so only the failed
-    states are remembered, in a set that lives for this call.
+    than fin is not; a tail with each part at most fin's part in the same
+    place is.  Only the rest is decided by backtracking over
+    ``_minimal_cover_groups``, tail part by tail part.  A state is the next
+    tail part and the mask of fin's unused parts.  A true state ends the
+    search, so only the failed states are remembered, in a set that lives
+    for this call.
     """
     if len(tail) > len(fin):
         return False

@@ -11,9 +11,10 @@ identity, constructive discriminant extraction with replayable witnesses,
 and vanishing ideals of finite point sets.  Those are computed by
 Buchberger-Moeller elimination degree by degree, run over the integers after
 the points are scaled to integer coordinates, on rows of constant width.  A
-generator stays the integer row elimination leaves, a `SliceFactor`: its
-coefficients over one common lead.  Only its `poly`, built on first read,
-holds rationals, and it is exactly the generator of elimination over Q.
+generator is the integer row elimination leaves, a `SliceFactor`: its
+coefficients over one common lead, which is exactly the generator of
+elimination over Q.  It is tested and printed from that row; no `Poly` is
+built for it.
 """
 
 import math
@@ -50,13 +51,40 @@ def _mono_degree(m):
     return sum(e for _, e in m)
 
 
+def _format_terms(items, name):
+    """The terms (monomial, nonzero coefficient) in decreasing graded-lex
+    order, each variable written as ``name(variable)``; "0" for no terms.
+
+    Terms sort on (-degree, ((var, -exp), ...)): a monomial lists its
+    variables in increasing order, so at equal degree the first factor where
+    two differ either names a variable the other lacks or gives one a larger
+    exponent, and that monomial is the larger in graded lex; neither is a
+    proper prefix of the other."""
+    pieces = []
+    for m, c in sorted(items, key=lambda item: (
+            -_mono_degree(item[0]), tuple((v, -e) for v, e in item[0]))):
+        mono = "*".join(name(v) + (f"^{e}" if e > 1 else "") for v, e in m)
+        sign, a = (" - ", -c) if c < 0 else (" + ", c)
+        if not mono:
+            body = str(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = f"{a}*{mono}"
+        pieces += [sign, body]
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
+
+
 class Poly:
     """Immutable sparse polynomial: mapping from monomials to nonzero rationals.
 
     A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
     coefficient is an int or a Fraction, which compare, hash and print alike
     when equal; any other number is stored as the Fraction it equals exactly.
-    Arithmetic on ints keeps ints; `SliceFactor.poly` gives only Fractions.
+    Arithmetic on ints keeps ints.
     """
 
     __slots__ = ("terms",)
@@ -195,31 +223,8 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def format(self, name=_default_name):
-        """The terms in decreasing graded-lex order, each variable written as
-        ``name(variable)``.  Terms sort on (-degree, ((var, -exp), ...)): a
-        monomial lists its variables in increasing order, so at equal degree
-        the first factor where two differ either names a variable the other
-        lacks or gives one a larger exponent, and that monomial is the larger
-        in graded lex; neither is a proper prefix of the other."""
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for m, c in sorted(self.terms.items(), key=lambda item: (
-                -_mono_degree(item[0]), tuple((v, -e) for v, e in item[0]))):
-            mono = "*".join(name(v) + (f"^{e}" if e > 1 else "") for v, e in m)
-            sign, a = (" - ", -c) if c < 0 else (" + ", c)
-            if not mono:
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a}*{mono}"
-            pieces += [sign, body]
-        pieces[0] = "-" if pieces[0] == " - " else ""
-        return "".join(pieces)
-
-    __str__ = format
+    def __str__(self):
+        return _format_terms(self.terms.items(), _default_name)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -390,53 +395,29 @@ class SliceFactor:
     sign.  `degree` is the total degree.
 
     This is the form in which `vanishing_ideal` leaves a generator.  The
-    zero test reads it on integers; the `Poly`, with `Fraction`
-    coefficients, and the printed text are built on first read and kept.
+    zero test reads it on integers, and the printed text, with the rational
+    coefficients c / `lead`, is built on first read and kept.
     """
 
-    __slots__ = ("lead", "used", "terms", "degree", "_poly", "_template")
+    __slots__ = ("lead", "used", "terms", "degree", "_template")
 
     def __init__(self, lead, used, terms, degree):
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "used", used)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_poly", None)
         object.__setattr__(self, "_template", None)
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "SliceFactor":
-        """The factor of a polynomial in t-variables; its `poly` is p."""
-        variables = p.variables()
-        if any(fam != T_FAMILY for fam, _ in variables):
-            raise ValueError("slice factor uses a variable that is not a t-variable")
-        used = tuple(sorted(i - 1 for _, i in variables))
-        pos = {tvar(j + 1): k for k, j in enumerate(used)}
-        lead = math.lcm(*(c.denominator for c in p.terms.values()))
-        terms = tuple((int(c * lead), tuple((pos[v], e) for v, e in m)) for m, c in p.terms.items())
-        f = cls(lead, used, terms, p.total_degree())
-        object.__setattr__(f, "_poly", p)
-        return f
 
     def total_degree(self):
         return self.degree
 
     @property
-    def poly(self) -> Poly:
-        if self._poly is None:
-            names = [tvar(j + 1) for j in self.used]
-            object.__setattr__(self, "_poly", Poly({
-                tuple((names[p], e) for p, e in m): Fraction(c, self.lead)
-                for c, m in self.terms}))
-        return self._poly
-
-    @property
     def template(self) -> str:
-        """``str(poly)`` with the field ``{p}`` in place of the variable
+        """The printed factor with the field ``{p}`` in place of the variable
         t_{used[p]+1}; its terms are sorted once."""
         if self._template is None:
-            slot = {tvar(j + 1): "{%d}" % p for p, j in enumerate(self.used)}
-            object.__setattr__(self, "_template", self.poly.format(slot.__getitem__))
+            object.__setattr__(self, "_template", _format_terms(
+                ((m, Fraction(c, self.lead)) for c, m in self.terms), lambda p: "{%d}" % p))
         return self._template
 
     def __str__(self):
@@ -485,8 +466,7 @@ def _border(standard, r):
 
 def vanishing_ideal(points) -> list:
     """Reduced graded-lex generating set of the ideal of polynomials in
-    t1..tr vanishing on a finite set of rational points, as `SliceFactor`s;
-    a factor's `poly` is the generator with `Fraction` coefficients.
+    t1..tr vanishing on a finite set of rational points, as `SliceFactor`s.
 
     Buchberger-Moeller elimination degree by degree: a candidate monomial is
     standard if its evaluation vector is independent of those of the earlier
@@ -507,9 +487,8 @@ def vanishing_ideal(points) -> list:
     basis row's coefficient, so every row keeps npts + 1 entries, and a basis
     row is stored in the layout a later candidate has when it meets it.  A
     row is divided by its gcd once, after its last step.  A generator's
-    factor keeps the row's coefficients over its own entry, the lead, and
-    becomes rational only when its `poly` is read; that is the output of
-    elimination over Q.
+    factor keeps the row's coefficients over its own entry, the lead; read
+    as rationals, that is the output of elimination over Q.
     """
     # int and Fraction coordinates both carry numerator and denominator
     pts = sorted({tuple(p) for p in points})

@@ -22,7 +22,7 @@ from .corr import (
     factor,
     pullback_square,
 )
-from .equations import i_lambda, i_lambda_z, member_by_equations
+from .equations import VALUE_POOL, i_lambda, i_lambda_z, member_by_equations, random_point
 from .partitions import (
     INF,
     GenComposition,
@@ -37,20 +37,16 @@ from .poly import (
     extract_discriminant,
     perm_sign,
     skew_sum,
-    tvar,
     vanishing_ideal,
     verify_witness,
 )
 from .variety import (
-    FinitaryPoint,
     PointSetVariety,
     _gamma_points,
     end_closure,
     theta_member,
     type_of,
 )
-
-VALUE_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
 
 
 def random_inf_partition(rng):
@@ -81,16 +77,6 @@ def random_exact_domain_partition(rng):
     if n_inf < 3 and rng.random() < 0.6:
         parts.append(1)
     return GenPartition(parts[:3])
-
-
-def random_point(rng, max_width=5):
-    width = rng.randint(1, max_width)
-    values = rng.sample(VALUE_POOL, width)
-    n_inf = rng.randint(1, width)
-    classes = []
-    for i, v in enumerate(values):
-        classes.append((v, INF if i < n_inf else rng.randint(1, 4)))
-    return FinitaryPoint(classes)
 
 
 def random_poly(rng, nvars=3, max_degree=3):
@@ -242,16 +228,13 @@ def suite_vanishing(rng):
         pts = sorted(pts)
         gens = vanishing_ideal(pts)
         fails = []
-        if any(g.poly.evaluate(_tassign(p)) != 0 for g in gens for p in pts):
+        # the zero test at a point p, with t_{j+1} taking the value p[j]
+        if not all(g.zero_test(p)(g.used) for g in gens for p in pts):
             fails.append(f"nonvanishing generator {t}")
         outside = tuple(Fraction(9) for _ in range(r))
-        if outside not in pts and all(g.poly.evaluate(_tassign(outside)) == 0 for g in gens):
+        if outside not in pts and all(g.zero_test(outside)(g.used) for g in gens):
             fails.append(f"outside point not separated {t}")
         yield fails
-
-
-def _tassign(pt):
-    return {tvar(i + 1): c for i, c in enumerate(pt)}
 
 
 def suite_orders(rng):

@@ -344,20 +344,3 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
     _check_slice(lam, Z2, mu.length)
     return all(any(all(t2.get(k, 0) >= w for k, w in t1.items()) for t2 in Z2.tables)
                for t1 in Z1.tables)
-
-
-def aut_orbits(lam: GenComposition, Z: PointSetVariety) -> list:
-    """Orbits of Z under the weight-preserving label permutations acting on
-    coordinates.  Z is irreducible for this action iff there is one orbit.
-
-    The permutations permute each block of equal-weight labels freely, so p
-    and q share an orbit iff they carry the same multiset of values on every
-    block, that is, the same multiset of (weight, value) pairs.  Points are
-    grouped by that key; no permutation is enumerated.
-    """
-    Z.require_distinct()
-    weights = [lam.weight(k) for k in lam.labels]
-    orbits = {}
-    for p in Z.points:  # sorted, so each orbit is too
-        orbits.setdefault(tuple(sorted(zip(weights, p))), []).append(p)
-    return sorted(tuple(orbit) for orbit in orbits.values())

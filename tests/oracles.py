@@ -7,11 +7,10 @@ search in the most direct way, so they are only usable on small inputs;
 decisions that the point-set rule of ``variety.theta_member`` and
 ``variety.contains`` replaced.  ``preceq_by_groups`` is the combining
 order searched over all of lam's parts, without the tail reduction and
-the screens of ``partitions.preceq``.  ``enumerate_end_by_product`` walks
-all n^n tables, ``aut`` lists every weight-preserving permutation and
-``aut_orbits_by_bfs`` closes each point under them: the searches that
-``partitions.weight_maps`` and the block-multiset key of
-``variety.aut_orbits`` replaced.  ``monomials_of_degree`` and ``divides``
+the screens of ``partitions.preceq``, and ``leq`` the order that decreases
+or removes parts.  ``enumerate_end_by_product`` walks all n^n tables, the
+search that ``partitions.weight_maps`` replaced, and ``aut`` lists every
+weight-preserving permutation.  ``monomials_of_degree`` and ``divides``
 list the candidates of a ``vanishing_ideal`` degree the way the border of
 the standard monomials replaced: every monomial of the degree that no
 leading term divides.  ``h_tableau`` and ``eager_product`` build a
@@ -29,10 +28,11 @@ of all 2^n class masks, the search that the cover groups of
 lists the candidate fibers of each label by a multiset search, takes
 their product and keeps the products within the source weights: the
 route that the splits and ``partitions.weight_maps`` of
-``corr.enumerate_good`` replaced.  ``tail_zero_test_by_poly`` rebuilds a
-slice factor's integer zero test from its ``Poly`` at every point, the way
-membership did before it read ``poly.SliceFactor.zero_test`` off the
-factor's integer row.
+``corr.enumerate_good`` replaced.  ``factor_poly`` and ``factor_from_poly`` convert between a
+``poly.SliceFactor`` and the ``Poly`` with ``Fraction`` coefficients that it
+stands for, and ``tail_zero_test_by_poly`` rebuilds a slice factor's
+integer zero test from that ``Poly`` at every point, the way membership did
+before it read ``poly.SliceFactor.zero_test`` off the factor's integer row.
 """
 
 import itertools
@@ -43,8 +43,15 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
+from symvar.poly import T_FAMILY, X_FAMILY, Poly, SliceFactor, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
+
+
+def leq(mu: GenPartition, lam: GenPartition) -> bool:
+    """mu obtained from lam by decreasing or removing parts."""
+    if mu.length > lam.length:
+        return False
+    return all(mu[i] <= lam[i] for i in range(mu.length))
 
 
 def mu_minus(mu: GenPartition, e: int) -> GenPartition:
@@ -194,16 +201,36 @@ def h_tableau(rows) -> tuple:
     return tuple(factors)
 
 
+def factor_poly(f: SliceFactor) -> Poly:
+    """The polynomial a slice factor stands for: each term c t^m of its row
+    as Fraction(c, lead) t^m."""
+    names = [tvar(j + 1) for j in f.used]
+    return Poly({tuple((names[p], e) for p, e in m): Fraction(c, f.lead) for c, m in f.terms})
+
+
+def factor_from_poly(p: Poly) -> SliceFactor:
+    """The slice factor of a polynomial in t-variables: its coefficients
+    over their common denominator; ``factor_poly`` gives p back."""
+    variables = p.variables()
+    if any(fam != T_FAMILY for fam, _ in variables):
+        raise ValueError("slice factor uses a variable that is not a t-variable")
+    used = tuple(sorted(i - 1 for _, i in variables))
+    pos = {tvar(j + 1): k for k, j in enumerate(used)}
+    lead = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = tuple((int(c * lead), tuple((pos[v], e) for v, e in m)) for m, c in p.terms.items())
+    return SliceFactor(lead, used, terms, p.total_degree())
+
+
 def eager_product(gen: IdealGenerator) -> tuple:
     """The factors of a generator: h_tableau of its rows, then one copy of
-    the tail per choice of a cell in each row the tail mentions, relabeled
+    the slice factor per choice of a cell in each row it mentions, relabeled
     with ``Poly.subs_vars``."""
     factors = h_tableau(gen.rows)
-    if gen.tail is not None:
-        used = sorted(i - 1 for fam, i in gen.tail.variables() if fam == T_FAMILY)
-        for combo in itertools.product(*(gen.rows[i] for i in used)):
-            factors += (gen.tail.subs_vars(
-                {tvar(i + 1): xvar(cell) for i, cell in zip(used, combo)}),)
+    if gen.factor is not None:
+        tail = factor_poly(gen.factor)
+        for combo in itertools.product(*(gen.rows[i] for i in gen.tail_rows)):
+            factors += (tail.subs_vars(
+                {tvar(i + 1): xvar(cell) for i, cell in zip(gen.tail_rows, combo)}),)
     return factors
 
 
@@ -432,30 +459,6 @@ def aut(lam: GenComposition) -> list:
     return perms
 
 
-def aut_orbits_by_bfs(lam: GenComposition, Z: PointSetVariety) -> list:
-    """Orbits of Z under the weight-preserving label permutations acting on
-    coordinates, found by closing each point under every permutation."""
-    Z.require_distinct()
-    pos = {k: i for i, k in enumerate(lam.labels)}
-    perms = aut(lam)
-    remaining = set(Z.points)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        full = set()
-        frontier = {seed}
-        while frontier:
-            p = frontier.pop()
-            full.add(p)
-            for t in perms:
-                q = tuple(p[pos[t[k]]] for k in lam.labels)
-                if q in remaining and q not in full:
-                    frontier.add(q)
-        remaining -= full
-        orbits.append(tuple(sorted(full)))
-    return sorted(orbits)
-
-
 def monomials_of_degree(nvars, degree):
     """Exponent tuples of the given total degree, ascending graded-lex."""
     if degree == 0:
@@ -551,7 +554,7 @@ def orbits_vanish_by_masks(generators, classes):
         found = None
         projections = {}
         for g in run:
-            if g.tail is None:
+            if g.factor is None:
                 yield next(supports(rows), None) is None
                 continue
             if found is None:
@@ -561,7 +564,7 @@ def orbits_vanish_by_masks(generators, classes):
                 continue
             if g.tail_rows not in projections:
                 projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
-            vanishes = tail_zero_test_by_poly(g.tail, g.tail_rows, classes)
+            vanishes = tail_zero_test_by_poly(factor_poly(g.factor), g.tail_rows, classes)
             yield all(
                 any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
                 for p in projections[g.tail_rows]

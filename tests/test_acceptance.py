@@ -15,7 +15,7 @@ import pytest
 
 from symvar.cli import main
 from symvar.corr import pullback_square
-from symvar.equations import i_lambda, i_lambda_z, member_by_equations
+from symvar.equations import i_lambda, i_lambda_z, member_by_equations, random_point
 from symvar.partitions import (
     INF,
     GenComposition,
@@ -37,7 +37,6 @@ from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
     random_map_onto,
-    random_point,
     random_poly,
     random_variety,
 )

@@ -117,6 +117,8 @@ class TestMember:
         # inside it: finite weight 1, two parts, no variety
         ("inf,inf,1", [[0, 1, 2]], "0^inf,1^inf,2^1", 0, False),
         ("inf,3", [[0, 1]], "0^inf,1^3", 0, False),
+        # finite weight 2 and three parts: the smallest lambda the note names
+        ("inf,1,1", [[0, 1, 2]], "0^inf,1^1", 0, True),
     ])
     def test_over_acceptance_note(self, capsys, tmp_path, lam, points, x, code, note):
         path = tmp_path / "z.json"
@@ -349,7 +351,9 @@ class TestLazyModules:
         ([["equations", "inf,inf", "--variety", "Z"],
           ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z", "--method", "both"]],
          ["symvar.equations", "symvar.poly"]),
-    ], ids=["partitions-and-variety", "equations"])
+        ([["equations", "inf,inf", "--variety", "Z", "--reduce"]],
+         ["symvar.equations", "symvar.poly"]),
+    ], ids=["partitions-and-variety", "equations", "equations-reduce"])
     def test_a_command_runs_only_what_it_reaches(self, variety_file, commands, ran):
         code = f"""
 import contextlib, io, json, sys, types

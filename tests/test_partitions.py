@@ -14,13 +14,12 @@ from symvar.partitions import (
     GenPartition,
     finite_partitions_in_box,
     good_filling_exists,
-    leq,
     min_excluded,
     mu_s,
     preceq,
 )
 
-from oracles import aut, good_filling_by_cells, mu_minus, preceq_by_groups
+from oracles import aut, good_filling_by_cells, leq, mu_minus, preceq_by_groups
 
 P = GenPartition.parse
 

@@ -23,7 +23,6 @@ from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
-    aut_orbits,
     contains,
     gamma_at,
     theta_member,
@@ -145,8 +144,7 @@ def test_a_value_spelled_twice_is_repeated():
     for call in (lambda: theta_member(lam, Z, x),
                  lambda: contains(lam, Z, lam, fine),
                  lambda: contains(lam, fine, lam, Z),
-                 lambda: i_lambda_z(P("inf,inf"), Z),
-                 lambda: aut_orbits(lam, Z)):
+                 lambda: i_lambda_z(P("inf,inf"), Z)):
         with pytest.raises(DistinctnessError, match="pairwise distinct coordinates"):
             call()
 

@@ -13,11 +13,13 @@ Four checks:
   oracle), both per generator and over a whole ideal, whose runs of equal
   rows share one support search; a shuffled generator tuple splits those
   runs and must not change the answer;
-- the integer zero test agrees with ``tail.evaluate(...) == 0`` on every
-  choice of one class per tail row;
+- the integer zero test agrees with ``Poly.evaluate(...) == 0`` on the
+  factor's rational form (``oracles.factor_poly``) on every choice of one
+  class per tail row;
 - it also agrees with the former zero test, rebuilt from the ``Poly`` at
   every point (``oracles.tail_zero_test_by_poly``), on rational values, on
-  factors whose integer lead is negative and on factors that skip a row.
+  factors whose integer lead is negative and on factors that skip a row;
+  there the factor's text also equals that of its ``Poly``.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import tvar, vanishing_ideal
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
-from oracles import tail_zero_test_by_poly
+from oracles import factor_poly, tail_zero_test_by_poly
 
 C = GenComposition.from_partition
 
@@ -48,7 +50,8 @@ def in_exact_domain(lam):
 def oracle_exists_nonzero_assignment(gen, classes):
     """The former search: every support choice re-evaluates the tail in
     Fraction arithmetic."""
-    rows, tail, tail_rows = gen.rows, gen.tail, gen.tail_rows
+    rows, tail_rows = gen.rows, gen.tail_rows
+    tail = None if gen.factor is None else factor_poly(gen.factor)
     k = len(rows)
     n = len(classes)
 
@@ -174,13 +177,14 @@ def test_integer_zero_test_matches_evaluation(ideals):
         for g in ideal.generators[k::8]:
             if g.factor is None:
                 continue
+            tail = factor_poly(g.factor)
             for x in points:
                 classes = list(x.classes)
                 vanishes = g.factor.zero_test([v for v, _ in classes])
                 for combo in itertools.product(range(len(classes)), repeat=len(g.tail_rows)):
                     env = {tvar(r + 1): classes[c][0] for r, c in zip(g.tail_rows, combo)}
-                    want = g.tail.evaluate(env) == 0
-                    assert vanishes(combo) == want, (g.tail, str(x), combo)
+                    want = tail.evaluate(env) == 0
+                    assert vanishes(combo) == want, (tail, str(x), combo)
                     if math.lcm(*(classes[c][0].denominator for c in combo)) > 1:
                         seen["zero" if want else "nonzero"] += 1
     # both outcomes occur at values that are not all integers
@@ -202,10 +206,12 @@ def test_compiled_zero_test_matches_poly_oracle():
         values = list(dict.fromkeys(values))
         classes = [(v, INF) for v in values]
         for f in vanishing_ideal(pts):
+            # the text formatted from the row is that of its rational form
+            assert str(f) == str(factor_poly(f)), pts
             vanishes = f.zero_test(values)
-            want = tail_zero_test_by_poly(f.poly, f.used, classes)
+            want = tail_zero_test_by_poly(factor_poly(f), f.used, classes)
             for combo in itertools.product(range(len(values)), repeat=len(f.used)):
-                assert vanishes(combo) == want(combo), (f.poly, values, combo)
+                assert vanishes(combo) == want(combo), (str(f), values, combo)
                 seen["zero" if want(combo) else "nonzero"] += 1
             seen["q > 1"] += math.lcm(*(v.denominator for v in values)) > 1
             seen["negative lead"] += f.lead < 0

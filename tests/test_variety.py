@@ -12,7 +12,6 @@ from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
     PointSetVariety,
-    aut_orbits,
     contains,
     end_closure,
     gamma_at,
@@ -292,23 +291,6 @@ class TestContains:
         Z2 = PointSetVariety(lam2, [(0, 1)])
         x = FinitaryPoint(((Fraction(0), INF), (Fraction(1), 1)))
         assert contains(lam1, Z1, lam2, Z2) == theta_member(lam2, Z2, x)
-
-
-class TestAutOrbits:
-    def test_symmetric_pair(self):
-        lam = C(P("inf,inf"))
-        Z = PointSetVariety(lam, [(0, 1), (1, 0)])
-        assert len(aut_orbits(lam, Z)) == 1
-
-    def test_trivial_aut(self):
-        lam = C(P("inf,2"))
-        Z = PointSetVariety(lam, [(0, 1)])
-        assert len(aut_orbits(lam, Z)) == 1
-
-    def test_two_orbits(self):
-        lam = C(P("inf,inf"))
-        Z = PointSetVariety(lam, [(0, 1), (2, 3)])
-        assert len(aut_orbits(lam, Z)) == 2
 
 
 class TestVarietyFiles:

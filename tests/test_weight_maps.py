@@ -1,23 +1,20 @@
 """The one search for weight-respecting maps, and the code that reads it.
 
 ``partitions.weight_maps`` gives ``corr.enumerate_end``, ``variety.end_closure``
-and the slices of ``variety.gamma_at`` their maps; ``variety.aut_orbits``
-groups points by block multisets.  Each is checked here against the direct
-search it replaced (``tests/oracles.py``), so the search does not judge
-itself.
+and the slices of ``variety.gamma_at`` their maps.  Each is checked here
+against the direct search it replaced (``tests/oracles.py``), so the search
+does not judge itself.
 """
 
 import itertools
-import random
 
 import pytest
 
 from symvar import selfcheck, variety
 from symvar.corr import enumerate_end
 from symvar.partitions import INF, GenComposition, weight_maps
-from symvar.variety import PointSetVariety, aut_orbits
 
-from oracles import aut_orbits_by_bfs, enumerate_end_by_product
+from oracles import enumerate_end_by_product
 
 
 def weight_maps_by_product(weights, labels, rooms):
@@ -68,21 +65,6 @@ def test_enumerate_end_matches_product_on_small_compositions():
 def test_enumerate_end_on_inf_and_six_ones():
     lam = GenComposition.from_weights([INF] + [1] * 6)
     assert len(enumerate_end(lam)) == 13327
-
-
-def test_aut_orbits_match_bfs():
-    rng = random.Random(1009)
-    multi_point_orbits = 0
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        lam = GenComposition.from_weights(sorted((rng.choice([INF, 2, 2, 1, 1]) for _ in range(n)),
-                                                 reverse=True))
-        values = range(n + 2)
-        Z = PointSetVariety(lam, [tuple(rng.sample(values, n)) for _ in range(rng.randint(1, 6))])
-        orbits = aut_orbits(lam, Z)
-        assert orbits == aut_orbits_by_bfs(lam, Z), (lam, Z.points)
-        multi_point_orbits += sum(len(o) > 1 for o in orbits)
-    assert multi_point_orbits > 0
 
 
 def weight_maps_without_shrinking(weights, labels, rooms):
