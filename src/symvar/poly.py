@@ -414,7 +414,8 @@ class SliceFactor:
     @property
     def template(self) -> str:
         """The printed factor with the field ``{p}`` in place of the variable
-        t_{used[p]+1}; its terms are sorted once."""
+        t_{used[p]+1}; its terms are sorted once.  `used` ascends, so the
+        positions p sort as the variables they name."""
         if self._template is None:
             object.__setattr__(self, "_template", _format_terms(
                 ((m, Fraction(c, self.lead)) for c, m in self.terms), lambda p: "{%d}" % p))
