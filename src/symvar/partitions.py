@@ -149,7 +149,13 @@ class GenComposition:
 
     @classmethod
     def from_partition(cls, p: GenPartition) -> "GenComposition":
-        return cls.from_weights(p.parts)
+        """``from_weights(p.parts)``, built directly: ``GenPartition``
+        checked the parts, so they are not checked again."""
+        c = object.__new__(cls)
+        labels = tuple(range(1, len(p.parts) + 1))
+        object.__setattr__(c, "labels", labels)
+        object.__setattr__(c, "_weights", dict(zip(labels, p.parts)))
+        return c
 
     def weight(self, label):
         return self._weights[label]

@@ -14,7 +14,8 @@ Values are ints or Fractions, keyed once, at construction (see ``_key``):
 a finitary point holds only its keyed classes, and a point set holds, per
 point, the room of each of its values.  A query is one lookup per class
 per point, and a slice search reads the rooms, hashing ints where the
-values are integral.
+values are integral.  The constructor builds the room tables; a slice
+that ``gamma_at`` returns builds them only when they are first read.
 """
 
 import json
@@ -134,6 +135,10 @@ class PointSetVariety:
     at its positions; ``distinct`` says whether no point repeats a value,
     so that every room is one weight.  The slice search (``gamma_at``) reads
     the rooms and maps its result back to Z's own values.
+
+    The constructor fills all five slots, so membership and containment
+    read plain slots.  A set made by ``_from_keys`` (what ``gamma_at``
+    returns) builds ``tables`` and ``distinct`` on their first read.
     """
 
     __slots__ = ("lam", "points", "keys", "tables", "distinct")
@@ -146,22 +151,31 @@ class PointSetVariety:
         for p in points:
             values = tuple(map(_rational, p))
             keyed.setdefault(tuple(map(_key, values)), values)
-        self._fill(lam, keyed)
+        keys = tuple(sorted(keyed))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "points", tuple(map(keyed.__getitem__, keys)))
+        object.__setattr__(self, "keys", keys)
+        self._fill()
 
-    @classmethod
-    def _from_keys(cls, lam: GenComposition, keyed: dict) -> "PointSetVariety":
-        """The set of the values ``keyed`` maps each key tuple to."""
-        Z = object.__new__(cls)
-        Z._fill(lam, keyed)
+    @staticmethod
+    def _from_keys(lam: GenComposition, keys: tuple, points: tuple) -> "PointSetVariety":
+        """The set whose sorted key tuples are ``keys`` and whose points are
+        ``points``, in the same order.  It builds ``tables`` and
+        ``distinct`` on their first read: ``gamma_at`` returns it, and its
+        readers mostly read only the points."""
+        Z = object.__new__(_Slice)
+        object.__setattr__(Z, "lam", lam)
+        object.__setattr__(Z, "points", points)
+        object.__setattr__(Z, "keys", keys)
         return Z
 
-    def _fill(self, lam, keyed):
-        length = lam.length
-        weights = list(map(lam.weight, lam.labels))
-        keys = tuple(sorted(keyed))
+    def _fill(self):
+        """Build ``tables`` and ``distinct`` from ``keys``."""
+        length = self.lam.length
+        weights = list(map(self.lam.weight, self.lam.labels))
         tables = []
         distinct = True
-        for k in keys:
+        for k in self.keys:
             if len(k) != length:
                 raise ValueError("each point needs one coordinate per label")
             table = dict(zip(k, weights))
@@ -171,9 +185,6 @@ class PointSetVariety:
                 for v, w in zip(k, weights):
                     table[v] = table.get(v, 0) + w
             tables.append(table)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "points", tuple(map(keyed.__getitem__, keys)))
-        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "distinct", distinct)
 
@@ -204,6 +215,22 @@ class PointSetVariety:
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSetVariety is immutable")
+
+
+class _Slice(PointSetVariety):
+    """A point set made by ``PointSetVariety._from_keys``: its room tables
+    are built on the first read of ``tables`` or ``distinct``.  The hook
+    lives here and not on ``PointSetVariety``, because a ``__getattr__``
+    makes every attribute read on a class's instances slower, and
+    membership reads ``tables`` once per query."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("tables", "distinct"):
+            raise AttributeError(name)
+        self._fill()
+        return object.__getattribute__(self, name)
 
 
 def variety_from_json(text: str) -> PointSetVariety:
@@ -302,12 +329,14 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
     mu it is the extended slice used by the equation synthesis.  The search
     reads Z's room tables, which are the collapses lam_p; each key of the
     result maps back to Z's own value, so its points are Fractions that Z
-    holds.
+    holds.  The key tuples are sorted once, and the result builds its own
+    room tables only if they are read (see ``_from_keys``).
     """
     _check_slice(lam, Z, mu.length)
     value = dict(zip(chain.from_iterable(Z.keys), chain.from_iterable(Z.points)))
+    keys = tuple(sorted(_gamma_points(Z.tables, mu)))
     return PointSetVariety._from_keys(
-        mu, {ks: tuple(map(value.__getitem__, ks)) for ks in _gamma_points(Z.tables, mu)})
+        mu, keys, tuple([tuple(map(value.__getitem__, ks)) for ks in keys]))
 
 
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:

@@ -76,6 +76,21 @@ class TestGenComposition:
         assert GenComposition({1: 2, 2: INF}).is_infinite is True
         assert GenComposition.from_partition(P("inf,inf,1")).is_infinite is True
 
+    @pytest.mark.parametrize("parts", [
+        parts for r in range(5)
+        for parts in itertools.combinations_with_replacement((INF, 3, 2, 1), r)])
+    def test_from_partition_equals_from_weights(self, parts):
+        p = GenPartition(parts)
+        a = GenComposition.from_partition(p)
+        b = GenComposition.from_weights(p.parts)
+        assert type(a) is GenComposition
+        assert a == b and hash(a) == hash(b)
+        assert a.labels == b.labels == tuple(range(1, len(parts) + 1))
+        assert a.items() == b.items()
+        assert repr(a) == repr(b)
+        assert (a.length, a.finite_weight, a.is_infinite) == (
+            b.length, b.finite_weight, b.is_infinite)
+
     @pytest.mark.parametrize("label", [True, False])
     def test_rejects_bool_labels(self, label):
         # True == 1 and False == 0, so a bool label would pass as an int one

@@ -1,5 +1,6 @@
 """Finitary points, point actions, the closure calculus, membership."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from symvar.variety import (
 )
 
 from oracles import arrangements, aut, orbit_evaluations
+from test_golden_cli import COMMANDS, FILES
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -205,6 +207,83 @@ class TestGammaAt:
         assert len(gamma_at(self.lam, empty, C(P("1,1")))) == 0
 
 
+def _golden_gamma_inputs():
+    """(lambda, Z, mu) of each golden ``gamma`` command, once each."""
+    out = []
+    for argv in COMMANDS:
+        if argv[0] == "gamma":
+            case = tuple(a for a in argv[1:] if a != "--json")
+            if case not in out:
+                out.append(case)
+    return out
+
+
+def _outcome(f, *args):
+    """What a call answers: its value, or the type and text of its error."""
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("lam_text, name, mu_text", _golden_gamma_inputs())
+class TestSliceTables:
+    """A slice builds its room tables only when they are read, and then
+    answers as a set the constructor built from its points."""
+
+    def _slice(self, name, mu_text):
+        Z = variety_from_json(FILES[name])
+        mu = C(P(mu_text))
+        return Z, mu, gamma_at(Z.lam, Z, mu)
+
+    def test_tables_built_on_first_read(self, lam_text, name, mu_text):
+        Z, mu, result = self._slice(name, mu_text)
+        assert Z.lam.shape() == P(lam_text)
+        for slot in ("tables", "distinct"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(result, slot)
+        copy = PointSetVariety(mu, result.points)
+        assert result.keys == copy.keys
+        assert result.tables == copy.tables
+        assert result.distinct is copy.distinct
+        assert result == copy and hash(result) == hash(copy)
+
+    def test_queries_answer_as_on_a_constructed_copy(self, lam_text, name, mu_text):
+        Z, mu, result = self._slice(name, mu_text)
+        copy = PointSetVariety(mu, result.points)
+        values = sorted({v for p in result.points for v in p})[:3] + [Fraction(-9, 7)]
+        xs = [FinitaryPoint(zip(vals, mults))
+              for width in (1, 2)
+              for vals in itertools.permutations(values, width)
+              for mults in itertools.product((INF, 1, 2), repeat=width) if INF in mults]
+        for x in xs:
+            assert _outcome(theta_member, mu, result, x) == _outcome(theta_member, mu, copy, x)
+        for S, T in ((result, copy), (copy, result)):
+            assert _outcome(contains, mu, S, mu, S) == _outcome(contains, mu, T, mu, T)
+            assert _outcome(contains, mu, S, Z.lam, Z) == _outcome(contains, mu, T, Z.lam, Z)
+        for nu in (mu, C(P("inf,1")), C(P("1,1"))):
+            got, want = (_outcome(lambda S: gamma_at(mu, S, nu).points, S)
+                         for S in (result, copy))
+            assert got == want
+
+    def test_a_repeated_value_is_not_distinct(self, lam_text, name, mu_text):
+        _, _, result = self._slice(name, mu_text)
+        if any(len(set(p)) < len(p) for p in result.points):
+            with pytest.raises(DistinctnessError):
+                result.require_distinct()
+        else:
+            result.require_distinct()
+
+
+def test_a_golden_slice_repeats_a_value():
+    Z = variety_from_json(FILES["zrep.json"])
+    mu = C(P("inf,2"))
+    result = gamma_at(Z.lam, Z, mu)
+    assert result.points == ((0, 0), (0, 1), (2, 2))
+    with pytest.raises(DistinctnessError):
+        theta_member(mu, result, FinitaryPoint.parse("0^inf"))
+
+
 class TestThetaMember:
     def test_boolean_pair_membership(self):
         lam = C(P("inf,inf"))
@@ -307,6 +386,11 @@ class TestVarietyFiles:
     def test_bad_point_length(self):
         with pytest.raises(ValueError):
             variety_from_json('{"lambda": ["inf"], "points": [[1, 2]]}')
+
+    def test_constructor_checks_point_length(self):
+        lam = GenComposition.from_weights([INF, INF])
+        with pytest.raises(ValueError, match="^each point needs one coordinate per label$"):
+            PointSetVariety(lam, [(0, 1, 2)])
 
 
 class TestWeightOrder:
