@@ -43,7 +43,7 @@ from .partitions import (
     min_excluded,
     mu_s,
 )
-from .poly import vanishing_ideal
+from .poly import scaled, vanishing_ideal
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
@@ -198,7 +198,7 @@ def _orbits_vanish(generators, classes):
     the classes of a set S when |S| <= size and their multiplicities add
     up to at least `size`.  The distributed tail copies are all nonzero
     exactly when no choice of one class per mentioned row lands in the
-    factor's zero locus (`SliceFactor.zero_test`).
+    factor's zero locus.
 
     Only the minimal sets are searched: the groups of
     `partitions._minimal_cover_groups`, sufficient sets with no sufficient
@@ -214,14 +214,28 @@ def _orbits_vanish(generators, classes):
     generators with equal rows (one capped shape) enumerates them once, and
     each factor is tested on their distinct projections onto its rows.  The
     cover groups of each row size are listed once per point, each with its
-    classes, and each distinct factor's zero test is compiled once per
-    point.
+    classes.  A factor is tested on integers: the class values are scaled
+    by their common denominator q, and for each choice of classes for a
+    factor's variables the values of its slice's `poly.MonomialTable` are
+    computed once per point, shared by the factors of that slice, so that
+    each test is one dot product (`poly.SliceFactor.vanishes_at`).
     """
     n = len(classes)
-    values = [v for v, _ in classes]
+    q, xs_of_class = scaled([v for v, _ in classes])
     mults = [m for _, m in classes]
     fits = {}  # row size -> [(mask, classes of the mask)]
-    zero_tests = {}  # slice factor -> its zero test at this point
+    vectors = {}  # (table, variables, their classes) -> the table's values
+
+    def vanishes(f, combo):
+        key = (f.table, f.used, combo)
+        vals = vectors.get(key)
+        if vals is None:
+            # variables the factor does not mention take the value 0
+            xs = [0] * f.table.nvars
+            for j, c in zip(f.used, combo):
+                xs[j] = xs_of_class[c]
+            vals = vectors[key] = f.table.values(xs, q)
+        return f.vanishes_at(vals)
 
     def supports(rows, i=0, available=(1 << n) - 1):
         if i == len(rows):
@@ -251,10 +265,7 @@ def _orbits_vanish(generators, classes):
                 continue
             if f.used not in projections:
                 projections[f.used] = {tuple(a[r] for r in f.used) for a in found}
-            if f not in zero_tests:
-                zero_tests[f] = f.zero_test(values)
-            vanishes = zero_tests[f]
-            yield all(any(vanishes(combo) for combo in itertools.product(*p))
+            yield all(any(vanishes(f, combo) for combo in itertools.product(*p))
                       for p in projections[f.used])
 
 

@@ -18,7 +18,10 @@ built for it.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 
 X_FAMILY = 0
 T_FAMILY = 1
@@ -386,30 +389,85 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     return ExtractionWitness(steps, c, n)
 
 
-class SliceFactor:
-    """A polynomial in t-variables held as integers over one common lead:
-    the sum, over the `terms` (c, monomial), of c / `lead` times the
-    monomial.  `used` lists, ascending, the indices j of the variables
-    t_{j+1} it mentions, and a monomial is a tuple of (p, exponent) pairs
-    naming the variable t_{used[p]+1}.  `lead` is a nonzero int of either
-    sign.  `degree` is the total degree.
-
-    This is the form in which `vanishing_ideal` leaves a generator.  The
-    zero test reads it on integers, and the printed text, with the rational
-    coefficients c / `lead`, is built on first read and kept.
+class MonomialTable:
+    """The monomials in t1..t`nvars` that the factors of one
+    `vanishing_ideal` call are written over: the standard monomials in
+    elimination order, then the generators' leads, as exponent tuples in
+    `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
+    earlier one times one variable: ``steps[i - 1]`` is (parent index,
+    j) for entry i = entry parent * t_{j+1}.  `degree` is the largest total
+    degree of an entry.
     """
 
-    __slots__ = ("lead", "used", "terms", "degree", "_template")
+    __slots__ = ("monomials", "steps", "nvars", "degree")
 
-    def __init__(self, lead, used, terms, degree):
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "used", used)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, monomials, steps, nvars, degree):
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
+
+    def values(self, xs, q):
+        """The value of every entry m at the point t_{j+1} = xs[j] / q, for
+        integers xs and q >= 1, times q^`degree`: the integer
+        prod(xs)^m * q^(degree - |m|), one multiplication per entry."""
+        vals = [q ** self.degree]
+        if q == 1:
+            for parent, j in self.steps:
+                vals.append(vals[parent] * xs[j])
+        else:
+            for parent, j in self.steps:
+                vals.append(vals[parent] * xs[j] // q)
+        return vals
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialTable is immutable")
+
+
+def scaled(values):
+    """(q, [q * v for v in values]) for q the common denominator of the
+    rationals `values`, with every q * v an int."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
+class SliceFactor:
+    """A polynomial in t-variables held as the integer row elimination
+    left: the sum of ``coeffs[i]`` times entry i of `table`, a
+    `MonomialTable`, over the first ``len(coeffs)`` entries, plus `lead`
+    times entry `index`, all divided by `lead`, a nonzero int of either
+    sign.  `used` lists, ascending, the indices j of the variables t_{j+1}
+    it mentions.
+
+    This is the form in which `vanishing_ideal` leaves a generator; all the
+    generators of one call share its table.  The zero test reads it as a dot
+    product with the table's values (`vanishes_at`), and its printed text,
+    with the rational coefficients c / `lead`, is built on first read and
+    kept.
+    """
+
+    __slots__ = ("coeffs", "lead", "index", "table", "used", "_template")
+
+    def __init__(self, coeffs, lead, index, table, used):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "used", used)
         object.__setattr__(self, "_template", None)
 
     def total_degree(self):
-        return self.degree
+        return sum(self.table.monomials[self.index])
+
+    @property
+    def terms(self):
+        """The (c, monomial) pairs of the nonzero coefficients, a monomial
+        being a tuple of (p, exponent) pairs naming the variable
+        t_{used[p]+1}."""
+        monomials = self.table.monomials
+        items = [(c, monomials[i]) for i, c in enumerate(self.coeffs) if c]
+        items.append((self.lead, monomials[self.index]))
+        return [(c, tuple((p, m[j]) for p, j in enumerate(self.used) if m[j])) for c, m in items]
 
     @property
     def template(self) -> str:
@@ -424,30 +482,12 @@ class SliceFactor:
     def __str__(self):
         return self.template.format(*(f"t{j + 1}" for j in self.used))
 
-    def zero_test(self, values):
-        """``vanishes(combo)``: is the factor zero when the variable
-        t_{used[p]+1} takes the value ``values[combo[p]]``?
-
-        With q the common denominator of the values, lead * q^degree times
-        the factor's value is the integer sum, over the terms c t^m, of
-        c * prod(q * value)^m * q^(degree - |m|); it is zero exactly when
-        the factor vanishes.
-        """
-        q = math.lcm(*(v.denominator for v in values))
-        scaled = [v.numerator * (q // v.denominator) for v in values]
-        terms = self.terms
-        if q > 1:
-            terms = [(c * q ** (self.degree - sum(e for _, e in m)), m) for c, m in terms]
-
-        def vanishes(combo):
-            total = 0
-            for coeff, m in terms:
-                for p, e in m:
-                    coeff *= scaled[combo[p]] ** e
-                total += coeff
-            return total == 0
-
-        return vanishes
+    def vanishes_at(self, vals) -> bool:
+        """Is the factor zero at a point, given the values there of its
+        table's entries (`MonomialTable.values`)?  Those are the entries'
+        values times one positive integer, so the integer dot product with
+        the row is zero exactly when the factor is."""
+        return sum(map(operator.mul, self.coeffs, vals)) + self.lead * vals[self.index] == 0
 
     def __setattr__(self, name, value):
         raise AttributeError("SliceFactor is immutable")
@@ -488,8 +528,11 @@ def vanishing_ideal(points) -> list:
     basis row's coefficient, so every row keeps npts + 1 entries, and a basis
     row is stored in the layout a later candidate has when it meets it.  A
     row is divided by its gcd once, after its last step.  A generator's
-    factor keeps the row's coefficients over its own entry, the lead; read
-    as rationals, that is the output of elimination over Q.
+    factor keeps the row's coefficients over the standard monomials and its
+    own entry, the lead; read as rationals, that is the output of
+    elimination over Q.  Every factor of the call is written over one
+    `MonomialTable`, and the variables it mentions are read off bitmasks
+    of each standard monomial's variables, built alongside.
     """
     # int and Fraction coordinates both carry numerator and denominator
     pts = sorted({tuple(p) for p in points})
@@ -499,16 +542,18 @@ def vanishing_ideal(points) -> list:
     if any(len(p) != r for p in pts):
         raise ValueError("all points must have the same length")
     npts = len(pts)
-    scale = math.lcm(*(c.denominator for p in pts for c in p))
-    cols = [[p[i].numerator * (scale // p[i].denominator) for p in pts] for i in range(r)]
+    scale, flat = scaled([c for p in pts for c in p])
+    cols = [flat[i::r] for i in range(r)]
 
     # a row met by k basis rows holds the npts - k evaluation entries off
     # their pivots, in point order, then those rows' monomials' coefficients;
     # its own coefficient `own` rides beside it until the row is done
     rows = []  # (pivot index, row)
-    raw = {}  # scaled evaluation vector of each standard monomial
+    # per standard monomial: its index, scaled evaluation vector, variable
+    # bitmask and, but for the monomial 1, (parent index, variable)
+    position, vecs, masks, steps = {}, [], [], []
     standard = []
-    gens = []
+    leads, lead_steps, found = [], [], []  # found: (coefficients, lead, bitmask)
     candidates = [(0,) * r]
     degree = 0
     while candidates:
@@ -517,9 +562,12 @@ def vanishing_ideal(points) -> list:
             if degree:
                 # m is a border candidate, so m / t_i is standard
                 i = next(i for i, e in enumerate(m) if e)
-                vec = [a * b for a, b in zip(raw[m[:i] + (m[i] - 1,) + m[i + 1:]], cols[i])]
+                parent = position[m[:i] + (m[i] - 1,) + m[i + 1:]]
+                vec = [a * b for a, b in zip(vecs[parent], cols[i])]
+                mask = masks[parent] | 1 << i
             else:
                 vec = [1] * npts
+                mask = 0
             row = vec[:]
             own = scale ** degree
             for piv, prow in rows:
@@ -542,16 +590,27 @@ def vanishing_ideal(points) -> list:
             piv = next((j for j in range(npts - k) if row[j]), None)
             if piv is not None:
                 rows.append((piv, row))
-                raw[m] = vec
+                position[m] = k
+                vecs.append(vec)
+                masks.append(mask)
+                if degree:
+                    steps.append((parent, i))
                 standard.append(m)
                 new_standard.append(m)
             else:
-                kept = [(c, mm) for mm, c in zip(standard + [m], row[npts - k:]) if c]
-                used = tuple(j for j in range(r) if any(mm[j] for _, mm in kept))
-                gens.append(SliceFactor(row[-1], used, tuple(
-                    (c, tuple((p, mm[j]) for p, j in enumerate(used) if mm[j])) for c, mm in kept
-                ), degree))
+                # the constant is standard, so m has degree >= 1
+                coeffs = row[npts - k:-1]
+                found.append((coeffs, row[-1], reduce(operator.or_, compress(masks, coeffs), mask)))
+                leads.append(m)
+                lead_steps.append((parent, i))
         candidates = _border(new_standard, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"
+    table = MonomialTable(standard + leads, steps + lead_steps, r, degree - 1)
+    used = {}  # bitmask -> the variables it names
+    gens = []
+    for n, (coeffs, lead, mask) in enumerate(found):
+        if mask not in used:
+            used[mask] = tuple(j for j in range(r) if mask >> j & 1)
+        gens.append(SliceFactor(coeffs, lead, npts + n, table, used[mask]))
     return gens

@@ -36,6 +36,7 @@ from .poly import (
     discriminant,
     extract_discriminant,
     perm_sign,
+    scaled,
     skew_sum,
     vanishing_ideal,
     verify_witness,
@@ -228,11 +229,18 @@ def suite_vanishing(rng):
         pts = sorted(pts)
         gens = vanishing_ideal(pts)
         fails = []
-        # the zero test at a point p, with t_{j+1} taking the value p[j]
-        if not all(g.zero_test(p)(g.used) for g in gens for p in pts):
+
+        def all_vanish(p):
+            # the generators share one table: its values at p, with t_{j+1}
+            # taking the value p[j], serve every generator's zero test
+            q, xs = scaled(p)
+            vals = gens[0].table.values(xs, q)
+            return all(g.vanishes_at(vals) for g in gens)
+
+        if not all(all_vanish(p) for p in pts):
             fails.append(f"nonvanishing generator {t}")
         outside = tuple(Fraction(9) for _ in range(r))
-        if outside not in pts and all(g.zero_test(outside)(g.used) for g in gens):
+        if outside not in pts and all_vanish(outside):
             fails.append(f"outside point not separated {t}")
         yield fails
 

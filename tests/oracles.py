@@ -30,9 +30,11 @@ their product and keeps the products within the source weights: the
 route that the splits and ``partitions.weight_maps`` of
 ``corr.enumerate_good`` replaced.  ``factor_poly`` and ``factor_from_poly`` convert between a
 ``poly.SliceFactor`` and the ``Poly`` with ``Fraction`` coefficients that it
-stands for, and ``tail_zero_test_by_poly`` rebuilds a slice factor's
-integer zero test from that ``Poly`` at every point, the way membership did
-before it read ``poly.SliceFactor.zero_test`` off the factor's integer row.
+stands for (``PolyFactor`` holds any such ``Poly`` as a factor that
+prints), and ``tail_zero_test_by_poly`` rebuilds a slice factor's integer
+zero test from that ``Poly`` at every point, term by term, the way
+membership did before it read the factor's integer row as a dot product
+with its slice's monomial values.
 """
 
 import itertools
@@ -208,6 +210,25 @@ def factor_poly(f: SliceFactor) -> Poly:
     return Poly({tuple((names[p], e) for p, e in m): Fraction(c, f.lead) for c, m in f.terms})
 
 
+class PolyFactor(SliceFactor):
+    """A slice factor given by its terms instead of an elimination row, so
+    that any polynomial in t-variables can stand as one: `terms` are its
+    (c, monomial) pairs over the common denominator `lead`.  It prints
+    through ``SliceFactor.template``; it has no table to be tested on."""
+
+    __slots__ = ("given",)
+
+    def __init__(self, lead, used, terms):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "used", used)
+        object.__setattr__(self, "given", terms)
+        object.__setattr__(self, "_template", None)
+
+    @property
+    def terms(self):
+        return self.given
+
+
 def factor_from_poly(p: Poly) -> SliceFactor:
     """The slice factor of a polynomial in t-variables: its coefficients
     over their common denominator; ``factor_poly`` gives p back."""
@@ -218,7 +239,7 @@ def factor_from_poly(p: Poly) -> SliceFactor:
     pos = {tvar(j + 1): k for k, j in enumerate(used)}
     lead = math.lcm(*(c.denominator for c in p.terms.values()))
     terms = tuple((int(c * lead), tuple((pos[v], e) for v, e in m)) for m, c in p.terms.items())
-    return SliceFactor(lead, used, terms, p.total_degree())
+    return PolyFactor(lead, used, terms)
 
 
 def eager_product(gen: IdealGenerator) -> tuple:

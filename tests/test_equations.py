@@ -26,7 +26,7 @@ from symvar.partitions import (
     mu_s,
     preceq,
 )
-from symvar.poly import Poly, SliceFactor, difference
+from symvar.poly import MonomialTable, Poly, SliceFactor, difference
 from symvar.selfcheck import (
     random_exact_domain_partition,
     random_inf_partition,
@@ -265,7 +265,7 @@ class TestLazyProduct:
 class TestRationalFormOnlyToPrint:
     def test_membership_and_printing_build_no_poly(self, monkeypatch, tmp_path, capsys):
         # a slice factor is tested on its integer row and printed from it
-        built, compiled = [], []
+        built, evaluated = [], []
 
         class CountingPoly(Poly):
             __slots__ = ()
@@ -274,17 +274,17 @@ class TestRationalFormOnlyToPrint:
                 super().__init__(terms)
                 built.append(self)
 
-        zero_test = SliceFactor.zero_test
+        values = MonomialTable.values
         monkeypatch.setattr(poly, "Poly", CountingPoly)
-        monkeypatch.setattr(SliceFactor, "zero_test",
-                            lambda f, values: compiled.append(f) or zero_test(f, values))
+        monkeypatch.setattr(MonomialTable, "values",
+                            lambda table, xs, q: evaluated.append(table) or values(table, xs, q))
         lam = P("inf,2,1")
         Z = PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)])
         ideal = i_lambda_z(lam, Z)
         verdicts = [member_by_equations(ideal, FinitaryPoint.parse(x))
                     for x in ("0^inf,1^2,2^1", "5^inf,-7^2,11^1", "0^inf,5^2")]
         assert verdicts == [True, True, False]
-        assert compiled
+        assert evaluated
         factors = {id(g.factor) for g in ideal.generators if g.factor is not None}
         # shapes with the same slice share its factors
         assert len(factors) < sum(g.factor is not None for g in ideal.generators)
@@ -295,6 +295,26 @@ class TestRationalFormOnlyToPrint:
         assert cli.main(["equations", "--json", "inf,2,1", "--variety", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["generators"] == lines
         assert built == []
+
+    def test_terms_are_built_only_to_print(self, monkeypatch):
+        # membership reads a factor's row as a dot product; only printing
+        # builds its terms, once per distinct factor, kept in its template
+        reads = []
+        terms = SliceFactor.terms
+        monkeypatch.setattr(SliceFactor, "terms",
+                            property(lambda f: reads.append(f) or terms.__get__(f)))
+        lam = P("inf,2,1")
+        Z = PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)])
+        ideal = i_lambda_z(lam, Z)
+        verdicts = [member_by_equations(ideal, FinitaryPoint.parse(x))
+                    for x in ("0^inf,1^2,2^1", "5^inf,-7^2,11^1", "0^inf,5^2")]
+        assert verdicts == [True, True, False]
+        assert reads == []
+        ideal.render()
+        factors = {id(g.factor) for g in ideal.generators if g.factor is not None}
+        assert sorted(map(id, reads)) == sorted(factors)
+        ideal.render()
+        assert len(reads) == len(factors)
 
 
 class TestMembership:

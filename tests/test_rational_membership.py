@@ -1,10 +1,10 @@
 """Equation membership on rational data.
 
 ``member_by_equations`` tests each slice factor on integers: the class
-values are scaled by their common denominator q, and the factor is read as
-the integer row ``vanishing_ideal`` left.  With integer data q is 1; here Z
-and the points carry denominators 2, 3 and 7 and negative values, so q > 1.
-Four checks:
+values are scaled by their common denominator q, and the factor, the
+integer row ``vanishing_ideal`` left, is multiplied into the values of its
+slice's monomial table.  With integer data q is 1; here Z and the points
+carry denominators 2, 3 and 7 and negative values, so q > 1.  Five checks:
 
 - inside the exact domain the equation route equals ``theta_member``, and
   outside it never rejects a member;
@@ -19,7 +19,9 @@ Four checks:
 - it also agrees with the former zero test, rebuilt from the ``Poly`` at
   every point (``oracles.tail_zero_test_by_poly``), on rational values, on
   factors whose integer lead is negative and on factors that skip a row;
-  there the factor's text also equals that of its ``Poly``.
+  there the factor's text also equals that of its ``Poly``;
+- the value vectors of a table shared by the factors of two capped shapes
+  give every generator the verdict of the ``Poly``-based search.
 """
 
 import itertools
@@ -29,12 +31,12 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.equations import TypeIdeal, i_lambda_z, member_by_equations
+from symvar.equations import TypeIdeal, _orbits_vanish, i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import tvar, vanishing_ideal
+from symvar.poly import scaled, tvar, vanishing_ideal
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
-from oracles import factor_poly, tail_zero_test_by_poly
+from oracles import factor_poly, orbits_vanish_by_masks, tail_zero_test_by_poly
 
 C = GenComposition.from_partition
 
@@ -169,6 +171,21 @@ def test_shuffled_generators_match_oracle(ideals):
     assert answers == {True, False}
 
 
+def dot_product_test(f, values):
+    """``vanishes(combo)``: is the factor zero when its variable
+    t_{used[p]+1} takes the value ``values[combo[p]]``?  Read as membership
+    reads it, a dot product of the row with the values of its table."""
+    q, xs_of_value = scaled(values)
+
+    def vanishes(combo):
+        xs = [0] * f.table.nvars
+        for j, c in zip(f.used, combo):
+            xs[j] = xs_of_value[c]
+        return f.vanishes_at(f.table.values(xs, q))
+
+    return vanishes
+
+
 def test_integer_zero_test_matches_evaluation(ideals):
     seen = {"zero": 0, "nonzero": 0}
     for (_, k), (_, _, points, ideal) in ideals.items():
@@ -180,7 +197,7 @@ def test_integer_zero_test_matches_evaluation(ideals):
             tail = factor_poly(g.factor)
             for x in points:
                 classes = list(x.classes)
-                vanishes = g.factor.zero_test([v for v, _ in classes])
+                vanishes = dot_product_test(g.factor, [v for v, _ in classes])
                 for combo in itertools.product(range(len(classes)), repeat=len(g.tail_rows)):
                     env = {tvar(r + 1): classes[c][0] for r, c in zip(g.tail_rows, combo)}
                     want = tail.evaluate(env) == 0
@@ -191,7 +208,7 @@ def test_integer_zero_test_matches_evaluation(ideals):
     assert seen["zero"] > 0 and seen["nonzero"] > 0, seen
 
 
-def test_compiled_zero_test_matches_poly_oracle():
+def test_dot_product_test_matches_poly_oracle():
     """Factors of seeded rational point sets in three coordinates, half of
     them with the middle one held fixed so that factors skip row 2, tested
     at class values drawn from the points' coordinates and from POOL."""
@@ -205,10 +222,16 @@ def test_compiled_zero_test_matches_poly_oracle():
         values = rng.sample(coords, min(3, len(coords))) + rng.sample(POOL, 1)
         values = list(dict.fromkeys(values))
         classes = [(v, INF) for v in values]
-        for f in vanishing_ideal(pts):
+        factors = vanishing_ideal(pts)
+        # one table per call, listing every factor's lead after the
+        # standard monomials, one per point
+        table = factors[0].table
+        assert all(f.table is table for f in factors)
+        assert sorted(f.index for f in factors) == list(range(len(set(pts)), len(table.monomials)))
+        for f in factors:
             # the text formatted from the row is that of its rational form
             assert str(f) == str(factor_poly(f)), pts
-            vanishes = f.zero_test(values)
+            vanishes = dot_product_test(f, values)
             want = tail_zero_test_by_poly(factor_poly(f), f.used, classes)
             for combo in itertools.product(range(len(values)), repeat=len(f.used)):
                 assert vanishes(combo) == want(combo), (str(f), values, combo)
@@ -217,3 +240,32 @@ def test_compiled_zero_test_matches_poly_oracle():
             seen["negative lead"] += f.lead < 0
             seen["skips a row"] += f.used[-1] - f.used[0] + 1 > len(f.used)
     assert all(seen.values()), seen
+
+
+def test_table_shared_by_two_shapes():
+    """Capped shapes whose slices hold the same points share that slice's
+    factors, and so its table and the value vectors membership keeps per
+    (table, variables, classes).  At seeded rational points, the shared
+    vectors give every generator the verdict of ``orbits_vanish_by_masks``,
+    which rebuilds each factor's zero test from its ``Poly``
+    (``oracles.tail_zero_test_by_poly``)."""
+    rng = random.Random(30)
+    lam = GenPartition.parse("inf,2,1")
+    Z = PointSetVariety(C(lam), [(0, Fraction(1, 2), -1), (Fraction(2, 3), 3, Fraction(-7, 3))])
+    gens = i_lambda_z(lam, Z).generators
+    shapes = {}  # table -> the shapes whose factors are written over it
+    for g in gens:
+        if g.factor is not None:
+            shapes.setdefault(g.factor.table, set()).add(g.shape)
+    shared = {table for table, s in shapes.items() if len(s) > 1}
+    assert shared
+    values = sorted({c for p in Z.points for c in p} | {Fraction(5, 7)})
+    seen = set()
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        mults = [INF] + [rng.choice([INF, 1, 2]) for _ in range(width - 1)]
+        classes = list(FinitaryPoint(zip(rng.sample(values, width), mults)).classes)
+        got = list(_orbits_vanish(gens, classes))
+        assert got == list(orbits_vanish_by_masks(gens, classes)), classes
+        seen.update(v for g, v in zip(gens, got) if g.factor is not None and g.factor.table in shared)
+    assert seen == {True, False}
