@@ -27,8 +27,9 @@ A generator is held as its shape and its slice factor, the integer row
 that `poly.vanishing_ideal` leaves; generators of shapes with the same
 slice share one factor.  Its expansion is combinatorially infeasible for
 even modest shapes; membership reads the shape and tests the factor on
-integers, and printing writes the factored form straight from the shape and
-the text the factor formats from its row.
+integers, as a dot product with its slice's monomial values, and printing
+writes the factored form straight from the shape and the text the factor
+formats from its row.
 """
 
 import itertools

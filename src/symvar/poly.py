@@ -13,8 +13,9 @@ Buchberger-Moeller elimination degree by degree, run over the integers after
 the points are scaled to integer coordinates, on rows of constant width.  A
 generator is the integer row elimination leaves, a `SliceFactor`: its
 coefficients over one common lead, which is exactly the generator of
-elimination over Q.  It is tested and printed from that row; no `Poly` is
-built for it.
+elimination over Q, written over a `MonomialTable` that all the generators
+of one point set share.  It is tested as a dot product with the table's
+monomial values and printed from that row; no `Poly` is built for it.
 """
 
 import math
@@ -395,29 +396,28 @@ class MonomialTable:
     elimination order, then the generators' leads, as exponent tuples in
     `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
     earlier one times one variable: ``steps[i - 1]`` is (parent index,
-    j) for entry i = entry parent * t_{j+1}.  `degree` is the largest total
-    degree of an entry.
+    j) for entry i = entry parent * t_{j+1}.
     """
 
-    __slots__ = ("monomials", "steps", "nvars", "degree")
+    __slots__ = ("monomials", "steps", "nvars")
 
-    def __init__(self, monomials, steps, nvars, degree):
+    def __init__(self, monomials, steps, nvars):
         object.__setattr__(self, "monomials", monomials)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", degree)
 
     def values(self, xs, q):
-        """The value of every entry m at the point t_{j+1} = xs[j] / q, for
-        integers xs and q >= 1, times q^`degree`: the integer
-        prod(xs)^m * q^(degree - |m|), one multiplication per entry."""
-        vals = [q ** self.degree]
-        if q == 1:
-            for parent, j in self.steps:
-                vals.append(vals[parent] * xs[j])
-        else:
-            for parent, j in self.steps:
-                vals.append(vals[parent] * xs[j] // q)
+        """The value of every entry at the point t_{j+1} = xs[j] / q, for
+        integers xs and q >= 1, times q^D, D the largest degree of an entry:
+        the integer prod(xs)^m * q^(D - |m|) for entry m.  One multiplication
+        per entry, and one more when q > 1."""
+        vals = [1]
+        for parent, j in self.steps:
+            vals.append(vals[parent] * xs[j])
+        if q > 1:
+            degrees = [sum(m) for m in self.monomials]
+            top = max(degrees)
+            vals = [v * q ** (top - d) for v, d in zip(vals, degrees)]
         return vals
 
     def __setattr__(self, name, value):
@@ -606,11 +606,6 @@ def vanishing_ideal(points) -> list:
         candidates = _border(new_standard, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"
-    table = MonomialTable(standard + leads, steps + lead_steps, r, degree - 1)
-    used = {}  # bitmask -> the variables it names
-    gens = []
-    for n, (coeffs, lead, mask) in enumerate(found):
-        if mask not in used:
-            used[mask] = tuple(j for j in range(r) if mask >> j & 1)
-        gens.append(SliceFactor(coeffs, lead, npts + n, table, used[mask]))
-    return gens
+    table = MonomialTable(standard + leads, steps + lead_steps, r)
+    return [SliceFactor(coeffs, lead, npts + n, table, tuple(j for j in range(r) if mask >> j & 1))
+            for n, (coeffs, lead, mask) in enumerate(found)]
