@@ -231,7 +231,8 @@ def _orbits_vanish(generators, classes):
         key = (f.table, f.used, combo)
         vals = vectors.get(key)
         if vals is None:
-            # variables the factor does not mention take the value 0
+            # the row's nonzero coefficients sit on entries in the factor's
+            # own variables, so the other variables may take any value
             xs = [0] * f.table.nvars
             for j, c in zip(f.used, combo):
                 xs[j] = xs_of_class[c]
