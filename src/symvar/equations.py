@@ -24,12 +24,25 @@ every partition with all parts infinite), and may only over-accept outside
 that range.
 
 A generator is held as its shape and its slice factor, the integer row
-that `poly.vanishing_ideal` leaves; generators of shapes with the same
-slice share one factor.  Its expansion is combinatorially infeasible for
-even modest shapes; membership reads the shape and tests the factor on
-integers, as a dot product with its slice's monomial values, and printing
-writes the factored form straight from the shape and the text the factor
-formats from its row.
+that `poly.vanishing_ideal` leaves; an ideal holds one block per shape,
+whose factors are built on first read and shared by the shapes with the
+same slice.  Its expansion is combinatorially infeasible for even modest
+shapes; membership reads the shape and tests the factor on integers, as
+a dot product with its slice's monomial values, and printing writes the
+factored form straight from the shape and the text the factor formats
+from its row.
+
+Membership first tries each block's slice points (the set test): if
+every assignment of the point's classes to the shape's rows has a choice
+of one class per row whose values are a point of the slice, each factor
+of the slice vanishes there, and so at that choice's projection onto its
+own rows, and the block passes without a factor being read.  Only where
+the set test fails are the factors built and tested, so the verdict is
+exactly that of testing every factor, over-acceptances included.  A
+`true` from the equation route may therefore evaluate no slice factor.
+It still runs through the capped shapes, `_mix_safe`, the cover-group
+supports and the slices, none of which `variety.theta_member` uses; the
+factors themselves stay pinned by the vanishing-ideal tests.
 """
 
 import itertools
@@ -48,14 +61,22 @@ from .poly import scaled, vanishing_ideal
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
+def shape_rows(shape: GenPartition) -> tuple:
+    """The cells 1, 2, ... filling a finite `shape` row-major, one tuple per
+    row."""
+    starts = itertools.accumulate(shape.parts, initial=1)
+    return tuple(tuple(range(a, a + size)) for a, size in zip(starts, shape.parts))
+
+
 class IdealGenerator:
     """One generator of an orbit ideal: a finite shape and an optional
     slice factor.
 
     `kind` is "excluded" for a minimal excluded partition and "slice" for
     a capped shape.  `rows` fill the `shape` row-major with the cells
-    1, 2, ...; the generator is the product of (x_a - x_b) over cells a < b
-    in different rows.  `factor` is the optional slice factor, a
+    1, 2, ... (`shape_rows`; the generators of one block pass theirs in);
+    the generator is the product of (x_a - x_b) over cells a < b in
+    different rows.  `factor` is the optional slice factor, a
     `poly.SliceFactor`: t_i stands for the coordinates of row i, and the
     generator carries one copy of the factor per choice of a cell in each
     row of `tail_rows`, the rows the factor mentions.
@@ -63,19 +84,17 @@ class IdealGenerator:
 
     __slots__ = ("kind", "shape", "rows", "factor", "tail_rows")
 
-    def __init__(self, kind, shape: GenPartition, factor=None):
+    def __init__(self, kind, shape: GenPartition, factor=None, rows=None):
         if shape.num_infinite:
             raise ValueError("generator shape has an infinite part")
-        rows, cell = [], 1
-        for size in shape:
-            rows.append(tuple(range(cell, cell + size)))
-            cell += size
+        if rows is None:
+            rows = shape_rows(shape)
         tail_rows = () if factor is None else factor.used
         if tail_rows and tail_rows[-1] >= len(rows):
             raise ValueError("tail uses a t-variable with no matching row")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "tail_rows", tail_rows)
 
@@ -105,15 +124,68 @@ class IdealGenerator:
         raise AttributeError("IdealGenerator is immutable")
 
 
+class ShapeBlock:
+    """The generators of one finite shape, in output order: they share its
+    `kind`, `shape` and `rows`.  A capped shape of `i_lambda_z` also holds
+    `keys`, the key tuples (``variety._key`` values) of its saturated
+    slice; its `factors`, the slice's `vanishing_ideal`, are built on first
+    read and shared, through the call's `shared` dict, by every block with
+    the same key set.  An empty slice or an excluded shape has the one
+    factor None, the bare tableau polynomial.
+    """
+
+    __slots__ = ("kind", "shape", "rows", "keys", "_factors", "_shared")
+
+    def __init__(self, kind, shape: GenPartition, rows, keys=None, factors=None, shared=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_shared", shared)
+
+    @property
+    def factors(self) -> tuple:
+        if self._factors is None:
+            keys, shared = self.keys, self._shared
+            if keys not in shared:
+                shared[keys] = tuple(vanishing_ideal(keys)) if keys else (None,)
+            object.__setattr__(self, "_factors", shared[keys])
+        return self._factors
+
+    def generators(self) -> list:
+        return [IdealGenerator(self.kind, self.shape, f, self.rows) for f in self.factors]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShapeBlock is immutable")
+
+
 class TypeIdeal:
     """Generator set, with provenance, for the orbit ideal attached to a
-    partition (and optionally a point-set variety)."""
+    partition (and optionally a point-set variety), held as `blocks`.
 
-    __slots__ = ("lam", "generators")
+    Built from a list of generators, it keeps the list and makes each
+    generator a block with no key set.  Built from `blocks` instead, one
+    per shape in output order, its flat view `generators` reads every
+    block's factors on its first read.
+    """
 
-    def __init__(self, lam: GenPartition, generators):
+    __slots__ = ("lam", "blocks", "_generators")
+
+    def __init__(self, lam: GenPartition, generators=None, blocks=None):
+        if blocks is None:
+            generators = tuple(generators)
+            blocks = [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,)) for g in generators]
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_generators", generators)
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            object.__setattr__(self, "_generators",
+                               tuple(g for block in self.blocks for g in block.generators()))
+        return self._generators
 
     def render(self) -> str:
         lines = []
@@ -123,7 +195,7 @@ class TypeIdeal:
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"TypeIdeal(lam={self.lam}, generators={len(self.generators)})"
+        return f"TypeIdeal(lam={self.lam}, blocks={len(self.blocks)})"
 
     def __setattr__(self, name, value):
         raise AttributeError("TypeIdeal is immutable")
@@ -157,7 +229,9 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     Emits the type-locus generators plus, for every admissible capped shape
     mu, the tableau polynomial of mu times each generator of the vanishing
     ideal of the saturated slice, distributed over the row cells.  An empty
-    slice contributes the bare tableau polynomial.
+    slice contributes the bare tableau polynomial.  Each shape is one
+    `ShapeBlock`: this finds the slices, and a slice's factors are built
+    when they are first read.
 
     Every generator vanishes on the classified set; the presentation is
     exact (the equation route matches direct membership) when the finite
@@ -169,28 +243,21 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     if Z.lam != GenComposition.from_partition(lam):
         raise ValueError("Z must live over the composition of lam")
     e = lam.finite_weight
-    gens = list(i_lambda(lam).generators)
-    ideals = {}  # slices of different shapes often hold the same points
+    blocks = list(i_lambda(lam).blocks)
+    shared = {}  # slices of different shapes often hold the same points
     for mu in capped_shapes(lam):
         if not _mix_safe(mu, lam):
             continue
-        saturated = mu_s(mu, e)
-        slice_pts = frozenset(_gamma_points(Z.tables, GenComposition.from_partition(saturated)))
-        if not slice_pts:
-            gens.append(IdealGenerator("slice", mu))
-            continue
-        if slice_pts not in ideals:
-            ideals[slice_pts] = vanishing_ideal(slice_pts)
-        for g in ideals[slice_pts]:
-            gens.append(IdealGenerator("slice", mu, g))
-    return TypeIdeal(lam, gens)
+        keys = frozenset(_gamma_points(Z.tables, GenComposition.from_partition(mu_s(mu, e))))
+        blocks.append(ShapeBlock("slice", mu, shape_rows(mu), keys, shared=shared))
+    return TypeIdeal(lam, blocks=blocks)
 
 
-def _orbits_vanish(generators, classes):
-    """For each generator in turn: do all its orbit evaluations vanish at
-    the point with these value classes, that is, is there no assignment of
-    the generator's labels into the classes, respecting multiplicities,
-    with every factor nonzero?
+def _orbits_vanish(blocks, classes):
+    """For each block in turn: do all the orbit evaluations of each of its
+    generators vanish at the point with these value classes, that is, is
+    there no assignment of the generator's labels into the classes,
+    respecting multiplicities, with every factor nonzero?
 
     The difference factors vanish exactly when two labels in distinct rows
     share a class (distinct classes carry distinct values), so rows must
@@ -211,21 +278,27 @@ def _orbits_vanish(generators, classes):
     some support has every tail copy nonzero, some support of cover groups
     has too; and every cover group is itself a valid S.
 
-    The supports depend on the rows alone, so each run of consecutive
-    generators with equal rows (one capped shape) enumerates them once, and
-    each factor is tested on their distinct projections onto its rows.  The
-    cover groups of each row size are listed once per point, each with its
-    classes.  A factor is tested on integers: the class values are scaled
-    by their common denominator q, and for each choice of classes for a
-    factor's variables the values of its slice's `poly.MonomialTable` are
+    The supports depend on the rows alone, so they are listed once per
+    distinct rows.  A block with no support vanishes, and so does a block
+    whose set test (see the module docstring) holds at every support; any
+    other block tests each of its factors on the supports' distinct
+    projections onto the factor's rows.
+
+    The cover groups of each row size are listed once per point, each with
+    its classes.  A factor is tested on integers: the class values are
+    scaled by their common denominator q, and for each choice of classes for
+    a factor's variables the values of its slice's `poly.MonomialTable` are
     computed once per point, shared by the factors of that slice, so that
     each test is one dot product (`poly.SliceFactor.vanishes_at`).
     """
     n = len(classes)
-    q, xs_of_class = scaled([v for v, _ in classes])
+    keys = [v for v, _ in classes]
+    q, xs_of_class = scaled(keys)
     mults = [m for _, m in classes]
     fits = {}  # row size -> [(mask, classes of the mask)]
     vectors = {}  # (table, variables, their classes) -> the table's values
+    found = {}  # rows -> every support assignment
+    projections = {}  # (rows, variables) -> the supports' distinct projections
 
     def vanishes(f, combo):
         key = (f.table, f.used, combo)
@@ -252,29 +325,35 @@ def _orbits_vanish(generators, classes):
                 for rest in supports(rows, i + 1, available & ~m):
                     yield (group,) + rest
 
-    for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
-        found = None  # every support assignment, listed when a tail needs it
-        projections = {}
-        for g in run:
-            f = g.factor
-            if f is None:
-                yield next(supports(rows), None) is None
-                continue
-            if found is None:
-                found = list(supports(rows))
-            if not found:
-                yield True
-                continue
-            if f.used not in projections:
-                projections[f.used] = {tuple(a[r] for r in f.used) for a in found}
-            yield all(any(vanishes(f, combo) for combo in itertools.product(*p))
-                      for p in projections[f.used])
+    def factor_vanishes(f, rows):
+        if f is None:  # the bare tableau polynomial, nonzero on a support
+            return False
+        if (rows, f.used) not in projections:
+            projections[rows, f.used] = {tuple(a[r] for r in f.used) for a in found[rows]}
+        return all(any(vanishes(f, combo) for combo in itertools.product(*p))
+                   for p in projections[rows, f.used])
+
+    for block in blocks:
+        rows, slice_keys = block.rows, block.keys
+        if rows not in found:
+            found[rows] = list(supports(rows))
+        if not found[rows]:
+            yield True
+        elif slice_keys is not None and all(
+                any(tuple(map(keys.__getitem__, combo)) in slice_keys
+                    for combo in itertools.product(*a))
+                for a in found[rows]):
+            yield True
+        else:
+            yield all(factor_vanishes(f, rows) for f in block.factors)
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:
     """Point membership by equations: every generator's orbit evaluations
-    at x must all vanish."""
-    return all(_orbits_vanish(ideal.generators, list(x.classes)))
+    at x must all vanish.  The blocks are walked in order, up to the first
+    that fails, and a block read by the set test of `_orbits_vanish`
+    builds no factor."""
+    return all(_orbits_vanish(ideal.blocks, list(x.classes)))
 
 
 VALUE_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
@@ -297,10 +376,13 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
     """Heuristic pruning: drop a generator when, on every sample point where
     all other kept generators vanish, it vanishes too.  The result cuts out
     the same locus on the sampled battery only; this is flagged as a
-    heuristic, not a proof of redundancy."""
+    heuristic, not a proof of redundancy.  Each block keeps its key set and
+    the factors of its kept generators: every one of them vanishes where
+    the set test holds."""
     gens = ideal.generators
+    singles = TypeIdeal(ideal.lam, gens).blocks  # one block per generator
     # vanish[i][j]: do the orbit evaluations of generator j vanish at sample point i?
-    vanish = [list(_orbits_vanish(gens, list(x.classes))) for x in sample_points]
+    vanish = [list(_orbits_vanish(singles, list(x.classes))) for x in sample_points]
     kept = list(range(len(gens)))
     for j in reversed(kept):
         others = [h for h in kept if h != j]
@@ -308,4 +390,10 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
             continue
         if all(row[j] for row in vanish if all(row[h] for h in others)):
             kept = others
-    return TypeIdeal(ideal.lam, [gens[j] for j in kept])
+    kept, blocks, j = set(kept), [], 0
+    for b in ideal.blocks:
+        factors = tuple(f for i, f in enumerate(b.factors, j) if i in kept)
+        j += len(b.factors)
+        if factors:
+            blocks.append(ShapeBlock(b.kind, b.shape, b.rows, b.keys, factors))
+    return TypeIdeal(ideal.lam, blocks=blocks)

@@ -22,9 +22,14 @@ replaced.  ``good_filling_by_cells`` fills a tableau cell by cell with
 add-and-undo bookkeeping, the search that the row-multiset enumeration of
 ``partitions.good_filling_exists`` replaced, and ``perm_sign_by_cycles``
 counts the even cycles that the inversion count of ``poly.perm_sign``
-replaced.  ``orbits_vanish_by_masks`` finds a point's row fits in a table
-of all 2^n class masks, the search that the cover groups of
-``equations._orbits_vanish`` replaced.  ``good_correspondences_by_fibers``
+replaced.  ``orbits_vanish_by_masks`` finds a point's row fits
+(``supports_by_masks``) in a table of all 2^n class masks, the search
+that the cover groups of ``equations._orbits_vanish`` replaced, and
+``set_test_by_masks`` runs that function's set test on those supports.
+``orbits_vanish_by_factors`` and ``member_by_factors`` are equation
+membership as it was before the set test: every factor of every
+generator is read; ``by_block`` folds per-generator verdicts into one per
+block.  ``good_correspondences_by_fibers``
 lists the candidate fibers of each label by a multiset search, takes
 their product and keeps the products within the source weights: the
 route that the splits and ``partitions.weight_maps`` of
@@ -45,7 +50,8 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import T_FAMILY, X_FAMILY, Poly, SliceFactor, difference, tvar, xvar
+from symvar.partitions import _minimal_cover_groups as _cover_groups
+from symvar.poly import T_FAMILY, X_FAMILY, Poly, SliceFactor, difference, scaled, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
 
@@ -548,40 +554,43 @@ def tail_zero_test_by_poly(tail, tail_rows, classes):
     return vanishes
 
 
-def orbits_vanish_by_masks(generators, classes):
-    """``equations._orbits_vanish`` with every support that can fill a row:
-    a class mask fits a row of `size` cells when it has at most `size`
-    classes whose multiplicities add up to at least `size`, found in a
-    table of all 2^n masks."""
+def supports_by_masks(rows, classes):
+    """Every support of `rows` at a point: one class mask per row, pairwise
+    disjoint, each with at most the row's size classes whose multiplicities
+    add up to at least that size."""
     n = len(classes)
-    members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
-    fits = {}
+    fits = {size: [m for m in range(1, 1 << n)
+                   if bin(m).count("1") <= size
+                   and sum(classes[c][1] for c in range(n) if m >> c & 1) >= size]
+            for size in set(map(len, rows))}
 
-    def supports(rows, i=0, available=(1 << n) - 1):
+    def rec(i, available):
         if i == len(rows):
             yield ()
             return
-        size = len(rows[i])
-        if size not in fits:
-            fits[size] = [m for m in range(1, 1 << n)
-                          if len(members[m]) <= size
-                          and sum(classes[c][1] for c in members[m]) >= size]
-        for m in fits[size]:
+        for m in fits[len(rows[i])]:
             if m & available == m:
-                for rest in supports(rows, i + 1, available & ~m):
+                for rest in rec(i + 1, available & ~m):
                     yield (m,) + rest
 
+    return list(rec(0, (1 << n) - 1))
+
+
+def orbits_vanish_by_masks(generators, classes):
+    """``equations._orbits_vanish`` with every support that can fill a row
+    (`supports_by_masks`), for each generator in turn, each factor's zero
+    test rebuilt from its ``Poly``."""
+    n = len(classes)
+    members = [[c for c in range(n) if m >> c & 1] for m in range(1 << n)]
     for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
-        found = None
+        found = supports_by_masks(rows, classes)
         projections = {}
         for g in run:
-            if g.factor is None:
-                yield next(supports(rows), None) is None
-                continue
-            if found is None:
-                found = list(supports(rows))
             if not found:
                 yield True
+                continue
+            if g.factor is None:
+                yield False
                 continue
             if g.tail_rows not in projections:
                 projections[g.tail_rows] = {tuple(a[r] for r in g.tail_rows) for a in found}
@@ -590,6 +599,76 @@ def orbits_vanish_by_masks(generators, classes):
                 any(vanishes(combo) for combo in itertools.product(*(members[m] for m in p)))
                 for p in projections[g.tail_rows]
             )
+
+
+def set_test_by_masks(block, classes) -> bool:
+    """Does every support of the block's rows (`supports_by_masks`) have a
+    choice of one class per row whose keys are a point of its slice?"""
+    n = len(classes)
+    return all(
+        any(tuple(classes[c][0] for c in combo) in block.keys
+            for combo in itertools.product(*([c for c in range(n) if m >> c & 1] for m in a)))
+        for a in supports_by_masks(block.rows, classes))
+
+
+def orbits_vanish_by_factors(generators, classes):
+    """For each generator in turn, ``equations._orbits_vanish``'s verdict
+    read off its factor alone: the cover-group supports, listed once per
+    run of equal rows, and each factor's integer zero test on their
+    projections, with no set test."""
+    n = len(classes)
+    q, xs_of_class = scaled([v for v, _ in classes])
+    mults = [m for _, m in classes]
+    fits = {}  # row size -> the cover groups, each with its classes
+    vectors = {}
+
+    def vanishes(f, combo):
+        key = (f.table, f.used, combo)
+        if key not in vectors:
+            xs = [0] * f.table.nvars
+            for j, c in zip(f.used, combo):
+                xs[j] = xs_of_class[c]
+            vectors[key] = f.table.values(xs, q)
+        return f.vanishes_at(vectors[key])
+
+    def supports(rows, i=0, available=(1 << n) - 1):
+        if i == len(rows):
+            yield ()
+            return
+        size = len(rows[i])
+        if size not in fits:
+            fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
+                          for m in _cover_groups(size, mults, (1 << n) - 1)]
+        for m, group in fits[size]:
+            if m & available == m:
+                for rest in supports(rows, i + 1, available & ~m):
+                    yield (group,) + rest
+
+    for rows, run in itertools.groupby(generators, key=lambda g: g.rows):
+        found = list(supports(rows))
+        projections = {}
+        for g in run:
+            f = g.factor
+            if not found or f is None:
+                yield not found
+                continue
+            if f.used not in projections:
+                projections[f.used] = {tuple(a[r] for r in f.used) for a in found}
+            yield all(any(vanishes(f, combo) for combo in itertools.product(*p))
+                      for p in projections[f.used])
+
+
+def member_by_factors(ideal, x: FinitaryPoint) -> bool:
+    """``equations.member_by_equations`` with every factor of the ideal
+    read: `orbits_vanish_by_factors` over its generators."""
+    return all(orbits_vanish_by_factors(ideal.generators, list(x.classes)))
+
+
+def by_block(ideal, verdicts) -> list:
+    """Per-generator `verdicts` of an ideal's generators folded into one
+    per block: do all of the block's generators vanish?"""
+    verdicts = iter(verdicts)
+    return [all([next(verdicts) for _ in block.factors]) for block in ideal.blocks]
 
 
 def _fiber_options(w, lam: GenComposition, e: int):

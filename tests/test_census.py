@@ -9,12 +9,14 @@ hypothesis: most defects show on small inputs):
 - every x of width at most 3 over {0, 1, 2, 3}, multiplicities in
   {inf, 1, 2, 3}, at least one of them infinite.
 
-Three checks.  The equation route never rejects a member.  Inside its exact
+Four checks.  The equation route never rejects a member.  Inside its exact
 domain (finite weight at most 1, or at most two parts) it agrees with
 ``theta_member``.  Outside it, the number of over-accepted queries of each
 lambda is at most its pinned count: the counts may shrink as equations are
-added, never grow.  The universe is written out, not drawn, so it cannot
-move between Python versions.
+added, never grow.  On every query its verdict, which a block whose set
+test holds reaches without reading a factor, equals that of the walk over
+every factor (``oracles.member_by_factors``).  The universe is written
+out, not drawn, so it cannot move between Python versions.
 """
 
 import itertools
@@ -22,6 +24,8 @@ import itertools
 from symvar.equations import i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
+
+from oracles import member_by_factors
 
 PARTS = [INF, 3, 2, 1]
 MULTS = [INF, 1, 2, 3]
@@ -56,7 +60,7 @@ def in_exact_domain(lam):
 def test_census():
     xs = list(finitary_points())
     assert len(xs) == 194
-    rejected, disagree = [], []
+    rejected, disagree, unlike_oracle = [], [], []
     over, queries = {}, 0
     for lam in lambdas():
         comp = GenComposition.from_partition(lam)
@@ -67,6 +71,8 @@ def test_census():
                 queries += 1
                 direct = theta_member(comp, Z, x)
                 by_equations = member_by_equations(ideal, x)
+                if by_equations != member_by_factors(ideal, x):
+                    unlike_oracle.append((str(lam), pts, str(x)))
                 if direct and not by_equations:
                     rejected.append((str(lam), pts, str(x)))
                 elif by_equations and not direct:
@@ -74,6 +80,7 @@ def test_census():
                         disagree.append((str(lam), pts, str(x)))
                     over[str(lam)] = over.get(str(lam), 0) + 1
     assert len(lambdas()) == 15 and queries == 58_200
+    assert unlike_oracle == []
     assert rejected == []
     assert disagree == []
     assert all(count <= OVER_ACCEPTED.get(lam, 0) for lam, count in over.items()), over

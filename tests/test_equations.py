@@ -42,6 +42,7 @@ from symvar.variety import (
 )
 
 from oracles import (
+    by_block,
     eager_product,
     equivalent_mod_relabeling,
     expand,
@@ -407,7 +408,9 @@ class TestRowFits:
             lam = P(text)
             Z = PointSetVariety(C(lam), [tuple(rng.sample(self.VALUES, lam.length))
                                          for _ in range(rng.randint(1, 2))])
-            gens = i_lambda_z(lam, Z).generators
+            ideal = i_lambda_z(lam, Z)
+            gens = ideal.generators
+            singles = TypeIdeal(lam, gens).blocks  # one block per generator
             on_z = sorted({c for p in Z.points for c in p})
             fresh = [v for v in self.VALUES if v not in on_z]
             for k in range(8):
@@ -419,8 +422,12 @@ class TestRowFits:
                     values = rng.sample(self.VALUES, width)
                 mults = [INF] + [rng.choice([INF, 1, 2, 3]) for _ in range(width - 1)]
                 classes = list(FinitaryPoint(zip(values, mults)).classes)
-                assert (list(_orbits_vanish(gens, classes))
-                        == list(orbits_vanish_by_masks(gens, classes))), (text, Z.points, classes)
+                each = list(orbits_vanish_by_masks(gens, classes))
+                assert list(_orbits_vanish(singles, classes)) == each, (text, Z.points, classes)
+                # the shape blocks, set test included, give each the verdict
+                # of all its generators
+                assert (list(_orbits_vanish(ideal.blocks, classes))
+                        == by_block(ideal, each)), (text, Z.points, classes)
 
     def test_wide_point_stays_small(self):
         # 18 classes: a table of all class masks would hold 2^18 lists

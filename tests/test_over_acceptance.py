@@ -9,15 +9,29 @@ point of width at most 3 on Z's values and 7 with multiplicities in
 {inf, 1, 2, 3}) this test checks the first claim against ``theta_member``
 and pins the over-accepted queries to the list below.  The list may shrink
 as equations are added; it must never grow.  The grid is written out, not
-drawn, so it cannot move between Python versions.
+drawn, so it cannot move between Python versions.  On every query of the
+grid, the verdict equals that of the walk over every factor
+(``oracles.member_by_factors``), so the set test of ``_orbits_vanish``
+keeps each over-acceptance.
+
+No lambda with exactly one finite part is known to over-accept.  A
+derandomized Hypothesis search looks for one, and a control run of the
+same search on lambdas with two finite parts must find and shrink a known
+over-acceptance (``KNOWN``), which shows that the search has the power to
+find one.
 """
 
 import itertools
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import HealthCheck, find, given, settings, strategies as st
+
 from symvar.equations import i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
+
+from oracles import member_by_factors
 
 GRID = {
     "inf,2,1": [[(0, 4, 2), (1, 3, 2)], [(2, 1, 3)], [(0, F(1, 2), -1)], [(0, 1, 2), (2, 0, 1)]],
@@ -76,17 +90,84 @@ def grid_queries():
                             x = FinitaryPoint(zip(vals, mults))
                             label = ";".join(",".join(map(str, p)) for p in Z.points)
                             yield (f"{text} | {label} | {x}", theta_member(comp, Z, x),
-                                   member_by_equations(ideal, x))
+                                   member_by_equations(ideal, x), member_by_factors(ideal, x))
 
 
-def test_equations_never_reject_a_member_and_over_accept_no_more():
-    queries = list(grid_queries())
-    rejected = [q for q, direct, by_equations in queries if direct and not by_equations]
-    over = {q for q, direct, by_equations in queries if by_equations and not direct}
+@pytest.fixture(scope="module")
+def queries():
+    return list(grid_queries())
+
+
+def test_equations_never_reject_a_member_and_over_accept_no_more(queries):
+    rejected = [q for q, direct, by_equations, _ in queries if direct and not by_equations]
+    over = {q for q, direct, by_equations, _ in queries if by_equations and not direct}
     assert rejected == []
     assert over <= OVER_ACCEPTED, sorted(over - OVER_ACCEPTED)
     # both verdicts occur, and the grid holds the non-member the equation
     # route is known to accept
-    members = sum(direct for _, direct, _ in queries)
+    members = sum(direct for _, direct, _, _ in queries)
     assert members >= 100 and len(queries) - members >= 1000
     assert ("inf,2,1 | 0,4,2;1,3,2 | 0^inf,4^3", False) in {q[:2] for q in queries}
+
+
+def test_verdicts_equal_the_walk_over_every_factor(queries):
+    assert len(queries) == 3_487
+    assert [q for q, _, by_equations, by_factors in queries if by_equations != by_factors] == []
+    over = {q for q, direct, by_equations, _ in queries if by_equations and not direct}
+    assert over == OVER_ACCEPTED
+
+
+# (lambda, Z's points, x's classes): an over-acceptance with a multiplicity
+# above the census's, to which the control search shrinks at Hypothesis 6.155
+KNOWN = (GenPartition.parse("inf,3,3"), [(0, 1, 2)], [(0, INF), (1, 4)])
+SEARCH = settings(derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def searched(draw, lambdas):
+    """(lambda, Z's points, x's classes): one or two points of pairwise
+    distinct coordinates in 0..4, and one to four classes on 0..5, the
+    first of infinite multiplicity."""
+    lam = draw(lambdas)
+    k = lam.length
+    point = st.lists(st.integers(0, 4), min_size=k, max_size=k, unique=True).map(tuple)
+    pts = draw(st.lists(point, min_size=1, max_size=2, unique=True))
+    values = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    rest = st.sampled_from([INF, 1, 2, 3, 4])
+    mults = [INF] + draw(st.lists(rest, min_size=len(values) - 1, max_size=len(values) - 1))
+    return lam, pts, list(zip(values, mults))
+
+
+def parsed(query):
+    """(lambda's composition, Z, x) of a query."""
+    lam, pts, classes = query
+    comp = GenComposition.from_partition(lam)
+    return comp, PointSetVariety(comp, pts), FinitaryPoint(classes)
+
+
+def over_accepts(query):
+    comp, Z, x = parsed(query)
+    return not theta_member(comp, Z, x) and member_by_equations(i_lambda_z(query[0], Z), x)
+
+
+ONE_FINITE = st.builds(lambda k, f: GenPartition([INF] * k + [f]),
+                       st.integers(1, 3), st.integers(2, 4))
+
+
+@settings(SEARCH, max_examples=150)
+@given(searched(ONE_FINITE))
+def test_one_finite_part_routes_agree(query):
+    comp, Z, x = parsed(query)
+    assert theta_member(comp, Z, x) == member_by_equations(i_lambda_z(query[0], Z), x)
+
+
+def test_known_over_acceptance():
+    assert over_accepts(KNOWN)
+
+
+def test_control_search_finds_and_shrinks_an_over_acceptance():
+    lam, pts, classes = find(searched(st.just(KNOWN[0])), over_accepts,
+                             settings=settings(SEARCH, max_examples=2000))
+    # shrunk to the shape of KNOWN: one point of Z, one finite class of x
+    assert len(pts) == 1 and len(classes) == 2

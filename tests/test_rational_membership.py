@@ -10,9 +10,9 @@ carry denominators 2, 3 and 7 and negative values, so q > 1.  Five checks:
   outside it never rejects a member;
 - the structured search equals the former one, which evaluated every tail
   in ``Fraction`` arithmetic for every support choice (kept here as the
-  oracle), both per generator and over a whole ideal, whose runs of equal
-  rows share one support search; a shuffled generator tuple splits those
-  runs and must not change the answer;
+  oracle), both per generator and over a whole ideal, whose equal rows
+  share one support search; a shuffled generator tuple, built into one
+  block per generator, must not change the answer;
 - the integer zero test agrees with ``Poly.evaluate(...) == 0`` on the
   factor's rational form (``oracles.factor_poly``) on every choice of one
   class per tail row;
@@ -36,7 +36,7 @@ from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import scaled, tvar, vanishing_ideal
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
-from oracles import factor_poly, orbits_vanish_by_masks, tail_zero_test_by_poly
+from oracles import by_block, factor_poly, orbits_vanish_by_masks, tail_zero_test_by_poly
 
 C = GenComposition.from_partition
 
@@ -252,7 +252,9 @@ def test_table_shared_by_two_shapes():
     rng = random.Random(30)
     lam = GenPartition.parse("inf,2,1")
     Z = PointSetVariety(C(lam), [(0, Fraction(1, 2), -1), (Fraction(2, 3), 3, Fraction(-7, 3))])
-    gens = i_lambda_z(lam, Z).generators
+    ideal = i_lambda_z(lam, Z)
+    gens = ideal.generators
+    singles = TypeIdeal(lam, gens).blocks  # one block per generator
     shapes = {}  # table -> the shapes whose factors are written over it
     for g in gens:
         if g.factor is not None:
@@ -265,7 +267,8 @@ def test_table_shared_by_two_shapes():
         width = rng.randint(1, 4)
         mults = [INF] + [rng.choice([INF, 1, 2]) for _ in range(width - 1)]
         classes = list(FinitaryPoint(zip(rng.sample(values, width), mults)).classes)
-        got = list(_orbits_vanish(gens, classes))
+        got = list(_orbits_vanish(singles, classes))
         assert got == list(orbits_vanish_by_masks(gens, classes)), classes
+        assert list(_orbits_vanish(ideal.blocks, classes)) == by_block(ideal, got), classes
         seen.update(v for g, v in zip(gens, got) if g.factor is not None and g.factor.table in shared)
     assert seen == {True, False}
