@@ -10,16 +10,17 @@ builds the slices they define directly, from the search
 (``partitions.weight_maps``) that also gives End(lam) and the second leg
 of each good correspondence (``enumerate_good``).
 
-Everything is immutable; enumeration output order is deterministic.
+Both classes are immutable values (``partitions._Frozen``); enumeration
+output order is deterministic.
 """
 
 import itertools
 
-from .partitions import INF, GenComposition, finite_partitions_in_box, weight_maps
+from .partitions import INF, GenComposition, _Frozen, finite_partitions_in_box, weight_maps
 from .variety import PointSetVariety
 
 
-class CompMap:
+class CompMap(_Frozen):
     """Weight-respecting function between generalized compositions."""
 
     __slots__ = ("domain", "codomain", "table", "_fibers")
@@ -85,9 +86,6 @@ class CompMap:
     def __repr__(self):
         return f"CompMap({self.table!r}: {self.domain!r} -> {self.codomain!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CompMap is immutable")
-
 
 def pushforward(f: CompMap) -> GenComposition:
     """Composition on the codomain labels hit by f, weighted by fiber sums."""
@@ -144,7 +142,7 @@ def pullback_square(f1: CompMap, f2: CompMap):
     return wmu, g1, g2
 
 
-class Correspondence:
+class Correspondence(_Frozen):
     """Pair (f1, f2): f1 a principal surjection rho ->> target, f2: rho -> source."""
 
     __slots__ = ("rho", "f1", "f2")
@@ -188,9 +186,6 @@ class Correspondence:
 
     def __repr__(self):
         return f"Correspondence(rho={self.rho!r}, f1={self.f1.table!r}, f2={self.f2.table!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Correspondence is immutable")
 
 
 def compose(f: Correspondence, g: Correspondence) -> Correspondence:

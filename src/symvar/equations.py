@@ -52,6 +52,7 @@ from .partitions import (
     INF,
     GenComposition,
     GenPartition,
+    _Frozen,
     _minimal_cover_groups,
     finite_partitions_in_box,
     min_excluded,
@@ -68,7 +69,7 @@ def shape_rows(shape: GenPartition) -> tuple:
     return tuple(tuple(range(a, a + size)) for a, size in zip(starts, shape.parts))
 
 
-class IdealGenerator:
+class IdealGenerator(_Frozen):
     """One generator of an orbit ideal: a finite shape and an optional
     slice factor.
 
@@ -120,11 +121,8 @@ class IdealGenerator:
     def __repr__(self):
         return f"IdealGenerator({self.provenance()})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IdealGenerator is immutable")
 
-
-class ShapeBlock:
+class ShapeBlock(_Frozen):
     """The generators of one finite shape, in output order: they share its
     `kind`, `shape` and `rows`.  A capped shape of `i_lambda_z` also holds
     `keys`, the key tuples (``variety._key`` values) of its saturated
@@ -156,29 +154,20 @@ class ShapeBlock:
     def generators(self) -> list:
         return [IdealGenerator(self.kind, self.shape, f, self.rows) for f in self.factors]
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeBlock is immutable")
 
-
-class TypeIdeal:
+class TypeIdeal(_Frozen):
     """Generator set, with provenance, for the orbit ideal attached to a
-    partition (and optionally a point-set variety), held as `blocks`.
-
-    Built from a list of generators, it keeps the list and makes each
-    generator a block with no key set.  Built from `blocks` instead, one
-    per shape in output order, its flat view `generators` reads every
-    block's factors on its first read.
+    partition (and optionally a point-set variety), held as `blocks`, one
+    `ShapeBlock` per shape in output order.  Its flat view `generators`
+    reads every block's factors on its first read.
     """
 
     __slots__ = ("lam", "blocks", "_generators")
 
-    def __init__(self, lam: GenPartition, generators=None, blocks=None):
-        if blocks is None:
-            generators = tuple(generators)
-            blocks = [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,)) for g in generators]
+    def __init__(self, lam: GenPartition, blocks):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_generators", generators)
+        object.__setattr__(self, "_generators", None)
 
     @property
     def generators(self) -> tuple:
@@ -197,15 +186,13 @@ class TypeIdeal:
     def __repr__(self):
         return f"TypeIdeal(lam={self.lam}, blocks={len(self.blocks)})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeIdeal is immutable")
-
 
 def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded
     partition."""
-    return TypeIdeal(lam, [IdealGenerator("excluded", alpha) for alpha in min_excluded(lam)])
+    return TypeIdeal(lam, [ShapeBlock("excluded", alpha, shape_rows(alpha), factors=(None,))
+                           for alpha in min_excluded(lam)])
 
 
 def capped_shapes(lam: GenPartition) -> list:
@@ -250,7 +237,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
             continue
         keys = frozenset(_gamma_points(Z.tables, GenComposition.from_partition(mu_s(mu, e))))
         blocks.append(ShapeBlock("slice", mu, shape_rows(mu), keys, shared=shared))
-    return TypeIdeal(lam, blocks=blocks)
+    return TypeIdeal(lam, blocks)
 
 
 def _orbits_vanish(blocks, classes):
@@ -380,7 +367,7 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
     the factors of its kept generators: every one of them vanishes where
     the set test holds."""
     gens = ideal.generators
-    singles = TypeIdeal(ideal.lam, gens).blocks  # one block per generator
+    singles = [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,)) for g in gens]
     # vanish[i][j]: do the orbit evaluations of generator j vanish at sample point i?
     vanish = [list(_orbits_vanish(singles, list(x.classes))) for x in sample_points]
     kept = list(range(len(gens)))
@@ -396,4 +383,4 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
         j += len(b.factors)
         if factors:
             blocks.append(ShapeBlock(b.kind, b.shape, b.rows, b.keys, factors))
-    return TypeIdeal(ideal.lam, blocks=blocks)
+    return TypeIdeal(ideal.lam, blocks)

@@ -11,7 +11,9 @@ one search on plain tuples, ``_tail_below``; each call keeps its own memo of
 failed states.  ``weight_maps`` is the one search for weight-respecting
 maps, End(lam) and the slices' Hom(mu, lam_p) alike.
 
-All values are immutable and every function here is pure.
+All values are immutable: each value class of the package derives from
+``_Frozen``, which refuses assigning and deleting attributes.  Every
+function here is pure.
 """
 
 from collections import Counter
@@ -65,7 +67,21 @@ def _check_weight(w, allow_zero=False):
     return w
 
 
-class GenPartition:
+class _Frozen:
+    """The base of every value class in the package: a subclass sets its
+    slots once, in construction, through ``object.__setattr__``; after that
+    assigning or deleting an attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GenPartition(_Frozen):
     """Non-increasing tuple of weights in N ∪ {inf}; zeros are dropped."""
 
     __slots__ = ("parts",)
@@ -122,11 +138,8 @@ class GenPartition:
     def __repr__(self):
         return f"GenPartition({self.parts!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GenPartition is immutable")
 
-
-class GenComposition:
+class GenComposition(_Frozen):
     """Finite label set with a positive weight in N ∪ {inf} per label.
 
     Labels are integers; sorting them fixes the coordinate order of any
@@ -187,9 +200,6 @@ class GenComposition:
     def __repr__(self):
         inner = ", ".join(f"{k}: {w}" for k, w in self.items())
         return f"GenComposition({{{inner}}})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenComposition is immutable")
 
 
 def _minimal_cover_groups(target, parts, mask):

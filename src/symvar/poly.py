@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 
+from .partitions import _Frozen
+
 X_FAMILY = 0
 T_FAMILY = 1
 
@@ -82,7 +84,7 @@ def _format_terms(items, name):
     return "".join(pieces)
 
 
-class Poly:
+class Poly(_Frozen):
     """Immutable sparse polynomial: mapping from monomials to nonzero rationals.
 
     A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
@@ -233,9 +235,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({self})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
 
 def difference(a: int, b: int) -> Poly:
     """x_a - x_b."""
@@ -289,7 +288,7 @@ def skew_sum(n: int, k: int) -> Poly:
     return total
 
 
-class ExtractionWitness:
+class ExtractionWitness(_Frozen):
     """Replayable certificate that the orbit ideal of a polynomial contains
     c times a discriminant.
 
@@ -308,9 +307,6 @@ class ExtractionWitness:
 
     def __repr__(self):
         return f"ExtractionWitness(steps={len(self.steps)}, c={self.c}, n={self.n})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtractionWitness is immutable")
 
 
 def replay_witness(f: Poly, witness: ExtractionWitness) -> Poly:
@@ -390,7 +386,7 @@ def extract_discriminant(f: Poly) -> ExtractionWitness:
     return ExtractionWitness(steps, c, n)
 
 
-class MonomialTable:
+class MonomialTable(_Frozen):
     """The monomials in t1..t`nvars` that the factors of one
     `vanishing_ideal` call are written over: the standard monomials in
     elimination order, then the generators' leads, as exponent tuples in
@@ -420,9 +416,6 @@ class MonomialTable:
             vals = [v * q ** (top - d) for v, d in zip(vals, degrees)]
         return vals
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialTable is immutable")
-
 
 def scaled(values):
     """(q, [q * v for v in values]) for q the common denominator of the
@@ -431,7 +424,7 @@ def scaled(values):
     return q, [v.numerator * (q // v.denominator) for v in values]
 
 
-class SliceFactor:
+class SliceFactor(_Frozen):
     """A polynomial in t-variables held as the integer row elimination
     left: the sum of ``coeffs[i]`` times entry i of `table`, a
     `MonomialTable`, over the first ``len(coeffs)`` entries, plus `lead`
@@ -488,9 +481,6 @@ class SliceFactor:
         values times one positive integer, so the integer dot product with
         the row is zero exactly when the factor is."""
         return sum(map(operator.mul, self.coeffs, vals)) + self.lead * vals[self.index] == 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SliceFactor is immutable")
 
 
 def _border(standard, r):

@@ -27,6 +27,7 @@ from .partitions import (
     INF,
     GenComposition,
     GenPartition,
+    _Frozen,
     _check_weight,
     parse_weight,
     weight_maps,
@@ -70,7 +71,7 @@ def _parse_rational(text):
     return Fraction(num, den)
 
 
-class FinitaryPoint:
+class FinitaryPoint(_Frozen):
     """Finitely many distinct rational values with multiplicities, at least
     one multiplicity infinite.  ``classes`` holds (``_key(value)``, mult)
     pairs in canonical order: infinite classes first, then by decreasing
@@ -115,16 +116,13 @@ class FinitaryPoint:
     def __repr__(self):
         return f"FinitaryPoint({self})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitaryPoint is immutable")
-
 
 def type_of(x: FinitaryPoint) -> GenPartition:
     """Multiplicity profile, sorted non-increasing."""
     return GenPartition(m for _, m in x.classes)
 
 
-class PointSetVariety:
+class PointSetVariety(_Frozen):
     """Finite set of rational tuples in the affine space of a composition.
 
     Coordinates follow the sorted label order of the ambient composition.
@@ -212,9 +210,6 @@ class PointSetVariety:
 
     def __repr__(self):
         return f"PointSetVariety(lam={self.lam!r}, points={len(self.points)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSetVariety is immutable")
 
 
 class _Slice(PointSetVariety):

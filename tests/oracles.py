@@ -29,8 +29,9 @@ that the cover groups of ``equations._orbits_vanish`` replaced, and
 ``orbits_vanish_by_factors`` and ``member_by_factors`` are equation
 membership as it was before the set test: every factor of every
 generator is read; ``by_block`` folds per-generator verdicts into one per
-block.  ``good_correspondences_by_fibers``
-lists the candidate fibers of each label by a multiset search, takes
+block, and ``ideal_of`` makes any generators an ideal of one block each.
+``good_correspondences_by_fibers`` lists the candidate fibers of each
+label by a multiset search, takes
 their product and keeps the products within the source weights: the
 route that the splits and ``partitions.weight_maps`` of
 ``corr.enumerate_good`` replaced.  ``factor_poly`` and ``factor_from_poly`` convert between a
@@ -48,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
-from symvar.equations import IdealGenerator
+from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.partitions import _minimal_cover_groups as _cover_groups
 from symvar.poly import T_FAMILY, X_FAMILY, Poly, SliceFactor, difference, scaled, tvar, xvar
@@ -669,6 +670,13 @@ def by_block(ideal, verdicts) -> list:
     per block: do all of the block's generators vanish?"""
     verdicts = iter(verdicts)
     return [all([next(verdicts) for _ in block.factors]) for block in ideal.blocks]
+
+
+def ideal_of(lam: GenPartition, generators) -> TypeIdeal:
+    """The ideal of `lam` holding `generators` in order, one block each
+    with no key set, so that membership runs no set test on them."""
+    return TypeIdeal(lam, [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,))
+                           for g in generators])
 
 
 def _fiber_options(w, lam: GenComposition, e: int):

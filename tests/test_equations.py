@@ -10,7 +10,6 @@ import pytest
 from symvar import cli, poly
 from symvar.equations import (
     IdealGenerator,
-    TypeIdeal,
     _orbits_vanish,
     capped_shapes,
     i_lambda,
@@ -49,6 +48,7 @@ from oracles import (
     factor_from_poly,
     generator_orbit_vanishes_brute,
     h_tableau,
+    ideal_of,
     orbits_vanish_by_masks,
     product_shape,
 )
@@ -365,7 +365,7 @@ class TestMembership:
         ]
         for g in gens:
             for x in points:
-                got = member_by_equations(TypeIdeal(lam, [g]), x)
+                got = member_by_equations(ideal_of(lam, [g]), x)
                 assert got == generator_orbit_vanishes_brute(g, x)
 
 
@@ -410,7 +410,7 @@ class TestRowFits:
                                          for _ in range(rng.randint(1, 2))])
             ideal = i_lambda_z(lam, Z)
             gens = ideal.generators
-            singles = TypeIdeal(lam, gens).blocks  # one block per generator
+            singles = ideal_of(lam, gens).blocks
             on_z = sorted({c for p in Z.points for c in p})
             fresh = [v for v in self.VALUES if v not in on_z]
             for k in range(8):

@@ -31,12 +31,18 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.equations import TypeIdeal, _orbits_vanish, i_lambda_z, member_by_equations
+from symvar.equations import _orbits_vanish, i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import scaled, tvar, vanishing_ideal
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
-from oracles import by_block, factor_poly, orbits_vanish_by_masks, tail_zero_test_by_poly
+from oracles import (
+    by_block,
+    factor_poly,
+    ideal_of,
+    orbits_vanish_by_masks,
+    tail_zero_test_by_poly,
+)
 
 C = GenComposition.from_partition
 
@@ -141,7 +147,7 @@ def test_search_matches_fraction_oracle(ideals, text, k):
     for g in ideal.generators:
         for x in points:
             want = not oracle_exists_nonzero_assignment(g, list(x.classes))
-            assert member_by_equations(TypeIdeal(lam, [g]), x) == want, (g, str(x))
+            assert member_by_equations(ideal_of(lam, [g]), x) == want, (g, str(x))
 
 
 @pytest.mark.parametrize("text,k", list(cases()))
@@ -161,7 +167,7 @@ def test_shuffled_generators_match_oracle(ideals):
     lam, _, points, ideal = ideals["inf,inf,1", 0]
     gens = list(ideal.generators)
     random.Random(5).shuffle(gens)
-    shuffled = TypeIdeal(lam, gens)
+    shuffled = ideal_of(lam, gens)
     assert runs(shuffled.generators) > runs(ideal.generators)
     answers = set()
     for x in points:
@@ -254,7 +260,7 @@ def test_table_shared_by_two_shapes():
     Z = PointSetVariety(C(lam), [(0, Fraction(1, 2), -1), (Fraction(2, 3), 3, Fraction(-7, 3))])
     ideal = i_lambda_z(lam, Z)
     gens = ideal.generators
-    singles = TypeIdeal(lam, gens).blocks  # one block per generator
+    singles = ideal_of(lam, gens).blocks
     shapes = {}  # table -> the shapes whose factors are written over it
     for g in gens:
         if g.factor is not None:
