@@ -43,8 +43,19 @@ exactly that of testing every factor, over-acceptances included.  A
 It still runs through the capped shapes, `_mix_safe`, the cover-group
 supports and the slices, none of which `variety.theta_member` uses; the
 factors themselves stay pinned by the vanishing-ideal tests.
+
+Two bounded memos hold the work that reads no value.  `_skeleton`, keyed
+by lam (64 entries), holds lam's composition, the excluded blocks and the
+admissible capped shapes with their rows and saturations; `_supports`,
+keyed by a point's class multiplicities and a block's rows (1024
+entries), holds the support assignments of those rows.  Both are pure
+functions of partitions, so a memoized entry is exactly what a fresh call
+would build; the slices, their factors and every test at a point read
+values and are built per call.  A one-shot CLI process builds each entry
+once, as it did without the memos.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -210,6 +221,20 @@ def _mix_safe(mu: GenPartition, lam: GenPartition) -> bool:
     return all(p == cap or p == 1 for p in mu.parts)
 
 
+@functools.lru_cache(maxsize=64)
+def _skeleton(lam: GenPartition) -> tuple:
+    """The part of ``i_lambda_z(lam, Z)`` that lam alone fixes: lam's
+    composition, the excluded blocks of ``i_lambda(lam)``, and for each
+    capped shape mu that passes `_mix_safe`, in output order, the triple
+    (mu, its rows, the composition of its saturation) that its slice is
+    read over.  Every part is immutable and no value of Z enters it, so the
+    blocks are shared by every ideal of lam."""
+    e = lam.finite_weight
+    shapes = tuple((mu, shape_rows(mu), GenComposition.from_partition(mu_s(mu, e)))
+                   for mu in capped_shapes(lam) if _mix_safe(mu, lam))
+    return GenComposition.from_partition(lam), i_lambda(lam).blocks, shapes
+
+
 def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     """Generators cutting out the classified set of the pair (lam, Z).
 
@@ -218,7 +243,8 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     ideal of the saturated slice, distributed over the row cells.  An empty
     slice contributes the bare tableau polynomial.  Each shape is one
     `ShapeBlock`: this finds the slices, and a slice's factors are built
-    when they are first read.
+    when they are first read.  The shapes and the excluded blocks come
+    from `_skeleton`.
 
     Every generator vanishes on the classified set; the presentation is
     exact (the equation route matches direct membership) when the finite
@@ -227,17 +253,40 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     if not lam.is_infinite:
         raise ValueError("i_lambda_z requires a partition with an infinite part")
     Z.require_distinct()
-    if Z.lam != GenComposition.from_partition(lam):
+    comp, excluded, shapes = _skeleton(lam)
+    if Z.lam != comp:
         raise ValueError("Z must live over the composition of lam")
-    e = lam.finite_weight
-    blocks = list(i_lambda(lam).blocks)
     shared = {}  # slices of different shapes often hold the same points
-    for mu in capped_shapes(lam):
-        if not _mix_safe(mu, lam):
-            continue
-        keys = frozenset(_gamma_points(Z.tables, GenComposition.from_partition(mu_s(mu, e))))
-        blocks.append(ShapeBlock("slice", mu, shape_rows(mu), keys, shared=shared))
-    return TypeIdeal(lam, blocks)
+    return TypeIdeal(lam, excluded + tuple(
+        ShapeBlock("slice", mu, rows, frozenset(_gamma_points(Z.tables, saturated)), shared=shared)
+        for mu, rows, saturated in shapes))
+
+
+@functools.lru_cache(maxsize=1024)
+def _supports(mults: tuple, rows: tuple) -> tuple:
+    """Every assignment of pairwise disjoint cover groups to `rows`, one
+    group per row, for a point whose classes have these multiplicities:
+    the supports of `_orbits_vanish`.  A group is the tuple of its class
+    indices, and a row of `size` cells takes the groups of
+    ``_minimal_cover_groups(size, mults, ...)``.  No value enters."""
+    n = len(mults)
+    full = (1 << n) - 1
+    fits = {}  # row size -> [(mask, classes of the mask)]
+
+    def supports(i, available):
+        if i == len(rows):
+            yield ()
+            return
+        size = len(rows[i])
+        if size not in fits:
+            fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
+                          for m in _minimal_cover_groups(size, mults, full)]
+        for m, group in fits[size]:
+            if m & available == m:
+                for rest in supports(i + 1, available & ~m):
+                    yield (group,) + rest
+
+    return tuple(supports(0, full))
 
 
 def _orbits_vanish(blocks, classes):
@@ -265,26 +314,22 @@ def _orbits_vanish(blocks, classes):
     some support has every tail copy nonzero, some support of cover groups
     has too; and every cover group is itself a valid S.
 
-    The supports depend on the rows alone, so they are listed once per
-    distinct rows.  A block with no support vanishes, and so does a block
-    whose set test (see the module docstring) holds at every support; any
-    other block tests each of its factors on the supports' distinct
-    projections onto the factor's rows.
+    The supports depend on the multiplicities and the rows alone, so they
+    come from the memo `_supports`.  A block with no support vanishes, and
+    so does a block whose set test (see the module docstring) holds at
+    every support; any other block tests each of its factors on the
+    supports' distinct projections onto the factor's rows.
 
-    The cover groups of each row size are listed once per point, each with
-    its classes.  A factor is tested on integers: the class values are
-    scaled by their common denominator q, and for each choice of classes for
-    a factor's variables the values of its slice's `poly.MonomialTable` are
-    computed once per point, shared by the factors of that slice, so that
-    each test is one dot product (`poly.SliceFactor.vanishes_at`).
+    A factor is tested on integers: the class values are scaled by their
+    common denominator q, and for each choice of classes for a factor's
+    variables the values of its slice's `poly.MonomialTable` are computed
+    once per point, shared by the factors of that slice, so that each test
+    is one dot product (`poly.SliceFactor.vanishes_at`).
     """
-    n = len(classes)
     keys = [v for v, _ in classes]
     q, xs_of_class = scaled(keys)
-    mults = [m for _, m in classes]
-    fits = {}  # row size -> [(mask, classes of the mask)]
+    mults = tuple(m for _, m in classes)
     vectors = {}  # (table, variables, their classes) -> the table's values
-    found = {}  # rows -> every support assignment
     projections = {}  # (rows, variables) -> the supports' distinct projections
 
     def vanishes(f, combo):
@@ -299,40 +344,26 @@ def _orbits_vanish(blocks, classes):
             vals = vectors[key] = f.table.values(xs, q)
         return f.vanishes_at(vals)
 
-    def supports(rows, i=0, available=(1 << n) - 1):
-        if i == len(rows):
-            yield ()
-            return
-        size = len(rows[i])
-        if size not in fits:
-            fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
-                          for m in _minimal_cover_groups(size, mults, (1 << n) - 1)]
-        for m, group in fits[size]:
-            if m & available == m:
-                for rest in supports(rows, i + 1, available & ~m):
-                    yield (group,) + rest
-
-    def factor_vanishes(f, rows):
+    def factor_vanishes(f, rows, found):
         if f is None:  # the bare tableau polynomial, nonzero on a support
             return False
         if (rows, f.used) not in projections:
-            projections[rows, f.used] = {tuple(a[r] for r in f.used) for a in found[rows]}
+            projections[rows, f.used] = {tuple(a[r] for r in f.used) for a in found}
         return all(any(vanishes(f, combo) for combo in itertools.product(*p))
                    for p in projections[rows, f.used])
 
     for block in blocks:
         rows, slice_keys = block.rows, block.keys
-        if rows not in found:
-            found[rows] = list(supports(rows))
-        if not found[rows]:
+        found = _supports(mults, rows)
+        if not found:
             yield True
         elif slice_keys is not None and all(
                 any(tuple(map(keys.__getitem__, combo)) in slice_keys
                     for combo in itertools.product(*a))
-                for a in found[rows]):
+                for a in found):
             yield True
         else:
-            yield all(factor_vanishes(f, rows) for f in block.factors)
+            yield all(factor_vanishes(f, rows, found) for f in block.factors)
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:

@@ -17,13 +17,17 @@ added, never grow.  On every query its verdict, which a block whose set
 test holds reaches without reading a factor, equals that of the walk over
 every factor (``oracles.member_by_factors``).  The universe is written
 out, not drawn, so it cannot move between Python versions.
+
+Over the same pairs, ``contains(mu, Z1, lam, Z2)`` is slice inclusion:
+every point of Z1 lies in ``gamma_at(lam, Z2, mu)``, on all 90,000 queries
+(19,965 of them true).
 """
 
 import itertools
 
 from symvar.equations import i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
+from symvar.variety import FinitaryPoint, PointSetVariety, contains, gamma_at, theta_member
 
 from oracles import member_by_factors
 
@@ -84,3 +88,20 @@ def test_census():
     assert rejected == []
     assert disagree == []
     assert all(count <= OVER_ACCEPTED.get(lam, 0) for lam, count in over.items()), over
+
+
+def test_contains_is_slice_inclusion():
+    comps = [GenComposition.from_partition(lam) for lam in lambdas()]
+    sets = [(comp, PointSetVariety(comp, pts)) for comp in comps
+            for pts in point_sets(comp.length)]
+    unlike, held = [], 0
+    for lam, Z2 in sets:
+        # one slice per (lam, Z2, mu)
+        slices = {mu: set(gamma_at(lam, Z2, mu).points) for mu in comps}
+        for mu, Z1 in sets:
+            got = contains(mu, Z1, lam, Z2)
+            held += got
+            if got != all(p in slices[mu] for p in Z1.points):
+                unlike.append((str(mu), Z1.points, str(lam), Z2.points))
+    assert len(sets) == 300 and held == 19_965
+    assert unlike == []
