@@ -32,6 +32,28 @@ a dot product with its slice's monomial values, and printing writes the
 factored form straight from the shape and the text the factor formats
 from its row.
 
+A slice that is a product over its coordinates, S = S_A x S_B with A and B
+disjoint sets of coordinates, is not eliminated whole: its reduced
+graded-lex basis is the union of those of S_A and S_B, each in its own
+variables.  I(S_A) + I(S_B) lies in I(S) and has a quotient of dimension
+|S_A| * |S_B| = |S|, so it is I(S).  The two bases' leads lie in disjoint
+variables and are coprime, so every S-pair across them reduces to zero
+(Buchberger's first criterion) and the union is a Groebner basis.  Each
+tail is standard for its own basis and mentions only its own variables,
+so no lead of the other divides it, and the union is reduced; the
+reduced basis is unique, so it is exactly what elimination of S returns.
+Graded lex restricted to A's variables is graded lex on them, so S_A's
+basis is `vanishing_ideal` of the projection.  `vanishing_ideal` emits
+its generators by ascending (degree, exponent tuple) of their leads, so
+merging the components' bases by that key gives the same generators in
+the same order, and every printed byte is unchanged.  `_components` peels
+off each coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, with O(r) set
+builds; when r <= 3 one side of any split is a single coordinate, so this
+finds every split.  A component is eliminated once per call, held in the
+call's `shared` dict by its projected key set, and moved into a slice's
+variables once per placement (`poly.MonomialTable.embedded`); only an
+indecomposable set is eliminated.
+
 Membership first tries each block's slice points (the set test): if
 every assignment of the point's classes to the shape's rows has a choice
 of one class per row whose values are a point of the slice, each factor
@@ -57,6 +79,7 @@ once, as it did without the memos.
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from .partitions import (
@@ -69,7 +92,7 @@ from .partitions import (
     min_excluded,
     mu_s,
 )
-from .poly import scaled, vanishing_ideal
+from .poly import SliceFactor, scaled, vanishing_ideal
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
@@ -137,10 +160,11 @@ class ShapeBlock(_Frozen):
     """The generators of one finite shape, in output order: they share its
     `kind`, `shape` and `rows`.  A capped shape of `i_lambda_z` also holds
     `keys`, the key tuples (``variety._key`` values) of its saturated
-    slice; its `factors`, the slice's `vanishing_ideal`, are built on first
-    read and shared, through the call's `shared` dict, by every block with
-    the same key set.  An empty slice or an excluded shape has the one
-    factor None, the bare tableau polynomial.
+    slice; its `factors`, the slice's reduced basis, are built on first
+    read (`_slice_factors`: assembled from its components' bases when the
+    slice is a product) and shared, through the call's `shared` dict, by
+    every block with the same key set.  An empty slice or an excluded shape
+    has the one factor None, the bare tableau polynomial.
     """
 
     __slots__ = ("kind", "shape", "rows", "keys", "_factors", "_shared")
@@ -156,14 +180,64 @@ class ShapeBlock(_Frozen):
     @property
     def factors(self) -> tuple:
         if self._factors is None:
-            keys, shared = self.keys, self._shared
-            if keys not in shared:
-                shared[keys] = tuple(vanishing_ideal(keys)) if keys else (None,)
-            object.__setattr__(self, "_factors", shared[keys])
+            keys = self.keys
+            object.__setattr__(self, "_factors",
+                               _slice_factors(keys, self._shared) if keys else (None,))
         return self._factors
 
     def generators(self) -> list:
         return [IdealGenerator(self.kind, self.shape, f, self.rows) for f in self.factors]
+
+
+def _components(keys) -> list:
+    """The split of a set S of key tuples as a product over its
+    coordinates: a (coordinates, key set) pair for each coordinate i that
+    splits off, |pi_i(S)| * |pi_rest(S)| = |S|, then one for the rest.
+    Peeling one coordinate leaves the others' test unchanged, so each is
+    tested once, on what is left; one pair means no split."""
+    coords = tuple(range(len(next(iter(keys)))))
+    rest, parts, i = keys, [], 0
+    while len(coords) > 1 and i < len(coords):
+        column = set(map(operator.itemgetter(i), rest))
+        if len(rest) % len(column) == 0:
+            others = frozenset(p[:i] + p[i + 1:] for p in rest)
+            if len(column) * len(others) == len(rest):
+                parts.append(((coords[i],), frozenset((v,) for v in column)))
+                coords, rest = coords[:i] + coords[i + 1:], others
+                continue
+        i += 1
+    parts.append((coords, rest))
+    return parts
+
+
+def _slice_factors(keys, shared) -> tuple:
+    """The reduced basis of the points `keys`, held in `shared` by key set.
+
+    A set that splits (`_components`) takes its components' bases, each
+    eliminated once per `shared` and moved into the set's variables once
+    per placement, and merges them by ascending (degree, exponent tuple) of
+    their leads, the order in which `vanishing_ideal` emits them; only an
+    indecomposable set is eliminated."""
+    held = shared.get(keys)
+    if held is None:
+        parts = _components(keys)
+        if len(parts) == 1:
+            held = tuple(vanishing_ideal(keys))
+        else:
+            nvars, placed = len(next(iter(keys))), []
+            for coords, part in parts:
+                at = (part, coords, nvars)
+                if at not in shared:
+                    factors = _slice_factors(part, shared)
+                    table = factors[0].table.embedded(coords, nvars)
+                    shared[at] = [SliceFactor(f.coeffs, f.lead, f.index, table,
+                                              tuple(coords[j] for j in f.used))
+                                  for f in factors]
+                placed += shared[at]
+            held = tuple(sorted(placed, key=lambda f: (
+                f.total_degree(), f.table.monomials[f.index])))
+        shared[keys] = held
+    return held
 
 
 class TypeIdeal(_Frozen):
@@ -256,7 +330,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     comp, excluded, shapes = _skeleton(lam)
     if Z.lam != comp:
         raise ValueError("Z must live over the composition of lam")
-    shared = {}  # slices of different shapes often hold the same points
+    shared = {}  # slices of different shapes often share points or components
     return TypeIdeal(lam, excluded + tuple(
         ShapeBlock("slice", mu, rows, frozenset(_gamma_points(Z.tables, saturated)), shared=shared)
         for mu, rows, saturated in shapes))
@@ -322,8 +396,8 @@ def _orbits_vanish(blocks, classes):
 
     A factor is tested on integers: the class values are scaled by their
     common denominator q, and for each choice of classes for a factor's
-    variables the values of its slice's `poly.MonomialTable` are computed
-    once per point, shared by the factors of that slice, so that each test
+    variables the values of its `poly.MonomialTable` are computed once per
+    point, shared by the factors written over that table, so that each test
     is one dot product (`poly.SliceFactor.vanishes_at`).
     """
     keys = [v for v, _ in classes]

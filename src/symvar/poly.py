@@ -14,8 +14,11 @@ the points are scaled to integer coordinates, on rows of constant width.  A
 generator is the integer row elimination leaves, a `SliceFactor`: its
 coefficients over one common lead, which is exactly the generator of
 elimination over Q, written over a `MonomialTable` that all the generators
-of one point set share.  It is tested as a dot product with the table's
-monomial values and printed from that row; no `Poly` is built for it.
+of one elimination share.  A table can be moved into more variables
+(`MonomialTable.embedded`), so that the factors of a product's components
+keep their rows in the product's variables.  A factor is tested as a dot
+product with its table's monomial values and printed from its row; no
+`Poly` is built for it.
 """
 
 import math
@@ -392,7 +395,9 @@ class MonomialTable(_Frozen):
     elimination order, then the generators' leads, as exponent tuples in
     `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
     earlier one times one variable: ``steps[i - 1]`` is (parent index,
-    j) for entry i = entry parent * t_{j+1}.
+    j) for entry i = entry parent * t_{j+1}.  There is one table per
+    elimination, and one per placement of it in more variables
+    (`embedded`).
     """
 
     __slots__ = ("monomials", "steps", "nvars")
@@ -416,6 +421,19 @@ class MonomialTable(_Frozen):
             vals = [v * q ** (top - d) for v, d in zip(vals, degrees)]
         return vals
 
+    def embedded(self, coords, nvars):
+        """The same entries in t1..t`nvars`, with t_{j+1} renamed
+        t_{coords[j]+1}: each exponent tuple spread to those positions, each
+        step's variable renamed.  `coords` ascend, so the variables keep
+        their order and a factor's ``used`` its meaning."""
+        monomials = []
+        for m in self.monomials:
+            e = [0] * nvars
+            for c, k in zip(coords, m):
+                e[c] = k
+            monomials.append(tuple(e))
+        return MonomialTable(monomials, [(parent, coords[j]) for parent, j in self.steps], nvars)
+
 
 def scaled(values):
     """(q, [q * v for v in values]) for q the common denominator of the
@@ -432,8 +450,10 @@ class SliceFactor(_Frozen):
     sign.  `used` lists, ascending, the indices j of the variables t_{j+1}
     it mentions.
 
-    This is the form in which `vanishing_ideal` leaves a generator; all the
-    generators of one call share its table.  The zero test reads it as a dot
+    This is the form in which `vanishing_ideal` leaves a generator: one
+    table per component, that is, the generators of one call share its
+    table, and a factor moved into more variables keeps its row over that
+    table's `MonomialTable.embedded` copy.  The zero test reads it as a dot
     product with the table's values (`vanishes_at`), and its printed text,
     with the rational coefficients c / `lead`, is built on first read and
     kept.

@@ -240,8 +240,8 @@ def variety_from_json(text: str) -> PointSetVariety:
         if key not in data:
             raise ValueError(f"missing key {key!r}")
     raw = data["lambda"]
-    if not isinstance(raw, list):
-        raise ValueError("lambda must be a list")
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("lambda must be a non-empty list")
     weights = [parse_weight(str(w)) for w in raw]
     order = sorted(range(len(weights)), key=lambda i: -weights[i])
     lam = GenComposition.from_weights([weights[i] for i in order])

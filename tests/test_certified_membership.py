@@ -11,7 +11,9 @@ without reading a factor.  These tests check:
   whose points share values, and on an ideal pruned by
   ``reduce_generators``, where a block keeps only some of its factors;
 - the blocks print the generators of the flat view, and blocks whose
-  slices hold the same points share one factor tuple, built once;
+  slices hold the same points share one factor tuple; a slice that is a
+  product over its coordinates takes its factors from its components, and
+  each distinct indecomposable component is eliminated once per ideal;
 - on ``inf,2,1,1`` over a generic pair, a member builds no slice ideal,
   and a non-member builds only those of the blocks whose set test fails,
   up to the first block that fails.
@@ -80,23 +82,63 @@ def test_non_member_builds_only_the_slices_its_set_tests_fail(built):
     assert 1 <= len(got) < len({b.keys for b in ideal.blocks if b.keys})
 
 
+def components(keys) -> set:
+    """The key sets of the factors of `keys` as a product: one set of
+    1-tuples per coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, each
+    tested on the whole set, and the projection onto the other coordinates;
+    `keys` itself when no coordinate splits off."""
+    r = len(next(iter(keys)))
+    split = [i for i in range(r)
+             if len({p[i] for p in keys}) * len({p[:i] + p[i + 1:] for p in keys}) == len(keys)]
+    if not split:
+        return {keys}
+    rest = [i for i in range(r) if i not in split]
+    out = {frozenset((p[i],) for p in keys) for i in split}
+    if rest:
+        out.add(frozenset(tuple(p[i] for i in rest) for p in keys))
+    return out
+
+
 def test_blocks_print_the_flat_view_and_share_factors(built):
     lam = P("inf,2,1")
     Z = PointSetVariety(C(lam), [(0, 1, 2), (2, 0, 1)])
     ideal = i_lambda_z(lam, Z)
     assert built == []
     gens = ideal.generators
-    # one vanishing_ideal per distinct non-empty slice, shared by its blocks
+    # one vanishing_ideal per distinct indecomposable component of the
+    # non-empty slices; a slice that splits is never eliminated whole
     slices = {b.keys for b in ideal.blocks if b.keys}
-    assert sorted(map(sorted, built)) == sorted(map(sorted, slices))
+    parts = set().union(*map(components, slices))
+    assert sorted(map(sorted, built)) == sorted(map(sorted, parts))
+    assert len(built) == len(parts) < len(slices)
     assert len(slices) < sum(1 for b in ideal.blocks if b.keys)
+    # blocks with the same slice share one factor tuple
     for a, b in itertools.combinations(ideal.blocks, 2):
         if a.keys is not None and a.keys == b.keys:
             assert a.factors is b.factors
     assert [g.provenance() for g in gens] == [
         g.provenance() for b in ideal.blocks for g in b.generators()]
     assert [str(g) for g in gens] == [str(g) for b in ideal.blocks for g in b.generators()]
-    assert ideal.generators is gens and len(built) == len(slices)
+    assert ideal.generators is gens and len(built) == len(parts)
+
+
+def test_one_point_grid_slices_eliminate_one_set(built):
+    # every slice of inf,inf,inf over one point is a grid {0,1,2}^r
+    lam = P("inf,inf,inf")
+    ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1, 2)]))
+    assert len(ideal.generators) > 3
+    assert built == [frozenset({(0,), (1,), (2,)})]
+
+
+def test_product_slices_reuse_their_components(built):
+    # the slice of 2,1,1 is {0} x slice(1,1), that of 3,1 is {0} x {0,1,2};
+    # only the slices of 1, 1,1 and 1,1,1 and the set {0} are eliminated
+    lam = P("inf,1,1")
+    ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1, 2)]))
+    ideal.generators
+    slices = {str(b.shape): b.keys for b in ideal.blocks}
+    assert sorted(built, key=len) == [
+        frozenset({(0,)}), slices["1"], slices["1,1"], slices["1,1,1"]]
 
 
 LAMBDAS4 = ["inf,1,1,1", "inf,2,1,1", "inf,3,1,1", "inf,inf,1,1", "inf,inf,2,1",

@@ -237,6 +237,14 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read variety file {path}: missing key '{key}'\n"
 
+    def test_empty_lambda_in_variety_file(self, capsys, tmp_path):
+        # once read as an ambient with no coordinates, named by an empty string
+        path = self.write(tmp_path, '{"lambda": [], "points": []}')
+        code, out, err = run(capsys, "equations", "inf", "--variety", path)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err == f"error: cannot read variety file {path}: lambda must be a non-empty list\n"
+
     @pytest.mark.parametrize("token", ["²", "٣"])
     def test_non_ascii_digit_weight(self, capsys, token):
         code, out, err = run(capsys, "preceq", token, "inf,inf")

@@ -49,6 +49,7 @@ FILES = {
     "zg.json": '{"lambda":["inf",2,1,1],"points":[[0,1,2,3],[5,-7,11,13]]}',
     "zo.json": '{"lambda": ["inf", 2, 1], "points": [[0, 4, 2], [1, 3, 2]]}',
     "ze.json": '{"lambda": ["inf", 1], "points": []}',
+    "zq4.json": '{"lambda": ["inf", "inf", "inf", 1], "points": [["1/2", 3, "-4/3", 7]]}',
 }
 
 COMMANDS = [
@@ -166,6 +167,12 @@ COMMANDS = [
     # the --reduce battery is 40 points: 39 prune more at seed 17, and 41 at seed 49
     ["equations", "inf,1", "--variety", "za.json", "--reduce", "--seed", "17"],
     ["equations", "inf,1", "--variety", "za.json", "--reduce", "--seed", "49"],
+    # one rational point: every slice is a product of its coordinates' values
+    ["equations", "inf,inf,inf,1", "--variety", "zq4.json"],
+    ["equations", "--json", "inf,inf,inf,1", "--variety", "zq4.json"],
+    ["member", "inf,inf,inf,1", "1/2^inf,-4/3^inf,3^inf,7^1", "--variety", "zq4.json",
+     "--method", "both"],
+    ["member", "inf,inf,inf,1", "1/2^inf,7^2", "--variety", "zq4.json", "--method", "both"],
 ]
 
 

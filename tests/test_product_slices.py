@@ -1,0 +1,88 @@
+"""Slice factors assembled from the components of a product.
+
+A slice that is a product over its coordinates, a core times one or more
+sets of values, takes its reduced basis from its components'
+(``equations._slice_factors``).  Direct elimination of the whole set,
+``poly.vanishing_ideal``, is the oracle: on seeded products with rational,
+negative and repeated values, single points, full grids and up to five
+coordinates, the assembled factors print the same strings in the same
+order, mention the same variables, and agree on ``vanishes_at`` at random
+rational points.  Each assembled factor is tested over the values of its
+own component's table, scaled by q^(D - |m|) with D that table's largest
+degree, so the points are drawn with denominators q > 1 and from the
+values of the set, where the factors vanish.
+"""
+
+import random
+from fractions import Fraction
+
+from symvar import equations
+from symvar.equations import _components, _slice_factors
+from symvar.poly import scaled, vanishing_ideal
+
+POOL = [0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3), Fraction(7, 5), Fraction(-2, 7)]
+
+
+def random_product(rng):
+    """A core of 0 to 3 coordinates times 1 to 3 sets of values, with the
+    coordinates shuffled, at most five in all: the set of points and the
+    number of factors it was built from."""
+    nsets = rng.randint(1, 3)
+    width = rng.randint(0, min(3, 5 - nsets))
+    factors = [[(v,) for v in rng.sample(POOL, rng.randint(1, 3))] for _ in range(nsets)]
+    if width:
+        core = {tuple(rng.choice(POOL) for _ in range(width)) for _ in range(rng.randint(1, 5))}
+        factors.append(sorted(core))
+    points = [()]
+    for factor in factors:
+        points = [p + q for p in points for q in factor]
+    order = list(range(len(points[0])))
+    rng.shuffle(order)
+    return frozenset(tuple(p[i] for i in order) for p in points), len(factors)
+
+
+def test_assembled_factors_match_direct_elimination():
+    rng = random.Random(34)
+    seen = {"splits": 0, "single point": 0, "grid": 0, "five coordinates": 0,
+            "q > 1": 0, "zero": 0, "nonzero": 0}
+    shared = {}
+    for _ in range(150):
+        keys, nfactors = random_product(rng)
+        r = len(next(iter(keys)))
+        assembled = _slice_factors(keys, shared)
+        direct = vanishing_ideal(keys)
+        assert [str(f) for f in assembled] == [str(f) for f in direct], sorted(keys)
+        assert [f.used for f in assembled] == [f.used for f in direct]
+        seen["splits"] += len(_components(keys)) > 1
+        seen["single point"] += len(keys) == 1
+        seen["grid"] += nfactors == r
+        seen["five coordinates"] += r == 5
+        values = sorted({c for p in keys for c in p})
+        for _ in range(6):
+            if rng.random() < 0.5:
+                # a point of the set with one coordinate moved, or not
+                point = list(rng.choice(sorted(keys)))
+                point[rng.randrange(r)] = rng.choice(values)
+            else:
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(r)]
+            q, xs = scaled(point)
+            for f, g in zip(assembled, direct):
+                want = g.vanishes_at(g.table.values(xs, q))
+                assert f.vanishes_at(f.table.values(xs, q)) == want, (str(f), point)
+                seen["zero" if want else "nonzero"] += 1
+                seen["q > 1"] += q > 1
+    assert all(seen.values()), seen
+
+
+def test_components_are_eliminated_once_per_shared_dict(monkeypatch):
+    # {a, b} x {c} and {c} x {a, b} share the elimination of each component
+    calls = []
+    monkeypatch.setattr(equations, "vanishing_ideal",
+                        lambda points: calls.append(points) or vanishing_ideal(points))
+    shared = {}
+    first = _slice_factors(frozenset({(1, 3), (2, 3)}), shared)
+    second = _slice_factors(frozenset({(3, 1), (3, 2)}), shared)
+    assert sorted(calls, key=len) == [frozenset({(3,)}), frozenset({(1,), (2,)})]
+    assert [str(f) for f in first] == ["t2 - 3", "t1^2 - 3*t1 + 2"]
+    assert [str(f) for f in second] == ["t1 - 3", "t2^2 - 3*t2 + 2"]
+    assert _slice_factors(frozenset({(1, 3), (2, 3)}), shared) is first
