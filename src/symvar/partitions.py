@@ -4,12 +4,13 @@ A generalized partition is a non-increasing tuple of positive weights, each a
 natural number or infinity.  A generalized composition is a finite label set
 with a positive weight attached to every label.  The combining order
 ``preceq`` (combine, then decrease or remove parts) is provided together
-with the filling criterion equivalent to it, minimal excluded antichains,
-and the saturation operator used by the equation synthesis.  ``preceq`` and
-``min_excluded`` decide a finite tail against the finite part of lam through
-one search on plain tuples, ``_tail_below``; each call keeps its own memo of
-failed states.  ``weight_maps`` is the one search for weight-respecting
-maps, End(lam) and the slices' Hom(mu, lam_p) alike.
+with the filling criterion equivalent to it (which ``selfcheck`` and the
+benchmark's ``orders`` check test it against), minimal excluded
+antichains, and the saturation operator used by the equation synthesis.
+``preceq`` and ``min_excluded`` decide a finite tail against the finite
+part of lam through one search on plain tuples, ``_tail_below``; each call
+keeps its own memo of failed states.  ``weight_maps`` is the one search
+for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable: each value class of the package derives from
 ``_Frozen``, which refuses assigning and deleting attributes.  Every

@@ -1,24 +1,17 @@
-"""Exact sparse multivariate polynomials over Q.
+"""Vanishing ideals of finite point sets over Q, by exact elimination.
 
-Two variable families are supported: x1, x2, ... (the ambient coordinates,
-acted on by finite permutations) and t1, t2, ... (slice coordinates used by
-vanishing ideals).  Coefficients are exact rationals, ints or Fractions;
-there is no floating point anywhere.  Monomials are ordered
-graded-lexicographically with x1 > x2 > ... > t1 > t2 > ...
-
-The module also provides discriminants, the coset skew-symmetrization
-identity, constructive discriminant extraction with replayable witnesses,
-and vanishing ideals of finite point sets.  Those are computed by
-Buchberger-Moeller elimination degree by degree, run over the integers after
-the points are scaled to integer coordinates, on rows of constant width.  A
-generator is the integer row elimination leaves, a `SliceFactor`: its
-coefficients over one common lead, which is exactly the generator of
-elimination over Q, written over a `MonomialTable` that all the generators
-of one elimination share.  A table can be moved into more variables
-(`MonomialTable.embedded`), so that the factors of a product's components
-keep their rows in the product's variables.  A factor is tested as a dot
-product with its table's monomial values and printed from its row; no
-`Poly` is built for it.
+`vanishing_ideal` runs Buchberger-Moeller elimination degree by degree, over
+the integers after the points are scaled to integer coordinates, on rows of
+constant width; there is no floating point anywhere.  A generator is the
+integer row elimination leaves, a `SliceFactor`: its coefficients over one
+common lead, which is exactly the generator of elimination over Q, written
+over a `MonomialTable` that all the generators of one elimination share.
+Monomials in the slice coordinates t1, t2, ... are ordered
+graded-lexicographically with t1 > t2 > ....  A table can be moved into
+more variables (`MonomialTable.embedded`), so that the factors of a
+product's components keep their rows in the product's variables.  A factor
+is tested as a dot product with its table's monomial values and printed
+from its row by `_format_terms`.
 """
 
 import math
@@ -28,32 +21,6 @@ from functools import reduce
 from itertools import compress
 
 from .partitions import _Frozen
-
-X_FAMILY = 0
-T_FAMILY = 1
-
-
-def _default_name(v):
-    return f"{'x' if v[0] == X_FAMILY else 't'}{v[1]}"
-
-
-def xvar(i):
-    return (X_FAMILY, i)
-
-
-def tvar(i):
-    return (T_FAMILY, i)
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 def _mono_degree(m):
@@ -85,308 +52,6 @@ def _format_terms(items, name):
         return "0"
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
-
-
-class Poly(_Frozen):
-    """Immutable sparse polynomial: mapping from monomials to nonzero rationals.
-
-    A monomial is a sorted tuple of ((family, index), exponent) pairs.  A
-    coefficient is an int or a Fraction, which compare, hash and print alike
-    when equal; any other number is stored as the Fraction it equals exactly.
-    Arithmetic on ints keeps ints.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if type(c) not in (int, Fraction):
-                    c = Fraction(c)
-                if c:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def x(cls, i):
-        return cls({((xvar(i), 1),): 1})
-
-    @classmethod
-    def t(cls, i):
-        return cls({((tvar(i), 1),): 1})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def is_constant(self):
-        return all(m == () for m in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((), 0)
-
-    def total_degree(self):
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
-    def degree_in(self, v):
-        best = 0
-        for m in self.terms:
-            for var, e in m:
-                if var == v:
-                    best = max(best, e)
-        return best
-
-    def coefficient_of(self, v, k):
-        """Coefficient polynomial of v**k."""
-        out = {}
-        for m, c in self.terms.items():
-            e = dict(m).get(v, 0)
-            if e == k:
-                rest = tuple(p for p in m if p[0] != v)
-                out[rest] = out.get(rest, 0) + c
-        return Poly(out)
-
-    def variables(self):
-        return {v for m in self.terms for v, _ in m}
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: other * v for m, v in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def evaluate(self, assignment):
-        """Evaluate with every used variable present in `assignment`."""
-        total = 0
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                val *= assignment[v] ** e
-            total += val
-        return total
-
-    def subs_vars(self, mapping) -> "Poly":
-        """Relabel variables; mapping from variable to variable."""
-        out = {}
-        for m, c in self.terms.items():
-            exps = {}
-            for v, e in m:
-                w = mapping.get(v, v)
-                exps[w] = exps.get(w, 0) + e
-            m2 = tuple(sorted(exps.items()))
-            out[m2] = out.get(m2, 0) + c
-        return Poly(out)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        return _format_terms(self.terms.items(), _default_name)
-
-    def __repr__(self):
-        return f"Poly({self})"
-
-
-def difference(a: int, b: int) -> Poly:
-    """x_a - x_b."""
-    return Poly.x(a) - Poly.x(b)
-
-
-def discriminant_on(indices) -> Poly:
-    """Product of (x_j - x_i) over pairs i before j in the index sequence."""
-    indices = list(indices)
-    out = Poly.constant(1)
-    for p in range(len(indices)):
-        for q in range(p + 1, len(indices)):
-            out = out * difference(indices[q], indices[p])
-    return out
-
-
-def discriminant(n: int) -> Poly:
-    """The n-th discriminant: product of (x_j - x_i) for 1 <= i < j <= n."""
-    if n < 1:
-        raise ValueError("discriminant requires n >= 1")
-    return discriminant_on(range(1, n + 1))
-
-
-def apply_perm(sigma: dict, p: Poly) -> Poly:
-    """Relabel the x-variables of p by a finite-support permutation."""
-    support = set(sigma) | set(sigma.values())
-    if sorted(sigma.get(i, i) for i in support) != sorted(support):
-        raise ValueError("sigma is not a permutation")
-    return p.subs_vars({xvar(i): xvar(sigma.get(i, i)) for i in support})
-
-
-def perm_sign(sigma: dict) -> int:
-    """Sign of a finite-support permutation: the parity of the inverted
-    pairs among its images, read in increasing order of the support."""
-    support = sorted(set(sigma) | set(sigma.values()))
-    images = [sigma.get(s, s) for s in support]
-    inversions = sum(a > b for i, a in enumerate(images) for b in images[i + 1:])
-    return -1 if inversions % 2 else 1
-
-
-def skew_sum(n: int, k: int) -> Poly:
-    """Signed coset sum of x_n^k * discriminant(n-1) over representatives of
-    the cosets of the stabilizer of n.  Equals discriminant(n) when k = n-1
-    and 0 when k < n-1; computed by the explicit sum, not by the identity."""
-    if n < 2 or not 0 <= k <= n - 1:
-        raise ValueError("skew_sum requires n >= 2 and 0 <= k <= n-1")
-    base = Poly.x(n) ** k * discriminant(n - 1)
-    total = base  # identity representative
-    for i in range(1, n):
-        total = total - apply_perm({i: n, n: i}, base)
-    return total
-
-
-class ExtractionWitness(_Frozen):
-    """Replayable certificate that the orbit ideal of a polynomial contains
-    c times a discriminant.
-
-    Each step is (multiplier, op) with op a tuple of (coefficient, finite
-    permutation) pairs; replaying a step sends p to the sum of
-    coeff * sigma(multiplier * p).  After all steps the result must equal
-    c * discriminant(n) exactly.
-    """
-
-    __slots__ = ("steps", "c", "n")
-
-    def __init__(self, steps, c, n):
-        object.__setattr__(self, "steps", tuple((m, tuple(op)) for m, op in steps))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "n", int(n))
-
-    def __repr__(self):
-        return f"ExtractionWitness(steps={len(self.steps)}, c={self.c}, n={self.n})"
-
-
-def replay_witness(f: Poly, witness: ExtractionWitness) -> Poly:
-    p = f
-    for mult, op in witness.steps:
-        q = mult * p
-        acc = Poly.zero()
-        for coeff, sigma in op:
-            acc = acc + apply_perm(dict(sigma), q) * coeff
-        p = acc
-    return p
-
-
-def verify_witness(f: Poly, witness: ExtractionWitness) -> bool:
-    """Replay the witness on f and compare exactly with c * discriminant(n)."""
-    return replay_witness(f, witness) == discriminant(witness.n) * witness.c
-
-
-def _fresh_indices(used, count):
-    out, i = [], 1
-    while len(out) < count:
-        if i not in used:
-            out.append(i)
-            used.add(i)
-        i += 1
-    return out
-
-
-def extract_discriminant(f: Poly) -> ExtractionWitness:
-    """Build a witness that the orbit ideal of f contains c * discriminant(n).
-
-    Follows the inductive construction: write f in its highest-used variable,
-    skew-symmetrize against fresh indices to isolate the leading coefficient
-    times a discriminant block, recurse on the leading coefficient, then
-    multiply by the separating product joining the two index blocks.
-    """
-    if f.is_zero:
-        raise ValueError("cannot extract a discriminant from the zero polynomial")
-    if any(fam != X_FAMILY for fam, _ in f.variables()):
-        raise ValueError("extraction requires a polynomial in the x-variables only")
-    used = {i for _, i in f.variables()}
-
-    def go(p):
-        # returns (c, index sequence S, steps); replaying steps on p gives
-        # c * product of (x_b - x_a) over a before b in S
-        if p.is_constant:
-            return p.constant_value(), (), []
-        r = max(i for _, i in p.variables())
-        d = p.degree_in(xvar(r))
-        g_top = p.coefficient_of(xvar(r), d)
-        fresh = _fresh_indices(used, d)
-        op = [(1, ())]
-        op += [(-1, ((i, r), (r, i))) for i in fresh]
-        skew_step = (discriminant_on(fresh), tuple(op))
-        c, seq, sub_steps = go(g_top)
-        block = tuple(fresh) + (r,)
-        cross = Poly.constant(1)
-        for a in seq:
-            for b in block:
-                cross = cross * difference(b, a)
-        steps = [skew_step] + sub_steps
-        if not cross.is_constant:
-            steps.append((cross, ((1, ()),)))
-        return c, seq + block, steps
-
-    c, seq, steps = go(f)
-    if not seq:
-        return ExtractionWitness(steps, c, 1)
-    n = len(seq)
-    union = sorted(set(seq) | set(range(1, n + 1)))
-    table = {s: i + 1 for i, s in enumerate(seq)}
-    leftovers_src = [u for u in union if u not in table]
-    leftovers_dst = [u for u in union if u not in set(table.values())]
-    table.update(dict(zip(leftovers_src, leftovers_dst)))
-    final_perm = tuple(sorted((a, b) for a, b in table.items() if a != b))
-    steps.append((Poly.constant(1), ((1, final_perm),)))
-    return ExtractionWitness(steps, c, n)
 
 
 class MonomialTable(_Frozen):

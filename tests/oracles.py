@@ -21,7 +21,7 @@ vector over all its variables, the key the printer's sparse sort
 replaced.  ``good_filling_by_cells`` fills a tableau cell by cell with
 add-and-undo bookkeeping, the search that the row-multiset enumeration of
 ``partitions.good_filling_exists`` replaced, and ``perm_sign_by_cycles``
-counts the even cycles that the inversion count of ``poly.perm_sign``
+counts the even cycles that the inversion count of ``selfcheck.perm_sign``
 replaced.  ``orbits_vanish_by_masks`` finds a point's row fits
 (``supports_by_masks``) in a table of all 2^n class masks, the search
 that the cover groups of ``equations._orbits_vanish`` replaced, and
@@ -52,7 +52,8 @@ from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.partitions import _minimal_cover_groups as _cover_groups
-from symvar.poly import T_FAMILY, X_FAMILY, Poly, SliceFactor, difference, scaled, tvar, xvar
+from symvar.poly import SliceFactor, scaled
+from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
 

@@ -23,22 +23,20 @@ from symvar.partitions import (
     good_filling_exists,
     preceq,
 )
-from symvar.poly import (
+from symvar.poly import vanishing_ideal
+from symvar.selfcheck import (
     Poly,
     difference,
     discriminant,
     extract_discriminant,
-    skew_sum,
-    vanishing_ideal,
-    verify_witness,
-)
-from symvar.selfcheck import (
     random_composition,
     random_exact_domain_partition,
     random_inf_partition,
     random_map_onto,
     random_poly,
     random_variety,
+    skew_sum,
+    verify_witness,
 )
 from symvar.variety import (
     FinitaryPoint,

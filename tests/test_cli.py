@@ -297,8 +297,10 @@ class TestErrorPath:
         ("selfcheck.run_all", ["selfcheck"]),
     ])
     def test_value_error_exits_two(self, monkeypatch, capsys, variety_file, target, argv):
-        owner, _, name = target.rpartition(".")
-        monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, self.boom)
+        if "." in target:
+            monkeypatch.setattr(f"symvar.{target}", self.boom)
+        else:
+            monkeypatch.setattr(cli, target, self.boom)
         argv = [variety_file if a == "Z" else a for a in argv]
         assert run(capsys, *argv) == (2, "", "error: boom\n")
 
@@ -334,12 +336,12 @@ class TestErrorPath:
 
 
 class TestLazyModules:
-    """``symvar.cli`` registers ``equations``, ``poly``, ``corr`` and
-    ``selfcheck`` without running them.  The probes read
-    ``type(sys.modules[name])``: any attribute access, ``isinstance``
-    included, would run the module."""
+    """``symvar.cli`` registers ``equations``, ``poly`` and ``corr`` without
+    running them, and imports ``selfcheck`` only in the subcommand that runs
+    it.  The probes read ``type(sys.modules[name])``: any attribute access,
+    ``isinstance`` included, would run the module."""
 
-    LAZY = ["symvar.corr", "symvar.equations", "symvar.poly", "symvar.selfcheck"]
+    LAZY = ["symvar.corr", "symvar.equations", "symvar.poly"]
 
     @staticmethod
     def probe(code, *args):
@@ -349,30 +351,35 @@ class TestLazyModules:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    @pytest.mark.parametrize("commands, ran", [
+    @pytest.mark.parametrize("commands, ran, battery", [
         ([["type", "0^inf,1^3"], ["preceq", "4,4,4", "inf,inf,2,1"],
           ["min-excluded", "inf,2,1"], ["contains", "inf,inf", "Z", "inf,inf", "Z"],
           ["gamma", "inf,inf", "Z", "1,1"],
           ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z", "--method", "direct"],
           ["member", "inf,1", "0^inf,1^1"], ["type", "1/0^inf"]],
-         []),
+         [], False),
         ([["equations", "inf,inf", "--variety", "Z"],
           ["member", "inf,inf", "0^inf,1^inf", "--variety", "Z", "--method", "both"]],
-         ["symvar.equations", "symvar.poly"]),
+         ["symvar.equations", "symvar.poly"], False),
         ([["equations", "inf,inf", "--variety", "Z", "--reduce"]],
-         ["symvar.equations", "symvar.poly"]),
-    ], ids=["partitions-and-variety", "equations", "equations-reduce"])
-    def test_a_command_runs_only_what_it_reaches(self, variety_file, commands, ran):
+         ["symvar.equations", "symvar.poly"], False),
+        ([["selfcheck", "--seed", "7"]],
+         ["symvar.corr", "symvar.equations", "symvar.poly"], True),
+    ], ids=["partitions-and-variety", "equations", "equations-reduce", "selfcheck"])
+    def test_a_command_runs_only_what_it_reaches(self, variety_file, commands, ran, battery):
+        # selfcheck is not registered: it is in sys.modules once run, and
+        # not before
         code = f"""
 import contextlib, io, json, sys, types
 import symvar.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         symvar.cli.main(argv)
-print([n for n in {self.LAZY!r} if type(sys.modules[n]) is types.ModuleType])
+print([n for n in {self.LAZY!r} if type(sys.modules[n]) is types.ModuleType],
+      "symvar.selfcheck" in sys.modules)
 """
         commands = [[variety_file if a == "Z" else a for a in argv] for argv in commands]
-        assert self.probe(code, json.dumps(commands)) == f"{ran}\n"
+        assert self.probe(code, json.dumps(commands)) == f"{ran} {battery}\n"
 
     def test_an_imported_module_is_reused(self):
         code = """

@@ -1,13 +1,17 @@
 """Generator synthesis for the defining ideals and equation-based membership."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from symvar import cli, poly
+import symvar
+from symvar import cli
 from symvar.equations import (
     IdealGenerator,
     _orbits_vanish,
@@ -25,8 +29,10 @@ from symvar.partitions import (
     mu_s,
     preceq,
 )
-from symvar.poly import MonomialTable, Poly, SliceFactor, difference
+from symvar.poly import MonomialTable, SliceFactor
 from symvar.selfcheck import (
+    Poly,
+    difference,
     random_exact_domain_partition,
     random_inf_partition,
     random_variety,
@@ -264,19 +270,28 @@ class TestLazyProduct:
 
 
 class TestRationalFormOnlyToPrint:
+    # the membership and printing of one ideal, as a child process runs them
+    PROBE = """
+import contextlib, io, sys
+from symvar import cli
+from symvar.equations import i_lambda_z, member_by_equations
+from symvar.partitions import GenComposition, GenPartition
+from symvar.variety import FinitaryPoint, PointSetVariety
+lam = GenPartition.parse("inf,2,1")
+ideal = i_lambda_z(lam, PointSetVariety(GenComposition.from_partition(lam),
+                                        [(0, 1, 2), (5, -7, 11)]))
+member_by_equations(ideal, FinitaryPoint.parse("5^inf,-7^2,11^1"))
+ideal.render()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["equations", "--json", "inf,2,1", "--variety", sys.argv[1]]) == 0
+print("symvar.selfcheck" in sys.modules)
+"""
+
     def test_membership_and_printing_build_no_poly(self, monkeypatch, tmp_path, capsys):
-        # a slice factor is tested on its integer row and printed from it
-        built, evaluated = [], []
-
-        class CountingPoly(Poly):
-            __slots__ = ()
-
-            def __init__(self, terms=None):
-                super().__init__(terms)
-                built.append(self)
-
+        # a slice factor is tested on its integer row and printed from it;
+        # Poly lives in selfcheck, which none of this imports
+        evaluated = []
         values = MonomialTable.values
-        monkeypatch.setattr(poly, "Poly", CountingPoly)
         monkeypatch.setattr(MonomialTable, "values",
                             lambda table, xs, q: evaluated.append(table) or values(table, xs, q))
         lam = P("inf,2,1")
@@ -295,7 +310,10 @@ class TestRationalFormOnlyToPrint:
                         encoding="utf-8")
         assert cli.main(["equations", "--json", "inf,2,1", "--variety", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["generators"] == lines
-        assert built == []
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
+        done = subprocess.run([sys.executable, "-c", self.PROBE, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     def test_terms_are_built_only_to_print(self, monkeypatch):
         # membership reads a factor's row as a dot product; only printing

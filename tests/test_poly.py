@@ -8,22 +8,21 @@ import pytest
 
 from symvar.equations import IdealGenerator
 from symvar.partitions import INF, GenPartition
-from symvar.poly import (
+from symvar.poly import _format_terms, vanishing_ideal
+from symvar.selfcheck import (
     ExtractionWitness,
     Poly,
-    _format_terms,
     apply_perm,
     discriminant,
     extract_discriminant,
     perm_sign,
+    random_poly,
     replay_witness,
     skew_sum,
     tvar,
-    vanishing_ideal,
     verify_witness,
     xvar,
 )
-from symvar.selfcheck import random_poly
 
 from oracles import (
     eager_product,

@@ -33,7 +33,8 @@ import pytest
 
 from symvar.equations import _orbits_vanish, i_lambda_z, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import scaled, tvar, vanishing_ideal
+from symvar.poly import scaled, vanishing_ideal
+from symvar.selfcheck import tvar
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
 from oracles import (

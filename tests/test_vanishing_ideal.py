@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.poly import Poly, T_FAMILY, _border, vanishing_ideal
+from symvar.poly import _border, vanishing_ideal
+from symvar.selfcheck import Poly, T_FAMILY
 
 from oracles import divides, factor_poly, monomials_of_degree
 

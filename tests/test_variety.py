@@ -8,7 +8,7 @@ import pytest
 
 from symvar.corr import CompMap, Correspondence, apply_corr
 from symvar.partitions import INF, GenComposition, GenPartition, preceq
-from symvar.poly import discriminant
+from symvar.selfcheck import discriminant
 from symvar.variety import (
     DistinctnessError,
     FinitaryPoint,
