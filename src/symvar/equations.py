@@ -423,18 +423,27 @@ def _orbits_vanish(blocks, classes):
             return False
         if (rows, f.used) not in projections:
             projections[rows, f.used] = {tuple(a[r] for r in f.used) for a in found}
-        return all(any(vanishes(f, combo) for combo in itertools.product(*p))
-                   for p in projections[rows, f.used])
+        for p in projections[rows, f.used]:
+            for combo in itertools.product(*p):
+                if vanishes(f, combo):
+                    break
+            else:
+                return False
+        return True
+
+    def set_test(found, slice_keys):
+        for a in found:
+            for combo in itertools.product(*a):
+                if tuple(map(keys.__getitem__, combo)) in slice_keys:
+                    break
+            else:
+                return False
+        return True
 
     for block in blocks:
         rows, slice_keys = block.rows, block.keys
         found = _supports(mults, rows)
-        if not found:
-            yield True
-        elif slice_keys is not None and all(
-                any(tuple(map(keys.__getitem__, combo)) in slice_keys
-                    for combo in itertools.product(*a))
-                for a in found):
+        if not found or slice_keys is not None and set_test(found, slice_keys):
             yield True
         else:
             yield all(factor_vanishes(f, rows, found) for f in block.factors)

@@ -8,14 +8,15 @@ closure; the point action of correspondences lives with them, in
 ``corr.apply_corr``.  The slices of the closure system need neither: each
 is read off the points of Z collapsed along their values (see
 ``gamma_at``), with the maps of ``partitions.weight_maps``, which the
-closure also takes.  Membership and containment build no slice:
-they follow the paper's point-set description (see ``theta_member``).
-Values are ints or Fractions, keyed once, at construction (see ``_key``):
-a finitary point holds only its keyed classes, and a point set holds, per
-point, the room of each of its values.  A query is one lookup per class
-per point, and a slice search reads the rooms, hashing ints where the
-values are integral.  The constructor builds the room tables; a slice
-that ``gamma_at`` returns builds them only when they are first read.
+closure also takes.  Membership and containment build no slice: they follow
+the paper's point-set description (see ``theta_member``).  Values are ints
+or Fractions, keyed once, at construction (see ``_key``): a finitary point
+holds only its keyed classes, and a point set holds, per point, the room of
+each of its values.  A query makes at most one lookup per class per point:
+it leaves a point at the first class the point fails, and stops at the
+first point that passes.  A slice search reads the rooms, hashing ints
+where the values are integral.  The constructor builds the room tables; a
+slice that ``gamma_at`` returns builds them only when they are first read.
 """
 
 import json
@@ -334,6 +335,19 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
         mu, keys, tuple([tuple(map(value.__getitem__, ks)) for ks in keys]))
 
 
+def _covered(tables, needs) -> bool:
+    """Does some room table give each (key, need) pair of `needs` a room of
+    at least its need (a key it lacks has room 0)?  A table is left at its
+    first failing pair; the search stops at the first table that passes."""
+    for t in tables:
+        for k, need in needs:
+            if t.get(k, 0) < need:
+                break
+        else:
+            return True
+    return False
+
+
 def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> bool:
     """Does the finitary point x lie in the stable closed set classified by
     (lam, Z)?
@@ -349,7 +363,7 @@ def theta_member(lam: GenComposition, Z: PointSetVariety, x: FinitaryPoint) -> b
     """
     Z.require_distinct()
     _check_slice(lam, Z, x.width)
-    return any(all(t.get(k, 0) >= m for k, m in x.classes) for t in Z.tables)
+    return _covered(Z.tables, x.classes)
 
 
 def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
@@ -366,5 +380,7 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
     if Z1.lam != mu or Z2.lam != lam:
         raise ValueError("point sets must live over the stated compositions")
     _check_slice(lam, Z2, mu.length)
-    return all(any(all(t2.get(k, 0) >= w for k, w in t1.items()) for t2 in Z2.tables)
-               for t1 in Z1.tables)
+    for t1 in Z1.tables:
+        if not _covered(Z2.tables, t1.items()):
+            return False
+    return True

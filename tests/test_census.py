@@ -20,7 +20,8 @@ out, not drawn, so it cannot move between Python versions.
 
 Over the same pairs, ``contains(mu, Z1, lam, Z2)`` is slice inclusion:
 every point of Z1 lies in ``gamma_at(lam, Z2, mu)``, on all 90,000 queries
-(19,965 of them true).
+(19,965 of them true).  It is also ``theta_member`` at each point of Z1,
+and each slice is the set of tuples that ``theta_member`` admits.
 """
 
 import itertools
@@ -91,17 +92,49 @@ def test_census():
 
 
 def test_contains_is_slice_inclusion():
+    """Slice inclusion, and the point-set rule read point by point, with
+    no oracle between them and the slice search.  Here x_p is the finitary
+    point of a tuple p over mu: each value gets the sum of the mu weights
+    at its positions.  ``contains`` equals ``theta_member`` at x_p for
+    every p in Z1, on each of the 90,000 queries; and each slice of Z2
+    over mu is the set of tuples p whose x_p passes ``theta_member``,
+    over the values of Z2 plus one value outside them (195,009 candidate
+    tuples).  Every lambda is taken: no sampling."""
     comps = [GenComposition.from_partition(lam) for lam in lambdas()]
     sets = [(comp, PointSetVariety(comp, pts)) for comp in comps
             for pts in point_sets(comp.length)]
-    unlike, held = [], 0
+    points = {mu: {} for mu in comps}  # mu -> {key tuple p: x_p}
+
+    def x_of(mu, p):
+        x = points[mu].get(p)
+        if x is None:
+            mults = {}
+            for v, w in zip(p, map(mu.weight, mu.labels)):
+                mults[v] = mults.get(v, 0) + w
+            x = points[mu][p] = FinitaryPoint(mults.items())
+        return x
+
+    unlike, unlike_rule, unlike_gamma, held, candidates = [], [], [], 0, 0
     for lam, Z2 in sets:
-        # one slice per (lam, Z2, mu)
-        slices = {mu: set(gamma_at(lam, Z2, mu).points) for mu in comps}
+        # one slice per (lam, Z2, mu); the values are integral, so their
+        # keys are the ints themselves
+        slices = {mu: gamma_at(lam, Z2, mu) for mu in comps}
+        values = set(itertools.chain.from_iterable(Z2.keys))
+        values.add(max(values) + 1)
+        for mu, slice_ in slices.items():
+            tuples = list(itertools.product(values, repeat=mu.length))
+            candidates += len(tuples)
+            if set(slice_.keys) != {p for p in tuples if theta_member(lam, Z2, x_of(mu, p))}:
+                unlike_gamma.append((str(lam), Z2.points, str(mu)))
+            slices[mu] = set(slice_.points)
         for mu, Z1 in sets:
             got = contains(mu, Z1, lam, Z2)
             held += got
             if got != all(p in slices[mu] for p in Z1.points):
                 unlike.append((str(mu), Z1.points, str(lam), Z2.points))
-    assert len(sets) == 300 and held == 19_965
+            if got != all(theta_member(lam, Z2, x_of(mu, p)) for p in Z1.keys):
+                unlike_rule.append((str(mu), Z1.points, str(lam), Z2.points))
+    assert len(sets) == 300 and held == 19_965 and candidates == 195_009
     assert unlike == []
+    assert unlike_rule == []
+    assert unlike_gamma == []
