@@ -50,9 +50,9 @@ the same order, and every printed byte is unchanged.  `_components` peels
 off each coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, with O(r) set
 builds; when r <= 3 one side of any split is a single coordinate, so this
 finds every split.  A component is eliminated once per call, held in the
-call's `shared` dict by its projected key set, and moved into a slice's
-variables once per placement (`poly.MonomialTable.embedded`); only an
-indecomposable set is eliminated.
+call's `shared` dict by its projected key set, and each product slice moves
+its components' bases into its own variables (`poly.MonomialTable.embedded`);
+only an indecomposable set is eliminated.
 
 Membership first tries each block's slice points (the set test): if
 every assignment of the point's classes to the shape's rows has a choice
@@ -214,10 +214,10 @@ def _slice_factors(keys, shared) -> tuple:
     """The reduced basis of the points `keys`, held in `shared` by key set.
 
     A set that splits (`_components`) takes its components' bases, each
-    eliminated once per `shared` and moved into the set's variables once
-    per placement, and merges them by ascending (degree, exponent tuple) of
-    their leads, the order in which `vanishing_ideal` emits them; only an
-    indecomposable set is eliminated."""
+    eliminated once per `shared`, moves them into its own variables and
+    merges them by ascending (degree, exponent tuple) of their leads, the
+    order in which `vanishing_ideal` emits them; only an indecomposable set
+    is eliminated."""
     held = shared.get(keys)
     if held is None:
         parts = _components(keys)
@@ -226,14 +226,10 @@ def _slice_factors(keys, shared) -> tuple:
         else:
             nvars, placed = len(next(iter(keys))), []
             for coords, part in parts:
-                at = (part, coords, nvars)
-                if at not in shared:
-                    factors = _slice_factors(part, shared)
-                    table = factors[0].table.embedded(coords, nvars)
-                    shared[at] = [SliceFactor(f.coeffs, f.lead, f.index, table,
-                                              tuple(coords[j] for j in f.used))
-                                  for f in factors]
-                placed += shared[at]
+                factors = _slice_factors(part, shared)
+                table = factors[0].table.embedded(coords, nvars)
+                placed += [SliceFactor(f.coeffs, f.lead, f.index, table,
+                                       tuple(coords[j] for j in f.used)) for f in factors]
             held = tuple(sorted(placed, key=lambda f: (
                 f.total_degree(), f.table.monomials[f.index])))
         shared[keys] = held
@@ -418,23 +414,17 @@ def _orbits_vanish(blocks, classes):
             vals = vectors[key] = f.table.values(xs, q)
         return f.vanishes_at(vals)
 
-    def factor_vanishes(f, rows, found):
-        if f is None:  # the bare tableau polynomial, nonzero on a support
-            return False
-        if (rows, f.used) not in projections:
-            projections[rows, f.used] = {tuple(a[r] for r in f.used) for a in found}
-        for p in projections[rows, f.used]:
-            for combo in itertools.product(*p):
-                if vanishes(f, combo):
-                    break
-            else:
-                return False
-        return True
+    def projected(rows, used, found):
+        if (rows, used) not in projections:
+            projections[rows, used] = {tuple(a[r] for r in used) for a in found}
+        return projections[rows, used]
 
-    def set_test(found, slice_keys):
-        for a in found:
-            for combo in itertools.product(*a):
-                if tuple(map(keys.__getitem__, combo)) in slice_keys:
+    def every_has(groups, hit):
+        # does each tuple of class groups have a choice of one class per
+        # group that `hit` accepts?  Left at the first tuple that has none.
+        for g in groups:
+            for combo in itertools.product(*g):
+                if hit(combo):
                     break
             else:
                 return False
@@ -443,10 +433,14 @@ def _orbits_vanish(blocks, classes):
     for block in blocks:
         rows, slice_keys = block.rows, block.keys
         found = _supports(mults, rows)
-        if not found or slice_keys is not None and set_test(found, slice_keys):
+        if not found or slice_keys is not None and every_has(
+                found, lambda combo: tuple(map(keys.__getitem__, combo)) in slice_keys):
             yield True
         else:
-            yield all(factor_vanishes(f, rows, found) for f in block.factors)
+            # the bare tableau polynomial (f None) is nonzero on a support
+            yield all(f is not None and every_has(projected(rows, f.used, found),
+                                                  functools.partial(vanishes, f))
+                      for f in block.factors)
 
 
 def member_by_equations(ideal: TypeIdeal, x: FinitaryPoint) -> bool:

@@ -237,9 +237,13 @@ def _tail_below(tail, fin) -> bool:
     than fin is not; a tail with each part at most fin's part in the same
     place is.  Only the rest is decided by backtracking over
     ``_minimal_cover_groups``, tail part by tail part.  A state is the next
-    tail part and the mask of fin's unused parts.  A true state ends the
-    search, so only the failed states are remembered, in a set that lives
-    for this call.
+    tail part and the mask of fin's unused parts.  Equal parts are
+    interchangeable, so of the groups that differ only in which equal parts
+    they take, only the one taking the first unused ones is tried (``fin``
+    is sorted, so equal parts are adjacent); the unused parts of each run of
+    equal parts are then always its last ones, and each mask stands for the
+    values it leaves unused.  A true state ends the search, so only the
+    failed states are remembered, in a set that lives for this call.
     """
     if len(tail) > len(fin):
         return False
@@ -251,6 +255,8 @@ def _tail_below(tail, fin) -> bool:
         return True
     n = len(tail)
     failed = set()
+    # bit i is set when fin[i] equals fin[i - 1]
+    repeats = sum(1 << i for i in range(1, len(fin)) if fin[i] == fin[i - 1])
 
     def solve(j, mask):
         if j == n:
@@ -258,7 +264,8 @@ def _tail_below(tail, fin) -> bool:
         if (j, mask) in failed:
             return False
         for g in _minimal_cover_groups(tail[j], fin, mask):
-            if solve(j + 1, mask & ~g):
+            # skip g if it takes a part while the equal part before it stays unused
+            if (g & repeats) >> 1 & mask & ~g == 0 and solve(j + 1, mask & ~g):
                 return True
         failed.add((j, mask))
         return False

@@ -61,8 +61,8 @@ class MonomialTable(_Frozen):
     `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
     earlier one times one variable: ``steps[i - 1]`` is (parent index,
     j) for entry i = entry parent * t_{j+1}.  There is one table per
-    elimination, and one per placement of it in more variables
-    (`embedded`).
+    elimination, and one per product slice that moves it into more
+    variables (`embedded`).
     """
 
     __slots__ = ("monomials", "steps", "nvars")

@@ -158,8 +158,6 @@ class Poly(_Frozen):
             out[m] = out.get(m, 0) + c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
@@ -190,16 +188,6 @@ class Poly(_Frozen):
         for _ in range(n):
             out = out * self
         return out
-
-    def evaluate(self, assignment):
-        """Evaluate with every used variable present in `assignment`."""
-        total = 0
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                val *= assignment[v] ** e
-            total += val
-        return total
 
     def subs_vars(self, mapping) -> "Poly":
         """Relabel variables; mapping from variable to variable."""

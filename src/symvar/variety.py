@@ -136,8 +136,8 @@ class PointSetVariety(_Frozen):
     the rooms and maps its result back to Z's own values.
 
     The constructor fills all five slots, so membership and containment
-    read plain slots.  A set made by ``_from_keys`` (what ``gamma_at``
-    returns) builds ``tables`` and ``distinct`` on their first read.
+    read plain slots.  A ``_Slice`` (what ``gamma_at`` returns) builds
+    ``tables`` and ``distinct`` on their first read.
     """
 
     __slots__ = ("lam", "points", "keys", "tables", "distinct")
@@ -156,36 +156,22 @@ class PointSetVariety(_Frozen):
         object.__setattr__(self, "keys", keys)
         self._fill()
 
-    @staticmethod
-    def _from_keys(lam: GenComposition, keys: tuple, points: tuple) -> "PointSetVariety":
-        """The set whose sorted key tuples are ``keys`` and whose points are
-        ``points``, in the same order.  It builds ``tables`` and
-        ``distinct`` on their first read: ``gamma_at`` returns it, and its
-        readers mostly read only the points."""
-        Z = object.__new__(_Slice)
-        object.__setattr__(Z, "lam", lam)
-        object.__setattr__(Z, "points", points)
-        object.__setattr__(Z, "keys", keys)
-        return Z
-
     def _fill(self):
-        """Build ``tables`` and ``distinct`` from ``keys``."""
+        """Build ``tables`` and ``distinct`` from ``keys``: a value's room
+        sums the weights at its positions, and the points are distinct when
+        every table has one entry per label."""
         length = self.lam.length
         weights = list(map(self.lam.weight, self.lam.labels))
         tables = []
-        distinct = True
         for k in self.keys:
             if len(k) != length:
                 raise ValueError("each point needs one coordinate per label")
-            table = dict(zip(k, weights))
-            if len(table) < length:  # a repeated value: its room sums its weights
-                distinct = False
-                table = {}
-                for v, w in zip(k, weights):
-                    table[v] = table.get(v, 0) + w
+            table = {}
+            for v, w in zip(k, weights):
+                table[v] = table.get(v, 0) + w
             tables.append(table)
         object.__setattr__(self, "tables", tuple(tables))
-        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "distinct", all(len(t) == length for t in tables))
 
     def require_distinct(self):
         if not self.distinct:
@@ -214,13 +200,20 @@ class PointSetVariety(_Frozen):
 
 
 class _Slice(PointSetVariety):
-    """A point set made by ``PointSetVariety._from_keys``: its room tables
-    are built on the first read of ``tables`` or ``distinct``.  The hook
-    lives here and not on ``PointSetVariety``, because a ``__getattr__``
-    makes every attribute read on a class's instances slower, and
-    membership reads ``tables`` once per query."""
+    """The set whose sorted key tuples are ``keys`` and whose points are
+    ``points``, in the same order: what ``gamma_at`` returns, whose readers
+    mostly read only the points.  Its room tables are built on the first
+    read of ``tables`` or ``distinct``.  The hook lives here and not on
+    ``PointSetVariety``, because a ``__getattr__`` makes every attribute
+    read on a class's instances slower, and membership reads ``tables``
+    once per query."""
 
     __slots__ = ()
+
+    def __init__(self, lam: GenComposition, keys: tuple, points: tuple):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "keys", keys)
 
     def __getattr__(self, name):
         if name not in ("tables", "distinct"):
@@ -326,13 +319,12 @@ def gamma_at(lam: GenComposition, Z: PointSetVariety, mu: GenComposition) -> Poi
     reads Z's room tables, which are the collapses lam_p; each key of the
     result maps back to Z's own value, so its points are Fractions that Z
     holds.  The key tuples are sorted once, and the result builds its own
-    room tables only if they are read (see ``_from_keys``).
+    room tables only if they are read (see ``_Slice``).
     """
     _check_slice(lam, Z, mu.length)
     value = dict(zip(chain.from_iterable(Z.keys), chain.from_iterable(Z.points)))
     keys = tuple(sorted(_gamma_points(Z.tables, mu)))
-    return PointSetVariety._from_keys(
-        mu, keys, tuple([tuple(map(value.__getitem__, ks)) for ks in keys]))
+    return _Slice(mu, keys, tuple([tuple(map(value.__getitem__, ks)) for ks in keys]))
 
 
 def _covered(tables, needs) -> bool:

@@ -40,7 +40,8 @@ stands for (``PolyFactor`` holds any such ``Poly`` as a factor that
 prints), and ``tail_zero_test_by_poly`` rebuilds a slice factor's integer
 zero test from that ``Poly`` at every point, term by term, the way
 membership did before it read the factor's integer row as a dot product
-with its slice's monomial values.
+with its slice's monomial values.  ``evaluate`` reads a ``Poly``'s value
+at an assignment of its variables.
 """
 
 import itertools
@@ -336,6 +337,18 @@ def contains_by_slice(mu: GenComposition, Z1: PointSetVariety, lam: GenCompositi
     return all(p in slice_pts for p in Z1.points)
 
 
+def evaluate(p: Poly, assignment):
+    """The value of `p` with every variable it uses present in
+    `assignment`."""
+    total = 0
+    for m, c in p.terms.items():
+        val = c
+        for v, e in m:
+            val *= assignment[v] ** e
+        total += val
+    return total
+
+
 def orbit_evaluations(p: Poly, point_classes) -> list:
     """All values of p under assignments of its x-support into the value
     classes of a point, no class used beyond its multiplicity.
@@ -353,7 +366,7 @@ def orbit_evaluations(p: Poly, point_classes) -> list:
 
     def rec(idx, counts, assignment):
         if idx == k:
-            values.add(p.evaluate(assignment))
+            values.add(evaluate(p, assignment))
             return
         v = xvar(support[idx])
         for ci, (val, mult) in enumerate(classes):

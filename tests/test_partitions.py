@@ -190,12 +190,21 @@ class TestPreceq:
 
     def test_search_visits_each_state_once(self, cover_group_calls):
         # each of 6,5,4,3 needs two of the six 3s, so the search fails; it
-        # meets 1 + 15 + 15 + 1 distinct (tail part, unused-parts mask)
-        # states, and without the memo of failed states it would make 196
+        # meets one state per tail part, with six, four, two and no 3s
+        # unused.  Trying every choice among the equal 3s, it met 1 + 15 +
+        # 15 + 1 states, and without the memo of failed states it makes 196
         # cover-group calls
         assert preceq(P("inf,6,5,4,3"), P("inf,3,3,3,3,3,3")) is False
         # the tail parts differ, so a call's target names its state's tail part
-        assert len(cover_group_calls) == len(set(cover_group_calls)) == 32
+        assert len(cover_group_calls) == len(set(cover_group_calls)) == 4
+
+    def test_equal_parts_are_searched_once(self, cover_group_calls):
+        # 4^12 against inf,3^16: each 4 needs two 3s, so the search fails
+        # after placing eight 4s.  Only the first two unused 3s are tried
+        # for each 4, so there is one state per tail part: 9 cover-group
+        # calls, where trying every pair of 3s made 32,768
+        assert preceq(P(",".join(["4"] * 12)), P(",".join(["inf"] + ["3"] * 16))) is False
+        assert len(cover_group_calls) == 9
 
 
 class TestMinimalCoverGroups:

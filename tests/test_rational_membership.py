@@ -13,7 +13,7 @@ carry denominators 2, 3 and 7 and negative values, so q > 1.  Five checks:
   oracle), both per generator and over a whole ideal, whose equal rows
   share one support search; a shuffled generator tuple, built into one
   block per generator, must not change the answer;
-- the integer zero test agrees with ``Poly.evaluate(...) == 0`` on the
+- the integer zero test agrees with ``oracles.evaluate(...) == 0`` on the
   factor's rational form (``oracles.factor_poly``) on every choice of one
   class per tail row;
 - it also agrees with the former zero test, rebuilt from the ``Poly`` at
@@ -39,6 +39,7 @@ from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
 from oracles import (
     by_block,
+    evaluate,
     factor_poly,
     ideal_of,
     orbits_vanish_by_masks,
@@ -75,7 +76,7 @@ def oracle_exists_nonzero_assignment(gen, classes):
                 return True
             for combo in itertools.product(*(supports[r] for r in tail_rows)):
                 env = {tvar(tail_rows[p] + 1): classes[c][0] for p, c in enumerate(combo)}
-                if tail.evaluate(env) == 0:
+                if evaluate(tail, env) == 0:
                     return False
             return True
         size = len(rows[i])
@@ -207,7 +208,7 @@ def test_integer_zero_test_matches_evaluation(ideals):
                 vanishes = dot_product_test(g.factor, [v for v, _ in classes])
                 for combo in itertools.product(range(len(classes)), repeat=len(g.tail_rows)):
                     env = {tvar(r + 1): classes[c][0] for r, c in zip(g.tail_rows, combo)}
-                    want = tail.evaluate(env) == 0
+                    want = evaluate(tail, env) == 0
                     assert vanishes(combo) == want, (tail, str(x), combo)
                     if math.lcm(*(classes[c][0].denominator for c in combo)) > 1:
                         seen["zero" if want else "nonzero"] += 1
