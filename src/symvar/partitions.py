@@ -8,15 +8,18 @@ with the filling criterion equivalent to it (which ``selfcheck`` and the
 benchmark's ``orders`` check test it against), minimal excluded
 antichains, and the saturation operator used by the equation synthesis.
 ``preceq`` and ``min_excluded`` decide a finite tail against the finite
-part of lam through one search on plain tuples, ``_tail_below``; each call
-keeps its own memo of failed states.  ``weight_maps`` is the one search
-for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p) alike.
+part of lam through ``_tail_below`` on plain tuples: exact screens, then
+three exact exits (one tail part, no spare part, a witness grouping), then
+a search that keeps its own memo of failed states.  ``weight_maps`` is the
+one search for weight-respecting maps, End(lam) and the slices' Hom(mu,
+lam_p) alike.
 
 All values are immutable: each value class of the package derives from
 ``_Frozen``, which refuses assigning and deleting attributes.  Every
 function here is pure.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations_with_replacement
 from operator import le
@@ -235,15 +238,34 @@ def _tail_below(tail, fin) -> bool:
     The screens are exact: a tail longer than fin is not below (each part
     needs its own non-empty group); an empty tail is; a tail of larger sum
     than fin is not; a tail with each part at most fin's part in the same
-    place is.  Only the rest is decided by backtracking over
-    ``_minimal_cover_groups``, tail part by tail part.  A state is the next
-    tail part and the mask of fin's unused parts.  Equal parts are
-    interchangeable, so of the groups that differ only in which equal parts
-    they take, only the one taking the first unused ones is tried (``fin``
-    is sorted, so equal parts are adjacent); the unused parts of each run of
-    equal parts are then always its last ones, and each mask stands for the
-    values it leaves unused.  A true state ends the search, so only the
-    failed states are remembered, in a set that lives for this call.
+    place is.  Three exits follow, each exact too:
+
+    - One tail part: it passed the sum screen, so the group of all of fin's
+      parts covers it.
+    - No spare part (as many tail parts as fin parts): the parts failed the
+      part-by-part fit, so the tail is not below.  Proof: t disjoint
+      non-empty groups drawn from t parts are singletons, so a grouping is
+      a matching of each tail part to a part of fin at least as large.  If
+      one exists, the i largest tail parts are matched to i distinct parts,
+      each at least the i-th largest tail part; so fin's i-th largest part
+      is at least that, for every i, which is the part-by-part fit.
+    - A witness: each tail part in turn takes the smallest unused part that
+      covers it alone; if none does, its group starts with the largest
+      unused part and then takes each time the smallest unused part that
+      completes it, or the largest if none completes it.  If every tail
+      part is placed, the groups are disjoint and each covers its part, so
+      the tail is below.  If the witness runs out of parts, it proves
+      nothing, and the search decides.
+
+    The search backtracks over ``_minimal_cover_groups``, tail part by tail
+    part.  A state is the next tail part and the mask of fin's unused parts.
+    Equal parts are interchangeable, so of the groups that differ only in
+    which equal parts they take, only the one taking the first unused ones
+    is tried (``fin`` is sorted, so equal parts are adjacent); the unused
+    parts of each run of equal parts are then always its last ones, and
+    each mask stands for the values it leaves unused.  A true state ends the
+    search, so only the failed states are remembered, in a set that lives
+    for this call.
     """
     if len(tail) > len(fin):
         return False
@@ -254,6 +276,12 @@ def _tail_below(tail, fin) -> bool:
     if all(map(le, tail, fin)):
         return True
     n = len(tail)
+    if n == 1:
+        return True
+    if n == len(fin):
+        return False
+    if _witness_places(tail, fin):
+        return True
     failed = set()
     # bit i is set when fin[i] equals fin[i - 1]
     repeats = sum(1 << i for i in range(1, len(fin)) if fin[i] == fin[i - 1])
@@ -273,6 +301,21 @@ def _tail_below(tail, fin) -> bool:
     return solve(0, (1 << len(fin)) - 1)
 
 
+def _witness_places(tail, fin) -> bool:
+    """Does the witness grouping of ``_tail_below`` place every tail part?"""
+    free = list(reversed(fin))  # the unused parts, increasing
+    for need in tail:
+        i = bisect_left(free, need)
+        # while no unused part completes the group, it takes the largest
+        while i == len(free):
+            if not free:
+                return False
+            need -= free.pop()
+            i = bisect_left(free, need)
+        del free[i]
+    return True
+
+
 def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     """mu obtained from lam by combining and decreasing (or removing) parts.
 
@@ -283,14 +326,16 @@ def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     groups sufficient; so the k largest parts of mu may take the infinite
     parts.  A mu longer than lam, or with more infinite parts, is not
     below it: each part of mu needs its own group, and an infinite part
-    an infinite one.  So the tail is finite, and ``_tail_below`` decides
-    it.
+    an infinite one.  So the tail is finite and no longer than lam's finite
+    part.  An empty tail, or one with each part at most the finite part in
+    the same place, is below; ``_tail_below`` decides the rest.
     """
     mu_parts, lam_parts = mu.parts, lam.parts
     k = lam_parts.count(INF)
     if len(mu_parts) > len(lam_parts) or mu_parts.count(INF) > k:
         return False
-    return _tail_below(mu_parts[k:], lam_parts[k:])
+    tail, fin = mu_parts[k:], lam_parts[k:]
+    return all(map(le, tail, fin)) or _tail_below(tail, fin)
 
 
 def good_filling_exists(mu: GenPartition, lam: GenPartition) -> bool:

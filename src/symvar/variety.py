@@ -278,12 +278,13 @@ def _gamma_points(tables, mu: GenComposition) -> set:
     return out
 
 
-def _check_slice(lam: GenComposition, Z: PointSetVariety, width: int):
+def _check_slice(lam: GenComposition, Z, width: int):
     """The input errors of a slice, over a composition of `width` labels, of
-    the system generated by Z, in the order the construction meets them."""
+    the system generated by Z, in the order the construction meets them.
+    Z is None where the caller has checked that it lives over lam."""
     if width == 0:
         raise ValueError("the slice composition must be non-empty")
-    if Z.lam != lam:
+    if Z is not None and Z.lam != lam:
         raise ValueError("point set does not live over lam")
     if not lam.is_infinite:
         raise ValueError("the ambient composition must have an infinite part")
@@ -371,7 +372,7 @@ def contains(mu: GenComposition, Z1: PointSetVariety, lam: GenComposition,
     Z2.require_distinct()
     if Z1.lam != mu or Z2.lam != lam:
         raise ValueError("point sets must live over the stated compositions")
-    _check_slice(lam, Z2, mu.length)
+    _check_slice(lam, None, mu.length)
     for t1 in Z1.tables:
         if not _covered(Z2.tables, t1.items()):
             return False

@@ -260,8 +260,13 @@ class TestMalformedInput:
         self.assert_data_error(capsys, "member", "inf,inf", "0^inf", "--variety", path)
 
     def test_deep_preceq_is_refused(self, capsys):
-        # the true answer is "true"; a crash must not exit 1, which reads as false
-        self.assert_data_error(capsys, "preceq", "1200", ",".join(["1"] * 1200))
+        # one tail part is answered without a search: all 1200 ones cover it
+        assert run(capsys, "preceq", "1200", ",".join(["1"] * 1200)) == (0, "true\n", "")
+        # false, and the witness fails, so the search runs and its first
+        # descent passes the recursion limit; a crash must not exit 1, which
+        # reads as false
+        self.assert_data_error(capsys, "preceq", ",".join(["3", "3"] + ["1"] * 1200),
+                               ",".join(["2", "2", "2"] + ["1"] * 1200))
 
     def test_deep_min_excluded_is_refused(self, capsys):
         self.assert_data_error(capsys, "min-excluded", "inf," + ",".join(["1"] * 1200))

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symvar import partitions
 from symvar.equations import IdealGenerator
@@ -33,18 +33,24 @@ def leq_oracle(mu, lam):
     return mu.length == 0
 
 
-@pytest.fixture
-def cover_group_calls(monkeypatch):
-    """The arguments of every ``_minimal_cover_groups`` call, in order."""
+def counted(monkeypatch, name):
+    """The arguments of every call of ``partitions.<name>``, in order, from
+    now until the test ends."""
     calls = []
-    cover_groups = partitions._minimal_cover_groups
+    inner = getattr(partitions, name)
 
     def counting(*args):
         calls.append(args)
-        return cover_groups(*args)
+        return inner(*args)
 
-    monkeypatch.setattr(partitions, "_minimal_cover_groups", counting)
+    monkeypatch.setattr(partitions, name, counting)
     return calls
+
+
+@pytest.fixture
+def cover_group_calls(monkeypatch):
+    """The arguments of every ``_minimal_cover_groups`` call, in order."""
+    return counted(monkeypatch, "_minimal_cover_groups")
 
 
 parts_strategy = st.lists(st.sampled_from([1, 2, 3, INF]), min_size=0, max_size=4).map(GenPartition)
@@ -135,51 +141,62 @@ class TestPreceq:
         if leq(mu, lam):
             assert preceq(mu, lam)
 
-    def test_screens_and_backtracking_match_oracles_exhaustively(self, monkeypatch):
+    def test_screens_and_backtracking_match_oracles_exhaustively(self, monkeypatch, cover_group_calls):
         # Every pair with at most 4 parts over {1,2,3,4,inf}: the tail
-        # reduction and its screens agree with the search over all of lam's
-        # parts and with the filling search, and each exit is reached.
+        # reduction, its screens and exits agree with the search over all of
+        # lam's parts and with the filling search, each pair takes its
+        # route, and each route gives the verdicts it can give
         box = sorted(
             {GenPartition(c) for n in range(5)
              for c in itertools.combinations_with_replacement([1, 2, 3, 4, INF], n)},
             key=lambda q: (q.length, q.parts),
         )
-        searched = []
-        cover_groups = partitions._minimal_cover_groups
-
-        def counting(*args):
-            searched.append(args)
-            return cover_groups(*args)
-
-        monkeypatch.setattr(partitions, "_minimal_cover_groups", counting)
+        tail_calls = counted(monkeypatch, "_tail_below")
+        witness_calls = counted(monkeypatch, "_witness_places")
+        searched = cover_group_calls
         exits = {}
         for mu in box:
             for lam in box:
-                searched.clear()
+                for calls in (tail_calls, witness_calls, searched):
+                    calls.clear()
                 verdict = preceq(mu, lam)
                 assert verdict == preceq_by_groups(mu, lam) == good_filling_exists(mu, lam), (mu, lam)
                 k = lam.num_infinite
                 tail, fin = mu.parts[k:], lam.parts[k:]
                 if mu.length > lam.length or mu.num_infinite > k or not tail:
                     route = "early"
-                elif sum(tail) > sum(fin):
-                    route = "sum"
                 elif leq(GenPartition(tail), GenPartition(fin)):
                     route = "leq"
+                elif sum(tail) > sum(fin):
+                    route = "sum"
+                elif len(tail) == 1:
+                    route = "one part"
+                elif len(tail) == len(fin):
+                    route = "no spare part"
                 else:
-                    route = "search"
+                    route = "search" if searched else "witness"
+                # preceq decides the early and leq routes without the tail search
+                assert bool(tail_calls) == (route not in ("early", "leq")), (mu, lam)
+                assert bool(witness_calls) == (route in ("witness", "search")), (mu, lam)
                 assert bool(searched) == (route == "search"), (mu, lam)
                 exits.setdefault(route, set()).add(verdict)
         assert len(box) ** 2 == 15876
-        assert exits == {"early": {True, False}, "sum": {False}, "leq": {True},
+        assert exits == {"early": {True, False}, "leq": {True}, "sum": {False},
+                         "one part": {True}, "no spare part": {False}, "witness": {True},
                          "search": {True, False}}
 
     def test_matches_filling_search_on_random_pairs(self, cover_group_calls):
         # past the exhaustive box: 1-6 parts, each inf with probability 1/4,
         # else 1-6; the run must reach the backtracking, not only the screens
+        # and exits, so it also takes two pairs the witness cannot place:
+        # 4,3 is below 3,2,2 (4 = 2+2 and 3 = 3), but the witness gives 3,2
+        # to the 4 and leaves a 2 for the 3; and inf,6,5,4,3 is not below
+        # inf,3^6
         part = st.sampled_from([1, 2, 3, 4, 5, 6, INF, INF])
         gen = st.lists(part, min_size=1, max_size=6).map(GenPartition)
 
+        @example(P("4,3"), P("3,2,2"))
+        @example(P("inf,6,5,4,3"), P("inf,3,3,3,3,3,3"))
         @settings(max_examples=1000, deadline=None)
         @given(gen, gen)
         def check(mu, lam):
@@ -205,6 +222,13 @@ class TestPreceq:
         # calls, where trying every pair of 3s made 32,768
         assert preceq(P(",".join(["4"] * 12)), P(",".join(["inf"] + ["3"] * 16))) is False
         assert len(cover_group_calls) == 9
+
+    def test_witness_places_what_the_search_would_not_finish(self, cover_group_calls):
+        # 3^700 against 2^700,1^700: the search's first descent groups each 3
+        # as 2+2, runs out of 2s and backtracks past any time limit; the
+        # witness groups each 3 as 2+1 and answers without searching
+        assert preceq(P(",".join(["3"] * 700)), P(",".join(["2"] * 700 + ["1"] * 700))) is True
+        assert cover_group_calls == []
 
 
 class TestMinimalCoverGroups:
