@@ -139,7 +139,7 @@ def cmd_member(args) -> int:
         verdict = direct()
     elif args.method == "equations":
         verdict = by_equations()
-        if verdict and Z is not None and lam.finite_weight > 1 and lam.length > 2:
+        if verdict and Z is not None and not equations.in_exact_domain(lam):
             print("note: lambda has finite weight above 1 and more than two parts, outside "
                   "the equation route's exact domain: true may be an over-acceptance",
                   file=sys.stderr)

@@ -21,7 +21,7 @@ shapes are skipped.  Dropping them keeps every emitted generator vanishing
 on the classified set; the equation route then decides membership exactly
 whenever lam has finite weight at most 1 or at most two parts (which covers
 every partition with all parts infinite), and may only over-accept outside
-that range.
+that range, which ``in_exact_domain`` tests.
 
 A generator is held as its shape and its slice factor, the integer row
 that `poly.vanishing_ideal` leaves; an ideal holds one block per shape,
@@ -289,6 +289,12 @@ def _mix_safe(mu: GenPartition, lam: GenPartition) -> bool:
         return True
     cap = lam.finite_weight + 1
     return all(p == cap or p == 1 for p in mu.parts)
+
+
+def in_exact_domain(lam: GenPartition) -> bool:
+    """Does the equation route decide membership for lam exactly (finite
+    weight at most 1, or at most two parts)?  Outside, it may over-accept."""
+    return lam.finite_weight <= 1 or lam.length <= 2
 
 
 @functools.lru_cache(maxsize=64)

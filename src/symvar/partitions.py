@@ -8,11 +8,11 @@ with the filling criterion equivalent to it (which ``selfcheck`` and the
 benchmark's ``orders`` check test it against), minimal excluded
 antichains, and the saturation operator used by the equation synthesis.
 ``preceq`` and ``min_excluded`` decide a finite tail against the finite
-part of lam through ``_tail_below`` on plain tuples: exact screens, then
-three exact exits (one tail part, no spare part, a witness grouping), then
-a search that keeps its own memo of failed states.  ``weight_maps`` is the
-one search for weight-respecting maps, End(lam) and the slices' Hom(mu,
-lam_p) alike.
+part of lam through ``_tail_below`` on plain tuples: the length and sum
+screens, a witness grouping, the no-spare-part exit, then a search that
+keeps its own memo of failed states.  ``weight_maps`` is the one search
+for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p)
+alike.
 
 All values are immutable: each value class of the package derives from
 ``_Frozen``, which refuses assigning and deleting attributes.  Every
@@ -235,27 +235,26 @@ def _tail_below(tail, fin) -> bool:
     the combining order: disjoint groups of fin's parts, one group per tail
     part, each group summing to at least that part?
 
-    The screens are exact: a tail longer than fin is not below (each part
-    needs its own non-empty group); an empty tail is; a tail of larger sum
-    than fin is not; a tail with each part at most fin's part in the same
-    place is.  Three exits follow, each exact too:
+    Two exact screens come first: a tail longer than fin (each part needs
+    its own non-empty group) or of larger sum is not below.  Then the
+    witness: each tail part, largest first, takes the smallest unused part
+    that covers it alone; if none does, its group starts with the largest
+    unused part and then takes each time the smallest unused part that
+    completes it, or the largest if none does.  A tail it places is below,
+    as the groups are disjoint and each covers its part.
 
-    - One tail part: it passed the sum screen, so the group of all of fin's
-      parts covers it.
-    - No spare part (as many tail parts as fin parts): the parts failed the
-      part-by-part fit, so the tail is not below.  Proof: t disjoint
-      non-empty groups drawn from t parts are singletons, so a grouping is
-      a matching of each tail part to a part of fin at least as large.  If
-      one exists, the i largest tail parts are matched to i distinct parts,
-      each at least the i-th largest tail part; so fin's i-th largest part
-      is at least that, for every i, which is the part-by-part fit.
-    - A witness: each tail part in turn takes the smallest unused part that
-      covers it alone; if none does, its group starts with the largest
-      unused part and then takes each time the smallest unused part that
-      completes it, or the largest if none completes it.  If every tail
-      part is placed, the groups are disjoint and each covers its part, so
-      the tail is below.  If the witness runs out of parts, it proves
-      nothing, and the search decides.
+    Lemma: the witness places every tail that fits part by part (each part
+    at most fin's part in the same place) and every one-part tail within
+    the sum.  Proof: a tail that fits has a matching to parts at least as
+    large; giving each tail part in turn, largest first, the smallest
+    unused part that covers it, and the part it leaves to the later tail
+    part that held this one, keeps a matching and ends at the witness's.
+    A one-part tail takes parts until one completes it, which their sum
+    allows.  With no spare part (as many tail parts as fin parts) the
+    groups are singletons, and a matching gives the i largest tail parts i
+    distinct parts, each at least the i-th largest tail part, which is the
+    fit; so there a failed witness means the tail is not below.  Any other
+    failed witness proves nothing, and the search decides.
 
     The search backtracks over ``_minimal_cover_groups``, tail part by tail
     part.  A state is the next tail part and the mask of fin's unused parts.
@@ -267,21 +266,13 @@ def _tail_below(tail, fin) -> bool:
     search, so only the failed states are remembered, in a set that lives
     for this call.
     """
-    if len(tail) > len(fin):
-        return False
-    if not tail:
-        return True
-    if sum(tail) > sum(fin):
-        return False
-    if all(map(le, tail, fin)):
-        return True
     n = len(tail)
-    if n == 1:
-        return True
-    if n == len(fin):
+    if n > len(fin) or sum(tail) > sum(fin):
         return False
     if _witness_places(tail, fin):
         return True
+    if n == len(fin):
+        return False
     failed = set()
     # bit i is set when fin[i] equals fin[i - 1]
     repeats = sum(1 << i for i in range(1, len(fin)) if fin[i] == fin[i - 1])

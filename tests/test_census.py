@@ -26,7 +26,7 @@ and each slice is the set of tuples that ``theta_member`` admits.
 
 import itertools
 
-from symvar.equations import i_lambda_z, member_by_equations
+from symvar.equations import i_lambda_z, in_exact_domain, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.variety import FinitaryPoint, PointSetVariety, contains, gamma_at, theta_member
 
@@ -56,10 +56,6 @@ def finitary_points():
             for mults in itertools.product(MULTS, repeat=width):
                 if INF in mults:
                     yield FinitaryPoint(zip(values, mults))
-
-
-def in_exact_domain(lam):
-    return lam.finite_weight <= 1 or lam.length <= 2
 
 
 def test_census():

@@ -143,14 +143,19 @@ class TestPreceq:
 
     def test_screens_and_backtracking_match_oracles_exhaustively(self, monkeypatch, cover_group_calls):
         # Every pair with at most 4 parts over {1,2,3,4,inf}: the tail
-        # reduction, its screens and exits agree with the search over all of
-        # lam's parts and with the filling search, each pair takes its
-        # route, and each route gives the verdicts it can give
+        # reduction, its screens, the witness and the no-spare-part exit
+        # agree with the search over all of lam's parts and with the filling
+        # search, each pair takes its route, and each route gives the
+        # verdicts it can give.  The lemma behind the exits is checked
+        # directly: the witness places every tail that fits part by part
+        # and every one-part tail within the sum, and a tail with no spare
+        # part that the witness fails has no filling
         box = sorted(
             {GenPartition(c) for n in range(5)
              for c in itertools.combinations_with_replacement([1, 2, 3, 4, INF], n)},
             key=lambda q: (q.length, q.parts),
         )
+        witness = partitions._witness_places
         tail_calls = counted(monkeypatch, "_tail_below")
         witness_calls = counted(monkeypatch, "_witness_places")
         searched = cover_group_calls
@@ -160,30 +165,39 @@ class TestPreceq:
                 for calls in (tail_calls, witness_calls, searched):
                     calls.clear()
                 verdict = preceq(mu, lam)
-                assert verdict == preceq_by_groups(mu, lam) == good_filling_exists(mu, lam), (mu, lam)
+                filling = good_filling_exists(mu, lam)
+                assert verdict == preceq_by_groups(mu, lam) == filling, (mu, lam)
                 k = lam.num_infinite
                 tail, fin = mu.parts[k:], lam.parts[k:]
-                if mu.length > lam.length or mu.num_infinite > k or not tail:
+                if mu.length > lam.length or mu.num_infinite > k:
                     route = "early"
-                elif leq(GenPartition(tail), GenPartition(fin)):
-                    route = "leq"
-                elif sum(tail) > sum(fin):
-                    route = "sum"
-                elif len(tail) == 1:
-                    route = "one part"
-                elif len(tail) == len(fin):
-                    route = "no spare part"
                 else:
-                    route = "search" if searched else "witness"
+                    places = witness(tail, fin)
+                    fits = leq(GenPartition(tail), GenPartition(fin))
+                    if fits or len(tail) == 1 and sum(tail) <= sum(fin):
+                        assert places, (mu, lam)
+                    if len(tail) == len(fin) and not places:
+                        assert not filling, (mu, lam)
+                    if not tail:
+                        route = "early"
+                    elif fits:
+                        route = "leq"
+                    elif sum(tail) > sum(fin):
+                        route = "sum"
+                    elif places:
+                        route = "witness"
+                    elif len(tail) == len(fin):
+                        route = "no spare part"
+                    else:
+                        route = "search"
                 # preceq decides the early and leq routes without the tail search
                 assert bool(tail_calls) == (route not in ("early", "leq")), (mu, lam)
-                assert bool(witness_calls) == (route in ("witness", "search")), (mu, lam)
+                assert bool(witness_calls) == (route not in ("early", "leq", "sum")), (mu, lam)
                 assert bool(searched) == (route == "search"), (mu, lam)
                 exits.setdefault(route, set()).add(verdict)
         assert len(box) ** 2 == 15876
         assert exits == {"early": {True, False}, "leq": {True}, "sum": {False},
-                         "one part": {True}, "no spare part": {False}, "witness": {True},
-                         "search": {True, False}}
+                         "witness": {True}, "no spare part": {False}, "search": {True, False}}
 
     def test_matches_filling_search_on_random_pairs(self, cover_group_calls):
         # past the exhaustive box: 1-6 parts, each inf with probability 1/4,

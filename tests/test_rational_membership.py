@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.equations import _orbits_vanish, i_lambda_z, member_by_equations
+from symvar.equations import _orbits_vanish, i_lambda_z, in_exact_domain, member_by_equations
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import scaled, vanishing_ideal
 from symvar.selfcheck import tvar
@@ -51,10 +51,6 @@ C = GenComposition.from_partition
 POOL = sorted({Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 7)})
 EXACT = ["inf", "inf,1", "inf,2", "inf,inf", "inf,3", "inf,inf,1", "inf,inf,inf"]
 OUTSIDE = ["inf,1,1", "inf,2,1"]
-
-
-def in_exact_domain(lam):
-    return lam.finite_weight <= 1 or lam.length <= 2
 
 
 def oracle_exists_nonzero_assignment(gen, classes):
