@@ -380,16 +380,25 @@ def finite_partitions_in_box(max_length: int, max_part: int):
     return [GenPartition(p) for p in _box_parts(max_length, max_part)]
 
 
-def _lower_covers(parts):
-    """Parts tuples one elementary step below a finite partition: one part
-    lowered by 1 (a zero dropped), or two parts merged."""
-    n = len(parts)
-    for i in range(n):
-        lowered = parts[i] - 1
-        rest = parts[:i] + parts[i + 1:]
-        yield tuple(sorted(rest + (lowered,), reverse=True)) if lowered else rest
-        for j in range(i + 1, n):
-            merged = rest[:j - 1] + rest[j:] + (parts[i] + parts[j],)
+def _tail_covers(tau):
+    """Tails to test for the minimality of (tau_0)^k ++ tau, k >= 1: each
+    distinct value lowered by 1 at its last copy (a zero dropped), which
+    keeps the tuple sorted, and each distinct pair of values below tau_0
+    merged, the sum capped at tau_0.  ``min_excluded`` has the lemma."""
+    n, top = len(tau), tau[0]
+    # the last copy of each value, largest value first
+    lasts = [i for i in range(n) if i + 1 == n or tau[i + 1] != tau[i]]
+    for i in lasts:
+        v = tau[i]
+        # a 1 is the last part, so lowering it drops it
+        yield tau[:i] + (v - 1,) + tau[i + 1:] if v > 1 else tau[:i]
+    below_top = lasts[1:]
+    for x, i in enumerate(below_top):
+        a = tau[i]
+        if tau[i - 1] == a:  # a pair of equal values: its last two copies
+            yield tuple(sorted(tau[:i - 1] + tau[i + 1:] + (min(2 * a, top),), reverse=True))
+        for j in below_top[x + 1:]:
+            merged = tau[:i] + tau[i + 1:j] + tau[j + 1:] + (min(a + tau[j], top),)
             yield tuple(sorted(merged, reverse=True))
 
 
@@ -422,10 +431,27 @@ def min_excluded(lam: GenPartition) -> list:
     tau, by 1 gives a lower cover whose tail has sum sum(tau)-1; that cover
     is below lam, so its tail sum is at most finite_weight(lam).  The tails
     walked are therefore those of sum at most finite_weight(lam)+1, which
-    bounds each part too.  ``_tail_below``, the tail search of ``preceq``,
-    decides each distinct tail once, on plain tuples.  No sort:
-    ``_box_parts`` yields the tails in increasing order, and tau ->
-    (tau_0)^k ++ tau is strictly increasing (tau_0 first, then tau).
+    bounds each part too.
+
+    Third lemma: with k >= 1, the tails of the lower covers of
+    alpha = (tau_0)^k ++ tau are exactly tau with one part lowered by 1 (a
+    zero dropped), tau with one part dropped, and tau with two parts below
+    tau_0 merged, the sum capped at tau_0.  Proof: lowering a head part
+    lowers a copy of tau_0, and lowering a tail part lowers it in tau.
+    Merging a copy of tau_0 (each head part is one) with any other part
+    makes a part above tau_0 that joins the head and leaves tau with one
+    part dropped.  Merging two parts a, b below tau_0 puts a+b in tau, and
+    if a+b >= tau_0 it joins the head and a copy of tau_0 takes its place
+    in the tail.  A drop is below the lowering of the same part (lower it
+    on to zero), and the partitions below lam form a down-set, so drops
+    need no test; ``_tail_covers`` yields the other two kinds, each
+    distinct tuple once.
+
+    ``_tail_below``, the tail search of ``preceq``, decides each distinct
+    tail once, on plain tuples, and (tau_0)^k ++ tau is built only for the
+    answers.  No sort: ``_box_parts`` yields the tails in increasing order,
+    and tau -> (tau_0)^k ++ tau is strictly increasing (tau_0 first, then
+    tau).
     """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
@@ -433,20 +459,17 @@ def min_excluded(lam: GenPartition) -> list:
     fin = lam.parts[k:]
     below = {}
 
-    def is_below(parts):
-        tail = parts[k:]
+    def is_below(tail):
         hit = below.get(tail)
         if hit is None:
             hit = below[tail] = _tail_below(tail, fin)
         return hit
 
     w = sum(fin) + 1
-    tails = _box_parts(len(fin) + 1, w, w)
-    candidates = ((tau[0],) * k + tau for tau in tails)
     return [
-        GenPartition(alpha)
-        for alpha in candidates
-        if not is_below(alpha) and all(is_below(c) for c in _lower_covers(alpha))
+        GenPartition((tau[0],) * k + tau)
+        for tau in _box_parts(len(fin) + 1, w, w)
+        if not is_below(tau) and all(map(is_below, _tail_covers(tau)))
     ]
 
 

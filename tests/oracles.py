@@ -8,8 +8,11 @@ decisions that the point-set rule of ``variety.theta_member`` and
 ``variety.contains`` replaced.  ``preceq_by_groups`` is the combining
 order searched over all of lam's parts, without the tail reduction and
 the screens of ``partitions.preceq``, and ``leq`` the order that decreases
-or removes parts.  ``enumerate_end_by_product`` walks all n^n tables, the
-search that ``partitions.weight_maps`` replaced, and ``aut`` lists every
+or removes parts.  ``min_excluded_by_covers`` tests every
+``lower_covers`` tuple of each whole candidate, the walk that the tail
+covers of ``partitions.min_excluded`` replaced.
+``enumerate_end_by_product`` walks all n^n tables, the search that
+``partitions.weight_maps`` replaced, and ``aut`` lists every
 weight-preserving permutation.  ``monomials_of_degree`` and ``divides``
 list the candidates of a ``vanishing_ideal`` degree the way the border of
 the standard monomials replaced: every monomial of the degree that no
@@ -52,6 +55,7 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal
 from symvar.partitions import INF, GenComposition, GenPartition
+from symvar.partitions import _box_parts, _tail_below
 from symvar.partitions import _minimal_cover_groups as _cover_groups
 from symvar.poly import SliceFactor, scaled
 from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
@@ -188,6 +192,34 @@ def preceq_by_groups(mu: GenPartition, lam: GenPartition) -> bool:
         return False
 
     return solve(0, (1 << lam.length) - 1)
+
+
+def lower_covers(parts):
+    """Parts tuples one elementary step below a finite partition: one part
+    lowered by 1 (a zero dropped), or two parts merged."""
+    n = len(parts)
+    for i in range(n):
+        lowered = parts[i] - 1
+        rest = parts[:i] + parts[i + 1:]
+        yield tuple(sorted(rest + (lowered,), reverse=True)) if lowered else rest
+        for j in range(i + 1, n):
+            merged = rest[:j - 1] + rest[j:] + (parts[i] + parts[j],)
+            yield tuple(sorted(merged, reverse=True))
+
+
+def min_excluded_by_covers(lam: GenPartition) -> list:
+    """``partitions.min_excluded`` walking whole candidates: each
+    (tau_0)^k ++ tau not below lam, all of whose ``lower_covers`` are."""
+    k = lam.num_infinite
+    fin = lam.parts[k:]
+    w = sum(fin) + 1
+    candidates = ((tau[0],) * k + tau for tau in _box_parts(len(fin) + 1, w, w))
+    return [
+        GenPartition(alpha)
+        for alpha in candidates
+        if not _tail_below(alpha[k:], fin)
+        and all(_tail_below(c[k:], fin) for c in lower_covers(alpha))
+    ]
 
 
 def expand(factors) -> Poly:

@@ -173,6 +173,9 @@ COMMANDS = [
     ["member", "inf,inf,inf,1", "1/2^inf,-4/3^inf,3^inf,7^1", "--variety", "zq4.json",
      "--method", "both"],
     ["member", "inf,inf,inf,1", "1/2^inf,7^2", "--variety", "zq4.json", "--method", "both"],
+    # minimality decided on tails: answers whose tail covers need a capped merge
+    ["min-excluded", "inf,5,4,3,2,1"],
+    ["min-excluded", "--json", "inf,inf,inf,3,3,2"],
 ]
 
 

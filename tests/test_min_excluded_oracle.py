@@ -1,17 +1,29 @@
-"""``min_excluded`` against the quadratic minimality filter it replaced.
+"""``min_excluded`` against the quadratic minimality filter it replaced,
+and against the walk over whole candidates that its tail covers replaced.
 
-The oracle keeps the box of partitions with at most length(lam)+1 parts,
-each at most finite_weight(lam)+1, drops those below lam, and keeps the
-excluded ones with no other excluded box member below them.  The cover
-test must give the same antichain on every lam with at most 4 parts and
-finite weight at most 5, and on the sweep inf^k,2k-2.  The tail identity
-that lets ``min_excluded`` hand ``preceq`` only the finite remainder is
-checked on the same boxes.  The oracle decides the order with
-``preceq_by_groups``, the search over all of lam's parts, so the tail
-reduction inside ``preceq`` is not the judge of itself.  Every answer has
-alpha_0 = ... = alpha_k, which is why only tails are walked, and a tail
-of sum at most finite_weight(lam)+1, which is why only those tails are
-walked; a work guard counts the lower-cover tests this leaves.
+The quadratic oracle keeps the box of partitions with at most
+length(lam)+1 parts, each at most finite_weight(lam)+1, drops those below
+lam, and keeps the excluded ones with no other excluded box member below
+them.  The cover test must give the same antichain on every lam with at
+most 4 parts and finite weight at most 5, and on the sweep inf^k,2k-2.
+The tail identity that lets ``min_excluded`` hand ``preceq`` only the
+finite remainder is checked on the same boxes.  The oracle decides the
+order with ``preceq_by_groups``, the search over all of lam's parts, so
+the tail reduction inside ``preceq`` is not the judge of itself.  Every
+answer has alpha_0 = ... = alpha_k, which is why only tails are walked,
+and a tail of sum at most finite_weight(lam)+1, which is why only those
+tails are walked.
+
+Minimality is tested on tails too: ``_tail_covers(tau)`` yields the tails
+of the lower covers of (tau_0)^k ++ tau, each part lowered and each pair
+below tau_0 merged and capped, and leaves out the drops, which a lowering
+implies.  Each walked tail's covers are checked against the whole
+candidate's ``lower_covers``: each is the tail of one, and all are below
+lam exactly when all of those are, judged by ``preceq_by_groups``.
+``min_excluded`` must also equal ``min_excluded_by_covers`` on every lam
+with 1 to 6 infinite parts and at most 4 finite parts of weight at most
+8, which reaches the k = 5 of the benchmark's sweep.  A work guard counts
+the candidates that reach the cover test and the cover tuples built.
 """
 
 import itertools
@@ -28,7 +40,7 @@ from symvar.partitions import (
     preceq,
 )
 
-from oracles import preceq_by_groups
+from oracles import lower_covers, min_excluded_by_covers, preceq_by_groups
 
 
 def min_excluded_quadratic(lam):
@@ -82,22 +94,55 @@ def test_answers_are_tails_behind_equal_parts(lam):
         assert sum(alpha.parts[k:]) <= lam.finite_weight + 1, (alpha, lam)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_matches_whole_candidate_walk(k):
+    lams = [GenPartition((INF,) * k + fin) for e in range(9) for fin in _finite_partitions_of(e, 4)]
+    assert len(lams) == 53
+    for lam in lams:
+        assert min_excluded(lam) == min_excluded_by_covers(lam), lam
+
+
+@pytest.mark.parametrize("lam", GRID + SWEEP + [INF8_12], ids=str)
+def test_tail_covers_decide_minimality(lam):
+    k = lam.num_infinite
+    fin = lam.parts[k:]
+    w = sum(fin) + 1
+
+    def below_fin(tail):
+        return preceq_by_groups(GenPartition(tail), GenPartition(fin))
+
+    for tau in _box_parts(len(fin) + 1, w, w):
+        alpha = (tau[0],) * k + tau
+        covers = list(lower_covers(alpha))
+        tail_covers = list(partitions._tail_covers(tau))
+        assert len(tail_covers) == len(set(tail_covers)), tau
+        assert set(tail_covers) <= {c[k:] for c in covers}, (tau, lam)
+        assert all(map(below_fin, tail_covers)) == all(
+            preceq_by_groups(GenPartition(c), lam) for c in covers
+        ), (tau, lam)
+
+
 def test_lower_cover_work_guard(monkeypatch):
     # inf^8,12 has 55 tails of at most 2 parts and sum at most 13, so at
     # most 55 candidates reach the cover test (43 do); the 104 tails of at
     # most 2 parts, each at most 13, sent 92 there, and walking the whole
-    # 10-part box made 646,647 cover tests.
-    calls = []
-    lower_covers = partitions._lower_covers
+    # 10-part box made 646,647 cover tests.  Each of the 43 stops at its
+    # first tail cover, a lowering that is not below; the whole
+    # candidates' lower covers, drawn the same way, built 141 tuples.
+    calls, built = [], []
+    tail_covers = partitions._tail_covers
 
-    def counting(parts):
-        calls.append(parts)
-        return lower_covers(parts)
+    def counting(tau):
+        calls.append(tau)
+        for cover in tail_covers(tau):
+            built.append(cover)
+            yield cover
 
-    monkeypatch.setattr(partitions, "_lower_covers", counting)
+    monkeypatch.setattr(partitions, "_tail_covers", counting)
     got = min_excluded(INF8_12)
     assert got == [GenPartition((1,) * 10), GenPartition((13,) * 9)]
     assert 0 < len(calls) <= 55
+    assert len(built) == 43
 
 
 @pytest.mark.parametrize("max_length,max_part", [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (5, 6)])
