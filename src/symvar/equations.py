@@ -87,7 +87,7 @@ from .partitions import (
     GenComposition,
     GenPartition,
     _Frozen,
-    _minimal_cover_groups,
+    _cover_groups,
     finite_partitions_in_box,
     min_excluded,
     mu_s,
@@ -344,9 +344,11 @@ def _supports(mults: tuple, rows: tuple) -> tuple:
     group per row, for a point whose classes have these multiplicities:
     the supports of `_orbits_vanish`.  A group is the tuple of its class
     indices, and a row of `size` cells takes the groups of
-    ``_minimal_cover_groups(size, mults, ...)``.  No value enters."""
+    ``_cover_groups`` with one slot of one copy per class, whose state is
+    the mask of the classes left.  No value enters."""
     n = len(mults)
     full = (1 << n) - 1
+    slots = tuple((m, 1 << c, 2) for c, m in enumerate(mults))
     fits = {}  # row size -> [(mask, classes of the mask)]
 
     def supports(i, available):
@@ -355,8 +357,8 @@ def _supports(mults: tuple, rows: tuple) -> tuple:
             return
         size = len(rows[i])
         if size not in fits:
-            fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
-                          for m in _minimal_cover_groups(size, mults, full)]
+            fits[size] = [(full ^ left, tuple(c for c in range(n) if not left >> c & 1))
+                          for left in _cover_groups(size, full, slots)]
         for m, group in fits[size]:
             if m & available == m:
                 for rest in supports(i + 1, available & ~m):
@@ -381,14 +383,15 @@ def _orbits_vanish(blocks, classes):
     factor's zero locus.
 
     Only the minimal sets are searched: the groups of
-    `partitions._minimal_cover_groups`, sufficient sets with no sufficient
-    proper prefix in class order.  This is exact.  Shrink each row's S in
-    a valid support to its shortest sufficient prefix P: the P stay
-    pairwise disjoint and sufficient, |P| <= size (each class adds at least
-    1 and every proper prefix is short of `size`), and they are exactly
-    cover groups.  The tail copies over P are among those over S, so if
-    some support has every tail copy nonzero, some support of cover groups
-    has too; and every cover group is itself a valid S.
+    `partitions._cover_groups`, which `preceq`'s tail search shares,
+    sufficient sets with no sufficient proper prefix in class order.  This
+    is exact.  Shrink each row's S in a valid support to its shortest
+    sufficient prefix P: the P stay pairwise disjoint and sufficient,
+    |P| <= size (each class adds at least 1 and every proper prefix is
+    short of `size`), and they are exactly cover groups.  The tail copies
+    over P are among those over S, so if some support has every tail copy
+    nonzero, some support of cover groups has too; and every cover group
+    is itself a valid S.
 
     The supports depend on the multiplicities and the rows alone, so they
     come from the memo `_supports`.  A block with no support vanishes, and

@@ -9,10 +9,11 @@ benchmark's ``orders`` check test it against), minimal excluded
 antichains, and the saturation operator used by the equation synthesis.
 ``preceq`` and ``min_excluded`` decide a finite tail against the finite
 part of lam through ``_tail_below`` on plain tuples: the length and sum
-screens, a witness grouping, the no-spare-part exit, then a search that
-keeps its own memo of failed states.  ``weight_maps`` is the one search
-for weight-respecting maps, End(lam) and the slices' Hom(mu, lam_p)
-alike.
+screens, a witness grouping, the no-spare-part exit, then a search over
+the counts left of fin's values that keeps its own memo of failed states.
+``_cover_groups`` lists its groups and those of ``equations._supports``
+alike, and ``weight_maps`` is the one search for weight-respecting maps,
+End(lam) and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable: each value class of the package derives from
 ``_Frozen``, which refuses assigning and deleting attributes.  Every
@@ -206,28 +207,23 @@ class GenComposition(_Frozen):
         return f"GenComposition({{{inner}}})"
 
 
-def _minimal_cover_groups(target, parts, mask):
-    """Index subsets of `mask` with sum >= target and no sufficient proper prefix.
+def _cover_groups(need, state, slots, first=0):
+    """The states left by the minimal groups that cover `need`.
 
-    The target is a positive integer; parts are positive integers or INF,
-    and an INF part covers any target alone.  Every proper prefix of a group
-    falls short of the target and each part adds at least 1, so a group has
-    at most `target` members.  Every sufficient group contains one of
-    these, so searching over them is complete for the combining order.
+    A slot is a (value, place, radix) triple: the digit at `place` of the
+    mixed-radix `state` counts the copies of `value` left.  A group takes
+    copies in slot order, from slot `first` on, and its last copy is the
+    first to reach `need`; INF reaches any need alone.  Each copy adds at
+    least 1, so a group has at most `need` copies; every sufficient group
+    contains one of these, so searching over them is complete.
     """
-    avail = [i for i in range(len(parts)) if (mask >> i) & 1]
-
-    def rec(pos, acc_mask, acc_sum):
-        for idx in range(pos, len(avail)):
-            i = avail[idx]
-            s = acc_sum + parts[i]
-            m = acc_mask | (1 << i)
-            if s >= target:
-                yield m
+    for s in range(first, len(slots)):
+        value, place, radix = slots[s]
+        if state // place % radix:
+            if value >= need:
+                yield state - place
             else:
-                yield from rec(idx + 1, m, s)
-
-    yield from rec(0, 0, 0)
+                yield from _cover_groups(need - value, state - place, slots, s)
 
 
 def _tail_below(tail, fin) -> bool:
@@ -256,13 +252,10 @@ def _tail_below(tail, fin) -> bool:
     fit; so there a failed witness means the tail is not below.  Any other
     failed witness proves nothing, and the search decides.
 
-    The search backtracks over ``_minimal_cover_groups``, tail part by tail
-    part.  A state is the next tail part and the mask of fin's unused parts.
-    Equal parts are interchangeable, so of the groups that differ only in
-    which equal parts they take, only the one taking the first unused ones
-    is tried (``fin`` is sorted, so equal parts are adjacent); the unused
-    parts of each run of equal parts are then always its last ones, and
-    each mask stands for the values it leaves unused.  A true state ends the
+    The search backtracks over ``_cover_groups``, tail part by tail part,
+    depth first on an explicit stack.  fin has one slot per distinct value,
+    so equal parts are counted, not told apart, and a state is the next
+    tail part and the count left of each value.  A true state ends the
     search, so only the failed states are remembered, in a set that lives
     for this call.
     """
@@ -273,23 +266,25 @@ def _tail_below(tail, fin) -> bool:
         return True
     if n == len(fin):
         return False
+    slots, place = [], 1
+    for value, count in Counter(fin).items():
+        slots.append((value, place, count + 1))
+        place *= count + 1
+    full = place - 1  # every count at its most
     failed = set()
-    # bit i is set when fin[i] equals fin[i - 1]
-    repeats = sum(1 << i for i in range(1, len(fin)) if fin[i] == fin[i - 1])
-
-    def solve(j, mask):
-        if j == n:
-            return True
-        if (j, mask) in failed:
-            return False
-        for g in _minimal_cover_groups(tail[j], fin, mask):
-            # skip g if it takes a part while the equal part before it stays unused
-            if (g & repeats) >> 1 & mask & ~g == 0 and solve(j + 1, mask & ~g):
+    stack = [(0, full, _cover_groups(tail[0], full, slots))]
+    while stack:
+        j, state, groups = stack[-1]
+        for left in groups:
+            if j + 1 == n:
                 return True
-        failed.add((j, mask))
-        return False
-
-    return solve(0, (1 << len(fin)) - 1)
+            if (j + 1, left) not in failed:
+                stack.append((j + 1, left, _cover_groups(tail[j + 1], left, slots)))
+                break
+        else:
+            failed.add((j, state))
+            stack.pop()
+    return False
 
 
 def _witness_places(tail, fin) -> bool:

@@ -56,7 +56,6 @@ from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.partitions import _box_parts, _tail_below
-from symvar.partitions import _minimal_cover_groups as _cover_groups
 from symvar.poly import SliceFactor, scaled
 from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
@@ -685,7 +684,7 @@ def orbits_vanish_by_factors(generators, classes):
         size = len(rows[i])
         if size not in fits:
             fits[size] = [(m, tuple(c for c in range(n) if m >> c & 1))
-                          for m in _cover_groups(size, mults, (1 << n) - 1)]
+                          for m in _minimal_cover_groups(size, mults, (1 << n) - 1)]
         for m, group in fits[size]:
             if m & available == m:
                 for rest in supports(rows, i + 1, available & ~m):

@@ -259,14 +259,15 @@ class TestMalformedInput:
         path = self.write(tmp_path, '{"lambda": ["inf", "inf"], "points": [[0, "1/0"]]}')
         self.assert_data_error(capsys, "member", "inf,inf", "0^inf", "--variety", path)
 
-    def test_deep_preceq_is_refused(self, capsys):
+    def test_deep_preceq_is_answered(self, capsys):
         # one tail part is answered without a search: all 1200 ones cover it
         assert run(capsys, "preceq", "1200", ",".join(["1"] * 1200)) == (0, "true\n", "")
-        # false, and the witness fails, so the search runs and its first
-        # descent passes the recursion limit; a crash must not exit 1, which
-        # reads as false
-        self.assert_data_error(capsys, "preceq", ",".join(["3", "3"] + ["1"] * 1200),
-                               ",".join(["2", "2", "2"] + ["1"] * 1200))
+        # false, and the witness fails, so the search runs; it keeps its
+        # states on an explicit stack and counts equal parts, so 1,200 tail
+        # parts neither pass the recursion limit nor explode
+        for mu, lam in ((["3", "3"], ["2", "2", "2"]), (["6", "6"], ["5", "3", "2", "2"])):
+            assert run(capsys, "preceq", ",".join(mu + ["1"] * 1200),
+                       ",".join(lam + ["1"] * 1200)) == (1, "false\n", "")
 
     def test_deep_min_excluded_is_refused(self, capsys):
         self.assert_data_error(capsys, "min-excluded", "inf," + ",".join(["1"] * 1200))

@@ -176,6 +176,11 @@ COMMANDS = [
     # minimality decided on tails: answers whose tail covers need a capped merge
     ["min-excluded", "inf,5,4,3,2,1"],
     ["min-excluded", "--json", "inf,inf,inf,3,3,2"],
+    # the combining order searched over value counts: equal parts, distinct values
+    ["preceq", "6,6,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1",
+     "5,3,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1"],
+    ["min-excluded", "inf,3,3,3,3,3,3,3"],
+    ["min-excluded", "inf,4,3,2,1"],
 ]
 
 

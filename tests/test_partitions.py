@@ -49,8 +49,26 @@ def counted(monkeypatch, name):
 
 @pytest.fixture
 def cover_group_calls(monkeypatch):
-    """The arguments of every ``_minimal_cover_groups`` call, in order."""
-    return counted(monkeypatch, "_minimal_cover_groups")
+    """The need and state of every ``_cover_groups`` call that the tail
+    search makes, one per state it expands, in order; the lister's own
+    recursive calls, which pass `first`, are not counted."""
+    calls = []
+    inner = partitions._cover_groups
+
+    def counting(need, state, slots, *first):
+        if not first:
+            calls.append((need, state))
+        return inner(need, state, slots, *first)
+
+    monkeypatch.setattr(partitions, "_cover_groups", counting)
+    return calls
+
+
+def unit_groups(target, parts, mask):
+    """The masks of the cover groups of `parts` within `mask`, listed with
+    one slot of one copy per part, as ``equations._supports`` lists them."""
+    slots = tuple((p, 1 << i, 2) for i, p in enumerate(parts))
+    return [mask ^ left for left in partitions._cover_groups(target, mask, slots)]
 
 
 parts_strategy = st.lists(st.sampled_from([1, 2, 3, INF]), min_size=0, max_size=4).map(GenPartition)
@@ -222,20 +240,31 @@ class TestPreceq:
     def test_search_visits_each_state_once(self, cover_group_calls):
         # each of 6,5,4,3 needs two of the six 3s, so the search fails; it
         # meets one state per tail part, with six, four, two and no 3s
-        # unused.  Trying every choice among the equal 3s, it met 1 + 15 +
-        # 15 + 1 states, and without the memo of failed states it makes 196
-        # cover-group calls
+        # unused, where telling the equal 3s apart by index would make
+        # 1 + 15 + 15 + 1
         assert preceq(P("inf,6,5,4,3"), P("inf,3,3,3,3,3,3")) is False
         # the tail parts differ, so a call's target names its state's tail part
         assert len(cover_group_calls) == len(set(cover_group_calls)) == 4
 
     def test_equal_parts_are_searched_once(self, cover_group_calls):
         # 4^12 against inf,3^16: each 4 needs two 3s, so the search fails
-        # after placing eight 4s.  Only the first two unused 3s are tried
-        # for each 4, so there is one state per tail part: 9 cover-group
-        # calls, where trying every pair of 3s made 32,768
+        # after placing eight 4s.  The 3s are counted, not told apart, so
+        # there is one state per tail part: 9 states, where trying every
+        # pair of 3s made 32,768
         assert preceq(P(",".join(["4"] * 12)), P(",".join(["inf"] + ["3"] * 16))) is False
         assert len(cover_group_calls) == 9
+
+    def test_padded_search_grows_linearly(self, cover_group_calls):
+        # 6,6,1^n against 5,3,2,2,1^n is false, and the witness cannot
+        # place it; a state is the tail part and the counts of 5, 3, 2 and
+        # 1 left, so doubling n at most about doubles the states, where
+        # telling the ones apart by index would grow them exponentially
+        counts = []
+        for n in (80, 160):
+            cover_group_calls.clear()
+            assert preceq(GenPartition([6, 6] + [1] * n), GenPartition([5, 3, 2, 2] + [1] * n)) is False
+            counts.append(len(cover_group_calls))
+        assert 0 < counts[1] <= 2.5 * counts[0]
 
     def test_witness_places_what_the_search_would_not_finish(self, cover_group_calls):
         # 3^700 against 2^700,1^700: the search's first descent groups each 3
@@ -246,8 +275,10 @@ class TestPreceq:
 
 
 class TestMinimalCoverGroups:
-    """The groups are the sufficient index sets whose largest index is
-    needed: the search over subsets, restricted to each mask."""
+    """``_cover_groups`` with one slot of one copy per part lists the
+    sufficient index sets whose largest index is needed: the search over
+    subsets, restricted to each mask.  With counted slots it lists the
+    sufficient multisets whose last copy, in slot order, is needed."""
 
     def test_groups_equal_subset_search(self):
         rng = random.Random(11)
@@ -260,25 +291,56 @@ class TestMinimalCoverGroups:
                         if sum(parts[i] for i in sub) >= target > sum(parts[i] for i in sub[:-1])
                     ]
                     for mask in range(1 << n):
-                        got = list(partitions._minimal_cover_groups(target, parts, mask))
+                        got = unit_groups(target, parts, mask)
                         assert len(got) == len(set(got)), (parts, target, mask)
                         assert set(got) == {g for g in minimal if g & mask == g}, (parts, target, mask)
 
     def test_infinite_part_covers_alone(self):
         parts = [1, INF, 2, INF]
         for target in (1, 5, 100):
-            groups = list(partitions._minimal_cover_groups(target, parts, 0b1111))
+            groups = unit_groups(target, parts, 0b1111)
             assert {1 << 1, 1 << 3} <= set(groups)
             # an infinite part completes every group it joins
             assert all(g >> 2 == 0 for g in groups if g & 1 << 1)
-        assert list(partitions._minimal_cover_groups(100, parts, 0b0101)) == []
+        assert unit_groups(100, parts, 0b0101) == []
 
     def test_at_most_target_members(self):
         parts = [1] * 8 + [INF]
         for target in range(1, 10):
-            groups = list(partitions._minimal_cover_groups(target, parts, (1 << 9) - 1))
+            groups = unit_groups(target, parts, (1 << 9) - 1)
             assert groups and all(bin(g).count("1") <= target for g in groups)
             assert max(bin(g).count("1") for g in groups) == min(target, 9)
+
+    def test_counted_slots_equal_multiset_search(self):
+        # slots of 0 to 3 copies, the state a mixed-radix number; a group is
+        # a vector of copies taken, and the brute force keeps those whose
+        # sum reaches the target but falls short without one copy of the
+        # last slot taken
+        rng = random.Random(12)
+        for _ in range(300):
+            values = [rng.choice([1, 2, 3, 5, INF]) for _ in range(rng.randint(1, 4))]
+            radices = [rng.randint(1, 4) for _ in values]
+            places = [1]
+            for r in radices:
+                places.append(places[-1] * r)
+            slots = tuple(zip(values, places, radices))
+
+            def worth(taken):
+                return sum(t * v for t, v in zip(taken, values) if t)  # 0 * INF is NaN
+            for counts in itertools.product(*(range(r) for r in radices)):
+                state = sum(c * p for c, p in zip(counts, places))
+                for target in range(1, 8):
+                    expected = set()
+                    for taken in itertools.product(*(range(c + 1) for c in counts)):
+                        used = [s for s, t in enumerate(taken) if t]
+                        if used:
+                            last = used[-1]
+                            short = taken[:last] + (taken[last] - 1,)
+                            if worth(taken) >= target > worth(short):
+                                expected.add(state - sum(t * p for t, p in zip(taken, places)))
+                    got = list(partitions._cover_groups(target, state, slots))
+                    assert len(got) == len(set(got)), (slots, state, target)
+                    assert set(got) == expected, (slots, state, target)
 
 
 class TestGoodFilling:
