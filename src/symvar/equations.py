@@ -50,9 +50,9 @@ the same order, and every printed byte is unchanged.  `_components` peels
 off each coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, with O(r) set
 builds; when r <= 3 one side of any split is a single coordinate, so this
 finds every split.  A component is eliminated once per call, held in the
-call's `shared` dict by its projected key set, and each product slice moves
-its components' bases into its own variables (`poly.MonomialTable.embedded`);
-only an indecomposable set is eliminated.
+call's `shared` dict by its projected key set; a product slice renames the
+variables of its components' factors into its own, each keeping its row
+and `poly.MonomialTable`, and only an indecomposable set is eliminated.
 
 Membership first tries each block's slice points (the set test): if
 every assignment of the point's classes to the shape's rows has a choice
@@ -214,10 +214,11 @@ def _slice_factors(keys, shared) -> tuple:
     """The reduced basis of the points `keys`, held in `shared` by key set.
 
     A set that splits (`_components`) takes its components' bases, each
-    eliminated once per `shared`, moves them into its own variables and
-    merges them by ascending (degree, exponent tuple) of their leads, the
-    order in which `vanishing_ideal` emits them; only an indecomposable set
-    is eliminated."""
+    eliminated once per `shared`, places each factor by renaming ``used``
+    through the component's coordinates, keeping its row, `table` and
+    ``local``, and merges them by ascending (degree, exponent tuple in its
+    own variables) of their leads, the order in which `vanishing_ideal`
+    emits them; only an indecomposable set is eliminated."""
     held = shared.get(keys)
     if held is None:
         parts = _components(keys)
@@ -226,12 +227,18 @@ def _slice_factors(keys, shared) -> tuple:
         else:
             nvars, placed = len(next(iter(keys))), []
             for coords, part in parts:
-                factors = _slice_factors(part, shared)
-                table = factors[0].table.embedded(coords, nvars)
-                placed += [SliceFactor(f.coeffs, f.lead, f.index, table,
-                                       tuple(coords[j] for j in f.used)) for f in factors]
-            held = tuple(sorted(placed, key=lambda f: (
-                f.total_degree(), f.table.monomials[f.index])))
+                placed += [SliceFactor(f.coeffs, f.lead, f.index, f.table,
+                                       tuple(coords[j] for j in f.used), f.local)
+                           for f in _slice_factors(part, shared)]
+
+            def lead(f):
+                # (degree, exponent tuple in the slice's variables) of f's lead
+                e, m = [0] * nvars, f.table.monomials[f.index]
+                for j, k in zip(f.used, f.local):
+                    e[j] = m[k]
+                return f.total_degree(), e
+
+            held = tuple(sorted(placed, key=lead))
         shared[keys] = held
     return held
 
@@ -400,27 +407,26 @@ def _orbits_vanish(blocks, classes):
     supports' distinct projections onto the factor's rows.
 
     A factor is tested on integers: the class values are scaled by their
-    common denominator q, and for each choice of classes for a factor's
-    variables the values of its `poly.MonomialTable` are computed once per
-    point, shared by the factors written over that table, so that each test
-    is one dot product (`poly.SliceFactor.vanishes_at`).
+    common denominator q, and the values of a `poly.MonomialTable` are
+    computed once per point and choice of classes for its positions
+    (``local``), for every factor written over it in any slice, so that
+    each test is one dot product (`poly.SliceFactor.vanishes_at`).  The key
+    is positions, not ``used``: at two coordinate maps of one table, one
+    ``used`` names different positions.
     """
     keys = [v for v, _ in classes]
     q, xs_of_class = scaled(keys)
     mults = tuple(m for _, m in classes)
-    vectors = {}  # (table, variables, their classes) -> the table's values
+    vectors = {}  # (table, positions, their classes) -> the table's values
     projections = {}  # (rows, variables) -> the supports' distinct projections
 
     def vanishes(f, combo):
-        key = (f.table, f.used, combo)
+        key = (f.table, f.local, combo)
         vals = vectors.get(key)
         if vals is None:
             # the row's nonzero coefficients sit on entries in the factor's
             # own variables, so the other variables may take any value
-            xs = [0] * f.table.nvars
-            for j, c in zip(f.used, combo):
-                xs[j] = xs_of_class[c]
-            vals = vectors[key] = f.table.values(xs, q)
+            vals = vectors[key] = f.table.values(f.local, [xs_of_class[c] for c in combo], q)
         return f.vanishes_at(vals)
 
     def projected(rows, used, found):

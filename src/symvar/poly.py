@@ -7,9 +7,9 @@ integer row elimination leaves, a `SliceFactor`: its coefficients over one
 common lead, which is exactly the generator of elimination over Q, written
 over a `MonomialTable` that all the generators of one elimination share.
 Monomials in the slice coordinates t1, t2, ... are ordered
-graded-lexicographically with t1 > t2 > ....  A table can be moved into
-more variables (`MonomialTable.embedded`), so that the factors of a
-product's components keep their rows in the product's variables.  A factor
+graded-lexicographically with t1 > t2 > ....  A factor placed into more
+variables, as a product slice places its components' factors, keeps its
+row and its table and renames only the variables it mentions.  A factor
 is tested as a dot product with its table's monomial values and printed
 from its row by `_format_terms`.
 """
@@ -55,49 +55,38 @@ def _format_terms(items, name):
 
 
 class MonomialTable(_Frozen):
-    """The monomials in t1..t`nvars` that the factors of one
+    """The monomials in t1, t2, ... that the factors of one
     `vanishing_ideal` call are written over: the standard monomials in
     elimination order, then the generators' leads, as exponent tuples in
     `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
     earlier one times one variable: ``steps[i - 1]`` is (parent index,
     j) for entry i = entry parent * t_{j+1}.  There is one table per
-    elimination, and one per product slice that moves it into more
-    variables (`embedded`).
+    elimination, shared by every product slice that holds its component.
     """
 
-    __slots__ = ("monomials", "steps", "nvars")
+    __slots__ = ("monomials", "steps")
 
-    def __init__(self, monomials, steps, nvars):
+    def __init__(self, monomials, steps):
         object.__setattr__(self, "monomials", monomials)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "nvars", nvars)
 
-    def values(self, xs, q):
-        """The value of every entry at the point t_{j+1} = xs[j] / q, for
-        integers xs and q >= 1, times q^D, D the largest degree of an entry:
-        the integer prod(xs)^m * q^(D - |m|) for entry m.  One multiplication
-        per entry, and one more when q > 1."""
+    def values(self, at, xs, q):
+        """The value of every entry at the point t_{at[k]+1} = xs[k] / q,
+        every other variable 0, for integers xs and q >= 1, times q^D, D
+        the largest degree of an entry: the integer prod(x)^m * q^(D - |m|)
+        for entry m.  One multiplication per entry, and one more when
+        q > 1."""
+        x = [0] * len(self.monomials[0])
+        for j, v in zip(at, xs):
+            x[j] = v
         vals = [1]
         for parent, j in self.steps:
-            vals.append(vals[parent] * xs[j])
+            vals.append(vals[parent] * x[j])
         if q > 1:
             degrees = [sum(m) for m in self.monomials]
             top = max(degrees)
             vals = [v * q ** (top - d) for v, d in zip(vals, degrees)]
         return vals
-
-    def embedded(self, coords, nvars):
-        """The same entries in t1..t`nvars`, with t_{j+1} renamed
-        t_{coords[j]+1}: each exponent tuple spread to those positions, each
-        step's variable renamed.  `coords` ascend, so the variables keep
-        their order and a factor's ``used`` its meaning."""
-        monomials = []
-        for m in self.monomials:
-            e = [0] * nvars
-            for c, k in zip(coords, m):
-                e[c] = k
-            monomials.append(tuple(e))
-        return MonomialTable(monomials, [(parent, coords[j]) for parent, j in self.steps], nvars)
 
 
 def scaled(values):
@@ -113,25 +102,28 @@ class SliceFactor(_Frozen):
     `MonomialTable`, over the first ``len(coeffs)`` entries, plus `lead`
     times entry `index`, all divided by `lead`, a nonzero int of either
     sign.  `used` lists, ascending, the indices j of the variables t_{j+1}
-    it mentions.
+    it mentions, and `local` the positions of those variables in the
+    table's exponent tuples, in the same order.
 
-    This is the form in which `vanishing_ideal` leaves a generator: one
-    table per component, that is, the generators of one call share its
-    table, and a factor moved into more variables keeps its row over that
-    table's `MonomialTable.embedded` copy.  The zero test reads it as a dot
-    product with the table's values (`vanishes_at`), and its printed text,
-    with the rational coefficients c / `lead`, is built on first read and
-    kept.
+    This is the form in which `vanishing_ideal` leaves a generator, with
+    `local` equal to `used`: the generators of one call share its table.
+    A product slice places a component's factor into its own variables by
+    renaming `used` alone, so the factors of every slice that holds the
+    component stay written over the component's table.  The zero test
+    reads a factor as a dot product with the table's values
+    (`vanishes_at`), and its printed text, with the rational coefficients
+    c / `lead`, is built on first read and kept.
     """
 
-    __slots__ = ("coeffs", "lead", "index", "table", "used", "_template")
+    __slots__ = ("coeffs", "lead", "index", "table", "used", "local", "_template")
 
-    def __init__(self, coeffs, lead, index, table, used):
+    def __init__(self, coeffs, lead, index, table, used, local):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "used", used)
+        object.__setattr__(self, "local", local)
         object.__setattr__(self, "_template", None)
 
     def total_degree(self):
@@ -145,7 +137,7 @@ class SliceFactor(_Frozen):
         monomials = self.table.monomials
         items = [(c, monomials[i]) for i, c in enumerate(self.coeffs) if c]
         items.append((self.lead, monomials[self.index]))
-        return [(c, tuple((p, m[j]) for p, j in enumerate(self.used) if m[j])) for c, m in items]
+        return [(c, tuple((p, m[j]) for p, j in enumerate(self.local) if m[j])) for c, m in items]
 
     @property
     def template(self) -> str:
@@ -228,7 +220,7 @@ def vanishing_ideal(points) -> list:
     # bitmask and, but for the monomial 1, (parent index, variable)
     position, vecs, masks, steps = {}, [], [], []
     standard = []
-    leads, lead_steps, found = [], [], []  # found: (coefficients, lead, bitmask)
+    leads, lead_steps, found = [], [], []  # found: (coefficients, lead, used)
     candidates = [(0,) * r]
     degree = 0
     while candidates:
@@ -275,12 +267,13 @@ def vanishing_ideal(points) -> list:
             else:
                 # the constant is standard, so m has degree >= 1
                 coeffs = row[npts - k:-1]
-                found.append((coeffs, row[-1], reduce(operator.or_, compress(masks, coeffs), mask)))
+                mask = reduce(operator.or_, compress(masks, coeffs), mask)
+                found.append((coeffs, row[-1], tuple(j for j in range(r) if mask >> j & 1)))
                 leads.append(m)
                 lead_steps.append((parent, i))
         candidates = _border(new_standard, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"
-    table = MonomialTable(standard + leads, steps + lead_steps, r)
-    return [SliceFactor(coeffs, lead, npts + n, table, tuple(j for j in range(r) if mask >> j & 1))
-            for n, (coeffs, lead, mask) in enumerate(found)]
+    table = MonomialTable(standard + leads, steps + lead_steps)
+    return [SliceFactor(coeffs, lead, npts + n, table, used, used)
+            for n, (coeffs, lead, used) in enumerate(found)]

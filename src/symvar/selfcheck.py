@@ -550,7 +550,7 @@ def suite_vanishing(rng):
             # the generators share one table: its values at p, with t_{j+1}
             # taking the value p[j], serve every generator's zero test
             q, xs = scaled(p)
-            vals = gens[0].table.values(xs, q)
+            vals = gens[0].table.values(range(r), xs, q)
             return all(g.vanishes_at(vals) for g in gens)
 
         if not all(all_vanish(p) for p in pts):

@@ -669,12 +669,9 @@ def orbits_vanish_by_factors(generators, classes):
     vectors = {}
 
     def vanishes(f, combo):
-        key = (f.table, f.used, combo)
+        key = (f.table, f.local, combo)
         if key not in vectors:
-            xs = [0] * f.table.nvars
-            for j, c in zip(f.used, combo):
-                xs[j] = xs_of_class[c]
-            vectors[key] = f.table.values(xs, q)
+            vectors[key] = f.table.values(f.local, [xs_of_class[c] for c in combo], q)
         return f.vanishes_at(vectors[key])
 
     def supports(rows, i=0, available=(1 << n) - 1):

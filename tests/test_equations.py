@@ -293,7 +293,7 @@ print("symvar.selfcheck" in sys.modules)
         evaluated = []
         values = MonomialTable.values
         monkeypatch.setattr(MonomialTable, "values",
-                            lambda table, xs, q: evaluated.append(table) or values(table, xs, q))
+                            lambda table, *args: evaluated.append(table) or values(table, *args))
         lam = P("inf,2,1")
         Z = PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)])
         ideal = i_lambda_z(lam, Z)
@@ -479,3 +479,20 @@ class TestReduce:
         assert len(reduced.generators) < len(ideal.generators)
         for x in battery:
             assert member_by_equations(reduced, x) == member_by_equations(ideal, x)
+
+    def test_reduction_shares_the_component_tables_values(self, monkeypatch):
+        # over Z.json both slices are built from the component {0, 1}, and
+        # every factor stays written over its one table, so the value vectors
+        # kept per (table, positions, classes) serve the slice of 1 and both
+        # placements in the slice of 1,1; the pin may only go down
+        evaluated = []
+        values = MonomialTable.values
+        monkeypatch.setattr(MonomialTable, "values",
+                            lambda table, *args: evaluated.append(table) or values(table, *args))
+        lam = P("inf,inf")
+        ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1), (1, 0)]))
+        rng = random.Random(1729)  # the battery of ``equations --reduce``
+        battery = [random_point(rng, max_width=4) for _ in range(40)]
+        reduce_generators(ideal, battery)
+        assert len(evaluated) <= 50
+        assert len(set(evaluated)) == 1

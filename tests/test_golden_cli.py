@@ -181,6 +181,9 @@ COMMANDS = [
      "5,3,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1"],
     ["min-excluded", "inf,3,3,3,3,3,3,3"],
     ["min-excluded", "inf,4,3,2,1"],
+    # --reduce reads every product-slice factor, over its component's own table
+    ["equations", "inf,inf,inf,1", "--variety", "zq4.json", "--reduce"],
+    ["equations", "inf,inf,1", "--variety", "zq3.json", "--reduce", "--seed", "5"],
 ]
 
 

@@ -7,10 +7,13 @@ sets of values, takes its reduced basis from its components'
 negative and repeated values, single points, full grids and up to five
 coordinates, the assembled factors print the same strings in the same
 order, mention the same variables, and agree on ``vanishes_at`` at random
-rational points.  Each assembled factor is tested over the values of its
-own component's table, scaled by q^(D - |m|) with D that table's largest
-degree, so the points are drawn with denominators q > 1 and from the
-values of the set, where the factors vanish.
+rational points.  An assembled factor is its component's factor placed in
+the slice's variables: the same row over the very same table, with
+``local`` naming that table's positions of the variables in ``used``.  So
+it is tested over the values of its component's table, scaled by
+q^(D - |m|) with D that table's largest degree; the points are drawn with
+denominators q > 1 and from the values of the set, where the factors
+vanish.
 """
 
 import random
@@ -67,10 +70,45 @@ def test_assembled_factors_match_direct_elimination():
                 point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(r)]
             q, xs = scaled(point)
             for f, g in zip(assembled, direct):
-                want = g.vanishes_at(g.table.values(xs, q))
-                assert f.vanishes_at(f.table.values(xs, q)) == want, (str(f), point)
+                want = g.vanishes_at(g.table.values(g.used, [xs[j] for j in g.used], q))
+                got = f.vanishes_at(f.table.values(f.local, [xs[j] for j in f.used], q))
+                assert got == want, (str(f), point)
                 seen["zero" if want else "nonzero"] += 1
                 seen["q > 1"] += q > 1
+    assert all(seen.values()), seen
+
+
+def test_placed_factors_keep_their_components_tables():
+    """Each factor of a split slice is a factor of one of its components,
+    placed by the component's coordinates: the same row over the very same
+    table, ``used`` renamed through the coordinates, ``local`` kept."""
+    rng = random.Random(42)
+    seen = {"splits": 0, "one table at two maps": 0, "local != used": 0}
+    for _ in range(150):
+        keys, _ = random_product(rng)
+        parts = _components(keys)
+        if len(parts) == 1:
+            continue
+        shared = {}
+        assembled = _slice_factors(keys, shared)
+        own, tables = {}, set()  # (table id, lead index, placed used) -> component factor
+        for coords, part in parts:
+            seen["one table at two maps"] += id(shared[part][0].table) in tables
+            tables.add(id(shared[part][0].table))
+            own.update(((id(g.table), g.index, tuple(coords[j] for j in g.used)), g)
+                       for g in shared[part])
+        assert len(assembled) == len(own)
+        for f in assembled:
+            g = own.get((id(f.table), f.index, f.used))
+            assert g is not None, f"{f} is not over its component's table"
+            assert f.table is g.table and f.coeffs == g.coeffs and f.lead == g.lead
+            assert f.local == g.local and len(f.local) == len(f.used)
+            # local indexes the table, and the lead's variables are among it
+            lead = f.table.monomials[f.index]
+            assert f.local == tuple(sorted(set(f.local))) and f.local[-1] < len(lead)
+            assert {k for k, e in enumerate(lead) if e} <= set(f.local)
+            seen["local != used"] += f.local != f.used
+        seen["splits"] += 1
     assert all(seen.values()), seen
 
 

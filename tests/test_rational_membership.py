@@ -3,8 +3,10 @@
 ``member_by_equations`` tests each slice factor on integers: the class
 values are scaled by their common denominator q, and the factor, the
 integer row ``vanishing_ideal`` left, is multiplied into the values of its
-slice's monomial table.  With integer data q is 1; here Z and the points
-carry denominators 2, 3 and 7 and negative values, so q > 1.  Five checks:
+monomial table, the table of the elimination that made it, which a product
+slice's placed factors keep.  With integer data q is 1; here Z and the
+points carry denominators 2, 3 and 7 and negative values, so q > 1.  Six
+checks:
 
 - inside the exact domain the equation route equals ``theta_member``, and
   outside it never rejects a member;
@@ -18,10 +20,13 @@ carry denominators 2, 3 and 7 and negative values, so q > 1.  Five checks:
   class per tail row;
 - it also agrees with the former zero test, rebuilt from the ``Poly`` at
   every point (``oracles.tail_zero_test_by_poly``), on rational values, on
-  factors whose integer lead is negative and on factors that skip a row;
+  factors whose integer lead is negative, on factors that skip a row and
+  on placed factors whose table positions differ from their variables;
   there the factor's text also equals that of its ``Poly``;
 - the value vectors of a table shared by the factors of two capped shapes
-  give every generator the verdict of the ``Poly``-based search.
+  give every generator the verdict of the ``Poly``-based search;
+- so do those of a component's table placed at two coordinate maps, which
+  membership keeps per table positions, not per variables.
 """
 
 import itertools
@@ -31,7 +36,13 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.equations import _orbits_vanish, i_lambda_z, in_exact_domain, member_by_equations
+from symvar.equations import (
+    _orbits_vanish,
+    _slice_factors,
+    i_lambda_z,
+    in_exact_domain,
+    member_by_equations,
+)
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import scaled, vanishing_ideal
 from symvar.selfcheck import tvar
@@ -182,10 +193,7 @@ def dot_product_test(f, values):
     q, xs_of_value = scaled(values)
 
     def vanishes(combo):
-        xs = [0] * f.table.nvars
-        for j, c in zip(f.used, combo):
-            xs[j] = xs_of_value[c]
-        return f.vanishes_at(f.table.values(xs, q))
+        return f.vanishes_at(f.table.values(f.local, [xs_of_value[c] for c in combo], q))
 
     return vanishes
 
@@ -215,9 +223,13 @@ def test_integer_zero_test_matches_evaluation(ideals):
 def test_dot_product_test_matches_poly_oracle():
     """Factors of seeded rational point sets in three coordinates, half of
     them with the middle one held fixed so that factors skip row 2, tested
-    at class values drawn from the points' coordinates and from POOL."""
+    at class values drawn from the points' coordinates and from POOL.  A
+    set with the middle held fixed is a product, so it is also assembled
+    from its components (``_slice_factors``), and its placed factors, whose
+    table positions ``local`` differ from ``used``, are tested too."""
     rng = random.Random(27)
-    seen = {"q > 1": 0, "negative lead": 0, "skips a row": 0, "zero": 0, "nonzero": 0}
+    seen = {"q > 1": 0, "negative lead": 0, "skips a row": 0, "zero": 0, "nonzero": 0,
+            "local != used": 0}
     for t in range(24):
         middle = rng.choice(POOL)
         pts = [(rng.choice(POOL), middle if t % 2 else rng.choice(POOL), rng.choice(POOL))
@@ -232,7 +244,8 @@ def test_dot_product_test_matches_poly_oracle():
         table = factors[0].table
         assert all(f.table is table for f in factors)
         assert sorted(f.index for f in factors) == list(range(len(set(pts)), len(table.monomials)))
-        for f in factors:
+        placed = [f for f in _slice_factors(frozenset(pts), {}) if f.local != f.used]
+        for f in factors + placed:
             # the text formatted from the row is that of its rational form
             assert str(f) == str(factor_poly(f)), pts
             vanishes = dot_product_test(f, values)
@@ -243,16 +256,17 @@ def test_dot_product_test_matches_poly_oracle():
             seen["q > 1"] += math.lcm(*(v.denominator for v in values)) > 1
             seen["negative lead"] += f.lead < 0
             seen["skips a row"] += f.used[-1] - f.used[0] + 1 > len(f.used)
+            seen["local != used"] += f.local != f.used
     assert all(seen.values()), seen
 
 
 def test_table_shared_by_two_shapes():
     """Capped shapes whose slices hold the same points share that slice's
     factors, and so its table and the value vectors membership keeps per
-    (table, variables, classes).  At seeded rational points, the shared
-    vectors give every generator the verdict of ``orbits_vanish_by_masks``,
-    which rebuilds each factor's zero test from its ``Poly``
-    (``oracles.tail_zero_test_by_poly``)."""
+    (table, table positions, classes).  At seeded rational points, the
+    shared vectors give every generator the verdict of
+    ``orbits_vanish_by_masks``, which rebuilds each factor's zero test from
+    its ``Poly`` (``oracles.tail_zero_test_by_poly``)."""
     rng = random.Random(30)
     lam = GenPartition.parse("inf,2,1")
     Z = PointSetVariety(C(lam), [(0, Fraction(1, 2), -1), (Fraction(2, 3), 3, Fraction(-7, 3))])
@@ -275,4 +289,35 @@ def test_table_shared_by_two_shapes():
         assert got == list(orbits_vanish_by_masks(gens, classes)), classes
         assert list(_orbits_vanish(ideal.blocks, classes)) == by_block(ideal, got), classes
         seen.update(v for g, v in zip(gens, got) if g.factor is not None and g.factor.table in shared)
+    assert seen == {True, False}
+
+
+def test_table_at_two_coordinate_maps():
+    """Over one rational point of ``inf,1,1``, the slices of two shapes hold
+    one two-coordinate component at two coordinate maps, so one ``used``
+    names different positions of its table.  Membership keys the value
+    vectors by table positions (``local``): at seeded rational classes every
+    generator, one block each, gets the verdict of ``orbits_vanish_by_masks``.
+    Keyed by ``used``, a vector computed at one placement is read at the
+    other."""
+    rng = random.Random(31)
+    lam = GenPartition.parse("inf,1,1")
+    Z = PointSetVariety(C(lam), [(Fraction(1, 2), Fraction(-4, 3), 0)])
+    ideal = i_lambda_z(lam, Z)
+    gens = ideal.generators
+    places = {}  # (table, used) -> the table positions it names
+    for g in gens:
+        if g.factor is not None:
+            places.setdefault((g.factor.table, g.factor.used), set()).add(g.factor.local)
+    assert any(len(local) > 1 for local in places.values())
+    singles = ideal_of(lam, gens).blocks
+    values = sorted({c for p in Z.points for c in p} | {Fraction(5, 7)})
+    seen = set()
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        mults = [INF] + [rng.choice([INF, 1, 2]) for _ in range(width - 1)]
+        classes = list(FinitaryPoint(zip(rng.sample(values, width), mults)).classes)
+        got = list(_orbits_vanish(singles, classes))
+        assert got == list(orbits_vanish_by_masks(gens, classes)), classes
+        seen.update(got)
     assert seen == {True, False}
