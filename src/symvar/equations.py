@@ -27,10 +27,10 @@ A generator is held as its shape and its slice factor, the integer row
 that `poly.vanishing_ideal` leaves; an ideal holds one block per shape,
 whose factors are built on first read and shared by the shapes with the
 same slice.  Its expansion is combinatorially infeasible for even modest
-shapes; membership reads the shape and tests the factor on integers, as
-a dot product with its slice's monomial values, and printing writes the
-factored form straight from the shape and the text the factor formats
-from its row.
+shapes.  A block holds no cells: membership and pruning read the shape's
+row sizes and test the factor on integers, as a dot product with its
+slice's monomial values.  Printing alone numbers the cells
+(`IdealGenerator`), and each eliminated generator is printed once.
 
 A slice that is a product over its coordinates, S = S_A x S_B with A and B
 disjoint sets of coordinates, is not eliminated whole: its reduced
@@ -68,9 +68,9 @@ factors themselves stay pinned by the vanishing-ideal tests.
 
 Two bounded memos hold the work that reads no value.  `_skeleton`, keyed
 by lam (64 entries), holds lam's composition, the excluded blocks and the
-admissible capped shapes with their rows and saturations; `_supports`,
-keyed by a point's class multiplicities and a block's rows (1024
-entries), holds the support assignments of those rows.  Both are pure
+admissible capped shapes with their saturations; `_supports`, keyed by a
+point's class multiplicities and a shape's row sizes (1024 entries),
+holds the support assignments of those rows.  Both are pure
 functions of partitions, so a memoized entry is exactly what a fresh call
 would build; the slices, their factors and every test at a point read
 values and are built per call.  A one-shot CLI process builds each entry
@@ -104,34 +104,35 @@ def shape_rows(shape: GenPartition) -> tuple:
 
 
 class IdealGenerator(_Frozen):
-    """One generator of an orbit ideal: a finite shape and an optional
-    slice factor.
+    """One generator of an orbit ideal, as printed: a finite shape and an
+    optional slice factor.
 
     `kind` is "excluded" for a minimal excluded partition and "slice" for
-    a capped shape.  `rows` fill the `shape` row-major with the cells
-    1, 2, ... (`shape_rows`; the generators of one block pass theirs in);
-    the generator is the product of (x_a - x_b) over cells a < b in
-    different rows.  `factor` is the optional slice factor, a
-    `poly.SliceFactor`: t_i stands for the coordinates of row i, and the
-    generator carries one copy of the factor per choice of a cell in each
-    row of `tail_rows`, the rows the factor mentions.
+    a capped shape.  `rows`, numbered from the shape on each read, fill it
+    row-major with the cells 1, 2, ... (`shape_rows`); the generator is the
+    product of (x_a - x_b) over cells a < b in different rows.  `factor`
+    is the optional slice factor, a `poly.SliceFactor`: t_i stands for the
+    coordinates of row i, and the generator carries one copy of the factor
+    per choice of a cell in each row of `tail_rows`, the rows the factor
+    mentions.
     """
 
-    __slots__ = ("kind", "shape", "rows", "factor", "tail_rows")
+    __slots__ = ("kind", "shape", "factor", "tail_rows")
 
-    def __init__(self, kind, shape: GenPartition, factor=None, rows=None):
+    def __init__(self, kind, shape: GenPartition, factor=None):
         if shape.num_infinite:
             raise ValueError("generator shape has an infinite part")
-        if rows is None:
-            rows = shape_rows(shape)
         tail_rows = () if factor is None else factor.used
-        if tail_rows and tail_rows[-1] >= len(rows):
+        if tail_rows and tail_rows[-1] >= shape.length:
             raise ValueError("tail uses a t-variable with no matching row")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "tail_rows", tail_rows)
+
+    @property
+    def rows(self) -> tuple:
+        return shape_rows(self.shape)
 
     def provenance(self) -> str:
         if self.kind == "excluded":
@@ -158,7 +159,7 @@ class IdealGenerator(_Frozen):
 
 class ShapeBlock(_Frozen):
     """The generators of one finite shape, in output order: they share its
-    `kind`, `shape` and `rows`.  A capped shape of `i_lambda_z` also holds
+    `kind` and `shape` (no cells).  A capped shape of `i_lambda_z` also holds
     `keys`, the key tuples (``variety._key`` values) of its saturated
     slice; its `factors`, the slice's reduced basis, are built on first
     read (`_slice_factors`: assembled from its components' bases when the
@@ -167,12 +168,11 @@ class ShapeBlock(_Frozen):
     has the one factor None, the bare tableau polynomial.
     """
 
-    __slots__ = ("kind", "shape", "rows", "keys", "_factors", "_shared")
+    __slots__ = ("kind", "shape", "keys", "_factors", "_shared")
 
-    def __init__(self, kind, shape: GenPartition, rows, keys=None, factors=None, shared=None):
+    def __init__(self, kind, shape: GenPartition, keys=None, factors=None, shared=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_shared", shared)
@@ -186,7 +186,7 @@ class ShapeBlock(_Frozen):
         return self._factors
 
     def generators(self) -> list:
-        return [IdealGenerator(self.kind, self.shape, f, self.rows) for f in self.factors]
+        return [IdealGenerator(self.kind, self.shape, f) for f in self.factors]
 
 
 def _components(keys) -> list:
@@ -279,7 +279,7 @@ def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded
     partition."""
-    return TypeIdeal(lam, [ShapeBlock("excluded", alpha, shape_rows(alpha), factors=(None,))
+    return TypeIdeal(lam, [ShapeBlock("excluded", alpha, factors=(None,))
                            for alpha in min_excluded(lam)])
 
 
@@ -308,12 +308,12 @@ def in_exact_domain(lam: GenPartition) -> bool:
 def _skeleton(lam: GenPartition) -> tuple:
     """The part of ``i_lambda_z(lam, Z)`` that lam alone fixes: lam's
     composition, the excluded blocks of ``i_lambda(lam)``, and for each
-    capped shape mu that passes `_mix_safe`, in output order, the triple
-    (mu, its rows, the composition of its saturation) that its slice is
-    read over.  Every part is immutable and no value of Z enters it, so the
-    blocks are shared by every ideal of lam."""
+    capped shape mu that passes `_mix_safe`, in output order, the pair
+    (mu, the composition of its saturation) that its slice is read over.
+    Every part is immutable and no value of Z enters it, so the blocks are
+    shared by every ideal of lam."""
     e = lam.finite_weight
-    shapes = tuple((mu, shape_rows(mu), GenComposition.from_partition(mu_s(mu, e)))
+    shapes = tuple((mu, GenComposition.from_partition(mu_s(mu, e)))
                    for mu in capped_shapes(lam) if _mix_safe(mu, lam))
     return GenComposition.from_partition(lam), i_lambda(lam).blocks, shapes
 
@@ -341,28 +341,28 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
         raise ValueError("Z must live over the composition of lam")
     shared = {}  # slices of different shapes often share points or components
     return TypeIdeal(lam, excluded + tuple(
-        ShapeBlock("slice", mu, rows, frozenset(_gamma_points(Z.tables, saturated)), shared=shared)
-        for mu, rows, saturated in shapes))
+        ShapeBlock("slice", mu, frozenset(_gamma_points(Z.tables, saturated)), shared=shared)
+        for mu, saturated in shapes))
 
 
 @functools.lru_cache(maxsize=1024)
-def _supports(mults: tuple, rows: tuple) -> tuple:
-    """Every assignment of pairwise disjoint cover groups to `rows`, one
-    group per row, for a point whose classes have these multiplicities:
-    the supports of `_orbits_vanish`.  A group is the tuple of its class
-    indices, and a row of `size` cells takes the groups of
-    ``_cover_groups`` with one slot of one copy per class, whose state is
-    the mask of the classes left.  No value enters."""
+def _supports(mults: tuple, sizes: tuple) -> tuple:
+    """Every assignment of pairwise disjoint cover groups to rows of these
+    `sizes`, one group per row, for a point whose classes have these
+    multiplicities: the supports of `_orbits_vanish`.  A group is the
+    tuple of its class indices, and a row of `size` cells takes the groups
+    of ``_cover_groups`` with one slot of one copy per class, whose state
+    is the mask of the classes left.  No value enters."""
     n = len(mults)
     full = (1 << n) - 1
     slots = tuple((m, 1 << c, 2) for c, m in enumerate(mults))
     fits = {}  # row size -> [(mask, classes of the mask)]
 
     def supports(i, available):
-        if i == len(rows):
+        if i == len(sizes):
             yield ()
             return
-        size = len(rows[i])
+        size = sizes[i]
         if size not in fits:
             fits[size] = [(full ^ left, tuple(c for c in range(n) if not left >> c & 1))
                           for left in _cover_groups(size, full, slots)]
@@ -400,9 +400,9 @@ def _orbits_vanish(blocks, classes):
     nonzero, some support of cover groups has too; and every cover group
     is itself a valid S.
 
-    The supports depend on the multiplicities and the rows alone, so they
-    come from the memo `_supports`.  A block with no support vanishes, and
-    so does a block whose set test (see the module docstring) holds at
+    The supports depend on the multiplicities and the row sizes alone, so
+    they come from the memo `_supports`.  A block with no support vanishes,
+    and so does a block whose set test (see the module docstring) holds at
     every support; any other block tests each of its factors on the
     supports' distinct projections onto the factor's rows.
 
@@ -418,7 +418,7 @@ def _orbits_vanish(blocks, classes):
     q, xs_of_class = scaled(keys)
     mults = tuple(m for _, m in classes)
     vectors = {}  # (table, positions, their classes) -> the table's values
-    projections = {}  # (rows, variables) -> the supports' distinct projections
+    projections = {}  # (row sizes, variables) -> the supports' distinct projections
 
     def vanishes(f, combo):
         key = (f.table, f.local, combo)
@@ -429,10 +429,10 @@ def _orbits_vanish(blocks, classes):
             vals = vectors[key] = f.table.values(f.local, [xs_of_class[c] for c in combo], q)
         return f.vanishes_at(vals)
 
-    def projected(rows, used, found):
-        if (rows, used) not in projections:
-            projections[rows, used] = {tuple(a[r] for r in used) for a in found}
-        return projections[rows, used]
+    def projected(sizes, used, found):
+        if (sizes, used) not in projections:
+            projections[sizes, used] = {tuple(a[r] for r in used) for a in found}
+        return projections[sizes, used]
 
     def every_has(groups, hit):
         # does each tuple of class groups have a choice of one class per
@@ -446,14 +446,14 @@ def _orbits_vanish(blocks, classes):
         return True
 
     for block in blocks:
-        rows, slice_keys = block.rows, block.keys
-        found = _supports(mults, rows)
+        sizes, slice_keys = block.shape.parts, block.keys
+        found = _supports(mults, sizes)
         if not found or slice_keys is not None and every_has(
                 found, lambda combo: tuple(map(keys.__getitem__, combo)) in slice_keys):
             yield True
         else:
             # the bare tableau polynomial (f None) is nonzero on a support
-            yield all(f is not None and every_has(projected(rows, f.used, found),
+            yield all(f is not None and every_has(projected(sizes, f.used, found),
                                                   functools.partial(vanishes, f))
                       for f in block.factors)
 
@@ -485,25 +485,22 @@ def random_point(rng, max_width=5):
 def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
     """Heuristic pruning: drop a generator when, on every sample point where
     all other kept generators vanish, it vanishes too.  The result cuts out
-    the same locus on the sampled battery only; this is flagged as a
-    heuristic, not a proof of redundancy.  Each block keeps its key set and
-    the factors of its kept generators: every one of them vanishes where
-    the set test holds."""
-    gens = ideal.generators
-    singles = [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,)) for g in gens]
+    the same locus on the sampled battery only, and may drop a needed
+    excluded generator: a heuristic, not a proof of redundancy.  Each block
+    keeps its key set and the factors of its kept generators: every one of
+    them vanishes where the set test holds."""
+    singles = [ShapeBlock(b.kind, b.shape, factors=(f,)) for b in ideal.blocks for f in b.factors]
     # vanish[i][j]: do the orbit evaluations of generator j vanish at sample point i?
     vanish = [list(_orbits_vanish(singles, list(x.classes))) for x in sample_points]
-    kept = list(range(len(gens)))
+    kept = list(range(len(singles)))
     for j in reversed(kept):
         others = [h for h in kept if h != j]
-        if not others:
-            continue
-        if all(row[j] for row in vanish if all(row[h] for h in others)):
+        if others and all(row[j] for row in vanish if all(row[h] for h in others)):
             kept = others
     kept, blocks, j = set(kept), [], 0
     for b in ideal.blocks:
         factors = tuple(f for i, f in enumerate(b.factors, j) if i in kept)
         j += len(b.factors)
         if factors:
-            blocks.append(ShapeBlock(b.kind, b.shape, b.rows, b.keys, factors))
+            blocks.append(ShapeBlock(b.kind, b.shape, b.keys, factors))
     return TypeIdeal(ideal.lam, blocks)

@@ -11,7 +11,7 @@ graded-lexicographically with t1 > t2 > ....  A factor placed into more
 variables, as a product slice places its components' factors, keeps its
 row and its table and renames only the variables it mentions.  A factor
 is tested as a dot product with its table's monomial values and printed
-from its row by `_format_terms`.
+from its row by `_format_terms`, once per table and lead.
 """
 
 import math
@@ -61,14 +61,16 @@ class MonomialTable(_Frozen):
     `monomials`.  Entry 0 is the monomial 1, and each later entry i is an
     earlier one times one variable: ``steps[i - 1]`` is (parent index,
     j) for entry i = entry parent * t_{j+1}.  There is one table per
-    elimination, shared by every product slice that holds its component.
+    elimination, shared by every product slice that holds its component,
+    and `templates` holds its factors' printed templates by lead index.
     """
 
-    __slots__ = ("monomials", "steps")
+    __slots__ = ("monomials", "steps", "templates")
 
     def __init__(self, monomials, steps):
         object.__setattr__(self, "monomials", monomials)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "templates", {})
 
     def values(self, at, xs, q):
         """The value of every entry at the point t_{at[k]+1} = xs[k] / q,
@@ -111,11 +113,11 @@ class SliceFactor(_Frozen):
     renaming `used` alone, so the factors of every slice that holds the
     component stay written over the component's table.  The zero test
     reads a factor as a dot product with the table's values
-    (`vanishes_at`), and its printed text, with the rational coefficients
-    c / `lead`, is built on first read and kept.
+    (`vanishes_at`); its printed template, with the rational coefficients
+    c / `lead`, is held by the table for every copy of the factor.
     """
 
-    __slots__ = ("coeffs", "lead", "index", "table", "used", "local", "_template")
+    __slots__ = ("coeffs", "lead", "index", "table", "used", "local")
 
     def __init__(self, coeffs, lead, index, table, used, local):
         object.__setattr__(self, "coeffs", coeffs)
@@ -124,7 +126,6 @@ class SliceFactor(_Frozen):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "used", used)
         object.__setattr__(self, "local", local)
-        object.__setattr__(self, "_template", None)
 
     def total_degree(self):
         return sum(self.table.monomials[self.index])
@@ -144,10 +145,11 @@ class SliceFactor(_Frozen):
         """The printed factor with the field ``{p}`` in place of the variable
         t_{used[p]+1}; its terms are sorted once.  `used` ascends, so the
         positions p sort as the variables they name."""
-        if self._template is None:
-            object.__setattr__(self, "_template", _format_terms(
-                ((m, Fraction(c, self.lead)) for c, m in self.terms), lambda p: "{%d}" % p))
-        return self._template
+        held = self.table.templates
+        if self.index not in held:
+            held[self.index] = _format_terms(
+                ((m, Fraction(c, self.lead)) for c, m in self.terms), lambda p: "{%d}" % p)
+        return held[self.index]
 
     def __str__(self):
         return self.template.format(*(f"t{j + 1}" for j in self.used))

@@ -53,10 +53,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from symvar.corr import CompMap, Correspondence
-from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal
+from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal, shape_rows
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.partitions import _box_parts, _tail_below
-from symvar.poly import SliceFactor, scaled
+from symvar.poly import SliceFactor, _format_terms, scaled
 from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
 
@@ -253,8 +253,8 @@ def factor_poly(f: SliceFactor) -> Poly:
 class PolyFactor(SliceFactor):
     """A slice factor given by its terms instead of an elimination row, so
     that any polynomial in t-variables can stand as one: `terms` are its
-    (c, monomial) pairs over the common denominator `lead`.  It prints
-    through ``SliceFactor.template``; it has no table to be tested on."""
+    (c, monomial) pairs over the common denominator `lead`.  It has no
+    table to be tested on or to hold its template, so it formats its own."""
 
     __slots__ = ("given",)
 
@@ -262,11 +262,15 @@ class PolyFactor(SliceFactor):
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "used", used)
         object.__setattr__(self, "given", terms)
-        object.__setattr__(self, "_template", None)
 
     @property
     def terms(self):
         return self.given
+
+    @property
+    def template(self) -> str:
+        return _format_terms(((m, Fraction(c, self.lead)) for c, m in self.terms),
+                             lambda p: "{%d}" % p)
 
 
 def factor_from_poly(p: Poly) -> SliceFactor:
@@ -654,7 +658,7 @@ def set_test_by_masks(block, classes) -> bool:
     return all(
         any(tuple(classes[c][0] for c in combo) in block.keys
             for combo in itertools.product(*([c for c in range(n) if m >> c & 1] for m in a)))
-        for a in supports_by_masks(block.rows, classes))
+        for a in supports_by_masks(shape_rows(block.shape), classes))
 
 
 def orbits_vanish_by_factors(generators, classes):
@@ -717,7 +721,7 @@ def by_block(ideal, verdicts) -> list:
 def ideal_of(lam: GenPartition, generators) -> TypeIdeal:
     """The ideal of `lam` holding `generators` in order, one block each
     with no key set, so that membership runs no set test on them."""
-    return TypeIdeal(lam, [ShapeBlock(g.kind, g.shape, g.rows, factors=(g.factor,))
+    return TypeIdeal(lam, [ShapeBlock(g.kind, g.shape, factors=(g.factor,))
                            for g in generators])
 
 

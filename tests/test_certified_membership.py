@@ -25,7 +25,13 @@ import random
 import pytest
 
 from symvar import equations
-from symvar.equations import i_lambda_z, member_by_equations, random_point, reduce_generators
+from symvar.equations import (
+    i_lambda_z,
+    member_by_equations,
+    random_point,
+    reduce_generators,
+    shape_rows,
+)
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.variety import FinitaryPoint, PointSetVariety
 
@@ -72,7 +78,8 @@ def test_non_member_builds_only_the_slices_its_set_tests_fail(built):
     # supports and the set test of the mask-table oracle
     classes, want = list(x.classes), []
     for block in ideal.blocks:
-        if not supports_by_masks(block.rows, classes) or set_test_by_masks(block, classes):
+        if (not supports_by_masks(shape_rows(block.shape), classes)
+                or set_test_by_masks(block, classes)):
             continue
         if block.keys and block.keys not in want:
             want.append(block.keys)

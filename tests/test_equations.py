@@ -26,6 +26,7 @@ from symvar.partitions import (
     INF,
     GenComposition,
     GenPartition,
+    min_excluded,
     mu_s,
     preceq,
 )
@@ -496,3 +497,34 @@ class TestReduce:
         reduce_generators(ideal, battery)
         assert len(evaluated) <= 50
         assert len(set(evaluated)) == 1
+
+    def test_pruning_builds_no_flat_view(self):
+        # the one-factor blocks of the pruning come from the ideal's blocks
+        lam = P("inf,inf")
+        ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1), (1, 0)]))
+        rng = random.Random(1729)
+        reduced = reduce_generators(ideal, [random_point(rng, max_width=4) for _ in range(40)])
+        assert ideal._generators is None
+        assert len(reduced.generators) < sum(len(b.factors) for b in ideal.blocks)
+
+    # points of type inf ++ alpha[1:], alpha minimal excluded, that the
+    # default battery's reduction of i_lambda accepts (ROADMAP item 20): the
+    # battery drops excluded generators that are needed, and only inf,1,1
+    # is reduced exactly.  Each count may shrink, never grow.
+    OVER_ACCEPTED = {"inf,2": 1, "inf,1,1": 0, "inf,2,1": 1, "inf,3,3": 2, "inf,inf,2": 1,
+                     "inf,2,2": 2, "inf,3,1": 2, "inf,4": 1, "inf,inf,1,1": 2,
+                     "inf,2,1,1": 1}
+
+    def test_default_battery_over_acceptance_is_pinned(self):
+        rng = random.Random(1729)  # the battery of ``equations --reduce``
+        battery = [random_point(rng, max_width=4) for _ in range(40)]
+        for text, pinned in self.OVER_ACCEPTED.items():
+            lam = P(text)
+            ideal = i_lambda(lam)
+            reduced = reduce_generators(ideal, battery)
+            accepted = 0
+            for alpha in min_excluded(lam):
+                x = FinitaryPoint([(0, INF)] + [(v, m) for v, m in enumerate(alpha.parts[1:], 1)])
+                assert not member_by_equations(ideal, x), (text, alpha)
+                accepted += member_by_equations(reduced, x)
+            assert accepted <= pinned, (text, accepted)

@@ -184,6 +184,9 @@ COMMANDS = [
     # --reduce reads every product-slice factor, over its component's own table
     ["equations", "inf,inf,inf,1", "--variety", "zq4.json", "--reduce"],
     ["equations", "inf,inf,1", "--variety", "zq3.json", "--reduce", "--seed", "5"],
+    # --reduce on a type locus: the battery keeps 3,3 and drops 1,1,1 for inf,2
+    ["equations", "inf,2", "--reduce"],
+    ["equations", "--json", "inf,1,1", "--reduce"],
 ]
 
 

@@ -2,10 +2,10 @@
 
 ``equations._skeleton(lam)`` holds what lam alone fixes in
 ``i_lambda_z``: lam's composition, the excluded blocks of ``i_lambda`` and
-the admissible capped shapes with their rows and saturations.
-``equations._supports(mults, rows)`` holds the support assignments that
-``_orbits_vanish`` searches for a block's rows at a point with these class
-multiplicities.  Neither reads a value of Z or of x.  These tests check:
+the admissible capped shapes with their saturations.
+``equations._supports(mults, sizes)`` holds the support assignments that
+``_orbits_vanish`` searches for rows of a block's sizes at a point with
+these class multiplicities.  Neither reads a value of Z or of x.  These tests check:
 
 - a second pair over the same lambda calls neither ``min_excluded`` nor
   ``capped_shapes``, and a second point with the same multiplicities runs

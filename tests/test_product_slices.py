@@ -13,15 +13,18 @@ the slice's variables: the same row over the very same table, with
 it is tested over the values of its component's table, scaled by
 q^(D - |m|) with D that table's largest degree; the points are drawn with
 denominators q > 1 and from the values of the set, where the factors
-vanish.
+vanish.  Its printed template is its table's, so every placed copy of one
+eliminated generator is formatted once.
 """
 
 import random
 from fractions import Fraction
 
-from symvar import equations
-from symvar.equations import _components, _slice_factors
+from symvar import equations, poly
+from symvar.equations import _components, _slice_factors, i_lambda_z
+from symvar.partitions import GenComposition, GenPartition
 from symvar.poly import scaled, vanishing_ideal
+from symvar.variety import PointSetVariety
 
 POOL = [0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3), Fraction(7, 5), Fraction(-2, 7)]
 
@@ -124,3 +127,18 @@ def test_components_are_eliminated_once_per_shared_dict(monkeypatch):
     assert [str(f) for f in first] == ["t2 - 3", "t1^2 - 3*t1 + 2"]
     assert [str(f) for f in second] == ["t1 - 3", "t2^2 - 3*t2 + 2"]
     assert _slice_factors(frozenset({(1, 3), (2, 3)}), shared) is first
+
+
+def test_each_eliminated_generator_is_formatted_once(monkeypatch):
+    # zq4.json of the golden corpus: one rational point of inf,inf,inf,1,
+    # whose product slices place the same component factors many times
+    calls = []
+    format_terms = poly._format_terms
+    monkeypatch.setattr(poly, "_format_terms",
+                        lambda *args: calls.append(args) or format_terms(*args))
+    lam = GenPartition.parse("inf,inf,inf,1")
+    point = (Fraction(1, 2), 3, Fraction(-4, 3), 7)
+    ideal = i_lambda_z(lam, PointSetVariety(GenComposition.from_partition(lam), [point]))
+    ideal.render()
+    factors = [f for block in ideal.blocks for f in block.factors if f is not None]
+    assert len(calls) == len({(id(f.table), f.index) for f in factors}) == 21 < len(factors)
