@@ -109,10 +109,11 @@ def cmd_equations(args) -> int:
         battery = [equations.random_point(rng, max_width=4) for _ in range(40)]
         ideal = equations.reduce_generators(ideal, battery)
     if args.json:
+        gens = ideal.generators
         print(json.dumps({
             "lambda": str(lam),
-            "generators": [str(g) for g in ideal.generators],
-            "provenance": [g.provenance() for g in ideal.generators],
+            "generators": [str(g) for g in gens],
+            "provenance": [g.provenance() for g in gens],
         }, sort_keys=True))
     else:
         print(ideal.render())

@@ -24,35 +24,15 @@ every partition with all parts infinite), and may only over-accept outside
 that range, which ``in_exact_domain`` tests.
 
 A generator is held as its shape and its slice factor, the integer row
-that `poly.vanishing_ideal` leaves; an ideal holds one block per shape,
-whose factors are built on first read and shared by the shapes with the
-same slice.  Its expansion is combinatorially infeasible for even modest
-shapes.  A block holds no cells: membership and pruning read the shape's
-row sizes and test the factor on integers, as a dot product with its
-slice's monomial values.  Printing alone numbers the cells
-(`IdealGenerator`), and each eliminated generator is printed once.
-
-A slice that is a product over its coordinates, S = S_A x S_B with A and B
-disjoint sets of coordinates, is not eliminated whole: its reduced
-graded-lex basis is the union of those of S_A and S_B, each in its own
-variables.  I(S_A) + I(S_B) lies in I(S) and has a quotient of dimension
-|S_A| * |S_B| = |S|, so it is I(S).  The two bases' leads lie in disjoint
-variables and are coprime, so every S-pair across them reduces to zero
-(Buchberger's first criterion) and the union is a Groebner basis.  Each
-tail is standard for its own basis and mentions only its own variables,
-so no lead of the other divides it, and the union is reduced; the
-reduced basis is unique, so it is exactly what elimination of S returns.
-Graded lex restricted to A's variables is graded lex on them, so S_A's
-basis is `vanishing_ideal` of the projection.  `vanishing_ideal` emits
-its generators by ascending (degree, exponent tuple) of their leads, so
-merging the components' bases by that key gives the same generators in
-the same order, and every printed byte is unchanged.  `_components` peels
-off each coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, with O(r) set
-builds; when r <= 3 one side of any split is a single coordinate, so this
-finds every split.  A component is eliminated once per call, held in the
-call's `shared` dict by its projected key set; a product slice renames the
-variables of its components' factors into its own, each keeping its row
-and `poly.MonomialTable`, and only an indecomposable set is eliminated.
+that `poly.vanishing_ideal` leaves; an ideal is only its blocks, one per
+shape, whose factors `poly._slice_factors` builds on first read and
+shares between the shapes with the same slice or component.  Its
+expansion is combinatorially infeasible for even modest shapes.  A block
+holds no cells: membership and pruning read the shape's row sizes and
+test the factor on integers, as a dot product with its slice's monomial
+values.  Printing alone numbers the cells (`IdealGenerator`, built from
+the blocks on each read of `TypeIdeal.generators`), and each eliminated
+generator is formatted once.
 
 Membership first tries each block's slice points (the set test): if
 every assignment of the point's classes to the shape's rows has a choice
@@ -79,7 +59,6 @@ once, as it did without the memos.
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
 
 from .partitions import (
@@ -92,7 +71,7 @@ from .partitions import (
     min_excluded,
     mu_s,
 )
-from .poly import SliceFactor, scaled, vanishing_ideal
+from .poly import _slice_factors, scaled
 from .variety import FinitaryPoint, PointSetVariety, _gamma_points
 
 
@@ -159,13 +138,14 @@ class IdealGenerator(_Frozen):
 
 class ShapeBlock(_Frozen):
     """The generators of one finite shape, in output order: they share its
-    `kind` and `shape` (no cells).  A capped shape of `i_lambda_z` also holds
-    `keys`, the key tuples (``variety._key`` values) of its saturated
-    slice; its `factors`, the slice's reduced basis, are built on first
-    read (`_slice_factors`: assembled from its components' bases when the
-    slice is a product) and shared, through the call's `shared` dict, by
-    every block with the same key set.  An empty slice or an excluded shape
-    has the one factor None, the bare tableau polynomial.
+    `kind` and `shape` (no cells), and generator i is the tableau
+    polynomial of `shape` times ``factors[i]``.  A capped shape of
+    `i_lambda_z` also holds `keys`, the key tuples (``variety._key``
+    values) of its saturated slice; its `factors`, the slice's reduced
+    basis, are built on first read by `poly._slice_factors` and shared,
+    through the call's `shared` dict, by every block with the same key
+    set.  An empty slice or an excluded shape has the one factor None, the
+    bare tableau polynomial.
     """
 
     __slots__ = ("kind", "shape", "keys", "_factors", "_shared")
@@ -185,84 +165,24 @@ class ShapeBlock(_Frozen):
                                _slice_factors(keys, self._shared) if keys else (None,))
         return self._factors
 
-    def generators(self) -> list:
-        return [IdealGenerator(self.kind, self.shape, f) for f in self.factors]
-
-
-def _components(keys) -> list:
-    """The split of a set S of key tuples as a product over its
-    coordinates: a (coordinates, key set) pair for each coordinate i that
-    splits off, |pi_i(S)| * |pi_rest(S)| = |S|, then one for the rest.
-    Peeling one coordinate leaves the others' test unchanged, so each is
-    tested once, on what is left; one pair means no split."""
-    coords = tuple(range(len(next(iter(keys)))))
-    rest, parts, i = keys, [], 0
-    while len(coords) > 1 and i < len(coords):
-        column = set(map(operator.itemgetter(i), rest))
-        if len(rest) % len(column) == 0:
-            others = frozenset(p[:i] + p[i + 1:] for p in rest)
-            if len(column) * len(others) == len(rest):
-                parts.append(((coords[i],), frozenset((v,) for v in column)))
-                coords, rest = coords[:i] + coords[i + 1:], others
-                continue
-        i += 1
-    parts.append((coords, rest))
-    return parts
-
-
-def _slice_factors(keys, shared) -> tuple:
-    """The reduced basis of the points `keys`, held in `shared` by key set.
-
-    A set that splits (`_components`) takes its components' bases, each
-    eliminated once per `shared`, places each factor by renaming ``used``
-    through the component's coordinates, keeping its row, `table` and
-    ``local``, and merges them by ascending (degree, exponent tuple in its
-    own variables) of their leads, the order in which `vanishing_ideal`
-    emits them; only an indecomposable set is eliminated."""
-    held = shared.get(keys)
-    if held is None:
-        parts = _components(keys)
-        if len(parts) == 1:
-            held = tuple(vanishing_ideal(keys))
-        else:
-            nvars, placed = len(next(iter(keys))), []
-            for coords, part in parts:
-                placed += [SliceFactor(f.coeffs, f.lead, f.index, f.table,
-                                       tuple(coords[j] for j in f.used), f.local)
-                           for f in _slice_factors(part, shared)]
-
-            def lead(f):
-                # (degree, exponent tuple in the slice's variables) of f's lead
-                e, m = [0] * nvars, f.table.monomials[f.index]
-                for j, k in zip(f.used, f.local):
-                    e[j] = m[k]
-                return f.total_degree(), e
-
-            held = tuple(sorted(placed, key=lead))
-        shared[keys] = held
-    return held
-
 
 class TypeIdeal(_Frozen):
     """Generator set, with provenance, for the orbit ideal attached to a
-    partition (and optionally a point-set variety), held as `blocks`, one
-    `ShapeBlock` per shape in output order.  Its flat view `generators`
-    reads every block's factors on its first read.
+    partition (and optionally a point-set variety): only its `blocks`, one
+    `ShapeBlock` per shape in output order.  `generators`, the printed
+    form, is built from the blocks on each read, which reads every block's
+    factors; nothing caches it.
     """
 
-    __slots__ = ("lam", "blocks", "_generators")
+    __slots__ = ("lam", "blocks")
 
     def __init__(self, lam: GenPartition, blocks):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_generators", None)
 
     @property
     def generators(self) -> tuple:
-        if self._generators is None:
-            object.__setattr__(self, "_generators",
-                               tuple(g for block in self.blocks for g in block.generators()))
-        return self._generators
+        return tuple(IdealGenerator(b.kind, b.shape, f) for b in self.blocks for f in b.factors)
 
     def render(self) -> str:
         lines = []

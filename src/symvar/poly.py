@@ -12,6 +12,26 @@ variables, as a product slice places its components' factors, keeps its
 row and its table and renames only the variables it mentions.  A factor
 is tested as a dot product with its table's monomial values and printed
 from its row by `_format_terms`, once per table and lead.
+
+A point set's basis is built here alone (`_slice_factors`).  A set that
+is a product over its coordinates, S = S_A x S_B with A and B disjoint
+sets of coordinates, is not eliminated whole: its reduced graded-lex
+basis is the union of those of S_A and S_B, each in its own variables.
+I(S_A) + I(S_B) lies in I(S) and has a quotient of dimension
+|S_A| * |S_B| = |S|, so it is I(S).  The two bases' leads lie in disjoint
+variables and are coprime, so every S-pair across them reduces to zero
+(Buchberger's first criterion) and the union is a Groebner basis.  Each
+tail is standard for its own basis and mentions only its own variables,
+so no lead of the other divides it, and the union is reduced; the
+reduced basis is unique, so it is exactly what elimination of S returns.
+Graded lex restricted to A's variables is graded lex on them, so S_A's
+basis is `vanishing_ideal` of the projection.  `vanishing_ideal` emits
+its generators by ascending (degree, exponent tuple) of their leads, so
+merging the components' bases by that key gives the same generators in
+the same order, and every printed byte is unchanged.  `_components` peels
+off each coordinate i with |pi_i(S)| * |pi_rest(S)| = |S|, with O(r) set
+builds; when r <= 3 one side of any split is a single coordinate, so this
+finds every split.
 """
 
 import math
@@ -279,3 +299,57 @@ def vanishing_ideal(points) -> list:
     table = MonomialTable(standard + leads, steps + lead_steps)
     return [SliceFactor(coeffs, lead, npts + n, table, used, used)
             for n, (coeffs, lead, used) in enumerate(found)]
+
+
+def _components(keys) -> list:
+    """The split of a set S of key tuples as a product over its
+    coordinates: a (coordinates, key set) pair for each coordinate i that
+    splits off, |pi_i(S)| * |pi_rest(S)| = |S|, then one for the rest.
+    Peeling one coordinate leaves the others' test unchanged, so each is
+    tested once, on what is left; one pair means no split."""
+    coords = tuple(range(len(next(iter(keys)))))
+    rest, parts, i = keys, [], 0
+    while len(coords) > 1 and i < len(coords):
+        column = set(map(operator.itemgetter(i), rest))
+        if len(rest) % len(column) == 0:
+            others = frozenset(p[:i] + p[i + 1:] for p in rest)
+            if len(column) * len(others) == len(rest):
+                parts.append(((coords[i],), frozenset((v,) for v in column)))
+                coords, rest = coords[:i] + coords[i + 1:], others
+                continue
+        i += 1
+    parts.append((coords, rest))
+    return parts
+
+
+def _slice_factors(keys, shared) -> tuple:
+    """The reduced basis of the points `keys`, held in `shared` by key set.
+
+    A set that splits (`_components`) takes its components' bases, each
+    eliminated once per `shared`, places each factor by renaming ``used``
+    through the component's coordinates, keeping its row, `table` and
+    ``local``, and merges them by ascending (degree, exponent tuple in its
+    own variables) of their leads, the order in which `vanishing_ideal`
+    emits them; only an indecomposable set is eliminated."""
+    held = shared.get(keys)
+    if held is None:
+        parts = _components(keys)
+        if len(parts) == 1:
+            held = tuple(vanishing_ideal(keys))
+        else:
+            nvars, placed = len(next(iter(keys))), []
+            for coords, part in parts:
+                placed += [SliceFactor(f.coeffs, f.lead, f.index, f.table,
+                                       tuple(coords[j] for j in f.used), f.local)
+                           for f in _slice_factors(part, shared)]
+
+            def lead(f):
+                # (degree, exponent tuple in the slice's variables) of f's lead
+                e, m = [0] * nvars, f.table.monomials[f.index]
+                for j, k in zip(f.used, f.local):
+                    e[j] = m[k]
+                return f.total_degree(), e
+
+            held = tuple(sorted(placed, key=lead))
+        shared[keys] = held
+    return held

@@ -10,7 +10,8 @@ without reading a factor.  These tests check:
   (``oracles.member_by_factors``) on seeded queries over 4-part lambdas
   whose points share values, and on an ideal pruned by
   ``reduce_generators``, where a block keeps only some of its factors;
-- the blocks print the generators of the flat view, and blocks whose
+- the generators read from the ideal are those built from its blocks'
+  factors, a second read builds no slice again, and blocks whose
   slices hold the same points share one factor tuple; a slice that is a
   product over its coordinates takes its factors from its components, and
   each distinct indecomposable component is eliminated once per ideal;
@@ -24,8 +25,9 @@ import random
 
 import pytest
 
-from symvar import equations
+from symvar import poly
 from symvar.equations import (
+    IdealGenerator,
     i_lambda_z,
     member_by_equations,
     random_point,
@@ -52,10 +54,14 @@ GENERIC = ("inf,2,1,1", [(0, 1, 2, 3), (5, -7, 11, 13)])
 def built(monkeypatch):
     """The point sets ``vanishing_ideal`` is called on, in call order."""
     calls = []
-    vanishing_ideal = equations.vanishing_ideal
-    monkeypatch.setattr(equations, "vanishing_ideal",
+    vanishing_ideal = poly.vanishing_ideal
+    monkeypatch.setattr(poly, "vanishing_ideal",
                         lambda points: calls.append(points) or vanishing_ideal(points))
     return calls
+
+
+def block_generators(b) -> list:
+    return [IdealGenerator(b.kind, b.shape, f) for f in b.factors]
 
 
 def generic_ideal():
@@ -83,7 +89,7 @@ def test_non_member_builds_only_the_slices_its_set_tests_fail(built):
             continue
         if block.keys and block.keys not in want:
             want.append(block.keys)
-        if not all(orbits_vanish_by_factors(block.generators(), classes)):
+        if not all(orbits_vanish_by_factors(block_generators(block), classes)):
             break
     assert got == want
     assert 1 <= len(got) < len({b.keys for b in ideal.blocks if b.keys})
@@ -124,9 +130,11 @@ def test_blocks_print_the_flat_view_and_share_factors(built):
         if a.keys is not None and a.keys == b.keys:
             assert a.factors is b.factors
     assert [g.provenance() for g in gens] == [
-        g.provenance() for b in ideal.blocks for g in b.generators()]
-    assert [str(g) for g in gens] == [str(g) for b in ideal.blocks for g in b.generators()]
-    assert ideal.generators is gens and len(built) == len(parts)
+        g.provenance() for b in ideal.blocks for g in block_generators(b)]
+    assert [str(g) for g in gens] == [str(g) for b in ideal.blocks for g in block_generators(b)]
+    # a second read builds the printed form again from the held factors
+    assert [str(g) for g in ideal.generators] == [str(g) for g in gens]
+    assert len(built) == len(parts)
 
 
 def test_one_point_grid_slices_eliminate_one_set(built):

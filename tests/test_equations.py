@@ -498,13 +498,18 @@ class TestReduce:
         assert len(evaluated) <= 50
         assert len(set(evaluated)) == 1
 
-    def test_pruning_builds_no_flat_view(self):
-        # the one-factor blocks of the pruning come from the ideal's blocks
+    def test_pruning_builds_no_flat_view(self, monkeypatch):
+        # the one-factor blocks of the pruning come from the ideal's blocks:
+        # no IdealGenerator is built until the result is printed
+        built = []
+        init = IdealGenerator.__init__
+        monkeypatch.setattr(IdealGenerator, "__init__",
+                            lambda g, *args: built.append(args) or init(g, *args))
         lam = P("inf,inf")
         ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1), (1, 0)]))
         rng = random.Random(1729)
         reduced = reduce_generators(ideal, [random_point(rng, max_width=4) for _ in range(40)])
-        assert ideal._generators is None
+        assert built == []
         assert len(reduced.generators) < sum(len(b.factors) for b in ideal.blocks)
 
     # points of type inf ++ alpha[1:], alpha minimal excluded, that the

@@ -2,7 +2,7 @@
 
 A slice that is a product over its coordinates, a core times one or more
 sets of values, takes its reduced basis from its components'
-(``equations._slice_factors``).  Direct elimination of the whole set,
+(``poly._slice_factors``).  Direct elimination of the whole set,
 ``poly.vanishing_ideal``, is the oracle: on seeded products with rational,
 negative and repeated values, single points, full grids and up to five
 coordinates, the assembled factors print the same strings in the same
@@ -20,11 +20,13 @@ eliminated generator is formatted once.
 import random
 from fractions import Fraction
 
-from symvar import equations, poly
-from symvar.equations import _components, _slice_factors, i_lambda_z
+from symvar import poly
+from symvar.equations import i_lambda_z
 from symvar.partitions import GenComposition, GenPartition
-from symvar.poly import scaled, vanishing_ideal
+from symvar.poly import _components, _slice_factors, scaled, vanishing_ideal
 from symvar.variety import PointSetVariety
+
+from test_certified_membership import components
 
 POOL = [0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3), Fraction(7, 5), Fraction(-2, 7)]
 
@@ -81,6 +83,22 @@ def test_assembled_factors_match_direct_elimination():
     assert all(seen.values()), seen
 
 
+def test_components_peel_what_splits_off_the_whole_set():
+    """Each coordinate is tested once, on what earlier peels left, and
+    that finds the coordinates that split off the whole set
+    (``test_certified_membership.components``), next ones included."""
+    rng = random.Random(8)
+    seen = {"adjacent splits": 0, "four parts or more": 0}
+    for _ in range(200):
+        keys, _ = random_product(rng)
+        parts = _components(keys)
+        assert {part for _, part in parts} == components(keys), sorted(keys)
+        assert sorted(c for coords, _ in parts for c in coords) == list(range(len(next(iter(keys)))))
+        seen["adjacent splits"] += any(a[0][0] + 1 == b[0][0] for a, b in zip(parts, parts[1:-1]))
+        seen["four parts or more"] += len(parts) >= 4
+    assert all(seen.values()), seen
+
+
 def test_placed_factors_keep_their_components_tables():
     """Each factor of a split slice is a factor of one of its components,
     placed by the component's coordinates: the same row over the very same
@@ -118,7 +136,7 @@ def test_placed_factors_keep_their_components_tables():
 def test_components_are_eliminated_once_per_shared_dict(monkeypatch):
     # {a, b} x {c} and {c} x {a, b} share the elimination of each component
     calls = []
-    monkeypatch.setattr(equations, "vanishing_ideal",
+    monkeypatch.setattr(poly, "vanishing_ideal",
                         lambda points: calls.append(points) or vanishing_ideal(points))
     shared = {}
     first = _slice_factors(frozenset({(1, 3), (2, 3)}), shared)

@@ -38,13 +38,12 @@ import pytest
 
 from symvar.equations import (
     _orbits_vanish,
-    _slice_factors,
     i_lambda_z,
     in_exact_domain,
     member_by_equations,
 )
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.poly import scaled, vanishing_ideal
+from symvar.poly import _slice_factors, scaled, vanishing_ideal
 from symvar.selfcheck import tvar
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
