@@ -199,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    point_help = "point literal, e.g. 0^inf,1^3, or -- -1^inf,2^1 when it starts with -"
     p = add("type", cmd_type, "print the type of a finitary point")
-    p.add_argument("point", help="point literal, e.g. 0^inf,1^3")
+    p.add_argument("point", help=point_help)
 
     p = add("preceq", cmd_preceq, "decide the combining order between partitions")
     p.add_argument("mu")
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("member", cmd_member, "decide membership of a finitary point")
     p.add_argument("lam", metavar="lambda")
-    p.add_argument("point")
+    p.add_argument("point", help=point_help)
     p.add_argument("--variety", help="JSON variety file")
     p.add_argument("--method", choices=["direct", "equations", "both"], default="direct")
 

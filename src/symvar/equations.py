@@ -25,8 +25,9 @@ that range, which ``in_exact_domain`` tests.
 
 A generator is held as its shape and its slice factor, the integer row
 that `poly.vanishing_ideal` leaves; an ideal is only its blocks, one per
-shape, whose factors `poly._slice_factors` builds on first read and
-shares between the shapes with the same slice or component.  Its
+shape.  A block's factors are read from `poly._slice_factors`, which
+builds them on first read into the call's `shared` dict, the one holder
+of a built basis, for the shapes with the same slice or component.  Its
 expansion is combinatorially infeasible for even modest shapes.  A block
 holds no cells: membership and pruning read the shape's row sizes and
 test the factor on integers, as a dot product with its slice's monomial
@@ -141,11 +142,12 @@ class ShapeBlock(_Frozen):
     `kind` and `shape` (no cells), and generator i is the tableau
     polynomial of `shape` times ``factors[i]``.  A capped shape of
     `i_lambda_z` also holds `keys`, the key tuples (``variety._key``
-    values) of its saturated slice; its `factors`, the slice's reduced
-    basis, are built on first read by `poly._slice_factors` and shared,
-    through the call's `shared` dict, by every block with the same key
-    set.  An empty slice or an excluded shape has the one factor None, the
-    bare tableau polynomial.
+    values) of its saturated slice; unless its factors were given, its
+    `factors`, the slice's reduced basis, are read on each access from
+    `poly._slice_factors`, which builds them on the first read and holds
+    them in the call's `shared` dict for every block with the same key
+    set; the block keeps no copy.  An empty slice or an excluded shape has
+    the one factor None, the bare tableau polynomial.
     """
 
     __slots__ = ("kind", "shape", "keys", "_factors", "_shared")
@@ -159,11 +161,9 @@ class ShapeBlock(_Frozen):
 
     @property
     def factors(self) -> tuple:
-        if self._factors is None:
-            keys = self.keys
-            object.__setattr__(self, "_factors",
-                               _slice_factors(keys, self._shared) if keys else (None,))
-        return self._factors
+        if self._factors is not None:
+            return self._factors
+        return _slice_factors(self.keys, self._shared) if self.keys else (None,)
 
 
 class TypeIdeal(_Frozen):
@@ -174,10 +174,9 @@ class TypeIdeal(_Frozen):
     factors; nothing caches it.
     """
 
-    __slots__ = ("lam", "blocks")
+    __slots__ = ("blocks",)
 
-    def __init__(self, lam: GenPartition, blocks):
-        object.__setattr__(self, "lam", lam)
+    def __init__(self, blocks):
         object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
@@ -192,15 +191,15 @@ class TypeIdeal(_Frozen):
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"TypeIdeal(lam={self.lam}, blocks={len(self.blocks)})"
+        return f"TypeIdeal(blocks={len(self.blocks)})"
 
 
 def i_lambda(lam: GenPartition) -> TypeIdeal:
     """Generators cutting out, set-theoretically, the locus of points whose
     type is below lam: one tableau polynomial per minimal excluded
     partition."""
-    return TypeIdeal(lam, [ShapeBlock("excluded", alpha, factors=(None,))
-                           for alpha in min_excluded(lam)])
+    return TypeIdeal([ShapeBlock("excluded", alpha, factors=(None,))
+                      for alpha in min_excluded(lam)])
 
 
 def capped_shapes(lam: GenPartition) -> list:
@@ -260,7 +259,7 @@ def i_lambda_z(lam: GenPartition, Z: PointSetVariety) -> TypeIdeal:
     if Z.lam != comp:
         raise ValueError("Z must live over the composition of lam")
     shared = {}  # slices of different shapes often share points or components
-    return TypeIdeal(lam, excluded + tuple(
+    return TypeIdeal(excluded + tuple(
         ShapeBlock("slice", mu, frozenset(_gamma_points(Z.tables, saturated)), shared=shared)
         for mu, saturated in shapes))
 
@@ -423,4 +422,4 @@ def reduce_generators(ideal: TypeIdeal, sample_points) -> TypeIdeal:
         j += len(b.factors)
         if factors:
             blocks.append(ShapeBlock(b.kind, b.shape, b.keys, factors))
-    return TypeIdeal(ideal.lam, blocks)
+    return TypeIdeal(blocks)

@@ -37,7 +37,6 @@ finds every split.
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
 from itertools import compress
 
 from .partitions import _Frozen
@@ -182,16 +181,22 @@ class SliceFactor(_Frozen):
         return sum(map(operator.mul, self.coeffs, vals)) + self.lead * vals[self.index] == 0
 
 
-def _border(standard, r):
-    """Ascending exponent tuples m, one degree above the standard monomials
-    `standard` of one degree, with every m / t_i standard: m arises as
-    s * t_i from a standard s once for each i with a positive exponent."""
-    hits = {}
-    for s in standard:
+def _border(standard, first, r):
+    """The next degree's candidates: ascending (m, (k, i)) pairs, one for
+    each exponent tuple m one degree above ``standard[first:]``, the
+    standard monomials of the last degree in ascending order, with every
+    m / t_i standard.  m arises as s * t_i from a standard s once for each
+    i with a positive exponent.  Lowering an earlier exponent gives a
+    smaller tuple, so the first such s met is m / t_i for i the first
+    variable of m, and ``standard[k]`` is that parent."""
+    hits, step = {}, {}
+    for k in range(first, len(standard)):
+        s = standard[k]
         for i in range(r):
             m = s[:i] + (s[i] + 1,) + s[i + 1:]
             hits[m] = hits.get(m, 0) + 1
-    return sorted(m for m, k in hits.items() if k == r - m.count(0))
+            step.setdefault(m, (k, i))
+    return sorted((m, step[m]) for m, n in hits.items() if n == r - m.count(0))
 
 
 def vanishing_ideal(points) -> list:
@@ -205,14 +210,15 @@ def vanishing_ideal(points) -> list:
     standard monomials of degree d-1: the monomials m with every m / t_i
     standard.  Standard monomials form an order ideal, so these are exactly
     the monomials of degree d that no earlier leading term divides; they are
-    taken in ascending graded-lex order.  The loop ends at the first degree
+    taken in ascending graded-lex order, each with its parent m / t_i, i
+    the first variable of m (`_border`).  The loop ends at the first degree
     with no candidate; the quotient dimension then equals the number of
     points.
 
     The arithmetic is over the integers: the points are scaled by the lcm D
     of their denominators, so a degree-k row is D^k times the evaluation
-    vector, a factor its combination records.  vec(m) is built as
-    vec(m / t_i) times coordinate column i.  Each reduction step
+    vector, a factor its combination records.  vec(m) is built as its
+    parent's vector times coordinate column i.  Each reduction step
     cross-multiplies, deletes the pivot column it zeroes and appends the
     basis row's coefficient, so every row keeps npts + 1 entries, and a basis
     row is stored in the layout a later candidate has when it meets it.  A
@@ -220,8 +226,9 @@ def vanishing_ideal(points) -> list:
     factor keeps the row's coefficients over the standard monomials and its
     own entry, the lead; read as rationals, that is the output of
     elimination over Q.  Every factor of the call is written over one
-    `MonomialTable`, and the variables it mentions are read off bitmasks
-    of each standard monomial's variables, built alongside.
+    `MonomialTable`, whose steps are the candidates' parents, and the
+    variables it mentions are read off its lead and the standard monomials
+    its row holds a coefficient of.
     """
     # int and Fraction coordinates both carry numerator and denominator
     pts = sorted({tuple(p) for p in points})
@@ -238,25 +245,20 @@ def vanishing_ideal(points) -> list:
     # their pivots, in point order, then those rows' monomials' coefficients;
     # its own coefficient `own` rides beside it until the row is done
     rows = []  # (pivot index, row)
-    # per standard monomial: its index, scaled evaluation vector, variable
-    # bitmask and, but for the monomial 1, (parent index, variable)
-    position, vecs, masks, steps = {}, [], [], []
-    standard = []
+    # per standard monomial, in elimination order: its exponent tuple,
+    # scaled evaluation vector and step (parent index, variable), None for 1
+    standard, vecs, steps = [], [], []
     leads, lead_steps, found = [], [], []  # found: (coefficients, lead, used)
-    candidates = [(0,) * r]
+    candidates = [((0,) * r, None)]
     degree = 0
     while candidates:
-        new_standard = []
-        for m in candidates:
-            if degree:
-                # m is a border candidate, so m / t_i is standard
-                i = next(i for i, e in enumerate(m) if e)
-                parent = position[m[:i] + (m[i] - 1,) + m[i + 1:]]
+        first = len(standard)
+        for m, step in candidates:
+            if step:
+                parent, i = step
                 vec = [a * b for a, b in zip(vecs[parent], cols[i])]
-                mask = masks[parent] | 1 << i
             else:
                 vec = [1] * npts
-                mask = 0
             row = vec[:]
             own = scale ** degree
             for piv, prow in rows:
@@ -279,24 +281,21 @@ def vanishing_ideal(points) -> list:
             piv = next((j for j in range(npts - k) if row[j]), None)
             if piv is not None:
                 rows.append((piv, row))
-                position[m] = k
-                vecs.append(vec)
-                masks.append(mask)
-                if degree:
-                    steps.append((parent, i))
                 standard.append(m)
-                new_standard.append(m)
+                vecs.append(vec)
+                steps.append(step)
             else:
-                # the constant is standard, so m has degree >= 1
+                # the constant is standard, so m has degree >= 1; the
+                # variables used are those of m and of its tail's monomials
                 coeffs = row[npts - k:-1]
-                mask = reduce(operator.or_, compress(masks, coeffs), mask)
-                found.append((coeffs, row[-1], tuple(j for j in range(r) if mask >> j & 1)))
+                used = tuple(compress(range(r), map(any, zip(m, *compress(standard, coeffs)))))
+                found.append((coeffs, row[-1], used))
                 leads.append(m)
-                lead_steps.append((parent, i))
-        candidates = _border(new_standard, r)
+                lead_steps.append(step)
+        candidates = _border(standard, first, r)
         degree += 1
     assert len(standard) == npts, "quotient dimension must equal the point count"
-    table = MonomialTable(standard + leads, steps + lead_steps)
+    table = MonomialTable(standard + leads, steps[1:] + lead_steps)
     return [SliceFactor(coeffs, lead, npts + n, table, used, used)
             for n, (coeffs, lead, used) in enumerate(found)]
 

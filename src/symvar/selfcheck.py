@@ -516,12 +516,10 @@ def suite_compose(rng):
         lam = random_composition(rng, max_len=2)
         mu = random_composition(rng, max_len=2)
         nu = random_composition(rng, max_len=2)
-        goods_fg = enumerate_good(lam, mu)
-        goods_gh = enumerate_good(mu, nu)
-        if not goods_fg or not goods_gh:
-            continue
-        f = rng.choice(goods_fg)
-        g = rng.choice(goods_gh)
+        # neither list is empty: an infinite part, which every random
+        # composition has, takes every weight
+        f = rng.choice(enumerate_good(lam, mu))
+        g = rng.choice(enumerate_good(mu, nu))
         h = compose(f, g)
         S = PointSetVariety(nu, [tuple(rng.sample(VALUE_POOL[:4], nu.length)) for _ in range(2)])
         via = apply_corr(f, apply_corr(g, S))

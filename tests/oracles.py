@@ -718,11 +718,10 @@ def by_block(ideal, verdicts) -> list:
     return [all([next(verdicts) for _ in block.factors]) for block in ideal.blocks]
 
 
-def ideal_of(lam: GenPartition, generators) -> TypeIdeal:
-    """The ideal of `lam` holding `generators` in order, one block each
-    with no key set, so that membership runs no set test on them."""
-    return TypeIdeal(lam, [ShapeBlock(g.kind, g.shape, factors=(g.factor,))
-                           for g in generators])
+def ideal_of(generators) -> TypeIdeal:
+    """The ideal holding `generators` in order, one block each with no key
+    set, so that membership runs no set test on them."""
+    return TypeIdeal([ShapeBlock(g.kind, g.shape, factors=(g.factor,)) for g in generators])
 
 
 def _fiber_options(w, lam: GenComposition, e: int):

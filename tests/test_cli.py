@@ -38,6 +38,18 @@ class TestType:
         code, out, _ = run(capsys, "type", "--json", "0^inf,1^3")
         assert code == 0 and json.loads(out) == {"type": "inf,3"}
 
+    @pytest.mark.parametrize("argv, want", [
+        (("type", "--", "-1^inf,2^1"), "inf,1"),
+        (("member", "inf,1", "--", "-1^inf,2^1"), "true"),
+    ])
+    def test_negative_first_value_follows_double_dash(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want + "\n"
+
+    def test_negative_first_value_without_double_dash_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "type", "-1^inf,2^1")
+        assert code == 2 and out == "" and "usage:" in err
+
     def test_bad_literal(self, capsys):
         code, _, err = run(capsys, "type", "0^zero")
         assert code == 2 and "error" in err
@@ -59,9 +71,15 @@ class TestMinExcluded:
         assert code == 0
         assert out.splitlines() == ["1,1,1,1,1", "2,2,2,2", "3,3,3,1", "4,4,4"]
 
-    def test_finite_partition_is_data_error(self, capsys):
-        code, _, err = run(capsys, "min-excluded", "3,1")
-        assert code == 2 and "error" in err
+    @pytest.mark.parametrize("argv", [
+        ("min-excluded", "3,1"),
+        ("equations", "2,1"),
+        *(("member", "--method", method, "2,1", "0^inf") for method in ("direct", "equations", "both")),
+    ], ids=["min-excluded", "equations", "member-direct", "member-equations", "member-both"])
+    def test_finite_partition_is_data_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestEquations:

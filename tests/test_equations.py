@@ -163,6 +163,16 @@ class TestILambdaZ:
         with pytest.raises(ValueError):
             i_lambda_z(lam, Z)
 
+    def test_finite_partition_is_refused(self):
+        lam = P("2,1")
+        with pytest.raises(ValueError, match="^i_lambda_z requires a partition with an infinite part$"):
+            i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1)]))
+
+    def test_variety_over_another_composition_is_refused(self):
+        Z = PointSetVariety(C(P("inf,inf")), [(0, 1)])
+        with pytest.raises(ValueError, match="^Z must live over the composition of lam$"):
+            i_lambda_z(P("inf,1"), Z)
+
     def test_empty_slice_contributes_bare_tableau(self):
         # a variety whose values cannot repeat leaves deep slices empty
         lam = P("inf,inf")
@@ -384,7 +394,7 @@ class TestMembership:
         ]
         for g in gens:
             for x in points:
-                got = member_by_equations(ideal_of(lam, [g]), x)
+                got = member_by_equations(ideal_of([g]), x)
                 assert got == generator_orbit_vanishes_brute(g, x)
 
 
@@ -429,7 +439,7 @@ class TestRowFits:
                                          for _ in range(rng.randint(1, 2))])
             ideal = i_lambda_z(lam, Z)
             gens = ideal.generators
-            singles = ideal_of(lam, gens).blocks
+            singles = ideal_of(gens).blocks
             on_z = sorted({c for p in Z.points for c in p})
             fresh = [v for v in self.VALUES if v not in on_z]
             for k in range(8):

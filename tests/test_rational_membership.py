@@ -151,11 +151,11 @@ def test_equations_match_direct(ideals, text, k):
 
 @pytest.mark.parametrize("text,k", list(cases()))
 def test_search_matches_fraction_oracle(ideals, text, k):
-    lam, _, points, ideal = ideals[text, k]
+    _, _, points, ideal = ideals[text, k]
     for g in ideal.generators:
         for x in points:
             want = not oracle_exists_nonzero_assignment(g, list(x.classes))
-            assert member_by_equations(ideal_of(lam, [g]), x) == want, (g, str(x))
+            assert member_by_equations(ideal_of([g]), x) == want, (g, str(x))
 
 
 @pytest.mark.parametrize("text,k", list(cases()))
@@ -172,10 +172,10 @@ def runs(generators):
 
 
 def test_shuffled_generators_match_oracle(ideals):
-    lam, _, points, ideal = ideals["inf,inf,1", 0]
+    _, _, points, ideal = ideals["inf,inf,1", 0]
     gens = list(ideal.generators)
     random.Random(5).shuffle(gens)
-    shuffled = ideal_of(lam, gens)
+    shuffled = ideal_of(gens)
     assert runs(shuffled.generators) > runs(ideal.generators)
     answers = set()
     for x in points:
@@ -271,7 +271,7 @@ def test_table_shared_by_two_shapes():
     Z = PointSetVariety(C(lam), [(0, Fraction(1, 2), -1), (Fraction(2, 3), 3, Fraction(-7, 3))])
     ideal = i_lambda_z(lam, Z)
     gens = ideal.generators
-    singles = ideal_of(lam, gens).blocks
+    singles = ideal_of(gens).blocks
     shapes = {}  # table -> the shapes whose factors are written over it
     for g in gens:
         if g.factor is not None:
@@ -309,7 +309,7 @@ def test_table_at_two_coordinate_maps():
         if g.factor is not None:
             places.setdefault((g.factor.table, g.factor.used), set()).add(g.factor.local)
     assert any(len(local) > 1 for local in places.values())
-    singles = ideal_of(lam, gens).blocks
+    singles = ideal_of(gens).blocks
     values = sorted({c for p in Z.points for c in p} | {Fraction(5, 7)})
     seen = set()
     for _ in range(40):

@@ -139,7 +139,9 @@ def test_point_sets_cover_the_grid():
 def test_border_candidates_match_filtered_monomials():
     """At every degree, the border of the standard monomials one degree
     below equals the former candidates: every monomial of the degree that
-    no lower-degree leading term divides."""
+    no lower-degree leading term divides.  Each candidate m comes with its
+    parent m / t_i, i the first variable of m, by index into the whole
+    standard list, whose last degree starts at `first`."""
     sets = point_sets(31, 112)
     assert any(c.denominator > 1 for p in sets for pt in p for c in pt)
     assert any(len(set(pt)) < len(pt) for p in sets for pt in p)  # repeated coordinates
@@ -151,13 +153,19 @@ def test_border_candidates_match_filtered_monomials():
             exps = [tuple(dict(m).get((T_FAMILY, i + 1), 0) for i in range(r)) for m in g.terms]
             leads.append(max(exps, key=lambda e: (sum(e), e)))
         top = max(sum(l) for l in leads)
+        standard = []
         for d in range(1, top + 2):
             below = [l for l in leads if sum(l) < d]
-            standard = [m for m in monomials_of_degree(r, d - 1)
-                        if not any(divides(l, m) for l in leads)]
+            first = len(standard)
+            standard += [m for m in monomials_of_degree(r, d - 1)
+                         if not any(divides(l, m) for l in leads)]
             want = [m for m in monomials_of_degree(r, d)
                     if not any(divides(l, m) for l in below)]
-            assert _border(standard, r) == want, (pts, d)
+            got = _border(standard, first, r)
+            assert [m for m, _ in got] == want, (pts, d)
+            for m, (k, i) in got:
+                assert i == next(j for j, e in enumerate(m) if e), (pts, m)
+                assert standard[k] == m[:i] + (m[i] - 1,) + m[i + 1:], (pts, m)
 
 
 def _check_against_sympy(sympy, pts):
