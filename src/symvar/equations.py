@@ -269,28 +269,25 @@ def _supports(mults: tuple, sizes: tuple) -> tuple:
     """Every assignment of pairwise disjoint cover groups to rows of these
     `sizes`, one group per row, for a point whose classes have these
     multiplicities: the supports of `_orbits_vanish`.  A group is the
-    tuple of its class indices, and a row of `size` cells takes the groups
-    of ``_cover_groups`` with one slot of one copy per class, whose state
-    is the mask of the classes left.  No value enters."""
+    tuple of its class indices.  Each row takes the groups of
+    ``_cover_groups`` with one slot of one copy per class, listed from the
+    state it is in, the mask of the classes still free: a group is the
+    classes of ``available ^ left``, and the next row starts from
+    ``left``.  No value enters."""
     n = len(mults)
-    full = (1 << n) - 1
     slots = tuple((m, 1 << c, 2) for c, m in enumerate(mults))
-    fits = {}  # row size -> [(mask, classes of the mask)]
 
     def supports(i, available):
         if i == len(sizes):
             yield ()
             return
-        size = sizes[i]
-        if size not in fits:
-            fits[size] = [(full ^ left, tuple(c for c in range(n) if not left >> c & 1))
-                          for left in _cover_groups(size, full, slots)]
-        for m, group in fits[size]:
-            if m & available == m:
-                for rest in supports(i + 1, available & ~m):
-                    yield (group,) + rest
+        for left in _cover_groups(sizes[i], available, slots):
+            taken = available ^ left
+            group = tuple(c for c in range(n) if taken >> c & 1)
+            for rest in supports(i + 1, left):
+                yield (group,) + rest
 
-    return tuple(supports(0, full))
+    return tuple(supports(0, (1 << n) - 1))
 
 
 def _orbits_vanish(blocks, classes):

@@ -10,10 +10,11 @@ antichains, and the saturation operator used by the equation synthesis.
 ``preceq`` and ``min_excluded`` decide a finite tail against the finite
 part of lam through ``_tail_below`` on plain tuples: the length and sum
 screens, a witness grouping, the no-spare-part exit, then a search over
-the counts left of fin's values that keeps its own memo of failed states.
-``_cover_groups`` lists its groups and those of ``equations._supports``
-alike, and ``weight_maps`` is the one search for weight-respecting maps,
-End(lam) and the slices' Hom(mu, lam_p) alike.
+the counts left of fin's values, one layer of states per tail part.
+``_cover_groups`` lists the groups of that search and of
+``equations._supports`` alike, each from the state it is in, and
+``weight_maps`` is the one search for weight-respecting maps, End(lam)
+and the slices' Hom(mu, lam_p) alike.
 
 All values are immutable: each value class of the package derives from
 ``_Frozen``, which refuses assigning and deleting attributes.  Every
@@ -252,12 +253,12 @@ def _tail_below(tail, fin) -> bool:
     fit; so there a failed witness means the tail is not below.  Any other
     failed witness proves nothing, and the search decides.
 
-    The search backtracks over ``_cover_groups``, tail part by tail part,
-    depth first on an explicit stack.  fin has one slot per distinct value,
-    so equal parts are counted, not told apart, and a state is the next
-    tail part and the count left of each value.  A true state ends the
-    search, so only the failed states are remembered, in a set that lives
-    for this call.
+    The search steps forward by layers over ``_cover_groups``.  fin has
+    one slot per distinct value, so equal parts are counted, not told
+    apart, and a state is the count left of each value.  The layer after a
+    tail part is every state that a group covering it leaves from a state
+    of the layer before; a layer is a set, so no state is expanded twice
+    for one part.  The tail is below iff no layer is empty.
     """
     n = len(tail)
     if n > len(fin) or sum(tail) > sum(fin):
@@ -270,21 +271,12 @@ def _tail_below(tail, fin) -> bool:
     for value, count in Counter(fin).items():
         slots.append((value, place, count + 1))
         place *= count + 1
-    full = place - 1  # every count at its most
-    failed = set()
-    stack = [(0, full, _cover_groups(tail[0], full, slots))]
-    while stack:
-        j, state, groups = stack[-1]
-        for left in groups:
-            if j + 1 == n:
-                return True
-            if (j + 1, left) not in failed:
-                stack.append((j + 1, left, _cover_groups(tail[j + 1], left, slots)))
-                break
-        else:
-            failed.add((j, state))
-            stack.pop()
-    return False
+    layer = {place - 1}  # every count at its most
+    for need in tail:
+        layer = {left for state in layer for left in _cover_groups(need, state, slots)}
+        if not layer:
+            return False
+    return True
 
 
 def _witness_places(tail, fin) -> bool:

@@ -29,10 +29,14 @@ replaced.  ``orbits_vanish_by_masks`` finds a point's row fits
 (``supports_by_masks``) in a table of all 2^n class masks, the search
 that the cover groups of ``equations._orbits_vanish`` replaced, and
 ``set_test_by_masks`` runs that function's set test on those supports.
-``orbits_vanish_by_factors`` and ``member_by_factors`` are equation
-membership as it was before the set test: every factor of every
-generator is read; ``by_block`` folds per-generator verdicts into one per
-block, and ``ideal_of`` makes any generators an ideal of one block each.
+``supports_by_fits`` lists each row size's cover groups once, from the
+full mask, and keeps those within the classes still free: the table that
+``equations._supports`` listing from the free classes replaced.
+``orbits_vanish_by_factors``, ``member_by_factors`` and
+``member_by_generators`` are equation membership as it was before the set
+test: every factor of every generator is read; ``by_block`` folds
+per-generator verdicts into one per block, and ``ideal_of`` makes any
+generators an ideal of one block each.
 ``good_correspondences_by_fibers`` lists the candidate fibers of each
 label by a multiset search, takes
 their product and keeps the products within the source weights: the
@@ -55,7 +59,7 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal, shape_rows
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.partitions import _box_parts, _tail_below
+from symvar.partitions import _box_parts, _cover_groups, _tail_below
 from symvar.poly import SliceFactor, _format_terms, scaled
 from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
@@ -626,6 +630,31 @@ def supports_by_masks(rows, classes):
     return list(rec(0, (1 << n) - 1))
 
 
+def supports_by_fits(mults: tuple, sizes: tuple) -> tuple:
+    """``equations._supports`` as it was with a table of each row size's
+    cover groups, all listed from the full mask, filtered to the classes
+    still free."""
+    n = len(mults)
+    full = (1 << n) - 1
+    slots = tuple((m, 1 << c, 2) for c, m in enumerate(mults))
+    fits = {}  # row size -> [(mask, classes of the mask)]
+
+    def supports(i, available):
+        if i == len(sizes):
+            yield ()
+            return
+        size = sizes[i]
+        if size not in fits:
+            fits[size] = [(full ^ left, tuple(c for c in range(n) if not left >> c & 1))
+                          for left in _cover_groups(size, full, slots)]
+        for m, group in fits[size]:
+            if m & available == m:
+                for rest in supports(i + 1, available & ~m):
+                    yield (group,) + rest
+
+    return tuple(supports(0, full))
+
+
 def orbits_vanish_by_masks(generators, classes):
     """``equations._orbits_vanish`` with every support that can fill a row
     (`supports_by_masks`), for each generator in turn, each factor's zero
@@ -707,8 +736,15 @@ def orbits_vanish_by_factors(generators, classes):
 
 def member_by_factors(ideal, x: FinitaryPoint) -> bool:
     """``equations.member_by_equations`` with every factor of the ideal
-    read: `orbits_vanish_by_factors` over its generators."""
-    return all(orbits_vanish_by_factors(ideal.generators, list(x.classes)))
+    read: `member_by_generators` over its generators."""
+    return member_by_generators(ideal.generators, x)
+
+
+def member_by_generators(generators, x: FinitaryPoint) -> bool:
+    """`member_by_factors` on an ideal's `generators` tuple, for a caller
+    that queries one ideal at many points and reads the tuple once (each
+    read of ``TypeIdeal.generators`` builds it anew)."""
+    return all(orbits_vanish_by_factors(generators, list(x.classes)))
 
 
 def by_block(ideal, verdicts) -> list:

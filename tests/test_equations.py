@@ -1,5 +1,6 @@
 """Generator synthesis for the defining ideals and equation-based membership."""
 
+import itertools
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from symvar import cli
 from symvar.equations import (
     IdealGenerator,
     _orbits_vanish,
+    _supports,
     capped_shapes,
     i_lambda,
     i_lambda_z,
@@ -58,6 +60,7 @@ from oracles import (
     ideal_of,
     orbits_vanish_by_masks,
     product_shape,
+    supports_by_fits,
 )
 from test_golden_cli import FILES
 
@@ -475,6 +478,21 @@ class TestRowFits:
                 tracemalloc.stop()
         assert verdict is False
         assert peak < 1_000_000
+
+    def test_supports_keep_the_fits_table_order(self):
+        # _orbits_vanish leaves a block at the first support that decides
+        # it, so the order of the supports is pinned, not only their set:
+        # every multiplicity tuple over {1, 2, 3, inf} of 1..4 classes and
+        # every shape of 1..4 rows of at most 5 cells
+        cases = 0
+        for n in range(1, 5):
+            for mults in itertools.product([1, 2, 3, INF], repeat=n):
+                for r in range(1, 5):
+                    for sizes in itertools.combinations_with_replacement(range(5, 0, -1), r):
+                        cases += 1
+                        assert _supports.__wrapped__(mults, sizes) == supports_by_fits(
+                            mults, sizes), (mults, sizes)
+        assert cases == 340 * 125
 
 
 class TestReduce:

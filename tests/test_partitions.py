@@ -219,7 +219,7 @@ class TestPreceq:
 
     def test_matches_filling_search_on_random_pairs(self, cover_group_calls):
         # past the exhaustive box: 1-6 parts, each inf with probability 1/4,
-        # else 1-6; the run must reach the backtracking, not only the screens
+        # else 1-6; the run must reach the count search, not only the screens
         # and exits, so it also takes two pairs the witness cannot place:
         # 4,3 is below 3,2,2 (4 = 2+2 and 3 = 3), but the witness gives 3,2
         # to the 4 and leaves a 2 for the 3; and inf,6,5,4,3 is not below
@@ -267,9 +267,12 @@ class TestPreceq:
         assert 0 < counts[1] <= 2.5 * counts[0]
 
     def test_witness_places_what_the_search_would_not_finish(self, cover_group_calls):
-        # 3^700 against 2^700,1^700: the search's first descent groups each 3
-        # as 2+2, runs out of 2s and backtracks past any time limit; the
-        # witness groups each 3 as 2+1 and answers without searching
+        # 3^700 against 2^700,1^700: the search's layers hold every count of
+        # 2s and 1s that the 3s placed so far can leave, so a layer grows
+        # with the square of the 3s placed and the states expanded with the
+        # cube (on 3^80 against 2^80,1^80: at most 790 in a layer, 30,904 in
+        # all), about 20 million here; the witness groups each 3 as 2+1 and
+        # answers without searching
         assert preceq(P(",".join(["3"] * 700)), P(",".join(["2"] * 700 + ["1"] * 700))) is True
         assert cover_group_calls == []
 
@@ -420,6 +423,49 @@ class TestMinExcluded:
             key=lambda q: q.parts,
         )
         assert minimal == min_excluded(lam)
+
+    @pytest.mark.parametrize("k, c, m", [(1, 3, 11), (1, 2, 14), (1, 1, 25), (2, 2, 12), (3, 1, 20)])
+    def test_closed_forms_of_equal_finite_parts(self, k, c, m):
+        """``min_excluded(inf^k,c^m)`` in closed form, on tails far past
+        the whole-candidate oracle's reach.
+
+        A tail tau is below c^m iff N(tau) = sum of ceil(tau_i / c) is at
+        most m: a part t needs ceil(t / c) copies of c, and that many
+        cover it.  By ``min_excluded``'s cover rule and third lemma, an
+        excluded tau is minimal iff every lowering of a part by 1, every
+        drop of a part and every merge of two parts below tau_0, capped at
+        tau_0, leaves N at most m.  A lowering reduces N by at most 1, so
+        N(tau) = m + 1, and then each of these steps must reduce N.
+        A drop always does.
+
+        c >= 2: lowering t reduces ceil(t / c) iff t = 1 (mod c), so every
+        part is c(r_i - 1) + 1 with ceil = r_i, and r is a partition of
+        m + 1.  Merging two such parts a, b gives ceil((a + b) / c) =
+        r_a + r_b - 1, which capping only lowers, so every merge reduces N.
+        The answers are (tau_0)^k ++ tau for tau_i = c(r_i - 1) + 1, r over
+        the partitions of m + 1.
+
+        c = 1: N is the sum, and every lowering reduces it.  A capped
+        merge of a, b below tau_0 reduces it iff a + b > tau_0.  The
+        answers are (tau_0)^k ++ tau for the tails of sum m + 1 in which
+        every two parts below tau_0 sum to more than tau_0.
+        """
+
+        def partitions_of(n, top):
+            if n == 0:
+                yield ()
+            for p in range(min(n, top), 0, -1):
+                for rest in partitions_of(n - p, p):
+                    yield (p,) + rest
+
+        if c == 1:
+            tails = [tau for tau in partitions_of(m + 1, m + 1)
+                     if all(a + b > tau[0] for a, b in itertools.combinations(
+                         [t for t in tau if t < tau[0]], 2))]
+        else:
+            tails = [tuple(c * (r - 1) + 1 for r in rs) for rs in partitions_of(m + 1, m + 1)]
+        expected = sorted(GenPartition((tau[0],) * k + tau) for tau in tails)
+        assert min_excluded(GenPartition([INF] * k + [c] * m)) == expected
 
 
 class TestTruncations:
