@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .partitions import GenComposition, GenPartition, min_excluded, preceq
+from .partitions import INF, GenComposition, GenPartition, min_excluded, preceq
 from .variety import (
     FinitaryPoint,
     PointSetVariety,
@@ -107,7 +107,19 @@ def cmd_equations(args) -> int:
 
         rng = random.Random(args.seed)
         battery = [equations.random_point(rng, max_width=4) for _ in range(40)]
-        ideal = equations.reduce_generators(ideal, battery)
+        reduced = equations.reduce_generators(ideal, battery)
+        # a dropped excluded alpha is implied iff a kept excluded alpha' has
+        # preceq(alpha', inf ++ alpha[1:]): every type above alpha is above that
+        kept = [b.shape for b in reduced.blocks if b.kind == "excluded"]
+        needed = [alpha for alpha in (b.shape for b in ideal.blocks if b.kind == "excluded")
+                  if alpha not in kept
+                  and not any(preceq(a, GenPartition((INF,) + alpha.parts[1:])) for a in kept)]
+        if needed:
+            names = "; ".join(f"excluded {alpha}" for alpha in needed)
+            print(f"note: --reduce dropped generators that no kept excluded generator implies "
+                  f"({names}), so the kept excluded generators cut out more than the type "
+                  f"locus of {lam}", file=sys.stderr)
+        ideal = reduced
     if args.json:
         gens = ideal.generators
         print(json.dumps({

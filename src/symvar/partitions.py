@@ -7,11 +7,14 @@ with a positive weight attached to every label.  The combining order
 with the filling criterion equivalent to it (which ``selfcheck`` and the
 benchmark's ``orders`` check test it against), minimal excluded
 antichains, and the saturation operator used by the equation synthesis.
-``preceq`` and ``min_excluded`` decide a finite tail against the finite
+A partition fixes its count of infinite parts when it is built, and
+``preceq`` reads it.  ``preceq`` decides a finite tail against the finite
 part of lam through ``_tail_below`` on plain tuples: the length and sum
 screens, a witness grouping, the no-spare-part exit, then a search over
 the counts left of fin's values, one layer of states per tail part.
-``_cover_groups`` lists the groups of that search and of
+``min_excluded`` carries those layers down its walk of the tails, each
+tail one ``_step`` from its parent's layer, so it calls no
+``_tail_below``.  ``_cover_groups`` lists the groups of that search and of
 ``equations._supports`` alike, each from the state it is in, and
 ``weight_maps`` is the one search for weight-respecting maps, End(lam)
 and the slices' Hom(mu, lam_p) alike.
@@ -23,7 +26,7 @@ function here is pure.
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from operator import le
 
 # with weights in N ∪ {INF}, the builtin sum is the sum in N ∪ {inf} and
@@ -88,15 +91,27 @@ class _Frozen:
 
 
 class GenPartition(_Frozen):
-    """Non-increasing tuple of weights in N ∪ {inf}; zeros are dropped."""
+    """Non-increasing tuple of weights in N ∪ {inf}; zeros are dropped.
+    ``num_infinite``, the count of infinite parts, is fixed at
+    construction."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "num_infinite")
 
     def __init__(self, parts=()):
-        cleaned = sorted((_check_weight(p, allow_zero=True) for p in parts), reverse=True)
+        cleaned = sorted(map(_check_weight, parts, repeat(True)), reverse=True)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "parts", tuple(cleaned))
+        object.__setattr__(self, "num_infinite", cleaned.count(INF))
+
+    @classmethod
+    def _finite(cls, parts: tuple) -> "GenPartition":
+        """The partition of `parts`, a non-increasing tuple of positive
+        ints, built directly: nothing is sorted or checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        object.__setattr__(p, "num_infinite", 0)
+        return p
 
     @classmethod
     def parse(cls, text: str) -> "GenPartition":
@@ -110,17 +125,13 @@ class GenPartition(_Frozen):
         return len(self.parts)
 
     @property
-    def num_infinite(self) -> int:
-        return self.parts.count(INF)
-
-    @property
     def finite_weight(self) -> int:
         """Sum of the finite parts."""
         return sum(p for p in self.parts if p != INF)
 
     @property
     def is_infinite(self) -> bool:
-        return self.length > 0 and self.parts[0] == INF
+        return self.num_infinite > 0
 
     def __iter__(self):
         return iter(self.parts)
@@ -267,16 +278,29 @@ def _tail_below(tail, fin) -> bool:
         return True
     if n == len(fin):
         return False
+    slots, full = _count_slots(fin)
+    layer = {full}
+    for need in tail:
+        layer = _step(layer, need, slots)
+        if not layer:
+            return False
+    return True
+
+
+def _count_slots(fin):
+    """The ``_cover_groups`` slots of the finite tuple fin, one per
+    distinct value, and the full state, every count at its most."""
     slots, place = [], 1
     for value, count in Counter(fin).items():
         slots.append((value, place, count + 1))
         place *= count + 1
-    layer = {place - 1}  # every count at its most
-    for need in tail:
-        layer = {left for state in layer for left in _cover_groups(need, state, slots)}
-        if not layer:
-            return False
-    return True
+    return slots, place - 1
+
+
+def _step(layer, need, slots):
+    """The layer after a tail part `need`: every state that a group
+    covering it leaves from a state of `layer`."""
+    return {left for state in layer for left in _cover_groups(need, state, slots)}
 
 
 def _witness_places(tail, fin) -> bool:
@@ -306,11 +330,13 @@ def preceq(mu: GenPartition, lam: GenPartition) -> bool:
     below it: each part of mu needs its own group, and an infinite part
     an infinite one.  So the tail is finite and no longer than lam's finite
     part.  An empty tail, or one with each part at most the finite part in
-    the same place, is below; ``_tail_below`` decides the rest.
+    the same place, is below; ``_tail_below`` decides the rest.  Both
+    counts of infinite parts are read from ``num_infinite``, fixed when
+    each partition was built.
     """
     mu_parts, lam_parts = mu.parts, lam.parts
-    k = lam_parts.count(INF)
-    if len(mu_parts) > len(lam_parts) or mu_parts.count(INF) > k:
+    k = lam.num_infinite
+    if len(mu_parts) > len(lam_parts) or mu.num_infinite > k:
         return False
     tail, fin = mu_parts[k:], lam_parts[k:]
     return all(map(le, tail, fin)) or _tail_below(tail, fin)
@@ -352,7 +378,9 @@ def _box_parts(max_length: int, max_part: int, max_sum=INF, prefix=()):
     """Parts tuples of the non-empty finite partitions with at most
     max_length parts, each at most max_part, of sum at most max_sum,
     extending prefix.  Depth-first order is increasing tuple order: a
-    prefix comes before its extensions."""
+    prefix comes before its extensions.  It serves
+    ``finite_partitions_in_box``; ``min_excluded`` walks the same order
+    but descends only from the tails below lam."""
     if max_length < 1:
         return
     for p in range(1, min(max_part, max_sum) + 1):
@@ -434,29 +462,57 @@ def min_excluded(lam: GenPartition) -> list:
     need no test; ``_tail_covers`` yields the other two kinds, each
     distinct tuple once.
 
-    ``_tail_below``, the tail search of ``preceq``, decides each distinct
-    tail once, on plain tuples, and (tau_0)^k ++ tau is built only for the
-    answers.  No sort: ``_box_parts`` yields the tails in increasing order,
-    and tau -> (tau_0)^k ++ tau is strictly increasing (tau_0 first, then
-    tau).
+    Fourth lemma (the prune): if a tail is not below fin, no extension of
+    it is below fin or minimal.  Proof: dropping the added parts takes an
+    extension down to the tail, so the extension is excluded; lowering its
+    last part, a cover that ``_tail_covers`` yields, leaves a tail that
+    still drops down to the same tail, so that cover is excluded too.  So
+    the tails below fin are prefix-closed.
+
+    The walk is ``_tail_below``'s search carried down the box.  A tail's
+    layer is the set of count states that search holds after the tail's
+    parts, and a child tau ++ (p) gets its layer by one ``_step`` from its
+    parent's, so no tail's search starts over.  A child past fin's length
+    or sum (the two screens) is excluded with no step, and so is one whose
+    layer is empty; each excluded child is a candidate, and the walk
+    descends only from a tail whose layer is non-empty, which is below.
+    It reaches every below tail of the box, as their prefixes are below.
+    A candidate is kept iff each of its ``_tail_covers`` was found below.
+    Every cover has a smaller sum or fewer parts, so it lies in the box,
+    and the covers are read only after the walk: a capped merge can sort
+    after its own tail, as (2, 2) comes after (2, 1, 1).  The walk is depth
+    first over increasing parts, so it lists the candidates in increasing
+    tuple order, and tau -> (tau_0)^k ++ tau is strictly increasing (tau_0
+    first, then tau): no sort.  Its recursion depth is the tail length.
+    (tau_0)^k ++ tau is built only for the answers, and not checked again.
     """
     if not lam.is_infinite:
         raise ValueError("min_excluded requires a partition with an infinite part")
     k = lam.num_infinite
     fin = lam.parts[k:]
-    below = {}
+    slots, full = _count_slots(fin)
+    below, candidates = {()}, []
 
-    def is_below(tail):
-        hit = below.get(tail)
-        if hit is None:
-            hit = below[tail] = _tail_below(tail, fin)
-        return hit
+    def walk(tail, layer, top, spare):
+        # the children tail ++ (p), p <= top; spare is fin's sum less tail's
+        past_length = len(tail) == len(fin)
+        for p in range(1, min(top, spare + 1) + 1):
+            child = tail + (p,)
+            if past_length or p > spare:
+                candidates.append(child)
+                continue
+            after = _step(layer, p, slots)
+            if after:
+                below.add(child)
+                walk(child, after, p, spare - p)
+            else:
+                candidates.append(child)
 
-    w = sum(fin) + 1
+    walk((), {full}, sum(fin) + 1, sum(fin))
     return [
-        GenPartition((tau[0],) * k + tau)
-        for tau in _box_parts(len(fin) + 1, w, w)
-        if not is_below(tau) and all(map(is_below, _tail_covers(tau)))
+        GenPartition._finite((tau[0],) * k + tau)
+        for tau in candidates
+        if all(map(below.__contains__, _tail_covers(tau)))
     ]
 
 

@@ -10,7 +10,10 @@ order searched over all of lam's parts, without the tail reduction and
 the screens of ``partitions.preceq``, and ``leq`` the order that decreases
 or removes parts.  ``min_excluded_by_covers`` tests every
 ``lower_covers`` tuple of each whole candidate, the walk that the tail
-covers of ``partitions.min_excluded`` replaced.
+covers of ``partitions.min_excluded`` replaced, and
+``min_excluded_by_box_walk`` decides every tail of the box afresh with
+``partitions._tail_below``, the walk that carrying each tail's layer
+down from its parent's replaced.
 ``enumerate_end_by_product`` walks all n^n tables, the search that
 ``partitions.weight_maps`` replaced, and ``aut`` lists every
 weight-preserving permutation.  ``monomials_of_degree`` and ``divides``
@@ -59,7 +62,7 @@ from functools import lru_cache
 from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal, shape_rows
 from symvar.partitions import INF, GenComposition, GenPartition
-from symvar.partitions import _box_parts, _cover_groups, _tail_below
+from symvar.partitions import _box_parts, _cover_groups, _tail_below, _tail_covers
 from symvar.poly import SliceFactor, _format_terms, scaled
 from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
@@ -222,6 +225,29 @@ def min_excluded_by_covers(lam: GenPartition) -> list:
         for alpha in candidates
         if not _tail_below(alpha[k:], fin)
         and all(_tail_below(c[k:], fin) for c in lower_covers(alpha))
+    ]
+
+
+def min_excluded_by_box_walk(lam: GenPartition) -> list:
+    """``partitions.min_excluded`` walking the whole box of tails: each
+    distinct tail is decided once, by ``_tail_below`` from the full state."""
+    if not lam.is_infinite:
+        raise ValueError("min_excluded requires a partition with an infinite part")
+    k = lam.num_infinite
+    fin = lam.parts[k:]
+    below = {}
+
+    def is_below(tail):
+        hit = below.get(tail)
+        if hit is None:
+            hit = below[tail] = _tail_below(tail, fin)
+        return hit
+
+    w = sum(fin) + 1
+    return [
+        GenPartition((tau[0],) * k + tau)
+        for tau in _box_parts(len(fin) + 1, w, w)
+        if not is_below(tau) and all(map(is_below, _tail_covers(tau)))
     ]
 
 

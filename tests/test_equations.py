@@ -561,3 +561,41 @@ class TestReduce:
                 assert not member_by_equations(ideal, x), (text, alpha)
                 accepted += member_by_equations(reduced, x)
             assert accepted <= pinned, (text, accepted)
+
+    # the excluded shapes that the note of ``equations --reduce`` names at
+    # the default seed: dropped, and implied by no kept excluded shape
+    NEEDED_DROPS = {"inf,2": ["1,1,1"], "inf,1,1": [], "inf,2,1": ["1,1,1,1"],
+                    "inf,3,3": ["1,1,1,1", "4,4,1"], "inf,inf,2": ["1,1,1,1"],
+                    "inf,2,2": ["1,1,1,1", "3,3,1"], "inf,3,1": ["1,1,1,1", "2,2,2"],
+                    "inf,4": ["1,1,1"], "inf,inf,1,1": ["1,1,1,1,1", "2,2,2,1"],
+                    "inf,2,1,1": ["1,1,1,1,1"]}
+
+    # the census lambdas: 1-3 parts over {inf, 3, 2, 1}, the first infinite
+    CENSUS = [",".join(map(str, parts)) for k in (1, 2, 3)
+              for parts in itertools.combinations_with_replacement([INF, 3, 2, 1], k)
+              if parts[0] == INF]
+
+    @pytest.mark.parametrize("text", list(dict.fromkeys(list(OVER_ACCEPTED) + CENSUS)))
+    def test_note_names_the_needed_drops(self, capsys, text):
+        # the note names exactly the shapes alpha whose point of type
+        # inf ++ alpha[1:] the pruned set accepts, one over-acceptance each,
+        # and stdout is the pruned ideal as printed without the note
+        assert cli.main(["equations", text, "--reduce"]) == 0
+        out, err = capsys.readouterr()
+        rng = random.Random(1729)
+        battery = [random_point(rng, max_width=4) for _ in range(40)]
+        lam = P(text)
+        reduced = reduce_generators(i_lambda(lam), battery)
+        assert out == reduced.render() + "\n"
+        accepted = [str(alpha) for alpha in min_excluded(lam) if member_by_equations(
+            reduced, FinitaryPoint([(0, INF)] + [(v, m) for v, m in enumerate(alpha.parts[1:], 1)]))]
+        if text in self.NEEDED_DROPS:
+            assert accepted == self.NEEDED_DROPS[text]
+            assert len(accepted) == self.OVER_ACCEPTED[text]
+        if accepted:
+            names = "; ".join(f"excluded {alpha}" for alpha in accepted)
+            assert err.startswith(f"note: --reduce dropped generators that no kept excluded "
+                                  f"generator implies ({names}), ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""

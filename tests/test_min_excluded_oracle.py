@@ -24,8 +24,15 @@ lam exactly when all of those are, judged by ``preceq_by_groups``.
 with 1 to 6 infinite parts and at most 4 finite parts of weight at most
 8, which reaches the k = 5 of the benchmark's sweep.  A work guard counts
 the candidates that reach the cover test and the cover tuples built.
+
+The layered walk is checked against ``min_excluded_by_box_walk``, the walk
+over the whole box of tails that it replaced, each tail decided afresh by
+``_tail_below``: on 963 lam, and on three wide lam by the count and a
+digest of the answers.  A work pin counts the ``_tail_below`` calls (none)
+and the tail covers built on a wide lam.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -40,7 +47,7 @@ from symvar.partitions import (
     preceq,
 )
 
-from oracles import lower_covers, min_excluded_by_covers, preceq_by_groups
+from oracles import lower_covers, min_excluded_by_box_walk, min_excluded_by_covers, preceq_by_groups
 
 
 def min_excluded_quadratic(lam):
@@ -143,6 +150,57 @@ def test_lower_cover_work_guard(monkeypatch):
     assert got == [GenPartition((1,) * 10), GenPartition((13,) * 9)]
     assert 0 < len(calls) <= 55
     assert len(built) == 43
+
+
+def test_matches_box_walk():
+    # 1-3 infinite parts and a finite part of at most 8 parts, each at most
+    # 8, of sum at most 13 (the empty one included)
+    lams = [GenPartition((INF,) * k + fin)
+            for k in (1, 2, 3) for fin in [()] + list(_box_parts(8, 8, 13))]
+    assert len(lams) == 963
+    for lam in lams:
+        assert min_excluded(lam) == min_excluded_by_box_walk(lam), lam
+
+
+# the answers on lam too wide for the box walk in tier-1, as recorded from
+# it: their number and the first 16 hex digits of the sha256 of
+# ";".join(map(str, answers))
+WIDE = {
+    "inf,8,7,6,5,4,3,2,1": ([INF, 8, 7, 6, 5, 4, 3, 2, 1], 499, "84a135bdee08a33e"),
+    "inf,3^11": ([INF] + [3] * 11, 77, "17af06063073aff7"),
+    "inf,1^25": ([INF] + [1] * 25, 70, "1021063475fa95ad"),
+}
+
+
+@pytest.mark.parametrize("text", WIDE)
+def test_wide_answers_are_pinned(text):
+    parts, count, digest = WIDE[text]
+    got = min_excluded(GenPartition(parts))
+    assert len(got) == count
+    assert hashlib.sha256(";".join(map(str, got)).encode()).hexdigest()[:16] == digest
+
+
+def test_walk_decides_no_tail_afresh(monkeypatch):
+    # each tail's layer is one step from its parent's, so no tail is handed
+    # to _tail_below; on inf,3^11 the candidates build 10,593 tail covers,
+    # where the box walk decided each of 51,968 tails afresh
+    tail_calls, built = [], []
+    tail_below, tail_covers = partitions._tail_below, partitions._tail_covers
+
+    def building(tau):
+        for cover in tail_covers(tau):
+            built.append(cover)
+            yield cover
+
+    def deciding(*args):
+        tail_calls.append(args)
+        return tail_below(*args)
+
+    monkeypatch.setattr(partitions, "_tail_below", deciding)
+    monkeypatch.setattr(partitions, "_tail_covers", building)
+    assert len(min_excluded(GenPartition([INF] + [3] * 11))) == 77
+    assert tail_calls == []
+    assert len(built) < 20_000
 
 
 @pytest.mark.parametrize("max_length,max_part", [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (5, 6)])
