@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", metavar="lambda")
     p.add_argument("--variety", help="JSON variety file for slice equations")
     p.add_argument("--reduce", action="store_true", help="heuristic redundancy pruning")
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=int, default=1729,
+                   help="seed of the --reduce battery; no effect without --reduce")
 
     p = add("member", cmd_member, "decide membership of a finitary point")
     p.add_argument("lam", metavar="lambda")
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu")
 
     p = add("selfcheck", cmd_selfcheck, "run the invariant battery")
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=int, default=1729, help="seed of the invariant battery")
 
     return parser
 

@@ -16,7 +16,7 @@ output order is deterministic.
 
 import itertools
 
-from .partitions import INF, GenComposition, _Frozen, finite_partitions_in_box, weight_maps
+from .partitions import INF, GenComposition, _Frozen, _box_parts, weight_maps
 from .variety import PointSetVariety
 
 
@@ -45,10 +45,6 @@ class CompMap(_Frozen):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "table", dict(table))
         object.__setattr__(self, "_fibers", fibers)
-
-    @classmethod
-    def identity(cls, lam: GenComposition) -> "CompMap":
-        return cls(lam, lam, {i: i for i in lam.labels})
 
     def fiber(self, j):
         """The domain labels sent to the codomain label j, in label order."""
@@ -156,11 +152,6 @@ class Correspondence(_Frozen):
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
 
-    @classmethod
-    def identity(cls, lam: GenComposition) -> "Correspondence":
-        ident = CompMap.identity(lam)
-        return cls(lam, ident, ident)
-
     @property
     def target(self) -> GenComposition:
         return self.f1.codomain
@@ -244,8 +235,7 @@ def enumerate_good(mu: GenComposition, lam: GenComposition) -> list:
     if not lam.is_infinite:
         raise ValueError("good correspondences require an infinite source composition")
     e = lam.finite_weight
-    splits = [[(w,)] if w > e else [p.parts for p in finite_partitions_in_box(lam.length, w)
-                                    if sum(p.parts) == w]
+    splits = [[(w,)] if w > e else [p for p in _box_parts(lam.length, w, w) if sum(p) == w]
               for w in map(mu.weight, mu.labels)]
     rooms = [lam.weight(k) for k in lam.labels]
     out = []

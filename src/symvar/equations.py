@@ -67,8 +67,8 @@ from .partitions import (
     GenComposition,
     GenPartition,
     _Frozen,
+    _box_parts,
     _cover_groups,
-    finite_partitions_in_box,
     min_excluded,
     mu_s,
 )
@@ -204,8 +204,8 @@ def i_lambda(lam: GenPartition) -> TypeIdeal:
 
 def capped_shapes(lam: GenPartition) -> list:
     """Finite shapes indexing the slice equations: at most ell(lam) parts,
-    each at most e+1."""
-    return finite_partitions_in_box(lam.length, lam.finite_weight + 1)
+    each at most e+1, in increasing tuple order, which the printed blocks follow."""
+    return [GenPartition(p) for p in _box_parts(lam.length, lam.finite_weight + 1)]
 
 
 def _mix_safe(mu: GenPartition, lam: GenPartition) -> bool:

@@ -378,21 +378,16 @@ def _box_parts(max_length: int, max_part: int, max_sum=INF, prefix=()):
     """Parts tuples of the non-empty finite partitions with at most
     max_length parts, each at most max_part, of sum at most max_sum,
     extending prefix.  Depth-first order is increasing tuple order: a
-    prefix comes before its extensions.  It serves
-    ``finite_partitions_in_box``; ``min_excluded`` walks the same order
-    but descends only from the tails below lam."""
+    prefix comes before its extensions.  It lists the capped shapes, the
+    fiber splits of ``corr.enumerate_good`` (with the sum cap) and the
+    oracles' boxes; ``min_excluded`` walks the same order but descends
+    only from the tails below lam."""
     if max_length < 1:
         return
     for p in range(1, min(max_part, max_sum) + 1):
         cur = prefix + (p,)
         yield cur
         yield from _box_parts(max_length - 1, p, max_sum - p, cur)
-
-
-def finite_partitions_in_box(max_length: int, max_part: int):
-    """All non-empty finite partitions with at most max_length parts, each
-    at most max_part, in increasing tuple order."""
-    return [GenPartition(p) for p in _box_parts(max_length, max_part)]
 
 
 def _tail_covers(tau):

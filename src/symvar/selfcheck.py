@@ -10,11 +10,12 @@ randomness is drawn from a caller-provided seed so runs are reproducible.
 
 The polynomials the battery checks live here too, as nothing else runs
 them: ``Poly``, exact sparse polynomials over Q in x1, x2, ... (the ambient
-coordinates, acted on by finite permutations) and t1, t2, ..., ordered
-graded-lexicographically with x1 > x2 > ... > t1 > t2 > ...; discriminants
-and their sign action; the coset skew-sum identity; and constructive
-discriminant extraction with replayable witnesses.  ``Poly`` prints with
-``poly._format_terms``, the formatter of the slice factors.
+coordinates, acted on by finite permutations) and t1, t2, ... (which only
+the tests build), ordered graded-lexicographically with x1 > x2 > ... > t1
+> t2 > ...; discriminants and their sign action; the coset skew-sum
+identity; and constructive discriminant extraction with replayable
+witnesses.  ``Poly`` prints with ``poly._format_terms``, the formatter of
+the slice factors.
 """
 
 import itertools
@@ -39,7 +40,7 @@ from .partitions import (
     good_filling_exists,
     preceq,
 )
-from .poly import _format_terms, _mono_degree, scaled, vanishing_ideal
+from .poly import _format_terms, scaled, vanishing_ideal
 from .variety import (
     PointSetVariety,
     _gamma_points,
@@ -50,7 +51,6 @@ from .variety import (
 
 
 X_FAMILY = 0
-T_FAMILY = 1
 
 
 def _default_name(v):
@@ -59,10 +59,6 @@ def _default_name(v):
 
 def xvar(i):
     return (X_FAMILY, i)
-
-
-def tvar(i):
-    return (T_FAMILY, i)
 
 
 def _mono_mul(m1, m2):
@@ -109,10 +105,6 @@ class Poly(_Frozen):
     def x(cls, i):
         return cls({((xvar(i), 1),): 1})
 
-    @classmethod
-    def t(cls, i):
-        return cls({((tvar(i), 1),): 1})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -125,9 +117,6 @@ class Poly(_Frozen):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), 0)
-
-    def total_degree(self):
-        return max((_mono_degree(m) for m in self.terms), default=0)
 
     def degree_in(self, v):
         best = 0

@@ -52,6 +52,12 @@ zero test from that ``Poly`` at every point, term by term, the way
 membership did before it read the factor's integer row as a dot product
 with its slice's monomial values.  ``evaluate`` reads a ``Poly``'s value
 at an assignment of its variables.
+
+Some helpers moved here from the package because only the tests call
+them: ``T_FAMILY``, ``tvar`` and ``t`` build the slice variables t1, t2,
+... that the tests write tails in, ``total_degree`` reads a ``Poly``'s
+degree, and ``identity_map`` and ``identity_correspondence`` are the
+identity ``CompMap`` and ``Correspondence`` of a composition.
 """
 
 import itertools
@@ -63,9 +69,34 @@ from symvar.corr import CompMap, Correspondence
 from symvar.equations import IdealGenerator, ShapeBlock, TypeIdeal, shape_rows
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.partitions import _box_parts, _cover_groups, _tail_below, _tail_covers
-from symvar.poly import SliceFactor, _format_terms, scaled
-from symvar.selfcheck import T_FAMILY, X_FAMILY, Poly, difference, tvar, xvar
+from symvar.poly import SliceFactor, _format_terms, _mono_degree, scaled
+from symvar.selfcheck import X_FAMILY, Poly, difference, xvar
 from symvar.variety import FinitaryPoint, PointSetVariety, gamma_at, type_of
+
+
+T_FAMILY = 1
+
+
+def tvar(i):
+    return (T_FAMILY, i)
+
+
+def t(i) -> Poly:
+    """The slice variable t_i as a ``Poly``."""
+    return Poly({((tvar(i), 1),): 1})
+
+
+def total_degree(p: Poly) -> int:
+    return max((_mono_degree(m) for m in p.terms), default=0)
+
+
+def identity_map(lam: GenComposition) -> CompMap:
+    return CompMap(lam, lam, {i: i for i in lam.labels})
+
+
+def identity_correspondence(lam: GenComposition) -> Correspondence:
+    ident = identity_map(lam)
+    return Correspondence(lam, ident, ident)
 
 
 def leq(mu: GenPartition, lam: GenPartition) -> bool:
@@ -615,7 +646,7 @@ def tail_zero_test_by_poly(tail, tail_rows, classes):
     q = math.lcm(*(v.denominator for v, _ in classes))
     scaled = [v.numerator * (q // v.denominator) for v, _ in classes]
     lcm = math.lcm(*(c.denominator for c in tail.terms.values()))
-    deg = tail.total_degree()
+    deg = total_degree(tail)
     pos = {tvar(r + 1): p for p, r in enumerate(tail_rows)}
     terms = [
         (c.numerator * (lcm // c.denominator) * q ** (deg - sum(e for _, e in m)),

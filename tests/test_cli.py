@@ -290,6 +290,14 @@ class TestMalformedInput:
     def test_deep_min_excluded_is_refused(self, capsys):
         self.assert_data_error(capsys, "min-excluded", "inf," + ",".join(["1"] * 1200))
 
+    def test_deep_equations_are_refused(self, capsys, tmp_path):
+        # the capped shapes of 1,200 finite parts nest one recursion level
+        # per part; only the exit and the one-line shape are pinned
+        path = self.write(tmp_path, json.dumps({"lambda": ["inf"] + [1] * 1200,
+                                                "points": [list(range(1201))]}))
+        self.assert_data_error(capsys, "equations", "inf," + ",".join(["1"] * 1200),
+                               "--variety", path)
+
     def test_deeply_nested_variety_file(self, capsys, tmp_path):
         path = self.write(tmp_path, "[" * 200000)
         self.assert_data_error(capsys, "equations", "inf,inf", "--variety", path)

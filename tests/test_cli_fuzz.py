@@ -160,6 +160,7 @@ NESTED = "[" * 200_000
 @example(case=(["min-excluded", "inf,1_0"], []))
 @example(case=(["type", "1/-2^inf"], []))
 @example(case=(["type", "1/0^inf"], []))
+@example(case=(["type", "0inf,1^3"], []))
 @example(case=(["member", "inf,inf", "0^inf", "--method", "both", "--variety", "{0}"],
                ['{"lambda": ["inf", "inf"], "points": [[0, "1/0"]]}']))
 @example(case=(["gamma", "inf,inf", "{0}", "1"],
@@ -171,6 +172,7 @@ NESTED = "[" * 200_000
 @example(case=(["contains", "inf", "{0}", "inf", "{1}"],
                ['{"lambda": [], "points": []}', '{"lambda": ["inf"], "points": [[0]]}']))
 @example(case=(["gamma", "inf", "{0}", "1"], ["5"]))
+@example(case=(["gamma", "inf,inf", "{0}", "1"], ['{"lambda": ["inf", "inf"], "points": [5]}']))
 @example(case=(["equations", "inf", "--variety", "{0}"], ["true"]))
 @example(case=(["equations", "inf,inf", "--variety", "{0}"], [NESTED]))
 @example(case=(["contains", "inf,1", "{0}", "inf,inf", "{1}"], ["[1, 2]", NESTED]))

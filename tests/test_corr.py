@@ -20,7 +20,7 @@ from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.selfcheck import random_composition, random_map_onto
 from symvar.variety import PointSetVariety
 
-from oracles import good_correspondences_by_fibers, is_good
+from oracles import good_correspondences_by_fibers, identity_correspondence, identity_map, is_good
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -32,6 +32,19 @@ class TestCompMap:
         CompMap(lam, mu, {1: 1, 2: 1})  # fine: inf + 1 <= inf
         with pytest.raises(ValueError):
             CompMap(mu, C(P("3")), {1: 1})  # inf > 3
+
+    def test_table_off_the_domain_labels_rejected(self):
+        with pytest.raises(ValueError, match="^table must be defined on exactly the domain labels$"):
+            CompMap(C(P("inf,1")), C(P("inf")), {1: 1})
+
+    def test_value_off_the_codomain_labels_rejected(self):
+        with pytest.raises(ValueError, match="^table values must be codomain labels$"):
+            CompMap(C(P("inf,1")), C(P("inf")), {1: 1, 2: 2})
+
+    def test_then_across_a_mismatch_rejected(self):
+        f = CompMap(C(P("inf,1")), C(P("inf")), {1: 1, 2: 1})
+        with pytest.raises(ValueError, match="^maps do not compose: codomain/domain mismatch$"):
+            f.then(f)
 
     def test_flags(self):
         lam = C(P("inf,1"))
@@ -129,14 +142,20 @@ class TestPullbackSquare:
     def test_identity_second_leg(self):
         mu = C(P("inf,3"))
         f1 = CompMap(C(P("inf,2,1")), mu, {1: 1, 2: 2, 3: 2})
-        f2 = CompMap.identity(mu)
+        f2 = identity_map(mu)
         wmu, g1, g2 = pullback_square(f1, f2)
         assert g1.then(f1) == g2.then(f2)
         assert g1.is_principal and g1.is_injection  # identity is both
 
+    def test_different_codomains_rejected(self):
+        f1 = identity_map(C(P("inf,1")))
+        f2 = identity_map(C(P("inf,2")))
+        with pytest.raises(ValueError, match="^pullback requires a common codomain$"):
+            pullback_square(f1, f2)
+
     def test_both_identity(self):
         mu = C(P("inf,3"))
-        ident = CompMap.identity(mu)
+        ident = identity_map(mu)
         wmu, g1, g2 = pullback_square(ident, ident)
         assert wmu.shape() == mu.shape()
 
@@ -290,14 +309,26 @@ class TestEnumerateGood:
 
 class TestCompose:
     def test_middle_mismatch_raises(self):
-        a = Correspondence.identity(C(P("inf,1")))
-        b = Correspondence.identity(C(P("inf,2")))
+        a = identity_correspondence(C(P("inf,1")))
+        b = identity_correspondence(C(P("inf,2")))
         with pytest.raises(ValueError):
             compose(a, b)
 
+    def test_legs_from_another_rho_rejected(self):
+        lam = C(P("inf,1"))
+        ident = identity_map(lam)
+        with pytest.raises(ValueError, match="^both legs must start from rho$"):
+            Correspondence(C(P("inf,2")), ident, ident)
+
+    def test_first_leg_not_principal_rejected(self):
+        rho = C(P("2,1"))
+        f1 = CompMap(rho, C(P("4,4")), {1: 1, 2: 2})
+        with pytest.raises(ValueError, match="^f1 must be a principal surjection$"):
+            Correspondence(rho, f1, f1)
+
     def test_identity_neutrality_on_points(self):
         lam = C(P("inf,1"))
-        ident = Correspondence.identity(lam)
+        ident = identity_correspondence(lam)
         S = PointSetVariety(lam, [(0, 1), (2, 3)])
         for f in enumerate_good(lam, lam):
             left = apply_corr(compose(f, ident), S)

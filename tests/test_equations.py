@@ -61,6 +61,7 @@ from oracles import (
     orbits_vanish_by_masks,
     product_shape,
     supports_by_fits,
+    t,
 )
 from test_golden_cli import FILES
 
@@ -251,7 +252,6 @@ class TestLazyProduct:
     def test_tails_on_sparse_and_two_digit_rows(self):
         # tails that skip a row (t1, t3) or name a row past 9; the texts
         # were recorded from the printer that renamed t<i> in str(tail)
-        t = Poly.t
         cases = [
             ("2,2,1",
              Fraction(-3, 2) * t(1) ** 2 * t(3) + Fraction(5, 7) * t(3) ** 2 - t(1) + 4,
@@ -272,11 +272,11 @@ class TestLazyProduct:
 
     def test_tail_without_a_row_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="^tail uses a t-variable with no matching row$"):
-            IdealGenerator("slice", P("2"), factor_from_poly(Poly.t(2) - 1))
+            IdealGenerator("slice", P("2"), factor_from_poly(t(2) - 1))
 
     def test_tail_with_an_x_variable_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="not a t-variable"):
-            factor_from_poly(Poly.x(1) + Poly.t(1))
+            factor_from_poly(Poly.x(1) + t(1))
 
     def test_infinite_shape_is_rejected(self):
         with pytest.raises(ValueError, match="infinite part"):

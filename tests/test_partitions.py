@@ -12,7 +12,7 @@ from symvar.partitions import (
     INF,
     GenComposition,
     GenPartition,
-    finite_partitions_in_box,
+    _box_parts,
     good_filling_exists,
     min_excluded,
     mu_s,
@@ -406,7 +406,7 @@ class TestMinExcluded:
         excluded_min = min_excluded(lam)
         for a, b in itertools.permutations(excluded_min, 2):
             assert not preceq(a, b)
-        box = finite_partitions_in_box(lam.length + 1, lam.finite_weight + 1)
+        box = [GenPartition(p) for p in _box_parts(lam.length + 1, lam.finite_weight + 1)]
         for alpha in box:
             if not preceq(alpha, lam):
                 assert any(preceq(m, alpha) for m in excluded_min), alpha
@@ -416,7 +416,7 @@ class TestMinExcluded:
         # recompute with a one-larger search box; the minimal antichain must
         # not change
         lam = P(lam)
-        bigger = finite_partitions_in_box(lam.length + 2, lam.finite_weight + 2)
+        bigger = [GenPartition(p) for p in _box_parts(lam.length + 2, lam.finite_weight + 2)]
         excluded = [a for a in bigger if not preceq(a, lam)]
         minimal = sorted(
             (a for a in excluded if not any(b != a and preceq(b, a) for b in excluded)),
@@ -512,7 +512,7 @@ class TestFinitePartitionCriterion:
             {GenPartition(c) for n in range(0, 3) for c in itertools.product(vals, repeat=n)},
             key=lambda q: (q.length, q.parts),
         )
-        finite_box = finite_partitions_in_box(4, 5)
+        finite_box = [GenPartition(p) for p in _box_parts(4, 5)]
         for mu in box:
             for lam in box:
                 criterion = all(

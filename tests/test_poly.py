@@ -19,7 +19,6 @@ from symvar.selfcheck import (
     random_poly,
     replay_witness,
     skew_sum,
-    tvar,
     verify_witness,
     xvar,
 )
@@ -31,7 +30,9 @@ from oracles import (
     factor_poly,
     orbit_evaluations,
     perm_sign_by_cycles,
+    t,
     terms_by_dense_key,
+    tvar,
 )
 
 
@@ -152,7 +153,7 @@ class TestExtraction:
 
     def test_t_variables_rejected(self):
         with pytest.raises(ValueError):
-            extract_discriminant(Poly.t(1))
+            extract_discriminant(t(1))
 
     def test_randomized_sweep(self):
         rng = random.Random(2024)
@@ -199,7 +200,7 @@ class TestOrbitEvaluations:
 
 class TestVanishingIdeal:
     def test_two_points_on_line(self):
-        assert [factor_poly(g) for g in vanishing_ideal([(0,), (1,)])] == [Poly.t(1) ** 2 - Poly.t(1)]
+        assert [factor_poly(g) for g in vanishing_ideal([(0,), (1,)])] == [t(1) ** 2 - t(1)]
 
     def test_square(self):
         gens = vanishing_ideal([(0, 1), (1, 0), (0, 0), (1, 1)])
@@ -216,6 +217,10 @@ class TestVanishingIdeal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vanishing_ideal([])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^all points must have the same length$"):
+            vanishing_ideal([(0,), (0, 1)])
 
     def test_properties_random(self):
         rng = random.Random(88)
@@ -242,7 +247,7 @@ class TestCoefficients:
             assert p.terms and all(type(c) is int for c in p.terms.values())
 
     def test_rational_literal_holds_a_fraction(self):
-        c = (Fraction(1, 2) * Poly.t(1)).terms[((tvar(1), 1),)]
+        c = (Fraction(1, 2) * t(1)).terms[((tvar(1), 1),)]
         assert type(c) is Fraction and c == Fraction(1, 2)
 
     def test_float_is_stored_as_exact_fraction(self):
@@ -288,7 +293,7 @@ class TestGrammar:
             assert str(p) == " ".join(tokens)
 
     def test_custom_names(self):
-        p = 3 * Poly.x(1) ** 2 * Poly.t(2) - Poly.t(2) + Poly.t(10) * Poly.x(4) + Fraction(1, 2)
+        p = 3 * Poly.x(1) ** 2 * t(2) - t(2) + t(10) * Poly.x(4) + Fraction(1, 2)
         assert str(p) == "3*x1^2*t2 + x4*t10 - t2 + 1/2"
         assert (_format_terms(p.terms.items(), lambda v: f"{'ab'[v[0]]}[{v[1]}]")
                 == "3*a[1]^2*b[2] + a[4]*b[10] - b[2] + 1/2")

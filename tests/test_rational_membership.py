@@ -44,7 +44,6 @@ from symvar.equations import (
 )
 from symvar.partitions import INF, GenComposition, GenPartition
 from symvar.poly import _slice_factors, scaled, vanishing_ideal
-from symvar.selfcheck import tvar
 from symvar.variety import FinitaryPoint, PointSetVariety, theta_member
 
 from oracles import (
@@ -54,6 +53,7 @@ from oracles import (
     ideal_of,
     orbits_vanish_by_masks,
     tail_zero_test_by_poly,
+    tvar,
 )
 
 C = GenComposition.from_partition

@@ -15,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 from symvar.poly import _border, vanishing_ideal
-from symvar.selfcheck import Poly, T_FAMILY
+from symvar.selfcheck import Poly
 
-from oracles import divides, evaluate, factor_poly, monomials_of_degree
+from oracles import T_FAMILY, divides, evaluate, factor_poly, monomials_of_degree
 
 
 def _exps_to_poly(exps, coeff=1):

@@ -21,7 +21,7 @@ from symvar.variety import (
     variety_from_json,
 )
 
-from oracles import arrangements, aut, orbit_evaluations
+from oracles import arrangements, aut, identity_correspondence, orbit_evaluations
 from test_golden_cli import COMMANDS, FILES
 
 P = GenPartition.parse
@@ -96,12 +96,17 @@ class TestApplyCorr:
     def test_identity_correspondence(self):
         lam = C(P("inf,1"))
         S = PointSetVariety(lam, [(0, 1), (2, 3)])
-        assert apply_corr(Correspondence.identity(lam), S) == S
+        assert apply_corr(identity_correspondence(lam), S) == S
 
     def test_empty(self):
         lam = C(P("inf,1"))
         S = PointSetVariety(lam, [])
-        assert len(apply_corr(Correspondence.identity(lam), S)) == 0
+        assert len(apply_corr(identity_correspondence(lam), S)) == 0
+
+    def test_set_over_another_source_rejected(self):
+        S = PointSetVariety(C(P("inf,inf")), [(0, 1)])
+        with pytest.raises(ValueError, match="^point set does not live over the correspondence source$"):
+            apply_corr(identity_correspondence(C(P("inf,1"))), S)
 
     def test_two_leg_correspondence_action(self):
         lam = C(P("inf,2,1,1"))
@@ -135,6 +140,11 @@ class TestEndClosure:
         Z = PointSetVariety(lam, [(0, 0)])
         assert end_closure(lam, Z) == Z
 
+    def test_set_over_another_lambda_rejected(self):
+        Z = PointSetVariety(C(P("inf,inf")), [(0, 1)])
+        with pytest.raises(ValueError, match="^point set does not live over lam$"):
+            end_closure(C(P("inf,1")), Z)
+
 
 class TestPointSetKeys:
     def test_keys_match_points(self):
@@ -165,6 +175,11 @@ class TestGammaAt:
         assert set(g11.points) == {(0, 1), (1, 0), (0, 0), (1, 1)}
         g1 = gamma_at(self.lam, self.Z, C(P("1")))
         assert set(g1.points) == {(0,), (1,)}
+
+    def test_only_the_room_tables_are_built_late(self):
+        g = gamma_at(self.lam, self.Z, C(P("1,1")))
+        with pytest.raises(AttributeError, match="^no_such_slot$"):
+            g.no_such_slot
 
     def test_strictly_contains_end_closure(self):
         lam = C(P("inf,2,1,1"))
