@@ -329,6 +329,16 @@ def _orbits_vanish(blocks, classes):
     each test is one dot product (`poly.SliceFactor.vanishes_at`).  The key
     is positions, not ``used``: at two coordinate maps of one table, one
     ``used`` names different positions.
+
+    The two per-point memos, ``vectors`` and ``projections``, serve
+    `reduce_generators`, the one caller that reads them more than once: it
+    walks every block at each battery point, and its blocks share tables
+    and row sizes.  With ``--reduce`` at seed 1729, ``inf,2,1,1`` over
+    ``(0,1,2,3),(5,-7,11,13)`` hits 8,182 of 10,039 vector reads and 4,963
+    of 8,997 projection reads, and ``inf,inf,inf,1`` over one rational
+    point 976 of 1,906 vector reads.  Membership stops at the first block
+    that fails, so it never hits them: the census's queries read vectors
+    38,360 times and projections 23,411 times, with no hit.
     """
     keys = [v for v, _ in classes]
     q, xs_of_class = scaled(keys)

@@ -5,7 +5,6 @@ all) and asserts its stated tolerance and time budget.
 """
 
 import contextlib
-import io
 import itertools
 import random
 import time
@@ -13,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from symvar.cli import main
 from symvar.corr import pullback_square
 from symvar.equations import i_lambda, i_lambda_z, member_by_equations, random_point
 from symvar.partitions import (
@@ -47,6 +45,7 @@ from symvar.variety import (
 )
 
 from oracles import eager_product, equivalent_mod_relabeling, expand, product_shape
+from test_golden_cli import run_cli
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -64,13 +63,6 @@ def criterion(number, name, budget=None):
     if budget is not None:
         assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.2f}s)"
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({elapsed:.2f}s)")
-
-
-def cli_lines(*argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(list(argv))
-    return code, buf.getvalue().splitlines()
 
 
 def reference_h_triple():
@@ -117,9 +109,9 @@ def test_criterion_1_two_part_type_loci():
     # shape certificates decide the large comparisons exactly
     with criterion(1, "two-part type-locus generators", budget=1.0):
         for n in range(1, 6):
-            code, lines = cli_lines("min-excluded", f"inf,{n}")
+            code, out, _ = run_cli("min-excluded", f"inf,{n}")
             assert code == 0
-            assert lines == sorted(["1,1,1", f"{n + 1},{n + 1}"])
+            assert out.splitlines() == sorted(["1,1,1", f"{n + 1},{n + 1}"])
             ideal = i_lambda(GenPartition([INF, n]))
             assert len(ideal.generators) == 2
             ours = {str(product_shape(eager_product(g))): g for g in ideal.generators}
@@ -132,9 +124,9 @@ def test_criterion_1_two_part_type_loci():
 
 def test_criterion_2_four_part_type_locus():
     with criterion(2, "four-part type-locus generators", budget=5.0):
-        code, lines = cli_lines("min-excluded", "inf,inf,2,1")
+        code, out, _ = run_cli("min-excluded", "inf,inf,2,1")
         assert code == 0
-        assert lines == ["1,1,1,1,1", "2,2,2,2", "3,3,3,1", "4,4,4"]
+        assert out.splitlines() == ["1,1,1,1,1", "2,2,2,2", "3,3,3,1", "4,4,4"]
         ideal = i_lambda(P("inf,inf,2,1"))
         got_shapes = sorted(str(product_shape(eager_product(g))) for g in ideal.generators)
         reference_shapes = sorted(

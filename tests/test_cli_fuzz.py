@@ -20,14 +20,12 @@ inputs.  Finite weights stay at most 2 and partitions at most 3 parts,
 which keeps each run to milliseconds.
 """
 
-import contextlib
-import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from symvar.cli import main
+from test_golden_cli import run_cli
 
 # tokens the grammars accept, inf repeated so that most partitions and
 # points have an infinite part, and tokens they refuse
@@ -100,7 +98,7 @@ def variety_files(draw, lam) -> str:
 
 @st.composite
 def invocations(draw):
-    """(argv, file texts): ``{i}`` in argv names the file of text i."""
+    """(argv, file texts): ``z{i}.json`` in argv names the file of text i."""
     command = draw(st.sampled_from(["type", "preceq", "min-excluded", "member", "gamma",
                                     "contains", "equations"]))
     lam, mu = draw(partitions), draw(partitions)
@@ -108,7 +106,7 @@ def invocations(draw):
 
     def file_over(parts):
         files.append(draw(variety_files(parts)))
-        return "{%d}" % (len(files) - 1)
+        return f"z{len(files) - 1}.json"
 
     if command == "type":
         argv = [command, draw(points())]
@@ -136,18 +134,6 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run(workdir, argv, files):
-    paths = []
-    for i, text in enumerate(files):
-        path = workdir / f"z{i}.json"
-        path.write_text(text, encoding="utf-8")
-        paths.append(str(path))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([a.format(*paths) for a in argv])
-    return code, out.getvalue(), err.getvalue()
-
-
 NESTED = "[" * 200_000
 
 
@@ -161,24 +147,26 @@ NESTED = "[" * 200_000
 @example(case=(["type", "1/-2^inf"], []))
 @example(case=(["type", "1/0^inf"], []))
 @example(case=(["type", "0inf,1^3"], []))
-@example(case=(["member", "inf,inf", "0^inf", "--method", "both", "--variety", "{0}"],
+@example(case=(["member", "inf,inf", "0^inf", "--method", "both", "--variety", "z0.json"],
                ['{"lambda": ["inf", "inf"], "points": [[0, "1/0"]]}']))
-@example(case=(["gamma", "inf,inf", "{0}", "1"],
+@example(case=(["gamma", "inf,inf", "z0.json", "1"],
                ['{"lambda": ["inf", "inf"], "points": [[0, "1/-2"], ["1_0", 1]]}']))
-@example(case=(["equations", "inf,1", "--variety", "{0}"],
+@example(case=(["equations", "inf,1", "--variety", "z0.json"],
                ['{"lambda": ["inf", true], "points": [[false, 1]]}']))
-@example(case=(["equations", "inf,inf", "--variety", "{0}"], ['{"points": [[0, 1]]}']))
-@example(case=(["equations", "inf,inf", "--variety", "{0}"], ['{"lambda": ["inf", "inf"]}']))
-@example(case=(["contains", "inf", "{0}", "inf", "{1}"],
+@example(case=(["equations", "inf,inf", "--variety", "z0.json"], ['{"points": [[0, 1]]}']))
+@example(case=(["equations", "inf,inf", "--variety", "z0.json"], ['{"lambda": ["inf", "inf"]}']))
+@example(case=(["contains", "inf", "z0.json", "inf", "z1.json"],
                ['{"lambda": [], "points": []}', '{"lambda": ["inf"], "points": [[0]]}']))
-@example(case=(["gamma", "inf", "{0}", "1"], ["5"]))
-@example(case=(["gamma", "inf,inf", "{0}", "1"], ['{"lambda": ["inf", "inf"], "points": [5]}']))
-@example(case=(["equations", "inf", "--variety", "{0}"], ["true"]))
-@example(case=(["equations", "inf,inf", "--variety", "{0}"], [NESTED]))
-@example(case=(["contains", "inf,1", "{0}", "inf,inf", "{1}"], ["[1, 2]", NESTED]))
+@example(case=(["gamma", "inf", "z0.json", "1"], ["5"]))
+@example(case=(["gamma", "inf,inf", "z0.json", "1"], ['{"lambda": ["inf", "inf"], "points": [5]}']))
+@example(case=(["equations", "inf", "--variety", "z0.json"], ["true"]))
+@example(case=(["equations", "inf,inf", "--variety", "z0.json"], [NESTED]))
+@example(case=(["contains", "inf,1", "z0.json", "inf,inf", "z1.json"], ["[1, 2]", NESTED]))
 def test_every_input_keeps_the_exit_code_contract(workdir, case):
     argv, files = case
-    code, out, err = run(workdir, argv, files)
+    for i, text in enumerate(files):
+        (workdir / f"z{i}.json").write_text(text, encoding="utf-8")
+    code, out, err = run_cli(*argv, cwd=workdir)
     assert 0 <= code <= 3, (argv, files, code, err)
     assert "Traceback" not in err and "internal error" not in err, (argv, files, err)
     if code == 2:

@@ -63,7 +63,7 @@ from oracles import (
     supports_by_fits,
     t,
 )
-from test_golden_cli import FILES
+from test_golden_cli import FILES, corpus_dir, run_cli  # noqa: F401 (a fixture)
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -200,11 +200,6 @@ def golden_pair(name):
     return GenPartition(w for _, w in Z.lam.items()), Z
 
 
-def cli_stdout(capsys, *argv):
-    assert cli.main(list(argv)) == 0
-    return capsys.readouterr().out
-
-
 class TestLazyProduct:
     """A generator's product is never built: it prints its factored form
     straight from shape and tail, and the text must be the product the
@@ -232,22 +227,32 @@ class TestLazyProduct:
                 want = "*".join(f"({f})" for f in eager_product(g)) or "1"
                 assert str(g) == want, g
 
-    def test_json_generators_match_text(self, golden, capsys, tmp_path, monkeypatch):
-        # the command prints the ideal the fixture built; the golden corpus
-        # covers how it is built
-        by_lam = {str(golden_pair(name)[0]): name for name in self.GOLDEN}
-        monkeypatch.setattr(cli.equations, "i_lambda_z", lambda lam, Z: golden[by_lam[str(lam)]])
-        commands = [["inf,inf,2,1"]]
-        for name in self.GOLDEN:
-            path = tmp_path / name
-            path.write_text(FILES[name])
-            commands.append([str(golden_pair(name)[0]), "--variety", str(path)])
-        for argv in commands:
-            text = cli_stdout(capsys, "equations", *argv)
-            payload = json.loads(cli_stdout(capsys, "equations", "--json", *argv))
+    # type loci, a pruned ideal of each kind and a product slice, built by
+    # the command itself
+    BUILT = [["inf,2,1"], ["inf,2", "--reduce"], ["inf,inf,1", "--variety", "z1.json"],
+             ["inf,1", "--variety", "za.json", "--reduce", "--seed", "17"],
+             ["inf,inf,inf,1", "--variety", "zq4.json"],
+             ["inf,inf,inf,1", "--variety", "zq4.json", "--reduce"]]
+
+    def test_json_generators_match_text(self, golden, corpus_dir, monkeypatch):
+        def same_generators(*argv):
+            code, text, _ = run_cli("equations", *argv, cwd=corpus_dir)
+            code_json, out, _ = run_cli("equations", "--json", *argv, cwd=corpus_dir)
+            payload = json.loads(out)
             lines = [line for line in text.splitlines() if not line.startswith("#")]
+            assert (code, code_json) == (0, 0)
             assert payload["generators"] == lines
             assert len(payload["provenance"]) == len(lines)
+
+        for argv in self.BUILT:
+            same_generators(*argv)
+        # then the command prints the ideal the fixture built; the golden
+        # corpus covers how it is built
+        by_lam = {str(golden_pair(name)[0]): name for name in self.GOLDEN}
+        monkeypatch.setattr(cli.equations, "i_lambda_z", lambda lam, Z: golden[by_lam[str(lam)]])
+        same_generators("inf,inf,2,1")
+        for name in self.GOLDEN:
+            same_generators(str(golden_pair(name)[0]), "--variety", name)
 
     def test_tails_on_sparse_and_two_digit_rows(self):
         # tails that skip a row (t1, t3) or name a row past 9; the texts
@@ -301,7 +306,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("symvar.selfcheck" in sys.modules)
 """
 
-    def test_membership_and_printing_build_no_poly(self, monkeypatch, tmp_path, capsys):
+    def test_membership_and_printing_build_no_poly(self, monkeypatch, tmp_path):
         # a slice factor is tested on its integer row and printed from it;
         # Poly lives in selfcheck, which none of this imports
         evaluated = []
@@ -322,8 +327,8 @@ print("symvar.selfcheck" in sys.modules)
         path = tmp_path / "z.json"
         path.write_text('{"lambda": ["inf", 2, 1], "points": [[0, 1, 2], [5, -7, 11]]}',
                         encoding="utf-8")
-        assert cli.main(["equations", "--json", "inf,2,1", "--variety", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["generators"] == lines
+        code, out, _ = run_cli("equations", "--json", "inf,2,1", "--variety", str(path))
+        assert code == 0 and json.loads(out)["generators"] == lines
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
         done = subprocess.run([sys.executable, "-c", self.PROBE, str(path)], env=env,
                               capture_output=True, text=True, timeout=60)
@@ -576,12 +581,12 @@ class TestReduce:
               if parts[0] == INF]
 
     @pytest.mark.parametrize("text", list(dict.fromkeys(list(OVER_ACCEPTED) + CENSUS)))
-    def test_note_names_the_needed_drops(self, capsys, text):
+    def test_note_names_the_needed_drops(self, text):
         # the note names exactly the shapes alpha whose point of type
         # inf ++ alpha[1:] the pruned set accepts, one over-acceptance each,
         # and stdout is the pruned ideal as printed without the note
-        assert cli.main(["equations", text, "--reduce"]) == 0
-        out, err = capsys.readouterr()
+        code, out, err = run_cli("equations", text, "--reduce")
+        assert code == 0
         rng = random.Random(1729)
         battery = [random_point(rng, max_width=4) for _ in range(40)]
         lam = P(text)

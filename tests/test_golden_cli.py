@@ -8,6 +8,12 @@ move a single byte.  The corpus covers the README examples, the acceptance
 varieties (including ``Z3`` on ``inf,inf,2``), rational coordinates and
 the error exits.
 
+This module also holds the two CLI runners every test file uses:
+`run_cli` calls ``main`` in process and `run_cli_process` starts
+``python -m symvar.cli``.  Both run inside a directory when given one, so
+that a command names the files of `FILES` as the corpus does, and both
+return ``(exit code, stdout, stderr)``.
+
 Re-record only when the documented output changes on purpose:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -17,11 +23,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import symvar
 from symvar.cli import main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "golden_cli.json")
@@ -50,6 +58,8 @@ FILES = {
     "zo.json": '{"lambda": ["inf", 2, 1], "points": [[0, 4, 2], [1, 3, 2]]}',
     "ze.json": '{"lambda": ["inf", 1], "points": []}',
     "zq4.json": '{"lambda": ["inf", "inf", "inf", 1], "points": [["1/2", 3, "-4/3", 7]]}',
+    "z1.json": '{"lambda": ["inf", "inf", 1], "points": [[0, 1, 2], [3, 4, 5]]}',
+    "zq5.json": '{"lambda": ["inf", "inf"], "points": [[0, "2/2"], ["1/2", 3]]}',
 }
 
 COMMANDS = [
@@ -187,22 +197,51 @@ COMMANDS = [
     # --reduce on a type locus: the battery keeps 3,3 and drops 1,1,1 for inf,2
     ["equations", "inf,2", "--reduce"],
     ["equations", "--json", "inf,1,1", "--reduce"],
+    # the empty variety: no slice point, and a type locus that holds no point
+    ["gamma", "inf,1", "ze.json", "1"],
+    ["gamma", "--json", "inf,1", "ze.json", "1"],
+    ["contains", "inf,1", "ze.json", "inf,1", "ze.json"],
+    ["member", "inf,1", "0^inf,1^1", "--variety", "ze.json", "--method", "both"],
+    ["equations", "inf,1", "--variety", "ze.json", "--reduce"],
 ]
 
 
-def _run(argv, directory):
-    argv = [os.path.join(directory, a) if a in FILES or a == "missing.json" else a
-            for a in argv]
+def run_cli(*argv, cwd=None):
+    """``main(argv)`` with stdout and stderr captured, inside `cwd` if
+    given: ``(exit code, stdout, stderr)``."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    home = os.getcwd()
+    if cwd is not None:
+        os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(*argv, cwd=None, env=None, timeout=60):
+    """``python -m symvar.cli argv`` in a child process, inside `cwd` if
+    given, with the variables `env` added to the environment:
+    ``(exit code, stdout, stderr)``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)),
+               **(env or {}))
+    done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
 
 
 def _write_files(directory):
     for name, text in FILES.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _record(argv, directory):
+    code, out, _ = run_cli(*argv, cwd=directory)
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
 
 
 def _load():
@@ -225,8 +264,7 @@ def test_corpus_lists_every_command():
 
 @pytest.mark.parametrize("case", _load(), ids=lambda c: " ".join(c["argv"]))
 def test_replay(case, corpus_dir):
-    code, digest = _run(case["argv"], corpus_dir)
-    assert (code, digest) == (case["exit"], case["stdout_sha256"])
+    assert _record(case["argv"], corpus_dir) == case
 
 
 def record():
@@ -234,10 +272,7 @@ def record():
 
     with tempfile.TemporaryDirectory() as directory:
         _write_files(directory)
-        cases = []
-        for argv in COMMANDS:
-            code, digest = _run(argv, directory)
-            cases.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        cases = [_record(argv, directory) for argv in COMMANDS]
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")
