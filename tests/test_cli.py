@@ -204,9 +204,9 @@ class TestDeterminism:
         # a dev-mode child process exits, prints and notes as in process
         for argv in self.DEV_MODE:
             in_process = run_cli(*argv)
-            assert in_process[0] == 0
+            assert in_process[0] == 0, argv
             assert run_cli_process(*argv, env={"PYTHONDEVMODE": "1",
-                                               "PYTHONWARNINGS": "error"}) == in_process
+                                               "PYTHONWARNINGS": "error"}) == in_process, argv
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("no-such-command")[0] == 2

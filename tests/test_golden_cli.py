@@ -9,10 +9,10 @@ varieties (including ``Z3`` on ``inf,inf,2``), rational coordinates and
 the error exits.
 
 This module also holds the two CLI runners every test file uses:
-`run_cli` calls ``main`` in process and `run_cli_process` starts
-``python -m symvar.cli``.  Both run inside a directory when given one, so
-that a command names the files of `FILES` as the corpus does, and both
-return ``(exit code, stdout, stderr)``.
+`run_cli` calls ``main`` in process, inside a directory when given one so
+that a command names the files of `FILES` as the corpus does, and
+`run_cli_process` starts ``python -m symvar.cli`` in the current directory.
+Both return ``(exit code, stdout, stderr)``.
 
 Re-record only when the documented output changes on purpose:
 
@@ -221,13 +221,12 @@ def run_cli(*argv, cwd=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_process(*argv, cwd=None, env=None, timeout=60):
-    """``python -m symvar.cli argv`` in a child process, inside `cwd` if
-    given, with the variables `env` added to the environment:
-    ``(exit code, stdout, stderr)``."""
+def run_cli_process(*argv, env=None, timeout=60):
+    """``python -m symvar.cli argv`` in a child process, with the variables
+    `env` added to the environment: ``(exit code, stdout, stderr)``."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)),
                **(env or {}))
-    done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 
