@@ -1,16 +1,14 @@
 """Command-line surface: verdicts, exit codes, formats, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import symvar
 from symvar import cli
 
-from test_golden_cli import corpus_dir, run_cli, run_cli_process  # noqa: F401 (a fixture)
+from test_golden_cli import child_env, corpus_dir, run_cli, run_python  # noqa: F401 (a fixture)
 
 
 @pytest.fixture(autouse=True)
@@ -123,8 +121,8 @@ class TestMember:
         assert code == 1 and out.strip() == "false"
         # 30 classes, in a child process given 20 s
         x30 = ",".join(["0^inf"] + [f"{i}^1" for i in range(1, 30)])
-        assert run_cli_process("member", "inf,1", x30, "--method", "both",
-                               timeout=20) == (1, "false\n", "")
+        assert run_python("-m", "symvar.cli", "member", "inf,1", x30, "--method", "both",
+                          timeout=20) == (1, "false\n", "")
 
     @pytest.mark.parametrize("lam, points, x, code, note", [
         # outside the exact domain: a known over-acceptance, a member, a rejection
@@ -205,8 +203,8 @@ class TestDeterminism:
         for argv in self.DEV_MODE:
             in_process = run_cli(*argv)
             assert in_process[0] == 0, argv
-            assert run_cli_process(*argv, env={"PYTHONDEVMODE": "1",
-                                               "PYTHONWARNINGS": "error"}) == in_process, argv
+            dev_mode = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+            assert run_python("-m", "symvar.cli", *argv, env=dev_mode) == in_process, argv
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("no-such-command")[0] == 2
@@ -372,11 +370,8 @@ class TestErrorPath:
         ("symvar.corr", ["symvar.corr", "symvar.partitions", "symvar.variety"]),
     ], ids=["symvar", "equations", "corr"])
     def test_import_loads_only_its_layer(self, module, loaded):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('symvar.')))"
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout == f"{loaded}\n"
+        assert run_python("-c", probe) == (0, f"{loaded}\n", "")
 
 
 class TestLazyModules:
@@ -386,14 +381,6 @@ class TestLazyModules:
     ``isinstance`` included, would run the module."""
 
     LAZY = ["symvar.corr", "symvar.equations", "symvar.poly"]
-
-    @staticmethod
-    def probe(code, *args):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
-        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        return done.stdout
 
     @pytest.mark.parametrize("commands, ran, battery", [
         ([["type", "0^inf,1^3"], ["preceq", "4,4,4", "inf,inf,2,1"],
@@ -422,7 +409,7 @@ for argv in json.loads(sys.argv[1]):
 print([n for n in {self.LAZY!r} if type(sys.modules[n]) is types.ModuleType],
       "symvar.selfcheck" in sys.modules)
 """
-        assert self.probe(code, json.dumps(commands)) == f"{ran} {battery}\n"
+        assert run_python("-c", code, json.dumps(commands)) == (0, f"{ran} {battery}\n", "")
 
     def test_an_imported_module_is_reused(self):
         code = """
@@ -432,7 +419,7 @@ import symvar.cli
 print(symvar.cli.equations is sys.modules["symvar.equations"],
       type(symvar.cli.equations) is types.ModuleType)
 """
-        assert self.probe(code) == "True True\n"
+        assert run_python("-c", code) == (0, "True True\n", "")
 
     def test_registered_modules_are_bound_on_the_package(self):
         code = f"""
@@ -441,7 +428,7 @@ import symvar, symvar.cli
 print(all(getattr(symvar, n.split(".")[1]) is sys.modules[n] for n in {self.LAZY!r}),
       any(type(sys.modules[n]) is types.ModuleType for n in {self.LAZY!r}))
 """
-        assert self.probe(code) == "True False\n"
+        assert run_python("-c", code) == (0, "True False\n", "")
 
 
 class TestClosedStdout:
@@ -451,10 +438,9 @@ class TestClosedStdout:
     def test_reader_closes_after_one_line(self, unbuffered):
         # about 140 kB of generators, more than a pipe holds: the writer is
         # still writing when the reader closes its end
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
         argv = ["equations", "inf,inf,2", "--variety", "Z3.json"]
-        child = subprocess.Popen([sys.executable, "-m", "symvar.cli", *argv], env=env,
+        child = subprocess.Popen([sys.executable, "-m", "symvar.cli", *argv],
+                                 env=child_env(PYTHONUNBUFFERED=unbuffered),
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert child.stdout.readline().startswith(b"# ")
         child.stdout.close()

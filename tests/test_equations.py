@@ -2,16 +2,12 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-import symvar
 from symvar import cli
 from symvar.equations import (
     IdealGenerator,
@@ -63,7 +59,7 @@ from oracles import (
     supports_by_fits,
     t,
 )
-from test_golden_cli import FILES, corpus_dir, run_cli  # noqa: F401 (a fixture)
+from test_golden_cli import FILES, corpus_dir, run_cli, run_python  # noqa: F401 (a fixture)
 
 P = GenPartition.parse
 C = GenComposition.from_partition
@@ -306,13 +302,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("symvar.selfcheck" in sys.modules)
 """
 
-    def test_membership_and_printing_build_no_poly(self, monkeypatch, tmp_path):
+    def test_membership_and_printing_build_no_poly(self, calls, tmp_path):
         # a slice factor is tested on its integer row and printed from it;
         # Poly lives in selfcheck, which none of this imports
-        evaluated = []
-        values = MonomialTable.values
-        monkeypatch.setattr(MonomialTable, "values",
-                            lambda table, *args: evaluated.append(table) or values(table, *args))
+        evaluated = calls(MonomialTable, "values")
         lam = P("inf,2,1")
         Z = PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)])
         ideal = i_lambda_z(lam, Z)
@@ -329,10 +322,8 @@ print("symvar.selfcheck" in sys.modules)
                         encoding="utf-8")
         code, out, _ = run_cli("equations", "--json", "inf,2,1", "--variety", str(path))
         assert code == 0 and json.loads(out)["generators"] == lines
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)))
-        done = subprocess.run([sys.executable, "-c", self.PROBE, str(path)], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+        code, out, err = run_python("-c", self.PROBE, str(path))
+        assert (code, out) == (0, "False\n"), err
 
     def test_terms_are_built_only_to_print(self, monkeypatch):
         # membership reads a factor's row as a dot product; only printing
@@ -514,30 +505,24 @@ class TestReduce:
         for x in battery:
             assert member_by_equations(reduced, x) == member_by_equations(ideal, x)
 
-    def test_reduction_shares_the_component_tables_values(self, monkeypatch):
+    def test_reduction_shares_the_component_tables_values(self, calls):
         # over Z.json both slices are built from the component {0, 1}, and
         # every factor stays written over its one table, so the value vectors
         # kept per (table, positions, classes) serve the slice of 1 and both
         # placements in the slice of 1,1; the pin may only go down
-        evaluated = []
-        values = MonomialTable.values
-        monkeypatch.setattr(MonomialTable, "values",
-                            lambda table, *args: evaluated.append(table) or values(table, *args))
+        evaluated = calls(MonomialTable, "values")
         lam = P("inf,inf")
         ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1), (1, 0)]))
         rng = random.Random(1729)  # the battery of ``equations --reduce``
         battery = [random_point(rng, max_width=4) for _ in range(40)]
         reduce_generators(ideal, battery)
         assert len(evaluated) <= 50
-        assert len(set(evaluated)) == 1
+        assert len({table for table, *_ in evaluated}) == 1
 
-    def test_pruning_builds_no_flat_view(self, monkeypatch):
+    def test_pruning_builds_no_flat_view(self, calls):
         # the one-factor blocks of the pruning come from the ideal's blocks:
         # no IdealGenerator is built until the result is printed
-        built = []
-        init = IdealGenerator.__init__
-        monkeypatch.setattr(IdealGenerator, "__init__",
-                            lambda g, *args: built.append(args) or init(g, *args))
+        built = calls(IdealGenerator, "__init__")
         lam = P("inf,inf")
         ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1), (1, 0)]))
         rng = random.Random(1729)

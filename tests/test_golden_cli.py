@@ -8,11 +8,12 @@ move a single byte.  The corpus covers the README examples, the acceptance
 varieties (including ``Z3`` on ``inf,inf,2``), rational coordinates and
 the error exits.
 
-This module also holds the two CLI runners every test file uses:
-`run_cli` calls ``main`` in process, inside a directory when given one so
-that a command names the files of `FILES` as the corpus does, and
-`run_cli_process` starts ``python -m symvar.cli`` in the current directory.
-Both return ``(exit code, stdout, stderr)``.
+This module also holds the runners every test file uses: `run_cli` calls
+``main`` in process, inside a directory when given one so that a command
+names the files of `FILES` as the corpus does, and `run_python` starts a
+child interpreter, ``python -m symvar.cli …`` or ``python -c CODE …``,
+whose environment `child_env` gives.  Both return ``(exit code, stdout,
+stderr)``.
 
 Re-record only when the documented output changes on purpose:
 
@@ -221,12 +222,18 @@ def run_cli(*argv, cwd=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_process(*argv, env=None, timeout=60):
-    """``python -m symvar.cli argv`` in a child process, with the variables
-    `env` added to the environment: ``(exit code, stdout, stderr)``."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)),
-               **(env or {}))
-    done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], env=env,
+def child_env(**extra):
+    """The environment of a child interpreter: this one's, with `extra`
+    added and the directory that holds the imported ``symvar`` as its
+    ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symvar.__file__)), **extra)
+
+
+def run_python(*argv, env=None, cwd=None, timeout=60):
+    """``python argv`` (``-m symvar.cli …`` or ``-c CODE …``) in a child
+    process started in `cwd`, with the variables `env` added to its
+    environment: ``(exit code, stdout, stderr)``."""
+    done = subprocess.run([sys.executable, *argv], env=child_env(**(env or {})), cwd=cwd,
                           capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 

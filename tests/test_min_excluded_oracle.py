@@ -128,26 +128,35 @@ def test_tail_covers_decide_minimality(lam):
         ), (tau, lam)
 
 
-def test_lower_cover_work_guard(monkeypatch):
+@pytest.fixture
+def tail_covers_read(monkeypatch):
+    """The tails ``_tail_covers`` is called on and the covers read from it,
+    in order.  ``min_excluded`` stops reading a tail's covers at the first
+    that is not below, so only a wrapper of the generator counts them."""
+    tails, built = [], []
+    tail_covers = partitions._tail_covers
+
+    def reading(tau):
+        tails.append(tau)
+        for cover in tail_covers(tau):
+            built.append(cover)
+            yield cover
+
+    monkeypatch.setattr(partitions, "_tail_covers", reading)
+    return tails, built
+
+
+def test_lower_cover_work_guard(tail_covers_read):
     # inf^8,12 has 55 tails of at most 2 parts and sum at most 13, so at
     # most 55 candidates reach the cover test (43 do); the 104 tails of at
     # most 2 parts, each at most 13, sent 92 there, and walking the whole
     # 10-part box made 646,647 cover tests.  Each of the 43 stops at its
     # first tail cover, a lowering that is not below; the whole
     # candidates' lower covers, drawn the same way, built 141 tuples.
-    calls, built = [], []
-    tail_covers = partitions._tail_covers
-
-    def counting(tau):
-        calls.append(tau)
-        for cover in tail_covers(tau):
-            built.append(cover)
-            yield cover
-
-    monkeypatch.setattr(partitions, "_tail_covers", counting)
+    tails, built = tail_covers_read
     got = min_excluded(INF8_12)
     assert got == [GenPartition((1,) * 10), GenPartition((13,) * 9)]
-    assert 0 < len(calls) <= 55
+    assert 0 < len(tails) <= 55
     assert len(built) == 43
 
 
@@ -179,24 +188,12 @@ def test_wide_answers_are_pinned(text):
     assert hashlib.sha256(";".join(map(str, got)).encode()).hexdigest()[:16] == digest
 
 
-def test_walk_decides_no_tail_afresh(monkeypatch):
+def test_walk_decides_no_tail_afresh(calls, tail_covers_read):
     # each tail's layer is one step from its parent's, so no tail is handed
     # to _tail_below; on inf,3^11 the candidates build 10,593 tail covers,
     # where the box walk decided each of 51,968 tails afresh
-    tail_calls, built = [], []
-    tail_below, tail_covers = partitions._tail_below, partitions._tail_covers
-
-    def building(tau):
-        for cover in tail_covers(tau):
-            built.append(cover)
-            yield cover
-
-    def deciding(*args):
-        tail_calls.append(args)
-        return tail_below(*args)
-
-    monkeypatch.setattr(partitions, "_tail_below", deciding)
-    monkeypatch.setattr(partitions, "_tail_covers", building)
+    tail_calls = calls(partitions, "_tail_below")
+    _, built = tail_covers_read
     assert len(min_excluded(GenPartition([INF] + [3] * 11))) == 77
     assert tail_calls == []
     assert len(built) < 20_000

@@ -50,23 +50,15 @@ def cold():
     clear()
 
 
-def counting(monkeypatch, name):
-    """Patch ``equations.<name>`` to count its calls; return the counter."""
-    calls = []
-    fn = getattr(equations, name)
-    monkeypatch.setattr(equations, name, lambda *args: calls.append(args) or fn(*args))
-    return calls
-
-
 def test_bounds():
     assert equations._skeleton.cache_parameters()["maxsize"] == 64
     assert equations._supports.cache_parameters()["maxsize"] == 1024
 
 
-def test_second_pair_of_lambda_enumerates_no_partition(cold, monkeypatch):
+def test_second_pair_of_lambda_enumerates_no_partition(cold, calls):
     lam = P("inf,2,1")
-    excluded = counting(monkeypatch, "min_excluded")
-    capped = counting(monkeypatch, "capped_shapes")
+    excluded = calls(equations, "min_excluded")
+    capped = calls(equations, "capped_shapes")
     first = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1, 2)]))
     assert (len(excluded), len(capped)) == (1, 1)
     second = i_lambda_z(lam, PointSetVariety(C(lam), [(5, -7, 11), (1, 2, 3)]))
@@ -77,10 +69,10 @@ def test_second_pair_of_lambda_enumerates_no_partition(cold, monkeypatch):
     assert [b.keys for b in first.blocks[n:]] != [b.keys for b in second.blocks[n:]]
 
 
-def test_second_point_with_the_same_multiplicities_searches_no_cover_group(cold, monkeypatch):
+def test_second_point_with_the_same_multiplicities_searches_no_cover_group(cold, calls):
     lam = P("inf,2,1")
     ideal = i_lambda_z(lam, PointSetVariety(C(lam), [(0, 1, 2), (5, -7, 11)]))
-    groups = counting(monkeypatch, "_cover_groups")
+    groups = calls(equations, "_cover_groups")
     assert member_by_equations(ideal, FinitaryPoint.parse("0^inf,1^2,2^1")) is True
     assert groups
     searched = len(groups)

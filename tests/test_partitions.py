@@ -33,35 +33,13 @@ def leq_oracle(mu, lam):
     return mu.length == 0
 
 
-def counted(monkeypatch, name):
-    """The arguments of every call of ``partitions.<name>``, in order, from
-    now until the test ends."""
-    calls = []
-    inner = getattr(partitions, name)
-
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(partitions, name, counting)
-    return calls
-
-
 @pytest.fixture
-def cover_group_calls(monkeypatch):
-    """The need and state of every ``_cover_groups`` call that the tail
-    search makes, one per state it expands, in order; the lister's own
-    recursive calls, which pass `first`, are not counted."""
-    calls = []
-    inner = partitions._cover_groups
-
-    def counting(need, state, slots, *first):
-        if not first:
-            calls.append((need, state))
-        return inner(need, state, slots, *first)
-
-    monkeypatch.setattr(partitions, "_cover_groups", counting)
-    return calls
+def cover_group_calls(calls):
+    """A function giving the need and state of every ``_cover_groups`` call
+    that the tail search has made, one per state it expands, in order; the
+    lister's own recursive calls, which pass `first`, are left out."""
+    made = calls(partitions, "_cover_groups")
+    return lambda: [(need, state) for need, state, _, *first in made if not first]
 
 
 def unit_groups(target, parts, mask):
@@ -159,7 +137,7 @@ class TestPreceq:
         if leq(mu, lam):
             assert preceq(mu, lam)
 
-    def test_screens_and_backtracking_match_oracles_exhaustively(self, monkeypatch, cover_group_calls):
+    def test_screens_and_backtracking_match_oracles_exhaustively(self, calls):
         # Every pair with at most 4 parts over {1,2,3,4,inf}: the tail
         # reduction, its screens, the witness and the no-spare-part exit
         # agree with the search over all of lam's parts and with the filling
@@ -174,14 +152,15 @@ class TestPreceq:
             key=lambda q: (q.length, q.parts),
         )
         witness = partitions._witness_places
-        tail_calls = counted(monkeypatch, "_tail_below")
-        witness_calls = counted(monkeypatch, "_witness_places")
-        searched = cover_group_calls
+        tail_calls = calls(partitions, "_tail_below")
+        witness_calls = calls(partitions, "_witness_places")
+        # a recursive cover-group call is made only inside a top-level one
+        searched = calls(partitions, "_cover_groups")
         exits = {}
         for mu in box:
             for lam in box:
-                for calls in (tail_calls, witness_calls, searched):
-                    calls.clear()
+                for made in (tail_calls, witness_calls, searched):
+                    made.clear()
                 verdict = preceq(mu, lam)
                 filling = good_filling_exists(mu, lam)
                 assert verdict == preceq_by_groups(mu, lam) == filling, (mu, lam)
@@ -235,7 +214,7 @@ class TestPreceq:
             assert preceq(mu, lam) == good_filling_exists(mu, lam), (mu, lam)
 
         check()
-        assert cover_group_calls
+        assert cover_group_calls()
 
     def test_search_visits_each_state_once(self, cover_group_calls):
         # each of 6,5,4,3 needs two of the six 3s, so the search fails; it
@@ -244,7 +223,8 @@ class TestPreceq:
         # 1 + 15 + 15 + 1
         assert preceq(P("inf,6,5,4,3"), P("inf,3,3,3,3,3,3")) is False
         # the tail parts differ, so a call's target names its state's tail part
-        assert len(cover_group_calls) == len(set(cover_group_calls)) == 4
+        searched = cover_group_calls()
+        assert len(searched) == len(set(searched)) == 4
 
     def test_equal_parts_are_searched_once(self, cover_group_calls):
         # 4^12 against inf,3^16: each 4 needs two 3s, so the search fails
@@ -252,7 +232,7 @@ class TestPreceq:
         # there is one state per tail part: 9 states, where trying every
         # pair of 3s made 32,768
         assert preceq(P(",".join(["4"] * 12)), P(",".join(["inf"] + ["3"] * 16))) is False
-        assert len(cover_group_calls) == 9
+        assert len(cover_group_calls()) == 9
 
     def test_padded_search_grows_linearly(self, cover_group_calls):
         # 6,6,1^n against 5,3,2,2,1^n is false, and the witness cannot
@@ -261,9 +241,9 @@ class TestPreceq:
         # telling the ones apart by index would grow them exponentially
         counts = []
         for n in (80, 160):
-            cover_group_calls.clear()
+            before = len(cover_group_calls())
             assert preceq(GenPartition([6, 6] + [1] * n), GenPartition([5, 3, 2, 2] + [1] * n)) is False
-            counts.append(len(cover_group_calls))
+            counts.append(len(cover_group_calls()) - before)
         assert 0 < counts[1] <= 2.5 * counts[0]
 
     def test_witness_places_what_the_search_would_not_finish(self, cover_group_calls):
@@ -274,7 +254,7 @@ class TestPreceq:
         # all), about 20 million here; the witness groups each 3 as 2+1 and
         # answers without searching
         assert preceq(P(",".join(["3"] * 700)), P(",".join(["2"] * 700 + ["1"] * 700))) is True
-        assert cover_group_calls == []
+        assert cover_group_calls() == []
 
 
 class TestMinimalCoverGroups:

@@ -133,30 +133,26 @@ def test_placed_factors_keep_their_components_tables():
     assert all(seen.values()), seen
 
 
-def test_components_are_eliminated_once_per_shared_dict(monkeypatch):
+def test_components_are_eliminated_once_per_shared_dict(calls):
     # {a, b} x {c} and {c} x {a, b} share the elimination of each component
-    calls = []
-    monkeypatch.setattr(poly, "vanishing_ideal",
-                        lambda points: calls.append(points) or vanishing_ideal(points))
+    eliminated = calls(poly, "vanishing_ideal")
     shared = {}
     first = _slice_factors(frozenset({(1, 3), (2, 3)}), shared)
     second = _slice_factors(frozenset({(3, 1), (3, 2)}), shared)
-    assert sorted(calls, key=len) == [frozenset({(3,)}), frozenset({(1,), (2,)})]
+    assert sorted((points for points, in eliminated), key=len) == [
+        frozenset({(3,)}), frozenset({(1,), (2,)})]
     assert [str(f) for f in first] == ["t2 - 3", "t1^2 - 3*t1 + 2"]
     assert [str(f) for f in second] == ["t1 - 3", "t2^2 - 3*t2 + 2"]
     assert _slice_factors(frozenset({(1, 3), (2, 3)}), shared) is first
 
 
-def test_each_eliminated_generator_is_formatted_once(monkeypatch):
+def test_each_eliminated_generator_is_formatted_once(calls):
     # zq4.json of the golden corpus: one rational point of inf,inf,inf,1,
     # whose product slices place the same component factors many times
-    calls = []
-    format_terms = poly._format_terms
-    monkeypatch.setattr(poly, "_format_terms",
-                        lambda *args: calls.append(args) or format_terms(*args))
+    formatted = calls(poly, "_format_terms")
     lam = GenPartition.parse("inf,inf,inf,1")
     point = (Fraction(1, 2), 3, Fraction(-4, 3), 7)
     ideal = i_lambda_z(lam, PointSetVariety(GenComposition.from_partition(lam), [point]))
     ideal.render()
     factors = [f for block in ideal.blocks for f in block.factors if f is not None]
-    assert len(calls) == len({(id(f.table), f.index) for f in factors}) == 21 < len(factors)
+    assert len(formatted) == len({(id(f.table), f.index) for f in factors}) == 21 < len(factors)
